@@ -8,10 +8,11 @@ stdout captured, issued only after the previous one returned.  Each output is
 checked against a value computed before timing from another route.
 
 ``--trace 0`` repeats the instance list until ``--seconds`` have passed and
-reports the end-to-end metrics from each instance's fastest repeat.
+reports the end-to-end metrics over all calls, with every time scaled to a
+fixed speed of the machine (see ``REFERENCE_S``).
 ``--trace 1`` alternates an untraced pass and a traced pass of the same list
-until ``--seconds`` have passed and reports per-layer metrics per pass; the
-difference between the two kinds of pass is the tracing overhead.
+while another pair fits in ``--seconds`` and reports per-layer metrics per
+pass; the difference between the two kinds of pass is the tracing overhead.
 
 The last line of stdout is one JSON object: correct, attempted, failed and
 metrics.  Details (instances, environment, failures) go to ``bench/out/``.
@@ -79,17 +80,51 @@ def git_sha(root: Path):
     return proc.stdout.strip() if proc.returncode == 0 else None
 
 
-def measure_setup(root: Path, repeats: int) -> list[float]:
-    """Wall times from spawning an interpreter to its first answer."""
+# The host's speed drifts by up to 2x over minutes, and CPU time drifts with
+# it: the slowdown is contention from other tenants, not time spent
+# descheduled.  So a fixed piece of interpreter work (the reference kernel)
+# runs between consecutive timed calls, and each call's time is scaled by
+# REFERENCE_S / (mean time of the kernel just before and just after it).
+# Times are reported as they would read on a machine where the kernel takes
+# REFERENCE_S, its median on the 2-CPU machine the benchmark was tuned on.
+REFERENCE_S = 0.003
+
+
+def reference_kernel(iterations: int = 20000) -> int:
+    """Fixed interpreter work, independent of pgfactor."""
+    s, d = 0, {}
+    for i in range(iterations):
+        s = (s * 31 + i) & 0xFFFFF
+        d[s & 255] = i
+    return s
+
+
+def timed_reference() -> float:
+    t0 = perf_counter()
+    reference_kernel()
+    return perf_counter() - t0
+
+
+def measure_setup(root: Path, repeats: int) -> list[tuple[float, float]]:
+    """(wall seconds from spawning an interpreter to its first answer, mean
+    reference seconds just before and after) per repeat."""
     times = []
+    ref_before = timed_reference()
     for _ in range(repeats):
         t0 = perf_counter()
         proc = subprocess.run([sys.executable, "-c", SETUP_CODE], cwd=root,
                               stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, timeout=60)
-        times.append(perf_counter() - t0)
+        elapsed = perf_counter() - t0
         if proc.returncode != 0:
             raise RuntimeError(f"set-up call failed: {proc.stderr.decode(errors='replace')}")
+        ref_after = timed_reference()
+        times.append((elapsed, (ref_before + ref_after) / 2))
+        ref_before = ref_after
     return times
+
+
+def scaled(seconds: float, ref: float) -> float:
+    return seconds * REFERENCE_S / ref
 
 
 class Loop:
@@ -99,13 +134,19 @@ class Loop:
         self.pgf = pgf
         self.instances = instances
         self.checker = checker
-        self.samples = [[] for _ in instances]
+        self.samples = [[] for _ in instances]  # scaled seconds per repeat
+        # (instance, seconds, reference seconds before, reference seconds after)
+        self.timeline: list[tuple[int, float, float, float]] = []
         self.attempted = 0
         self.failures: list[tuple[str, str]] = []
 
     def run_pass(self, deadline=None, tracer=None) -> float:
-        """One pass over the list, stopping early at ``deadline``; returns wall seconds."""
+        """One pass over the list, stopping early at ``deadline``; returns wall seconds.
+
+        The reference kernel runs between consecutive instances, and each
+        instance is scaled by the mean of the runs just before and after it."""
         begin = perf_counter()
+        ref_before = timed_reference()
         for i, inst in enumerate(self.instances):
             if deadline is not None and perf_counter() >= deadline:
                 break
@@ -119,10 +160,13 @@ class Loop:
                 except Exception as exc:  # a crash is a failed instance, not a crashed benchmark
                     rc = exc
                 elapsed = perf_counter() - t0
-            self.samples[i].append(elapsed)
             self.attempted += 1
             if tracer is not None:
                 tracer.finish_instance()
+            ref_after = timed_reference()
+            self.samples[i].append(scaled(elapsed, (ref_before + ref_after) / 2))
+            self.timeline.append((i, elapsed, ref_before, ref_after))
+            ref_before = ref_after
             if isinstance(rc, Exception):
                 problem = f"raised {rc!r}"
             else:
@@ -132,27 +176,39 @@ class Loop:
         return perf_counter() - begin
 
 
+def weighted_quantile(samples, q: float) -> float:
+    """Smallest scaled time at or below which the share ``q`` of all calls
+    lies, each instance weighing 1 split evenly over its repeats, so that
+    instances the deadline cut short of a repeat are not underweighted."""
+    pairs = sorted((t, 1 / len(repeats)) for repeats in samples for t in repeats)
+    target = q * len(samples) - 1e-9
+    seen = 0.0
+    for t, weight in pairs:
+        seen += weight
+        if seen >= target:
+            return t
+    return pairs[-1][0]
+
+
 def latency_summary(samples):
-    """Latency per instance is its fastest repeat, as ``timeit`` advises: on a
-    shared machine slower repeats mostly measure other tenants.  The tail is
-    the highest percentile with ten instances beyond it."""
-    best = [min(s) for s in samples]
-    ordered = sorted(best)
-    n = len(ordered)
-    tail_index = max(0, n - 11)
+    """Throughput from each instance's mean scaled time; median and tail over
+    all calls.  The tail is the highest percentile with ten instances beyond it."""
+    n = len(samples)
+    tail_share = max(1, n - 10) / n
     return {
-        "instances_per_s": n / sum(best),
-        "latency_p50_ms": statistics.median(best) * 1000,
-        "latency_tail_ms": ordered[tail_index] * 1000,
-        "tail_percentile": 100 * (tail_index + 1) / n,
-        "samples": n,
+        "instances_per_s": n / sum(statistics.mean(s) for s in samples),
+        "latency_p50_ms": weighted_quantile(samples, 0.5) * 1000,
+        "latency_tail_ms": weighted_quantile(samples, tail_share) * 1000,
+        "tail_percentile": 100 * tail_share,
+        "samples": sum(map(len, samples)),
+        "instances": n,
         "repeats_per_instance": [min(map(len, samples)), max(map(len, samples))],
     }
 
 
 def untraced(pgf, instances, checker, seconds):
     # Half the set-up samples before the passes and half after, so the median
-    # spans the run rather than one moment of a machine whose speed drifts.
+    # spans the run rather than one moment of it.
     setup = measure_setup(ROOT, SETUP_REPEATS // 2 + 1)
     loop = Loop(pgf, instances, checker)
     deadline = perf_counter() + seconds
@@ -162,13 +218,15 @@ def untraced(pgf, instances, checker, seconds):
     setup += measure_setup(ROOT, SETUP_REPEATS // 2)
     summary = latency_summary(loop.samples)
     metrics = {
-        "setup_s": statistics.median(setup),
+        "setup_s": statistics.median(scaled(t, ref) for t, ref in setup),
         "instances_per_s": summary["instances_per_s"],
         "latency_p50_ms": summary["latency_p50_ms"],
         "latency_tail_ms": summary["latency_tail_ms"],
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     }
-    detail = {k: summary[k] for k in ("tail_percentile", "samples", "repeats_per_instance")}
+    detail = {k: summary[k] for k in ("tail_percentile", "samples", "instances", "repeats_per_instance")}
+    detail["setup_unscaled_s"] = statistics.median(t for t, _ in setup)
+    detail["reference_median_s"] = statistics.median(r for _, _, r, _ in loop.timeline)
     return loop, {m: (v, END_TO_END_UNITS[m]) for m, v in metrics.items()}, detail
 
 
@@ -244,7 +302,8 @@ def traced(pgf, instances, checker, seconds):
     tracer = Tracer(pgf)
     plain = with_trace = 0.0
     passes = 0
-    deadline = perf_counter() + seconds
+    begin = perf_counter()
+    deadline = begin + seconds
     while True:
         # Alternate which kind of pass goes first, so drift in machine speed
         # does not land on one side of the overhead.
@@ -258,7 +317,9 @@ def traced(pgf, instances, checker, seconds):
             finally:
                 tracer.uninstall()
         passes += 1
-        if perf_counter() >= deadline:
+        # Stop before a pair of passes that would end past the deadline.
+        now = perf_counter()
+        if now + (now - begin) / passes >= deadline:
             break
     overhead = (with_trace - plain) / passes
     values, detail = layer_metrics(tracer, passes, overhead)
@@ -308,7 +369,8 @@ def main(argv=None) -> int:
               "seconds": args.seconds, **env,
               "instances": [{"bucket": i.bucket, "argv": list(i.argv)} for i in instances],
               "metrics": {k: {"value": v, "unit": u} for k, (v, u) in values.items()},
-              "detail": detail, "attempted": loop.attempted, "samples_s": loop.samples,
+              "detail": detail, "attempted": loop.attempted, "scaled_samples_s": loop.samples,
+              "timeline": loop.timeline,
               "failures": [list(f) for f in loop.failures]}
     (OUT / f"{stem}.json").write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
     if args.trace:

@@ -51,6 +51,7 @@ def off_by_one(fn):
     (("f2", "--type", "3,2,1", "--p", "7", "--method", "mobius"), "factorization_count_mobius"),
     (("f2", "--type", "3,2,1", "--symbolic"), "factorization_count"),
     (("verify", "--type", "2,1,1", "--p", "3"), "factorization_count_mobius"),
+    (("table", "--max-lambda", "1", "--primes", "3", "--format", "csv"), "factorization_count_mobius"),
 ])
 def test_injected_wrong_value_counts_as_failure(monkeypatch, argv, target):
     instances = [Instance("probe", argv)]
@@ -116,6 +117,18 @@ def test_instances_are_seeded_and_stratified():
             assert sum(i.bucket == bucket.name for i in a) == bucket.count
             assert sum(i.bucket == bucket.name for i in c) == bucket.count
         assert len(a) >= 21, "the tail percentile needs ten samples beyond it"
+
+
+def test_latency_quantiles_weigh_each_instance_once():
+    # The first instance has one repeat, the second three: each still holds
+    # half the weight, so the median is the first instance's time.
+    samples = [[1.0], [2.0, 2.0, 2.0]]
+    assert run.weighted_quantile(samples, 0.5) == 1.0
+    assert run.weighted_quantile(samples, 0.51) == 2.0
+    summary = run.latency_summary([[0.1, 0.3]] * 11 + [[1.0]] * 10)
+    assert summary["tail_percentile"] == pytest.approx(100 * 11 / 21)
+    assert summary["latency_tail_ms"] == pytest.approx(300)
+    assert summary["instances_per_s"] == pytest.approx(21 / (11 * 0.2 + 10 * 1.0))
 
 
 def test_evaluate_rendered():

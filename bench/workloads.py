@@ -14,6 +14,8 @@ computed before timing starts (``Checker``).
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import random
 import re
@@ -83,8 +85,12 @@ def _pool_bucket(name: str, count: int, pool, argv) -> Bucket:
 
 
 # ---------------------------------------------------------------- verify-mid
-# |G| from 2^8 to 3^7, rank 3, p <= 11.  Pools group instances whose verify
-# time agreed within about 20 % on the seed code.
+# |G| from 2^8 to 3^7, rank 3, p <= 7.  Pools group instances whose verify
+# time agreed within about 20 % on the seed code.  Each count is a multiple
+# of its pool's size, so every seed draws the same instances in another order.
+# The median (weight 12 of 24) and the tail (weight 14) both fall inside
+# "small", a single instance drawn six times, two instances away from either
+# edge, so neither quantile straddles two instances of different cost.
 
 def _verify(item) -> tuple[str, ...]:
     t, p = item
@@ -98,9 +104,9 @@ VERIFY_MID = Workload(
     (
         _pool_bucket("tiny", 10, [("6,1,1", 2), ("5,2,1", 2), ("1,1,1", 7), ("4,3,1", 2), ("2,1,1", 5)],
                      _verify),
-        _pool_bucket("small", 10, [("3,3,2", 2), ("8,1,1", 2), ("5,2,2", 2), ("1,1,1", 11)], _verify),
-        _pool_bucket("mid", 5, [("2,2,2", 3), ("4,2,1", 3), ("5,1,1", 3), ("5,4,1", 2), ("8,2,1", 2)],
-                     _verify),
+        _pool_bucket("small", 6, [("3,3,2", 2)], _verify),
+        _pool_bucket("medium", 4, [("8,1,1", 2), ("5,2,2", 2)], _verify),
+        _pool_bucket("mid", 4, [("2,2,2", 3), ("4,2,1", 3), ("5,1,1", 3), ("5,4,1", 2)], _verify),
     ),
 )
 
@@ -108,15 +114,18 @@ VERIFY_MID = Workload(
 # ------------------------------------------------------------ mobius-large-p
 # Rank-3 cost grows as p^2 (about 2p^2 socle subspaces), rank-2 cost as p.
 # Types with distinct exponents only: equal exponents run about 40 % faster,
-# which would widen a bucket.
+# which would widen a bucket.  Each rank-3 bucket uses two primes that differ
+# by a few percent (cost ratio ~1.07), and the rank-3 types are split by cost
+# into two buckets drawn equally.  The counts put the median inside
+# rank2-p3000 and the tail (p67) inside rank3-p60-light, each three
+# instances or more away from a bucket of another cost, for every seed.
 
-_RANK3_TYPES = [(a, b, c) for a in range(3, 6) for b in range(2, a) for c in range(1, b)]
-_RANK2_TYPES = [(a, b, 0) for a in range(3, 6) for b in range(1, a)]
+_RANK3_LIGHT = [(3, 2, 1), (4, 3, 2), (5, 2, 1), (5, 3, 1), (5, 3, 2)]
+_RANK3_HEAVY = [(4, 2, 1), (4, 3, 1), (5, 4, 1), (5, 4, 2), (5, 4, 3)]
+_RANK2_TYPES = [(a, b, 0) for a in range(3, 6) for b in range(1, a) if (a, b) != (5, 1)]
 
 
-def _mobius_bucket(name: str, count: int, types, lo: int, hi: int) -> Bucket:
-    primes = primes_between(lo, hi)
-
+def _mobius_bucket(name: str, count: int, types, primes) -> Bucket:
     def draw(rng, count):
         return [("f2", "--type", _type_text(t), "--p", str(p), "--method", "mobius")
                 for t, p in zip(balanced(rng, types, count), balanced(rng, primes, count))]
@@ -129,10 +138,11 @@ MOBIUS_LARGE_P = Workload(
     "f2 by the Mobius sum at large p, where the socle walk costs p^2 (rank 3) "
     "or p (rank 2) and the oracle never runs",
     (
-        _mobius_bucket("rank2-p2000", 4, _RANK2_TYPES, 1950, 2050),
-        _mobius_bucket("rank2-p3000", 11, _RANK2_TYPES, 2950, 3050),
-        _mobius_bucket("rank3-p56", 10, _RANK3_TYPES, 53, 59),
-        _mobius_bucket("rank3-p86", 2, _RANK3_TYPES, 83, 89),
+        _mobius_bucket("rank2-p2000", 7, _RANK2_TYPES, primes_between(1950, 2050)),
+        _mobius_bucket("rank2-p3000", 11, _RANK2_TYPES, primes_between(2950, 3040)),
+        _mobius_bucket("rank3-p60-light", 5, _RANK3_LIGHT, [59, 61]),
+        _mobius_bucket("rank3-p60-heavy", 5, _RANK3_HEAVY, [59, 61]),
+        _mobius_bucket("rank3-p72", 2, _RANK3_LIGHT + _RANK3_HEAVY, [71, 73]),
     ),
 )
 
@@ -169,7 +179,38 @@ SYMBOLIC_LARGE_E = Workload(
 )
 
 
-WORKLOADS = {w.name: w for w in (VERIFY_MID, MOBIUS_LARGE_P, SYMBOLIC_LARGE_E)}
+# --------------------------------------------------------------- table-small
+# Many tiny table calls: at max-lambda 1-2 and p <= 7 a call takes 1.5-20 ms,
+# so argparse, build_group, small lattices and the Mobius sum at small p (the
+# fixed cost per call) dominate.  One call per seed reaches p = 11 and one
+# p = 13, where (1,1,1) is still under the oracle cap.
+
+def _table(item) -> tuple[str, ...]:
+    max_lambda, primes, fmt = item
+    return ("table", "--max-lambda", str(max_lambda), "--primes", primes, "--format", fmt)
+
+
+def _table_bucket(name: str, count: int, max_lambda: int, prime_lists) -> Bucket:
+    pool = [(max_lambda, primes, fmt) for primes in prime_lists for fmt in ("json", "csv")]
+    return _pool_bucket(name, count, pool, _table)
+
+
+TABLE_SMALL = Workload(
+    "table-small",
+    "many tiny table calls through all three routes: the fixed cost per call "
+    "(argparse, group build, small lattices) dominates",
+    (
+        _table_bucket("lambda1-p2", 12, 1, ["2", "2,3", "3"]),
+        _table_bucket("lambda1-p5", 8, 1, ["5", "2,5", "3,5", "2,3,5"]),
+        _table_bucket("lambda1-p7", 8, 1, ["7", "2,7", "3,7", "2,3,7"]),
+        _table_bucket("lambda2-p2", 8, 2, ["2"]),
+        _table_bucket("lambda1-p11", 1, 1, ["11", "2,11", "3,11"]),
+        _table_bucket("lambda1-p13", 1, 1, ["13", "2,13", "3,13"]),
+    ),
+)
+
+
+WORKLOADS = {w.name: w for w in (VERIFY_MID, MOBIUS_LARGE_P, SYMBOLIC_LARGE_E, TABLE_SMALL)}
 
 
 # ------------------------------------------------------------------- checks
@@ -217,6 +258,8 @@ class Checker:
         command = argv[0]
         if command == "verify":
             return self._gtype(argv).rank == 3
+        if command == "table":
+            return self._expect_table(argv)
         t = self._gtype(argv)
         if "--symbolic" in argv:
             if command == "f2":
@@ -224,6 +267,23 @@ class Checker:
             return {p: pgf.subgroup_count(t, p).value for p in (2, 3)}
         p = int(argv[argv.index("--p") + 1])
         return str(pgf.factorization_count(t, p).value)
+
+    def _expect_table(self, argv):
+        """Per grid row: the numeric f2 and whether the oracle must have run.
+        The run clears PGF_MAX_ORDER and passes no --max-order, so the cap is
+        the default."""
+        pgf = self._pgf
+        max_lambda = int(argv[argv.index("--max-lambda") + 1])
+        primes = [int(x) for x in argv[argv.index("--primes") + 1].split(",")]
+        rows = {}
+        for e1 in range(1, max_lambda + 1):
+            for e2 in range(e1 + 1):
+                for e3 in range(e2 + 1):
+                    t = pgf.GroupType((e1, e2, e3))
+                    for p in primes:
+                        rows[(e1, e2, e3, p)] = (str(pgf.factorization_count(t, p).value),
+                                                 t.order(p) <= pgf.DEFAULT_MAX_ORDER)
+        return rows
 
     def check(self, inst: Instance, rc, out: str):
         if rc != 0:
@@ -233,12 +293,33 @@ class Checker:
         try:
             if argv[0] == "verify":
                 return self._check_verify(out, expected)
+            if argv[0] == "table":
+                return self._check_table(out, argv[argv.index("--format") + 1], expected)
             if "--symbolic" in argv:
                 got = {p: evaluate_rendered(out, p) for p in expected}
                 return None if got == expected else f"evaluations {got} != {expected}"
         except (ValueError, KeyError, TypeError) as exc:
             return f"unreadable output: {exc!r}"
         return None if out.strip() == expected else f"{out.strip()!r} != {expected!r}"
+
+    @staticmethod
+    def _check_table(out, fmt, expected):
+        rows = json.loads(out) if fmt == "json" else list(csv.DictReader(io.StringIO(out)))
+        got = {}
+        for row in rows:
+            key = tuple(int(row[c]) for c in ("lambda1", "lambda2", "lambda3", "p"))
+            oracle = row["f2_oracle"] or None
+            if not row["f2_theorem3"] == row["f2_mobius"] == (oracle or row["f2_mobius"]):
+                return f"routes disagree on {key}: {row}"
+            got[key] = (row["f2_mobius"], oracle is not None)
+        if got.keys() != expected.keys():
+            return f"rows {sorted(got)} != {sorted(expected)}"
+        for key, (f2, needs_oracle) in expected.items():
+            if got[key][0] != f2:
+                return f"f2 {got[key][0]} != {f2} at {key}"
+            if needs_oracle and not got[key][1]:
+                return f"f2_oracle missing at {key}, under the cap"
+        return None
 
     @staticmethod
     def _check_verify(out, rank3):
