@@ -23,7 +23,7 @@ from .formulas import (
     factorization_count,
     subgroup_count,
 )
-from .grouptype import GroupType, parse_type
+from .grouptype import GroupType, p_valuation, parse_type
 from .mobius import (
     factorization_count_mobius,
     quotient_type,
@@ -49,19 +49,51 @@ EXIT_CAP = 3
 
 ALL_CHECKS = ("count", "f2", "hall", "eq2", "census")
 
+# Miller-Rabin with the first thirteen primes as bases is exact below this
+# bound (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases",
+# 2017); larger --p values are rejected rather than guessed at.
+PRIME_BOUND = 3_317_044_064_679_887_385_961_981
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _oracle_f2(gtype: GroupType, p: int, cap: int) -> int:
+    g = build_group(gtype, p, cap)
+    return count_factorizations(g, all_subgroups(g))
+
+
+# The f2 routes, each (type, p | None, cap) -> int | IntPolynomial; only
+# theorem3 accepts a symbolic p.  The bodies look library functions up as
+# module globals at call time, so patching them on this module takes effect.
+ROUTES = {
+    METHOD_CLOSED_FORM: lambda gtype, p, cap: factorization_count(gtype, p).value,
+    "mobius": lambda gtype, p, cap: factorization_count_mobius(gtype, p),
+    "oracle": _oracle_f2,
+}
+
 
 class UsageError(Exception):
     pass
 
 
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; exact for n < PRIME_BOUND."""
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for a in _WITNESSES:
+        if n % a == 0:
+            return n == a
+    s = p_valuation(n - 1, 2)
+    d = (n - 1) >> s
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -77,21 +109,34 @@ def _parse_common(args) -> GroupType:
 
 
 def _require_prime(p: int) -> int:
+    if p >= PRIME_BOUND:
+        raise UsageError(f"--p must be below {PRIME_BOUND}, got {p}")
     if not _is_prime(p):
         raise UsageError(f"--p must be prime, got {p}")
     return p
 
 
+def _positive_int(text: str) -> int:
+    """Parse an oracle element cap, which must be a positive integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
 def _resolve_cap(args) -> int:
-    if getattr(args, "max_order", None) is not None:
+    if args.max_order is not None:
         return args.max_order
     env = os.environ.get("PGF_MAX_ORDER")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise UsageError(f"PGF_MAX_ORDER must be an integer, got {env!r}") from None
-    return DEFAULT_MAX_ORDER
+    if env is None:
+        return DEFAULT_MAX_ORDER
+    try:
+        return _positive_int(env)
+    except argparse.ArgumentTypeError as exc:
+        raise UsageError(f"PGF_MAX_ORDER {exc}") from None
 
 
 def _mode(args) -> "int | None":
@@ -137,17 +182,11 @@ def cmd_count(args) -> int:
 def cmd_f2(args) -> int:
     gtype = _parse_common(args)
     p = _mode(args)
-    if args.method == "theorem3":
-        value = factorization_count(gtype, p).value
-    elif args.method == "mobius":
-        if p is None:
-            raise UsageError("--method mobius requires --p")
-        value = factorization_count_mobius(gtype, p)
-    else:  # oracle
-        if p is None:
-            raise UsageError("--method oracle requires --p")
-        g = build_group(gtype, p, _resolve_cap(args))
-        value = count_factorizations(g, all_subgroups(g))
+    if p is None and args.method != METHOD_CLOSED_FORM:
+        raise UsageError(f"--method {args.method} requires --p")
+    # only the oracle reads the cap, so a bad PGF_MAX_ORDER blocks no other route
+    cap = _resolve_cap(args) if args.method == "oracle" else None
+    value = ROUTES[args.method](gtype, p, cap)
     _emit_scalar(args, gtype, "f2", args.method, value)
     return EXIT_OK
 
@@ -188,8 +227,8 @@ def cmd_verify(args) -> int:
         report.add("count", len(lattice), subgroup_count(gtype, p).value)
     if "f2" in checks:
         direct = count_factorizations(g, lattice)
-        report.add("f2_theorem3", direct, factorization_count(gtype, p).value)
-        report.add("f2_mobius", direct, factorization_count_mobius(gtype, p))
+        for method in (METHOD_CLOSED_FORM, "mobius"):
+            report.add(f"f2_{method}", direct, ROUTES[method](gtype, p, None))
     if "hall" in checks:
         report.checks.extend(verify_hall(g, lattice).checks)
     if "eq2" in checks:
@@ -244,31 +283,27 @@ def cmd_table(args) -> int:
     consistent = True
     for gtype in _grid_types(args.max_lambda):
         for p in primes:
-            f_val = subgroup_count(gtype, p).value
-            f2_closed = factorization_count(gtype, p).value
-            f2_mob = factorization_count_mobius(gtype, p)
-            if gtype.order(p) <= cap:
-                g = build_group(gtype, p, cap)
-                f2_orc = count_factorizations(g, all_subgroups(g))
-            else:
-                f2_orc = None
-            seen = {f2_closed, f2_mob} | ({f2_orc} if f2_orc is not None else set())
+            row = {
+                "lambda1": gtype[0],
+                "lambda2": gtype[1],
+                "lambda3": gtype[2],
+                "p": p,
+                "f": str(subgroup_count(gtype, p).value),
+            }
+            seen = set()
+            for method, route in ROUTES.items():
+                try:
+                    value = route(gtype, p, cap)
+                except GroupTooLarge:  # the oracle cell stays empty over the cap
+                    row[f"f2_{method}"] = None
+                    continue
+                seen.add(value)
+                row[f"f2_{method}"] = str(value)
             if len(seen) != 1:
                 consistent = False
-            rows.append(
-                {
-                    "lambda1": gtype[0],
-                    "lambda2": gtype[1],
-                    "lambda3": gtype[2],
-                    "p": p,
-                    "f": str(f_val),
-                    "f2_theorem3": str(f2_closed),
-                    "f2_mobius": str(f2_mob),
-                    "f2_oracle": None if f2_orc is None else str(f2_orc),
-                }
-            )
+            rows.append(row)
 
-    columns = ("lambda1", "lambda2", "lambda3", "p", "f", "f2_theorem3", "f2_mobius", "f2_oracle")
+    columns = ("lambda1", "lambda2", "lambda3", "p", "f") + tuple(f"f2_{m}" for m in ROUTES)
     if args.format == "json":
         print(_canonical_json(rows))
     elif args.format == "csv":
@@ -298,41 +333,35 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_type_mode(sp, oracle_cap=False):
-        sp.add_argument("--type", required=True, help="group type as 'e1,e2,e3', descending")
-        sp.add_argument("--p", type=int, help="prime to evaluate at")
-        sp.add_argument("--symbolic", action="store_true", help="leave p symbolic")
-        sp.add_argument("--format", choices=("json", "csv", "text"), default="text")
-        if oracle_cap:
-            sp.add_argument("--max-order", type=int, help="oracle element cap (default 4096)")
+    # options shared between subcommands, each declared once
+    shared = {
+        "--type": dict(required=True, help="group type as 'e1,e2,e3', descending"),
+        "--p": dict(type=int, help="prime to evaluate at"),
+        "--symbolic": dict(action="store_true", help="leave p symbolic"),
+        "--format": dict(choices=("json", "csv", "text"), default="text"),
+        "--max-order": dict(type=_positive_int, help="oracle element cap (default 4096)"),
+    }
 
-    sp = sub.add_parser("count", help="total number of subgroups")
-    add_type_mode(sp)
-    sp.set_defaults(func=cmd_count)
+    def subcommand(name, func, help, *options):
+        sp = sub.add_parser(name, help=help)
+        for option in options:
+            sp.add_argument(option, **shared[option])
+        sp.set_defaults(func=func)
+        return sp
 
-    sp = sub.add_parser("f2", help="factorization count")
-    add_type_mode(sp, oracle_cap=True)
-    sp.add_argument(
-        "--method",
-        choices=("theorem3", "mobius", "oracle"),
-        default=METHOD_CLOSED_FORM,
-        help="computation route",
+    subcommand("count", cmd_count, "total number of subgroups", "--type", "--p", "--symbolic", "--format")
+
+    sp = subcommand(
+        "f2", cmd_f2, "factorization count", "--type", "--p", "--symbolic", "--format", "--max-order"
     )
-    sp.set_defaults(func=cmd_f2)
+    sp.add_argument("--method", choices=tuple(ROUTES), default=METHOD_CLOSED_FORM, help="computation route")
 
-    sp = sub.add_parser("verify", help="cross-check all routes on one instance")
-    sp.add_argument("--type", required=True, help="group type as 'e1,e2,e3', descending")
-    sp.add_argument("--p", type=int, required=True, help="prime to evaluate at")
+    sp = subcommand("verify", cmd_verify, "cross-check all routes on one instance", "--type", "--p", "--max-order")
     sp.add_argument("--checks", help=f"comma list out of {','.join(ALL_CHECKS)} (default: all applicable)")
-    sp.add_argument("--max-order", type=int, help="oracle element cap (default 4096)")
-    sp.set_defaults(func=cmd_verify)
 
-    sp = sub.add_parser("table", help="grid of counts over types and primes")
+    sp = subcommand("table", cmd_table, "grid of counts over types and primes", "--format", "--max-order")
     sp.add_argument("--max-lambda", type=int, required=True, help="largest exponent in the grid")
     sp.add_argument("--primes", required=True, help="comma-separated primes")
-    sp.add_argument("--format", choices=("json", "csv", "text"), default="text")
-    sp.add_argument("--max-order", type=int, help="oracle element cap (default 4096)")
-    sp.set_defaults(func=cmd_table)
 
     return parser
 

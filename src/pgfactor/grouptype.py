@@ -20,7 +20,8 @@ class GroupType:
 
     def __post_init__(self):
         e = self.exponents
-        if len(e) != 3 or not all(isinstance(x, int) for x in e):
+        # bool is an int subclass; True/False are not exponents
+        if len(e) != 3 or not all(type(x) is int for x in e):
             raise ValueError(f"expected exactly 3 integer exponents, got {e!r}")
         if min(e) < 0:
             raise NegativeExponent(f"negative exponent in {e!r}")
@@ -72,3 +73,32 @@ def parse_type(text: str) -> GroupType:
     if len(entries) != 3:
         raise ValueError(f"group type needs exactly 3 comma-separated exponents: {text!r}")
     return GroupType(entries)
+
+
+def p_valuation(n: int, p: int) -> int:
+    """Exponent of the largest power of the prime ``p`` that divides ``n != 0``."""
+    if n == 0 or p < 2:
+        raise ValueError(f"p-valuation needs n != 0 and p >= 2, got n={n}, p={p}")
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+def type_from_layers(orders, p: int) -> GroupType:
+    """Type of an abelian p-group from the orders of its layers.
+
+    ``orders[k]`` is |Omega_k|, the number of elements killed by p^k, for
+    k = 0..e1.  log_p |Omega_k| - log_p |Omega_(k-1)| counts the cyclic
+    factors of exponent >= k (the conjugate partition); conjugating back
+    yields the type.  An order that is not a power of p raises ValueError.
+    """
+    logs = []
+    for n in orders:
+        e = p_valuation(n, p)
+        if n != p**e:
+            raise ValueError(f"layer order {n} is not a power of {p}")
+        logs.append(e)
+    conjugate = [b - a for a, b in zip(logs, logs[1:])]
+    return normalize([sum(1 for c in conjugate if c >= i) for i in range(1, 4)])

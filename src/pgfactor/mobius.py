@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 
 from .formulas import _subgroup_count_value
-from .grouptype import GroupType, normalize
+from .grouptype import GroupType, normalize, p_valuation
 
 
 class InvalidSubspace(ValueError):
@@ -34,7 +34,8 @@ def gaussian_binomial(n: int, k: int, p: int) -> int:
         num *= p ** (n - i) - 1
         den *= p ** (k - i) - 1
     q, r = divmod(num, den)
-    assert r == 0
+    if r:
+        raise ArithmeticError(f"Gaussian binomial [{n} choose {k}]_{p} is not an integer")
     return q
 
 
@@ -160,14 +161,6 @@ def hall_mobius(t: GroupType, p: int) -> int:
     return (-1) ** n * p ** (n * (n - 1) // 2)
 
 
-def _p_valuation(d: int, p: int) -> int:
-    v = 0
-    while d % p == 0:
-        d //= p
-        v += 1
-    return v
-
-
 def quotient_type(t: GroupType, subspace: Subspace, p: int) -> GroupType:
     """Type of G / E^ where E^ is the lift of a socle subspace E.
 
@@ -195,7 +188,7 @@ def quotient_type(t: GroupType, subspace: Subspace, p: int) -> GroupType:
         cols.append([row[j] * p ** (exps[j] - 1) for j in range(r)])
     matrix = [[cols[c][i] for c in range(len(cols))] for i in range(r)]
     diag = smith_normal_form(matrix)
-    vals = sorted((_p_valuation(d, p) for d in diag if d), reverse=True)
+    vals = sorted((p_valuation(d, p) for d in diag if d), reverse=True)
     vals += [0] * (3 - len(vals))
     return GroupType(tuple(vals[:3]))
 

@@ -14,9 +14,9 @@ verification tool; a configurable order cap keeps accidental huge inputs out.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import accumulate, product
 
-from .grouptype import GroupType, normalize
+from .grouptype import GroupType, p_valuation, type_from_layers
 from .mobius import hall_mobius
 
 DEFAULT_MAX_ORDER = 4096
@@ -48,7 +48,7 @@ class ConcreteGroup:
         # exponent of each element: least k with p^k * x = 0
         self.elem_exp = [
             max(
-                (e - _val(a, p, e) for a, e in zip(vec, gtype) if e > 0),
+                (e - p_valuation(a, p) for a, e in zip(vec, gtype) if a),
                 default=0,
             )
             for vec in self.elements
@@ -58,17 +58,6 @@ class ConcreteGroup:
         a = self.elements[i]
         b = self.elements[j]
         return self.index[tuple((x + y) % m for x, y, m in zip(a, b, self.moduli))]
-
-
-def _val(a: int, p: int, cap: int) -> int:
-    """p-adic valuation of a mod p^cap (zero counts as cap)."""
-    if a == 0:
-        return cap
-    v = 0
-    while a % p == 0:
-        a //= p
-        v += 1
-    return v
 
 
 def build_group(t: GroupType, p: int, max_order: int = DEFAULT_MAX_ORDER) -> ConcreteGroup:
@@ -97,7 +86,6 @@ class Lattice:
     subgroups: list[SubgroupSet]
     below: list[int]
     above: list[int]
-    _mobius_memo: dict = field(default_factory=dict, repr=False)
 
     def __len__(self) -> int:
         return len(self.subgroups)
@@ -223,39 +211,21 @@ def all_subgroups(g: ConcreteGroup) -> Lattice:
 def subgroup_type(g: ConcreteGroup, H: SubgroupSet) -> GroupType:
     """Isomorphism type of a subgroup from its order census.
 
-    Counting members killed by each power of p gives the conjugate partition
-    (the k-th difference of log_p counts is the number of cyclic factors of
-    exponent >= k); conjugating back yields the type.
+    Tallying members by exponent and summing up gives the number of members
+    killed by each power of p, which are the layer orders |Omega_k| that
+    type_from_layers turns into the type via the conjugate partition.
     """
-    max_e = g.gtype[0]
-    tally = [0] * (max_e + 1)
+    tally = [0] * (g.gtype[0] + 1)
     for idx in _iter_bits(H.members):
         tally[g.elem_exp[idx]] += 1
-    cumulative = 0
-    logs = []
-    for k in range(max_e + 1):
-        cumulative += tally[k]
-        logs.append(_exact_log(cumulative, g.p))
-    conjugate = [logs[k] - logs[k - 1] for k in range(1, max_e + 1)]
-    exps = [sum(1 for c in conjugate if c >= i) for i in range(1, 4)]
-    return normalize(exps)
-
-
-def _exact_log(n: int, p: int) -> int:
-    e = 0
-    while n > 1:
-        n, r = divmod(n, p)
-        assert r == 0, "subgroup order is not a p-power"
-        e += 1
-    return e
+    return type_from_layers(accumulate(tally), g.p)
 
 
 def quotient_type_mod(g: ConcreteGroup, H: SubgroupSet) -> GroupType:
     """Isomorphism type of G/H, via the same census applied to cosets."""
-    max_e = g.gtype[0]
     hmask = H.members
-    logs = []
-    for k in range(max_e + 1):
+    orders = []
+    for k in range(g.gtype[0] + 1):
         killed = 0
         pk = g.p**k
         for idx in range(g.order):
@@ -263,10 +233,8 @@ def quotient_type_mod(g: ConcreteGroup, H: SubgroupSet) -> GroupType:
             image = g.index[tuple((a * pk) % m for a, m in zip(vec, g.moduli))]
             if (hmask >> image) & 1:
                 killed += 1
-        logs.append(_exact_log(killed // H.order, g.p))
-    conjugate = [logs[k] - logs[k - 1] for k in range(1, max_e + 1)]
-    exps = [sum(1 for c in conjugate if c >= i) for i in range(1, 4)]
-    return normalize(exps)
+        orders.append(killed // H.order)
+    return type_from_layers(orders, g.p)
 
 
 def count_factorizations(g: ConcreteGroup, lattice: Lattice) -> int:
@@ -291,7 +259,8 @@ def count_factorizations(g: ConcreteGroup, lattice: Lattice) -> int:
                 else:
                     total += 2
                 unordered += 1
-    assert total == 2 * unordered - diagonal
+    if total != 2 * unordered - diagonal:
+        raise RuntimeError(f"ordered count {total} disagrees with unordered count {unordered}")
     return total
 
 
@@ -300,50 +269,40 @@ def interval_size(lattice: Lattice, H: SubgroupSet) -> int:
     return lattice.above[H.id].bit_count()
 
 
-def mobius_interval(lattice: Lattice, H: SubgroupSet, K: SubgroupSet) -> int:
-    """Lattice Mobius value mu(H, K), memoized.
+def _mobius_from(start: int, ids, relation: list[int]) -> list[int]:
+    """Lattice Mobius values between ``start`` and each id, in one pass.
 
-    Defined by mu(H, H) = 1 and sum of mu(H, L) over H <= L <= K vanishing
-    for H < K.
+    Defined by mu(x, x) = 1 and, for x < y, the sum of mu(x, z) over
+    x <= z <= y vanishing.  Walking ``ids`` upward over ``below`` gives
+    mu(start, x); walking them downward over ``above`` gives mu(x, start).
+    ``ids`` must list the interval's ids so that each comes after every id
+    strictly between it and ``start``.  Ids outside the interval keep 0, so
+    the sum over ``relation[x]`` counts only the interval.
     """
+    mu = [0] * len(relation)
+    mu[start] = 1
+    for x in ids:
+        if x != start:
+            mu[x] = -sum(mu[y] for y in _iter_bits(relation[x]) if y != x)
+    return mu
+
+
+def mobius_interval(lattice: Lattice, H: SubgroupSet, K: SubgroupSet) -> int:
+    """Lattice Mobius value mu(H, K), by the upward pass from H to K."""
     if not lattice.leq(H.id, K.id):
         raise NotComparable(f"subgroup {H.id} is not contained in subgroup {K.id}")
-    memo = lattice._mobius_memo
-    subs = lattice.subgroups
-
-    def mu(h: int, k: int) -> int:
-        if h == k:
-            return 1
-        key = (h, k)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        acc = 0
-        for mid in _iter_bits(lattice.above[h] & lattice.below[k]):
-            if mid != k:
-                acc += mu(h, mid)
-        memo[key] = -acc
-        return -acc
-
-    return mu(H.id, K.id)
+    interval = _iter_bits(lattice.above[H.id] & lattice.below[K.id])
+    return _mobius_from(H.id, interval, lattice.below)[K.id]
 
 
 def _mobius_to_top(lattice: Lattice) -> list[int]:
-    """mu(H, G) for every H at once, by the dual recursion over supersets.
+    """mu(H, G) for every H at once, by the downward pass from G.
 
-    Equivalent to mobius_interval(lattice, H, top) but linear in the number
-    of comparable pairs; the test suite checks the two against each other.
+    The same values as mobius_interval(lattice, H, top), which walks the
+    other way; the test suite checks the two against each other.
     """
-    n = len(lattice.subgroups)
-    mu = [0] * n
-    mu[n - 1] = 1
-    for h in range(n - 2, -1, -1):
-        acc = 0
-        for k in _iter_bits(lattice.above[h]):
-            if k != h:
-                acc += mu[k]
-        mu[h] = -acc
-    return mu
+    n = len(lattice)
+    return _mobius_from(n - 1, range(n - 1, -1, -1), lattice.above)
 
 
 @dataclass
@@ -381,11 +340,11 @@ def verify_hall(g: ConcreteGroup, lattice: Lattice) -> VerificationReport:
     must give (-1)^n p^(n(n-1)/2).  Mismatches are listed individually.
     """
     report = VerificationReport(g.gtype, g.p)
-    bottom = lattice.bottom
+    mu = _mobius_from(lattice.bottom.id, range(len(lattice)), lattice.below)
     mismatches = 0
     for H in lattice.subgroups:
         expected = hall_mobius(subgroup_type(g, H), g.p)
-        actual = mobius_interval(lattice, bottom, H)
+        actual = mu[H.id]
         if expected != actual:
             mismatches += 1
             report.add(f"hall[id={H.id}]", expected, actual)

@@ -2,8 +2,9 @@
 
 All equalities are exact (integers and polynomial coefficient sequences,
 tolerance zero).  The concrete-lattice instances used by several criteria
-are built once and shared through a module-level cache; criterion 4 does its
-own timed fresh builds so the runtime bound is measured honestly.
+are built at most once per session by the ``lattice_cache`` fixture and
+shared; criterion 4's runtime bound covers only the lattices that no earlier
+test has built.
 """
 
 import time
@@ -24,8 +25,6 @@ from pgfactor.mobius import (
     reference_census,
 )
 from pgfactor.oracle import (
-    all_subgroups,
-    build_group,
     count_factorizations,
     verify_hall,
     verify_inversion_forms,
@@ -43,17 +42,6 @@ GRID = [
     ((3, 2, 2), 2),
     ((3, 3, 2), 2),
 ]
-
-_cache = {}
-
-
-def _grid(exps, p):
-    key = (exps, p)
-    if key not in _cache:
-        g = build_group(GroupType(exps), p)
-        _cache[key] = (g, all_subgroups(g))
-    return _cache[key]
-
 
 @contextmanager
 def criterion(number, label):
@@ -99,13 +87,13 @@ def test_criterion_3_equal_exponent_form_equivalence():
             assert special == general, lam
 
 
-def test_criterion_4_three_way_agreement():
+def test_criterion_4_three_way_agreement(lattice_cache):
     with criterion(4, "closed form = Mobius sum = oracle on the grid"):
         start = time.perf_counter()
         for exps, p in GRID:
             t = GroupType(exps)
             assert t.order(p) <= 4096
-            g, lattice = _grid(exps, p)
+            g, lattice = lattice_cache(exps, p)
             closed = factorization_count(t, p).value
             mobius = factorization_count_mobius(t, p)
             oracle = count_factorizations(g, lattice)
@@ -114,10 +102,10 @@ def test_criterion_4_three_way_agreement():
         assert elapsed < 60.0
 
 
-def test_criterion_5_subgroup_count_agreement_and_exact_division():
+def test_criterion_5_subgroup_count_agreement_and_exact_division(lattice_cache):
     with criterion(5, "subgroup counts match oracle; symbolic division exact"):
         for exps, p in GRID:
-            g, lattice = _grid(exps, p)
+            g, lattice = lattice_cache(exps, p)
             assert len(lattice) == subgroup_count(GroupType(exps), p).value, (exps, p)
         for e1 in range(5):
             for e2 in range(e1 + 1):
@@ -127,32 +115,32 @@ def test_criterion_5_subgroup_count_agreement_and_exact_division():
                         assert symbolic.evaluate(p) == subgroup_count(GroupType((e1, e2, e3)), p).value
 
 
-def test_criterion_6_rank_reduction():
+def test_criterion_6_rank_reduction(lattice_cache):
     with criterion(6, "zero-padded types agree with oracle; cyclic = 2*e1+1"):
         for e1 in range(4):
             for e2 in range(e1 + 1):
                 t = GroupType((e1, e2, 0))
                 for p in (2, 3):
-                    g, lattice = _grid(t.exponents, p)
+                    g, lattice = lattice_cache(t.exponents, p)
                     closed = factorization_count(t, p).value
                     assert closed == count_factorizations(g, lattice), (t, p)
                     if e2 == 0:
                         assert closed == 2 * e1 + 1, (t, p)
 
 
-def test_criterion_7_lattice_mobius_matches_closed_form():
+def test_criterion_7_lattice_mobius_matches_closed_form(lattice_cache):
     with criterion(7, "lattice Mobius values match the p-group closed form"):
         for exps, p in GRID:
-            g, lattice = _grid(exps, p)
+            g, lattice = lattice_cache(exps, p)
             report = verify_hall(g, lattice)
             failures = [c for c in report.checks if c.status == "fail"]
             assert report.overall, (exps, p, failures)
 
 
-def test_criterion_8_inversion_identities():
+def test_criterion_8_inversion_identities(lattice_cache):
     with criterion(8, "both inversion sums equal the direct count"):
         for exps, p in GRID:
-            g, lattice = _grid(exps, p)
+            g, lattice = lattice_cache(exps, p)
             report = verify_inversion_forms(g, lattice)
             assert report.overall, (exps, p, report.checks)
 

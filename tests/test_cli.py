@@ -1,10 +1,11 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
-from pgfactor.cli import main
+from pgfactor.cli import PRIME_BOUND, main
 
 
 def run_cli(capsys, *argv):
@@ -61,6 +62,44 @@ def test_composite_p_rejected(capsys):
     assert "prime" in err
     code, _, _ = run_cli(capsys, "verify", "--type", "3,2,1", "--p", "1")
     assert code == 2
+
+
+def test_large_prime_accepted_quickly(capsys):
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "count", "--type", "1,0,0", "--p", str(10**18 + 3))
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert out.strip() == "2"
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("n", [561, 2047, 3215031751, 318665857834031151167461])
+def test_pseudoprimes_rejected(capsys, n):
+    # Carmichael 561, then strong pseudoprimes to base 2, to bases 2..7 and to bases 2..37
+    code, _, err = run_cli(capsys, "count", "--type", "1,0,0", "--p", str(n))
+    assert code == 2
+    assert "prime" in err
+
+
+def test_p_beyond_primality_bound_rejected(capsys):
+    code, _, err = run_cli(capsys, "count", "--type", "1,0,0", "--p", str(PRIME_BOUND))
+    assert code == 2
+    assert str(PRIME_BOUND) in err
+
+
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_max_order_flag_must_be_positive(capsys, cap):
+    code, out, _ = run_cli(capsys, "table", "--max-lambda", "1", "--primes", "2", "--max-order", cap)
+    assert code == 2
+    assert not out
+
+
+def test_max_order_env_must_be_positive(capsys, monkeypatch):
+    monkeypatch.setenv("PGF_MAX_ORDER", "0")
+    code, out, err = run_cli(capsys, "table", "--max-lambda", "1", "--primes", "2")
+    assert code == 2
+    assert not out
+    assert "PGF_MAX_ORDER" in err
 
 
 def test_f2_golden_321(capsys):

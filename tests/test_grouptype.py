@@ -1,8 +1,24 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pgfactor.grouptype import GroupType, NegativeExponent, normalize, parse_type
+import pgfactor
+from pgfactor.grouptype import (
+    GroupType,
+    NegativeExponent,
+    normalize,
+    p_valuation,
+    parse_type,
+    type_from_layers,
+)
+
+PRIMES = st.sampled_from([2, 3, 5, 7])
 
 
 def test_normalize_sorts():
@@ -34,6 +50,11 @@ def test_constructor_enforces_descending():
         GroupType((1, 2, 0))
     with pytest.raises(NegativeExponent):
         GroupType((2, 1, -1))
+
+
+def test_constructor_rejects_bool():
+    with pytest.raises(ValueError):
+        GroupType((True, False, False))
 
 
 def test_order():
@@ -79,3 +100,30 @@ def test_parse_rejects_bad_input():
         parse_type("a,b,c")
     with pytest.raises(ValueError):
         parse_type("3,2,-1")
+
+
+@settings(deadline=None)
+@given(st.integers(0, 10**6), st.integers(0, 60), PRIMES, st.data())
+def test_p_valuation_of_unit_times_power(q, v, p, data):
+    u = q * p + data.draw(st.integers(1, p - 1))  # coprime to p
+    assert p_valuation(u * p**v, p) == v
+
+
+@settings(deadline=None)
+@given(st.lists(st.integers(0, 6), min_size=3, max_size=3), PRIMES)
+def test_type_from_layers_reads_back_the_type(raw, p):
+    t = normalize(raw)
+    orders = [p ** sum(min(k, e) for e in t) for k in range(t[0] + 1)]
+    assert type_from_layers(orders, p) == t
+
+
+def test_type_from_layers_rejects_non_p_power_under_optimize():
+    # the check must be an explicit raise, not an assert that -O strips
+    src = str(Path(pgfactor.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "from pgfactor.grouptype import type_from_layers; type_from_layers([1, 6], 2)"
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode != 0
+    assert "ValueError" in proc.stderr
