@@ -2,12 +2,23 @@
 
 In an abelian p-group only the elementary abelian subgroups carry a nonzero
 Mobius value (Hall: mu = (-1)^n p^C(n,2) for rank n, else 0), and all of them
-sit inside the socle.  So the inversion sum collapses to a walk over the
+sit inside the socle.  So the inversion sum collapses to a sum over the
 subspaces of the socle: for each subspace, type the quotient by its lift via
 an integer Smith normal form and weight the squared subgroup count of that
-quotient with the Hall value.  The per-dimension tallies of quotient types
-(the census) are themselves a checkable invariant: for distinct exponents
-they match the maximal-subgroup classification p^2 / p / 1 exactly.
+quotient with the Hall value.
+
+The sum never visits every subspace.  The diagonal automorphisms (F_p^*)^r,
+which scale each cyclic generator by a unit, act on the socle subspaces and
+preserve quotient types.  At rank <= 3 a canonical basis has at most two free
+entries, and the torus scales them independently, so an orbit is exactly a
+pivot layout plus a choice of which free entries are nonzero.  Its size is
+(p-1)^(number of nonzero free entries), and the basis with each nonzero free
+entry set to 1 represents it.  The walk over these orbits (``socle_orbits``)
+costs 16 Smith normal forms at rank 3 and 5 at rank 2, whatever p is.
+
+The per-dimension tallies of quotient types (the census) are themselves a
+checkable invariant: for distinct exponents they match the maximal-subgroup
+classification p^2 / p / 1 exactly.
 """
 
 from __future__ import annotations
@@ -55,17 +66,15 @@ class Subspace:
         return len(self.rows)
 
 
-def enumerate_subspaces(r: int, k: int, p: int) -> list[Subspace]:
-    """All k-dimensional subspaces of F_p^r, each via its canonical basis.
+def _rref_bases(r: int, k: int, values):
+    """Canonical bases of k-dimensional subspaces of F^r, free entries from ``values``.
 
-    Deterministic: the result is sorted lexicographically by basis rows.
-    The count always equals gaussian_binomial(r, k, p).
+    Yields ``(Subspace, fill)`` for every pivot layout and every way of
+    filling its free slots with entries of ``values``; ``fill`` lists those
+    entries in slot order.
     """
     if not 0 <= k <= r:
         raise ValueError(f"need 0 <= k <= r, got k={k}, r={r}")
-    if k == 0:
-        return [Subspace(r, ())]
-    out = []
     for pivots in combinations(range(r), k):
         pivot_set = set(pivots)
         # free slots: to the right of the row's pivot, in non-pivot columns
@@ -75,15 +84,37 @@ def enumerate_subspaces(r: int, k: int, p: int) -> list[Subspace]:
             for j in range(pivots[i] + 1, r)
             if j not in pivot_set
         ]
-        for values in product(range(p), repeat=len(free)):
+        for fill in product(values, repeat=len(free)):
             rows = [[0] * r for _ in range(k)]
             for i, c in enumerate(pivots):
                 rows[i][c] = 1
-            for (i, j), v in zip(free, values):
+            for (i, j), v in zip(free, fill):
                 rows[i][j] = v
-            out.append(Subspace(r, tuple(tuple(row) for row in rows)))
-    out.sort(key=lambda s: s.rows)
-    return out
+            yield Subspace(r, tuple(tuple(row) for row in rows)), fill
+
+
+def enumerate_subspaces(r: int, k: int, p: int) -> list[Subspace]:
+    """All k-dimensional subspaces of F_p^r, each via its canonical basis.
+
+    Deterministic: the result is sorted lexicographically by basis rows.
+    The count always equals gaussian_binomial(r, k, p).
+    """
+    return sorted((s for s, _ in _rref_bases(r, k, range(p))), key=lambda s: s.rows)
+
+
+def socle_orbits(r: int, k: int):
+    """One representative per torus orbit of k-dimensional subspaces of F_p^r.
+
+    Yields ``(Subspace, nonzero)``: the canonical basis with every nonzero
+    free entry set to 1, and the number of those entries, so the orbit holds
+    (p-1)**nonzero subspaces, all with the representative's quotient type.
+    The representatives do not depend on p.  Only at r <= 3, where a basis
+    has at most two free entries, is the zero pattern the whole orbit.
+    """
+    if r > 3:
+        raise ValueError(f"torus orbits are zero patterns only up to rank 3, got r={r}")
+    for subspace, fill in _rref_bases(r, k, (0, 1)):
+        yield subspace, sum(fill)
 
 
 def smith_normal_form(matrix) -> list[int]:
@@ -213,14 +244,19 @@ def _census_entries(counter: Counter) -> tuple[tuple[GroupType, int], ...]:
 
 
 def quotient_type_census(t: GroupType, k: int, p: int) -> QuotientCensus:
-    """Count quotient types over every k-dimensional socle subspace (rank-3 t)."""
+    """Count quotient types over every k-dimensional socle subspace (rank-3 t).
+
+    Walks the torus orbits: each representative's quotient type is tallied
+    with its orbit size (p-1)**nonzero, so the totals are gaussian_binomial(3,
+    k, p) at any p, from 7 Smith normal forms.
+    """
     if t.rank != 3:
         raise ValueError(f"census requires a rank-3 type, got {t}")
     if k not in (1, 2):
         raise ValueError(f"census dimension must be 1 or 2, got {k}")
-    counter = Counter(
-        quotient_type(t, s, p) for s in enumerate_subspaces(3, k, p)
-    )
+    counter = Counter()
+    for subspace, nonzero in socle_orbits(3, k):
+        counter[quotient_type(t, subspace, p)] += (p - 1) ** nonzero
     return QuotientCensus(k, _census_entries(counter))
 
 
@@ -258,19 +294,21 @@ def factorization_count_mobius(t: GroupType, p: int) -> int:
     """Factorization count as the Mobius-weighted sum over socle subspaces.
 
     Sums |L(G/E^)|^2 * mu(E) over all subspaces E of F_p^rank, where mu(E)
-    depends only on dim E.  This recomputes the closed form structurally and
-    must agree with it exactly.
+    depends only on dim E.  Subspaces are taken one torus orbit at a time
+    (``socle_orbits``): the representative's term is weighted by the orbit
+    size (p-1)**nonzero times the Hall value of its dimension.  This
+    recomputes the closed form structurally and must agree with it exactly.
     """
     r = t.rank
     total = 0
     count_cache: dict[GroupType, int] = {}
     for k in range(r + 1):
         weight = (-1) ** k * p ** (k * (k - 1) // 2)
-        for subspace in enumerate_subspaces(r, k, p):
+        for subspace, nonzero in socle_orbits(r, k):
             qt = quotient_type(t, subspace, p)
             count = count_cache.get(qt)
             if count is None:
                 count = _subgroup_count_value(qt, p)
                 count_cache[qt] = count
-            total += count * count * weight
+            total += count * count * weight * (p - 1) ** nonzero
     return total

@@ -213,6 +213,28 @@ def test_verify_census_on_rank2_is_usage_error(capsys):
     assert "rank-3" in err
 
 
+def test_verify_census_is_fast_at_large_p(capsys):
+    # about 2*10^12 socle subspaces; the census walks 7 torus orbits per dimension
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "verify", "--type", "3,2,1", "--p", "1000003", "--checks", "census")
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert json.loads(out)["overall"] is True
+    assert elapsed < 1.0
+
+
+def test_f2_mobius_is_fast_at_huge_p(capsys):
+    p = str(10**18 + 3)
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "f2", "--type", "5,5,5", "--p", p, "--method", "mobius")
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert elapsed < 1.0
+    code, expected, _ = run_cli(capsys, "f2", "--type", "5,5,5", "--p", p, "--method", "theorem3")
+    assert code == 0
+    assert out == expected
+
+
 def test_verify_unknown_check(capsys):
     code, _, err = run_cli(capsys, "verify", "--type", "1,1,1", "--p", "2", "--checks", "bogus")
     assert code == 2

@@ -1,8 +1,11 @@
 import random
+from collections import Counter
 from itertools import combinations
 from math import gcd, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pgfactor.grouptype import GroupType
 from pgfactor.mobius import (
@@ -16,6 +19,7 @@ from pgfactor.mobius import (
     quotient_type_census,
     reference_census,
     smith_normal_form,
+    socle_orbits,
 )
 from pgfactor.formulas import factorization_count
 
@@ -258,6 +262,58 @@ def test_mobius_sum_matches_closed_form():
         for e2 in range(e1 + 1)
         for e3 in range(e2 + 1)
     ]
-    for p in (2, 3):
+    for p in (2, 3, 101, 1009):
         for t in types:
             assert factorization_count_mobius(t, p) == factorization_count(t, p).value
+
+
+@settings(deadline=None)
+@given(
+    st.lists(st.integers(0, 8), min_size=3, max_size=3),
+    st.sampled_from([2, 3, 5, 7, 11, 101, 1009, 65537, 10**9 + 7, 10**18 + 3]),
+)
+def test_mobius_sum_matches_closed_form_random(raw, p):
+    t = GroupType(tuple(sorted(raw, reverse=True)))
+    assert factorization_count_mobius(t, p) == factorization_count(t, p).value
+
+
+RANK3_TYPES = [
+    GroupType((e1, e2, e3))
+    for e1 in range(1, 5)
+    for e2 in range(1, e1 + 1)
+    for e3 in range(1, e2 + 1)
+]
+
+
+def test_socle_orbit_counts():
+    # one orbit per zero pattern: 16 at rank 3, 5 at rank 2
+    assert sum(len(list(socle_orbits(3, k))) for k in range(4)) == 16
+    assert sum(len(list(socle_orbits(2, k))) for k in range(3)) == 5
+    with pytest.raises(ValueError):
+        list(socle_orbits(4, 2))
+
+
+def test_socle_orbit_sizes_sum_to_gaussian_binomial():
+    for r in range(4):
+        for k in range(r + 1):
+            for p in (2, 3, 101, 10**9 + 7):
+                sizes = sum((p - 1) ** nonzero for _, nonzero in socle_orbits(r, k))
+                assert sizes == gaussian_binomial(r, k, p)
+
+
+def test_orbit_representative_has_every_members_quotient_type():
+    for p in (3, 5, 7):
+        for k in (1, 2):
+            spaces = enumerate_subspaces(3, k, p)
+            for t in RANK3_TYPES:
+                for s in spaces:
+                    rep = Subspace(3, tuple(tuple(int(v != 0) for v in row) for row in s.rows))
+                    assert quotient_type(t, s, p) == quotient_type(t, rep, p), (t, s.rows)
+
+
+def test_orbit_census_matches_explicit_enumeration():
+    for p in (2, 3, 5):
+        for t in RANK3_TYPES:
+            for k in (1, 2):
+                explicit = Counter(quotient_type(t, s, p) for s in enumerate_subspaces(3, k, p))
+                assert quotient_type_census(t, k, p).as_dict() == dict(explicit)
