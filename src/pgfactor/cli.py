@@ -372,6 +372,12 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+    # Exact values can run past Python's int-to-str digit limit (4300 by
+    # default since 3.10.7; earlier versions have no limit and no getter).
+    # Lift it while the command runs and give the caller's value back after.
+    previous = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if previous is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except UsageError as exc:
@@ -383,6 +389,9 @@ def main(argv=None) -> int:
     except GroupTooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
+    finally:
+        if previous is not None:
+            sys.set_int_max_str_digits(previous)
 
 
 def run() -> None:

@@ -1,10 +1,18 @@
 """Brute-force ground truth on explicit groups.
 
 Builds the full element table of Z_{p^e1} x Z_{p^e2} x Z_{p^e3}, enumerates
-every subgroup by join closure (seed with all cyclic subgroups, close under
-pairwise sum), and checks the structural claims the fast routes rely on:
-lattice Mobius values against the elementary-abelian closed form, and both
-inversion identities against a direct count of factorizations.
+every subgroup by walking Hermite normal forms, and checks the structural
+claims the fast routes rely on: lattice Mobius values against the
+elementary-abelian closed form, and both inversion identities against a
+direct count of factorizations.
+
+A subgroup of Z^3 / diag(p^e) Z^3 is a lattice between diag(p^e) Z^3 and
+Z^3, and each such lattice has exactly one upper-triangular Hermite normal
+form basis (M. Tarnauceanu, "An arithmetic method of counting the subgroups
+of a finite abelian group", 2010; H. Cohen, "A Course in Computational
+Algebraic Number Theory", 2.4).  Walking those bases lists every subgroup
+exactly once, by explicit enumeration rather than a formula, so the oracle
+stays independent of the closed form.
 
 Subgroups are membership bitmasks over the element index space, so meets,
 joins and containment run on word-parallel integer ops.  This is a desk-scale
@@ -54,11 +62,6 @@ class ConcreteGroup:
             for vec in self.elements
         ]
 
-    def add(self, i: int, j: int) -> int:
-        a = self.elements[i]
-        b = self.elements[j]
-        return self.index[tuple((x + y) % m for x, y, m in zip(a, b, self.moduli))]
-
 
 def build_group(t: GroupType, p: int, max_order: int = DEFAULT_MAX_ORDER) -> ConcreteGroup:
     return ConcreteGroup(t, p, max_order)
@@ -66,12 +69,11 @@ def build_group(t: GroupType, p: int, max_order: int = DEFAULT_MAX_ORDER) -> Con
 
 @dataclass(frozen=True)
 class SubgroupSet:
-    """One subgroup: membership bitmask over element indices plus a generator list."""
+    """One subgroup: membership bitmask over element indices."""
 
     id: int
     members: int
     order: int
-    gens: tuple[int, ...]
 
 
 @dataclass
@@ -109,90 +111,46 @@ def _iter_bits(mask: int):
         mask ^= low
 
 
-def _cyclic_subgroup(g: ConcreteGroup, x: int) -> tuple[int, list[int]]:
-    mask = 1
-    members = [0]
-    cur = x
-    while cur != 0:
-        mask |= 1 << cur
-        members.append(cur)
-        cur = g.add(cur, x)
-    return mask, members
+def _hnf_subgroups(g: ConcreteGroup):
+    """Yield (order, membership mask) once per subgroup of g.
 
-
-def _extend_by_generator(g: ConcreteGroup, mask: int, members: list[int], gen: int):
-    """Close a subgroup under one extra generator: union of translated copies."""
-    base_mask = mask
-    base = list(members)
-    cur = gen
-    while not (base_mask >> cur) & 1:
-        for s in base:
-            t = g.add(s, cur)
-            if not (mask >> t) & 1:
-                mask |= 1 << t
-                members.append(t)
-        cur = g.add(cur, gen)
-    return mask, members
+    With m_i = p^e_i, d_i = p^j_i (j_i <= e_i) and k_i = m_i / d_i, the HNF
+    basis rows are (d1, x12, x13), (0, d2, x23), (0, 0, d3) with
+    0 <= x12 < d2 and 0 <= x13, x23 < d3.  They span a lattice containing
+    diag(m) Z^3 exactly when k2 x23, k1 x12 and k1 x13 - (k1 x12 / d2) x23
+    vanish modulo d3, d2 and d3.  The members a r1 + b r2 + c r3 mod m with
+    a < k1, b < k2, c < k3 are then distinct, and there are k1 k2 k3 of
+    them.  Missing factors have m_i = 1, so ranks below 3 need no special
+    case.
+    """
+    m1, m2, m3 = g.moduli
+    divisors = [[g.p**j for j in range(e + 1)] for e in g.gtype]
+    for d1, d2, d3 in product(*divisors):
+        k1, k2, k3 = m1 // d1, m2 // d2, m3 // d3
+        # c r3 for c < k3 sweeps the third coordinates r, r + d3, ... with
+        # r = y3 mod d3: one run of bits, shifted to the row's index
+        run = sum(1 << (d3 * c) for c in range(k3))
+        for x12, x13, x23 in product(range(d2), range(d3), range(d3)):
+            if k2 * x23 % d3 or k1 * x12 % d2 or (k1 * x13 - k1 * x12 // d2 * x23) % d3:
+                continue
+            mask = 0
+            for a in range(k1):
+                for b in range(k2):
+                    y2 = (a * x12 + b * d2) % m2
+                    y3 = (a * x13 + b * x23) % d3
+                    mask |= run << ((a * d1 * m2 + y2) * m3 + y3)
+            yield k1 * k2 * k3, mask
 
 
 def all_subgroups(g: ConcreteGroup) -> Lattice:
-    """Enumerate every subgroup by join closure over the cyclic seeds.
+    """Enumerate every subgroup by its Hermite normal form basis.
 
-    For each pair the join's order is known up front (|A||B| / |A & B|), so
-    an existing subgroup of that order containing A | B *is* the join; only
-    genuinely new subgroups ever get materialized element by element.
+    The HNF walk meets each subgroup exactly once; sorting by (order, mask)
+    fixes the ids, and one pairwise subset test per pair gives containment.
     """
-    seen = set()
-    masks: list[int] = []
-    orders: list[int] = []
-    member_lists: list[list[int]] = []
-    gens: list[tuple[int, ...]] = []
-    by_order: dict[int, list[int]] = {}
-
-    def register(mask, members, gen_tuple):
-        seen.add(mask)
-        masks.append(mask)
-        orders.append(len(members))
-        member_lists.append(members)
-        gens.append(gen_tuple)
-        by_order.setdefault(len(members), []).append(mask)
-
-    for x in range(g.order):
-        mask, members = _cyclic_subgroup(g, x)
-        if mask not in seen:
-            register(mask, members, (x,) if x else ())
-
-    i = 1
-    while i < len(masks):
-        mi, oi = masks[i], orders[i]
-        for j in range(i):
-            mj, oj = masks[j], orders[j]
-            union = mi | mj
-            if union == mi or union == mj:
-                continue
-            target = oi * oj // (mi & mj).bit_count()
-            found = False
-            for candidate in by_order.get(target, ()):
-                if union & ~candidate == 0:
-                    found = True
-                    break
-            if found:
-                continue
-            big, small = (i, j) if oi >= oj else (j, i)
-            mask = masks[big]
-            members = list(member_lists[big])
-            used = []
-            for gen in gens[small]:
-                if not (mask >> gen) & 1:
-                    mask, members = _extend_by_generator(g, mask, members, gen)
-                    used.append(gen)
-            register(mask, members, gens[big] + tuple(used))
-        i += 1
-
-    order_ids = sorted(range(len(masks)), key=lambda k: (orders[k], masks[k]))
     subgroups = [
-        SubgroupSet(new_id, masks[k], orders[k], gens[k])
-        for new_id, k in enumerate(order_ids)
+        SubgroupSet(new_id, mask, order)
+        for new_id, (order, mask) in enumerate(sorted(_hnf_subgroups(g)))
     ]
     n = len(subgroups)
     below = [0] * n

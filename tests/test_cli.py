@@ -1,11 +1,16 @@
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import pgfactor
 from pgfactor.cli import PRIME_BOUND, main
+from pgfactor.formulas import factorization_count
+from pgfactor.grouptype import GroupType
 
 
 def run_cli(capsys, *argv):
@@ -326,10 +331,48 @@ def test_unknown_subcommand(capsys):
 
 
 def test_module_entry_point():
+    src = str(Path(pgfactor.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "pgfactor", "f2", "--type", "2,2,2", "--symbolic"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "5p^8+8p^7+16p^6+15p^5+21p^4+16p^3+20p^2+11p+13"
+
+
+HUGE_P = 1_000_000_000_000_000_003
+
+
+def _digit_limit():
+    # Python before 3.10.7 has no int-to-str digit limit and no getter
+    return getattr(sys, "get_int_max_str_digits", lambda: None)()
+
+
+@pytest.mark.parametrize("method", ["theorem3", "mobius"])
+def test_f2_prints_values_past_the_digit_limit(capsys, method):
+    # F2 of (200,200,200) at p = 10^18+3 has about 14400 digits, more than
+    # Python's default int-to-str limit of 4300
+    limit = _digit_limit()
+    code, out, err = run_cli(
+        capsys, "f2", "--type", "200,200,200", "--p", str(HUGE_P), "--method", method
+    )
+    assert _digit_limit() == limit
+    assert code == 0, err
+    value = factorization_count(GroupType((200, 200, 200)), HUGE_P).value
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        assert out.strip() == str(value)
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
+def test_digit_limit_restored_after_error(capsys):
+    limit = _digit_limit()
+    code, _, _ = run_cli(capsys, "f2", "--type", "2,3,1", "--p", "2")
+    assert code == 2
+    assert _digit_limit() == limit

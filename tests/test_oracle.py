@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pgfactor.formulas import factorization_count, subgroup_count
 from pgfactor.grouptype import GroupType
@@ -223,3 +225,76 @@ def test_lattice_size_matches_closed_form(exps, p, lattice_cache):
 def test_factorizations_match_closed_form(exps, p, lattice_cache):
     g, lat = lattice_cache(exps, p)
     assert count_factorizations(g, lat) == factorization_count(GroupType(exps), p).value
+
+
+def _naive_subgroups(g):
+    """Every subgroup of g as a frozenset of element indices, without HNF.
+
+    Breadth-first search from {0}: each step adds one element x to a known
+    subgroup and closes the set under addition.
+    """
+    table = [
+        [g.index[tuple((a + b) % m for a, b, m in zip(u, v, g.moduli))] for v in g.elements]
+        for u in g.elements
+    ]
+
+    def close(gens):
+        members = {0}
+        frontier = [0]
+        while frontier:
+            y = frontier.pop()
+            for s in gens:
+                z = table[y][s]
+                if z not in members:
+                    members.add(z)
+                    frontier.append(z)
+        return frozenset(members)
+
+    found = {frozenset({0})}
+    queue = [frozenset({0})]
+    while queue:
+        H = queue.pop(0)
+        for x in range(g.order):
+            if x not in H:
+                K = close(H | {x})
+                if K not in found:
+                    found.add(K)
+                    queue.append(K)
+    return found
+
+
+@pytest.mark.parametrize(
+    "exps,p",
+    [((1, 1, 1), 2), ((2, 1, 1), 2), ((2, 2, 1), 2), ((2, 2, 2), 2), ((3, 2, 1), 2),
+     ((1, 1, 1), 3), ((2, 1, 0), 3)],
+)
+def test_all_subgroups_matches_naive_closure(exps, p, lattice_cache):
+    # completeness against a reference that shares nothing with the HNF walk
+    # or the closed form
+    g, lat = lattice_cache(exps, p)
+    for s in lat.subgroups:
+        assert s.order == s.members.bit_count()
+    found = {frozenset(i for i in range(g.order) if (s.members >> i) & 1) for s in lat.subgroups}
+    assert len(found) == len(lat)
+    assert found == _naive_subgroups(g)
+
+
+SMALL_GROUPS = [
+    ((e1, e2, e3), p)
+    for p in (2, 3, 5, 7)
+    for e1 in range(10)
+    for e2 in range(e1 + 1)
+    for e3 in range(e2 + 1)
+    if p ** (e1 + e2 + e3) <= 729
+]
+
+
+@settings(deadline=None, max_examples=50)
+@given(st.sampled_from(SMALL_GROUPS))
+def test_oracle_matches_closed_form_random(case):
+    exps, p = case
+    t = GroupType(exps)
+    g = build_group(t, p)
+    lat = all_subgroups(g)
+    assert len(lat) == subgroup_count(t, p).value
+    assert count_factorizations(g, lat) == factorization_count(t, p).value
