@@ -6,9 +6,10 @@ Subcommands:
   verify  cross-check every route and structural invariant on one instance
   table   grid of counts over types and primes, with internal consistency check
 
-Exit codes: 0 success, 1 verification mismatch, 2 usage or domain error,
-3 oracle cap exceeded.  The oracle cap defaults to 4096 elements and can be
-overridden by --max-order or the PGF_MAX_ORDER environment variable.
+Exit codes: 0 success, 1 verification mismatch, 2 usage or domain error
+(a table grid over MAX_TABLE_ROWS rows among them), 3 oracle cap exceeded.
+The oracle cap defaults to 4096 elements and can be overridden by
+--max-order or the PGF_MAX_ORDER environment variable.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import argparse
 import json
 import os
 import sys
+from math import comb
 
 from .formulas import (
     METHOD_CLOSED_FORM,
@@ -54,6 +56,11 @@ ALL_CHECKS = ("count", "f2", "hall", "eq2", "census")
 # 2017); larger --p values are rejected rather than guessed at.
 PRIME_BOUND = 3_317_044_064_679_887_385_961_981
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+# Largest table grid in rows (types x primes).  Outside the oracle a row takes
+# about 2 ms even at the largest accepted prime (2924 rows at max-lambda 24 ran
+# in 6.3 s), so an accepted grid ends in about 10 s plus its oracle cells.
+MAX_TABLE_ROWS = 3000
 
 
 def _oracle_f2(gtype: GroupType, p: int, cap: int) -> int:
@@ -277,6 +284,10 @@ def cmd_table(args) -> int:
         _require_prime(p)
     if args.max_lambda < 1:
         raise UsageError("--max-lambda must be at least 1")
+    # one row per prime and per type e1 >= e2 >= e3 >= 0 with 1 <= e1 <= max-lambda
+    grid_rows = (comb(args.max_lambda + 3, 3) - 1) * len(primes)
+    if grid_rows > MAX_TABLE_ROWS:
+        raise UsageError(f"table grid has {grid_rows} rows, over the limit of {MAX_TABLE_ROWS}")
     cap = _resolve_cap(args)
 
     rows = []
@@ -304,22 +315,16 @@ def cmd_table(args) -> int:
             rows.append(row)
 
     columns = ("lambda1", "lambda2", "lambda3", "p", "f") + tuple(f"f2_{m}" for m in ROUTES)
+    lines = [columns] + [["" if row[c] is None else str(row[c]) for c in columns] for row in rows]
     if args.format == "json":
         print(_canonical_json(rows))
     elif args.format == "csv":
-        print(",".join(columns))
-        for row in rows:
-            print(",".join("" if row[c] is None else str(row[c]) for c in columns))
+        for line in lines:
+            print(",".join(line))
     else:
-        widths = {c: max(len(c), *(len(str(r[c] if r[c] is not None else "")) for r in rows)) for c in columns}
-        print("  ".join(c.ljust(widths[c]) for c in columns))
-        for row in rows:
-            print(
-                "  ".join(
-                    str(row[c] if row[c] is not None else "").ljust(widths[c])
-                    for c in columns
-                )
-            )
+        widths = [max(len(cell) for cell in column) for column in zip(*lines)]
+        for line in lines:
+            print("  ".join(cell.ljust(w) for cell, w in zip(line, widths)))
     if not consistent:
         print("error: methods disagree on at least one row", file=sys.stderr)
         return EXIT_MISMATCH
@@ -380,10 +385,7 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError,) as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except GroupTooLarge as exc:

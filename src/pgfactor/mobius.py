@@ -243,21 +243,27 @@ def _census_entries(counter: Counter) -> tuple[tuple[GroupType, int], ...]:
     return tuple(sorted(counter.items(), key=lambda item: item[0], reverse=True))
 
 
+def _orbit_tally(t: GroupType, k: int, p: int) -> Counter:
+    """Quotient type -> number of k-dimensional socle subspaces giving it.
+
+    One Smith normal form per torus orbit, tallied with the orbit size.
+    """
+    tally = Counter()
+    for subspace, nonzero in socle_orbits(t.rank, k):
+        tally[quotient_type(t, subspace, p)] += (p - 1) ** nonzero
+    return tally
+
+
 def quotient_type_census(t: GroupType, k: int, p: int) -> QuotientCensus:
     """Count quotient types over every k-dimensional socle subspace (rank-3 t).
 
-    Walks the torus orbits: each representative's quotient type is tallied
-    with its orbit size (p-1)**nonzero, so the totals are gaussian_binomial(3,
-    k, p) at any p, from 7 Smith normal forms.
+    The totals are gaussian_binomial(3, k, p) at any p, from 7 Smith normal forms.
     """
     if t.rank != 3:
         raise ValueError(f"census requires a rank-3 type, got {t}")
     if k not in (1, 2):
         raise ValueError(f"census dimension must be 1 or 2, got {k}")
-    counter = Counter()
-    for subspace, nonzero in socle_orbits(3, k):
-        counter[quotient_type(t, subspace, p)] += (p - 1) ** nonzero
-    return QuotientCensus(k, _census_entries(counter))
+    return QuotientCensus(k, _census_entries(_orbit_tally(t, k, p)))
 
 
 def reference_census(t: GroupType, k: int, p: int) -> QuotientCensus:
@@ -294,21 +300,13 @@ def factorization_count_mobius(t: GroupType, p: int) -> int:
     """Factorization count as the Mobius-weighted sum over socle subspaces.
 
     Sums |L(G/E^)|^2 * mu(E) over all subspaces E of F_p^rank, where mu(E)
-    depends only on dim E.  Subspaces are taken one torus orbit at a time
-    (``socle_orbits``): the representative's term is weighted by the orbit
-    size (p-1)**nonzero times the Hall value of its dimension.  This
+    depends only on dim E: each quotient type of the dimension's orbit tally
+    is weighted by its number of subspaces times the Hall value.  This
     recomputes the closed form structurally and must agree with it exactly.
     """
-    r = t.rank
     total = 0
-    count_cache: dict[GroupType, int] = {}
-    for k in range(r + 1):
+    for k in range(t.rank + 1):
         weight = (-1) ** k * p ** (k * (k - 1) // 2)
-        for subspace, nonzero in socle_orbits(r, k):
-            qt = quotient_type(t, subspace, p)
-            count = count_cache.get(qt)
-            if count is None:
-                count = _subgroup_count_value(qt, p)
-                count_cache[qt] = count
-            total += count * count * weight * (p - 1) ** nonzero
+        for qt, size in _orbit_tally(t, k, p).items():
+            total += weight * size * _subgroup_count_value(qt, p) ** 2
     return total

@@ -14,9 +14,11 @@ Algebraic Number Theory", 2.4).  Walking those bases lists every subgroup
 exactly once, by explicit enumeration rather than a formula, so the oracle
 stays independent of the closed form.
 
-Subgroups are membership bitmasks over the element index space, so meets,
-joins and containment run on word-parallel integer ops.  This is a desk-scale
-verification tool; a configurable order cap keeps accidental huge inputs out.
+Subgroups are membership bitmasks over the element index space, so a meet
+is one AND and a popcount.  One pass over the pairs of subgroups reads both
+containment and the direct count of factorizations off the meet sizes.  This
+is a desk-scale verification tool; a configurable order cap keeps accidental
+huge inputs out.
 """
 
 from __future__ import annotations
@@ -78,16 +80,18 @@ class SubgroupSet:
 
 @dataclass
 class Lattice:
-    """All subgroups of a ConcreteGroup with the containment order precomputed.
+    """All subgroups of a ConcreteGroup with containment and F2 precomputed.
 
     ``below[i]`` / ``above[i]`` are bitmasks over subgroup ids.  Ids are
     assigned after sorting by (order, membership bitmask), so they are stable
     across runs; id 0 is the trivial subgroup and the last id is the group.
+    ``factorizations`` is the number of ordered pairs (H, K) with H + K = G.
     """
 
     subgroups: list[SubgroupSet]
     below: list[int]
     above: list[int]
+    factorizations: int
 
     def __len__(self) -> int:
         return len(self.subgroups)
@@ -146,24 +150,30 @@ def all_subgroups(g: ConcreteGroup) -> Lattice:
     """Enumerate every subgroup by its Hermite normal form basis.
 
     The HNF walk meets each subgroup exactly once; sorting by (order, mask)
-    fixes the ids, and one pairwise subset test per pair gives containment.
+    fixes the ids.  One pass over the pairs a <= b then reads both relations
+    off the meet size c = |H_a & H_b|: H_a <= H_b when c = |H_a|, and
+    H_a + H_b = G when |H_b| = (|G| / |H_a|) c, since |H + K| = |H| |K| / c.
+    Of the diagonal pairs only (G, G) can factorize, and must, exactly once.
     """
-    subgroups = [
-        SubgroupSet(new_id, mask, order)
-        for new_id, (order, mask) in enumerate(sorted(_hnf_subgroups(g)))
-    ]
-    n = len(subgroups)
+    walk = sorted(_hnf_subgroups(g))
+    n = len(walk)
     below = [0] * n
     above = [0] * n
-    for a in range(n):
-        ma = subgroups[a].members
-        below[a] |= 1 << a
-        above[a] |= 1 << a
-        for b in range(a + 1, n):
-            if ma & ~subgroups[b].members == 0:
+    unordered = diagonal = 0
+    for a, (order_a, ma) in enumerate(walk):
+        cofactor = g.order // order_a
+        for b, (order_b, mb) in enumerate(walk[a:], a):
+            meet = (ma & mb).bit_count()
+            if meet == order_a:
                 below[b] |= 1 << a
                 above[a] |= 1 << b
-    return Lattice(subgroups, below, above)
+            if order_b == cofactor * meet:
+                unordered += 1
+                diagonal += a == b
+    if diagonal != 1:
+        raise RuntimeError(f"{diagonal} diagonal pairs (H, H) factorize; only (G, G) should")
+    subgroups = [SubgroupSet(i, mask, order) for i, (order, mask) in enumerate(walk)]
+    return Lattice(subgroups, below, above, 2 * unordered - 1)
 
 
 def subgroup_type(g: ConcreteGroup, H: SubgroupSet) -> GroupType:
@@ -198,28 +208,9 @@ def quotient_type_mod(g: ConcreteGroup, H: SubgroupSet) -> GroupType:
 def count_factorizations(g: ConcreteGroup, lattice: Lattice) -> int:
     """Number of ordered pairs (H, K) with H + K = G.
 
-    Uses the exact size identity |H + K| = |H| |K| / |H & K| (the sum of two
-    subgroups is a subgroup here), so each pair is one AND plus a popcount.
-    Internally cross-checks the ordered count against the unordered one.
+    ``all_subgroups`` counts them in its pass over pairs; this reads it off.
     """
-    subs = lattice.subgroups
-    n = g.order
-    total = 0
-    unordered = 0
-    diagonal = 0
-    for i, a in enumerate(subs):
-        for j in range(i, len(subs)):
-            b = subs[j]
-            if a.order * b.order == n * (a.members & b.members).bit_count():
-                if i == j:
-                    diagonal += 1
-                    total += 1
-                else:
-                    total += 2
-                unordered += 1
-    if total != 2 * unordered - diagonal:
-        raise RuntimeError(f"ordered count {total} disagrees with unordered count {unordered}")
-    return total
+    return lattice.factorizations
 
 
 def interval_size(lattice: Lattice, H: SubgroupSet) -> int:

@@ -1,5 +1,8 @@
 import json
+import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 import time
@@ -8,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import pgfactor
-from pgfactor.cli import PRIME_BOUND, main
+from pgfactor.cli import MAX_TABLE_ROWS, PRIME_BOUND, _grid_types, main
 from pgfactor.formulas import factorization_count
 from pgfactor.grouptype import GroupType
 
@@ -292,9 +295,40 @@ def test_table_text_format(capsys):
     ]
 
 
+def test_table_text_pads_every_column_to_its_widest_cell(capsys):
+    # an oracle cell over the cap prints as blanks of the column's width
+    code, out, _ = run_cli(capsys, "table", "--max-lambda", "1", "--primes", "2", "--max-order", "4")
+    assert code == 0
+    assert out.splitlines() == [
+        "lambda1  lambda2  lambda3  p  f   f2_theorem3  f2_mobius  f2_oracle",
+        "1        0        0        2  2   3            3          3        ",
+        "1        1        0        2  5   15           15         15       ",
+        "1        1        1        2  16  129          129                 ",
+    ]
+
+
 def test_table_empty_primes(capsys):
     code, _, _ = run_cli(capsys, "table", "--max-lambda", "1", "--primes", "")
     assert code == 2
+
+
+def test_table_rejects_grid_above_row_limit(capsys):
+    # max-lambda 40 has 12340 types; the limit is checked before any row runs
+    code, out, err = run_cli(capsys, "table", "--max-lambda", "40", "--primes", "2")
+    assert code == 2
+    assert not out
+    assert str(MAX_TABLE_ROWS) in err
+    # three types at max-lambda 1, so one prime too many crosses the limit
+    primes = ",".join(["2"] * (MAX_TABLE_ROWS // 3 + 1))
+    code, _, err = run_cli(capsys, "table", "--max-lambda", "1", "--primes", primes)
+    assert code == 2
+    assert str(MAX_TABLE_ROWS) in err
+
+
+@pytest.mark.parametrize("max_lambda", [1, 2, 5, 12])
+def test_table_row_count_formula_matches_grid(max_lambda):
+    # cmd_table counts the grid's types as comb(L + 3, 3) - 1 without building it
+    assert len(_grid_types(max_lambda)) == math.comb(max_lambda + 3, 3) - 1
 
 
 def test_table_composite_prime(capsys):
@@ -376,3 +410,39 @@ def test_digit_limit_restored_after_error(capsys):
     code, _, _ = run_cli(capsys, "f2", "--type", "2,3,1", "--p", "2")
     assert code == 2
     assert _digit_limit() == limit
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+# the text of a "# value" comment: an integer or a polynomial in p
+_VALUE = re.compile(r"[-+0-9p^]+")
+
+
+def _readme_cli_examples():
+    """(argv, expected stdout or None) for each pgfactor line of the README's CLI block.
+
+    The expected value is the line's own comment or, when the line has none,
+    a comment on the next line.
+    """
+    block = README.read_text().split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = block.splitlines() + [""]
+    examples = []
+    for line, following in zip(lines, lines[1:]):
+        if not line.startswith("pgfactor "):
+            continue
+        command, hash_sign, comment = line.partition("#")
+        if not hash_sign and following.startswith("#"):
+            comment = following[1:]
+        value = comment.strip()
+        examples.append((shlex.split(command)[1:], value if _VALUE.fullmatch(value) else None))
+    return examples
+
+
+def test_readme_cli_examples(capsys):
+    examples = _readme_cli_examples()
+    expected = [value for _, value in examples if value is not None]
+    assert expected == ["81", "p+3", "9p^6+15p^5+21p^4+16p^3+20p^2+11p+13", "1635"]
+    for argv, value in examples:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, (argv, err)
+        if value is not None:
+            assert out == value + "\n", argv

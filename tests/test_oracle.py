@@ -1,7 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pgfactor
+from pgfactor import oracle
 from pgfactor.formulas import factorization_count, subgroup_count
 from pgfactor.grouptype import GroupType
 from pgfactor.mobius import hall_mobius
@@ -227,16 +234,26 @@ def test_factorizations_match_closed_form(exps, p, lattice_cache):
     assert count_factorizations(g, lat) == factorization_count(GroupType(exps), p).value
 
 
+def _addition_table(g):
+    """table[i][j] is the index of g.elements[i] + g.elements[j]."""
+    return [
+        [g.index[tuple((a + b) % m for a, b, m in zip(u, v, g.moduli))] for v in g.elements]
+        for u in g.elements
+    ]
+
+
+def _member_sets(lat):
+    return [frozenset(i for i in range(s.members.bit_length()) if (s.members >> i) & 1)
+            for s in lat.subgroups]
+
+
 def _naive_subgroups(g):
     """Every subgroup of g as a frozenset of element indices, without HNF.
 
     Breadth-first search from {0}: each step adds one element x to a known
     subgroup and closes the set under addition.
     """
-    table = [
-        [g.index[tuple((a + b) % m for a, b, m in zip(u, v, g.moduli))] for v in g.elements]
-        for u in g.elements
-    ]
+    table = _addition_table(g)
 
     def close(gens):
         members = {0}
@@ -263,20 +280,72 @@ def _naive_subgroups(g):
     return found
 
 
-@pytest.mark.parametrize(
-    "exps,p",
-    [((1, 1, 1), 2), ((2, 1, 1), 2), ((2, 2, 1), 2), ((2, 2, 2), 2), ((3, 2, 1), 2),
-     ((1, 1, 1), 3), ((2, 1, 0), 3)],
-)
+NAIVE_GROUPS = [
+    ((1, 1, 1), 2), ((2, 1, 1), 2), ((2, 2, 1), 2), ((2, 2, 2), 2), ((3, 2, 1), 2),
+    ((1, 1, 1), 3), ((2, 1, 0), 3),
+]
+
+
+@pytest.mark.parametrize("exps,p", NAIVE_GROUPS)
 def test_all_subgroups_matches_naive_closure(exps, p, lattice_cache):
     # completeness against a reference that shares nothing with the HNF walk
     # or the closed form
     g, lat = lattice_cache(exps, p)
     for s in lat.subgroups:
         assert s.order == s.members.bit_count()
-    found = {frozenset(i for i in range(g.order) if (s.members >> i) & 1) for s in lat.subgroups}
+    sets = _member_sets(lat)
+    found = set(sets)
     assert len(found) == len(lat)
     assert found == _naive_subgroups(g)
+    # containment as the subset relation of the member sets
+    for b, K in enumerate(sets):
+        assert lat.below[b] == sum(1 << a for a, H in enumerate(sets) if H <= K)
+        assert lat.above[b] == sum(1 << c for c, L in enumerate(sets) if K <= L)
+
+
+@pytest.mark.parametrize("exps,p", NAIVE_GROUPS + [((1, 1, 0), 2), ((3, 0, 0), 2)])
+def test_count_factorizations_by_sumsets(exps, p, lattice_cache):
+    # H + K built element by element, without the size identity
+    g, lat = lattice_cache(exps, p)
+    table = _addition_table(g)
+    sets = _member_sets(lat)
+    whole = frozenset(range(g.order))
+    direct = sum(1 for H in sets for K in sets if {table[h][k] for h in H for k in K} == whole)
+    assert direct == count_factorizations(g, lat)
+
+
+def _whole_group_twice(hnf_subgroups):
+    def walk(g):
+        yield from hnf_subgroups(g)
+        yield g.order, (1 << g.order) - 1
+
+    return walk
+
+
+def test_all_subgroups_rejects_a_repeated_whole_group(monkeypatch):
+    monkeypatch.setattr(oracle, "_hnf_subgroups", _whole_group_twice(oracle._hnf_subgroups))
+    with pytest.raises(RuntimeError, match="diagonal"):
+        all_subgroups(build_group(GroupType((2, 1, 0)), 2))
+
+
+def test_all_subgroups_rejects_a_repeated_whole_group_under_optimize():
+    # the invariant must be an explicit raise, not an assert that -O strips
+    src = str(Path(pgfactor.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    code = (
+        "from pgfactor import oracle\n"
+        "walk = oracle._hnf_subgroups\n"
+        "def twice(g):\n"
+        "    yield from walk(g)\n"
+        "    yield g.order, (1 << g.order) - 1\n"
+        "oracle._hnf_subgroups = twice\n"
+        "oracle.all_subgroups(oracle.build_group(oracle.GroupType((2, 1, 0)), 2))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode != 0
+    assert "RuntimeError" in proc.stderr
 
 
 SMALL_GROUPS = [
