@@ -225,7 +225,7 @@ def cmd_verify(args) -> int:
         if "census" in checks and gtype.rank != 3:
             raise UsageError("census check requires a rank-3 type")
 
-    report = VerificationReport(gtype, p)
+    report = VerificationReport()
     need_lattice = any(c in checks for c in ("count", "f2", "hall", "eq2"))
     if need_lattice:
         g = build_group(gtype, p, _resolve_cap(args))
@@ -264,13 +264,9 @@ def cmd_verify(args) -> int:
 
 
 def _grid_types(max_lambda: int) -> list[GroupType]:
-    out = []
-    for e1 in range(1, max_lambda + 1):
-        for e2 in range(e1 + 1):
-            for e3 in range(e2 + 1):
-                out.append(GroupType((e1, e2, e3)))
-    out.sort(key=lambda t: t.exponents)
-    return out
+    """Every type with 1 <= e1 <= max_lambda, in lexicographic order of the exponents."""
+    return [GroupType((e1, e2, e3)) for e1 in range(1, max_lambda + 1)
+            for e2 in range(e1 + 1) for e3 in range(e2 + 1)]
 
 
 def cmd_table(args) -> int:
@@ -280,14 +276,17 @@ def cmd_table(args) -> int:
         raise UsageError(f"cannot parse --primes {args.primes!r}") from None
     if not primes:
         raise UsageError("--primes must list at least one prime")
-    for p in primes:
-        _require_prime(p)
     if args.max_lambda < 1:
         raise UsageError("--max-lambda must be at least 1")
     # one row per prime and per type e1 >= e2 >= e3 >= 0 with 1 <= e1 <= max-lambda
     grid_rows = (comb(args.max_lambda + 3, 3) - 1) * len(primes)
     if grid_rows > MAX_TABLE_ROWS:
         raise UsageError(f"table grid has {grid_rows} rows, over the limit of {MAX_TABLE_ROWS}")
+    seen = set()
+    for p in primes:
+        if p in seen:
+            raise UsageError(f"--primes lists {p} more than once")
+        seen.add(_require_prime(p))
     cap = _resolve_cap(args)
 
     rows = []

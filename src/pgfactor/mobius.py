@@ -180,16 +180,18 @@ def smith_normal_form(matrix) -> list[int]:
     return diag
 
 
+def _hall_value(n: int, p: int) -> int:
+    """Hall's value (-1)^n p^(n(n-1)/2): mu(1, E) for E elementary abelian of rank n."""
+    return (-1) ** n * p ** (n * (n - 1) // 2)
+
+
 def hall_mobius(t: GroupType, p: int) -> int:
     """Mobius value mu(1, G) of a p-group of type ``t``.
 
     Zero unless the group is elementary abelian of rank n, in which case it
-    is (-1)^n * p^(n(n-1)/2).  The trivial group gives 1.
+    is Hall's value (-1)^n * p^(n(n-1)/2).  The trivial group gives 1.
     """
-    if not t.is_elementary_abelian:
-        return 0
-    n = t.rank
-    return (-1) ** n * p ** (n * (n - 1) // 2)
+    return _hall_value(t.rank, p) if t.is_elementary_abelian else 0
 
 
 def quotient_type(t: GroupType, subspace: Subspace, p: int) -> GroupType:
@@ -306,7 +308,7 @@ def factorization_count_mobius(t: GroupType, p: int) -> int:
     """
     total = 0
     for k in range(t.rank + 1):
-        weight = (-1) ** k * p ** (k * (k - 1) // 2)
+        weight = _hall_value(k, p)
         for qt, size in _orbit_tally(t, k, p).items():
             total += weight * size * _subgroup_count_value(qt, p) ** 2
     return total

@@ -1,10 +1,9 @@
 """Brute-force ground truth on explicit groups.
 
-Builds the full element table of Z_{p^e1} x Z_{p^e2} x Z_{p^e3}, enumerates
-every subgroup by walking Hermite normal forms, and checks the structural
-claims the fast routes rely on: lattice Mobius values against the
-elementary-abelian closed form, and both inversion identities against a
-direct count of factorizations.
+Enumerates every subgroup of Z_{p^e1} x Z_{p^e2} x Z_{p^e3} by walking
+Hermite normal forms, and checks the structural claims the fast routes rely
+on: lattice Mobius values against the elementary-abelian closed form, and
+both inversion identities against a direct count of factorizations.
 
 A subgroup of Z^3 / diag(p^e) Z^3 is a lattice between diag(p^e) Z^3 and
 Z^3, and each such lattice has exactly one upper-triangular Hermite normal
@@ -14,19 +13,20 @@ Algebraic Number Theory", 2.4).  Walking those bases lists every subgroup
 exactly once, by explicit enumeration rather than a formula, so the oracle
 stays independent of the closed form.
 
-Subgroups are membership bitmasks over the element index space, so a meet
-is one AND and a popcount.  One pass over the pairs of subgroups reads both
-containment and the direct count of factorizations off the meet sizes.  This
-is a desk-scale verification tool; a configurable order cap keeps accidental
-huge inputs out.
+Subgroups, the layers Omega_k and the multiples p^k G are membership
+bitmasks over the element index space, each built from an HNF basis, so a
+meet is one AND and a popcount and types are read off popcounts.  One pass
+over the pairs of subgroups reads both containment and the direct count of
+factorizations off the meet sizes.  This is a desk-scale verification
+tool; a configurable order cap keeps accidental huge inputs out.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import accumulate, product
+from itertools import product
 
-from .grouptype import GroupType, p_valuation, type_from_layers
+from .grouptype import GroupType, type_from_layers
 from .mobius import hall_mobius
 
 DEFAULT_MAX_ORDER = 4096
@@ -41,7 +41,12 @@ class NotComparable(ValueError):
 
 
 class ConcreteGroup:
-    """Explicit abelian p-group with a deterministic lexicographic element index."""
+    """Explicit abelian p-group, held as bitmasks over its element indices.
+
+    For k = 0..e1, ``omega[k]`` is the layer Omega_k = {x : p^k x = 0} and
+    ``multiples[k]`` is p^k G: the diagonal HNF bases p^max(e_i - k, 0) and
+    p^min(k, e_i).
+    """
 
     def __init__(self, gtype: GroupType, p: int, max_order: int = DEFAULT_MAX_ORDER):
         order = gtype.order(p)
@@ -53,16 +58,11 @@ class ConcreteGroup:
         self.p = p
         self.moduli = tuple(p**e for e in gtype)
         self.order = order
-        self.elements = list(product(*(range(m) for m in self.moduli)))
-        self.index = {e: i for i, e in enumerate(self.elements)}
-        # exponent of each element: least k with p^k * x = 0
-        self.elem_exp = [
-            max(
-                (e - p_valuation(a, p) for a, e in zip(vec, gtype) if a),
-                default=0,
-            )
-            for vec in self.elements
-        ]
+        layers = range(gtype[0] + 1)
+        self.omega = [_span_mask(self.moduli, (p ** max(e - k, 0) for e in gtype), 0, 0, 0)
+                      for k in layers]
+        self.multiples = [_span_mask(self.moduli, (p ** min(k, e) for e in gtype), 0, 0, 0)
+                          for k in layers]
 
 
 def build_group(t: GroupType, p: int, max_order: int = DEFAULT_MAX_ORDER) -> ConcreteGroup:
@@ -115,6 +115,25 @@ def _iter_bits(mask: int):
         mask ^= low
 
 
+def _span_mask(moduli, d, x12: int, x13: int, x23: int) -> int:
+    """Membership mask of the subgroup with HNF basis (d1, x12, x13), (0, d2, x23), (0, 0, d3).
+
+    The one map from coordinates to bits: (y1, y2, y3) is bit (y1 m2 + y2) m3 + y3.
+    """
+    m1, m2, m3 = moduli
+    d1, d2, d3 = d
+    # c r3 for c < m3 / d3 sweeps the third coordinates r, r + d3, ... with
+    # r = y3 mod d3: one run of bits, shifted to each a r1 + b r2
+    run = sum(1 << (d3 * c) for c in range(m3 // d3))
+    mask = 0
+    for a in range(m1 // d1):
+        for b in range(m2 // d2):
+            y2 = (a * x12 + b * d2) % m2
+            y3 = (a * x13 + b * x23) % d3
+            mask |= run << ((a * d1 * m2 + y2) * m3 + y3)
+    return mask
+
+
 def _hnf_subgroups(g: ConcreteGroup):
     """Yield (order, membership mask) once per subgroup of g.
 
@@ -131,19 +150,10 @@ def _hnf_subgroups(g: ConcreteGroup):
     divisors = [[g.p**j for j in range(e + 1)] for e in g.gtype]
     for d1, d2, d3 in product(*divisors):
         k1, k2, k3 = m1 // d1, m2 // d2, m3 // d3
-        # c r3 for c < k3 sweeps the third coordinates r, r + d3, ... with
-        # r = y3 mod d3: one run of bits, shifted to the row's index
-        run = sum(1 << (d3 * c) for c in range(k3))
         for x12, x13, x23 in product(range(d2), range(d3), range(d3)):
             if k2 * x23 % d3 or k1 * x12 % d2 or (k1 * x13 - k1 * x12 // d2 * x23) % d3:
                 continue
-            mask = 0
-            for a in range(k1):
-                for b in range(k2):
-                    y2 = (a * x12 + b * d2) % m2
-                    y3 = (a * x13 + b * x23) % d3
-                    mask |= run << ((a * d1 * m2 + y2) * m3 + y3)
-            yield k1 * k2 * k3, mask
+            yield k1 * k2 * k3, _span_mask(g.moduli, (d1, d2, d3), x12, x13, x23)
 
 
 def all_subgroups(g: ConcreteGroup) -> Lattice:
@@ -177,31 +187,24 @@ def all_subgroups(g: ConcreteGroup) -> Lattice:
 
 
 def subgroup_type(g: ConcreteGroup, H: SubgroupSet) -> GroupType:
-    """Isomorphism type of a subgroup from its order census.
+    """Isomorphism type of a subgroup from its layer orders.
 
-    Tallying members by exponent and summing up gives the number of members
-    killed by each power of p, which are the layer orders |Omega_k| that
-    type_from_layers turns into the type via the conjugate partition.
+    Omega_k(H) = H & Omega_k(G), so the popcounts of those meets are the
+    orders |Omega_k(H)| that type_from_layers turns into the type via the
+    conjugate partition.
     """
-    tally = [0] * (g.gtype[0] + 1)
-    for idx in _iter_bits(H.members):
-        tally[g.elem_exp[idx]] += 1
-    return type_from_layers(accumulate(tally), g.p)
+    return type_from_layers([(H.members & w).bit_count() for w in g.omega], g.p)
 
 
 def quotient_type_mod(g: ConcreteGroup, H: SubgroupSet) -> GroupType:
-    """Isomorphism type of G/H, via the same census applied to cosets."""
-    hmask = H.members
-    orders = []
-    for k in range(g.gtype[0] + 1):
-        killed = 0
-        pk = g.p**k
-        for idx in range(g.order):
-            vec = g.elements[idx]
-            image = g.index[tuple((a * pk) % m for a, m in zip(vec, g.moduli))]
-            if (hmask >> image) & 1:
-                killed += 1
-        orders.append(killed // H.order)
+    """Isomorphism type of G/H from its layer orders.
+
+    A coset x + H lies in Omega_k(G/H) when p^k x is in H.  Multiplication
+    by p^k maps G onto p^k G with kernel Omega_k(G), so
+    |Omega_k(G/H)| = |H & p^k G| |Omega_k(G)| / |H|.
+    """
+    orders = [(H.members & pk).bit_count() * w.bit_count() // H.order
+              for pk, w in zip(g.multiples, g.omega)]
     return type_from_layers(orders, g.p)
 
 
@@ -266,16 +269,11 @@ class CheckResult:
 class VerificationReport:
     """Pass/fail record for one (type, p) instance across named checks."""
 
-    gtype: GroupType
-    p: int
     checks: list[CheckResult] = field(default_factory=list)
 
-    def add(self, name: str, expected, actual) -> bool:
-        ok = expected == actual
-        self.checks.append(
-            CheckResult(name, "pass" if ok else "fail", str(expected), str(actual))
-        )
-        return ok
+    def add(self, name: str, expected, actual) -> None:
+        status = "pass" if expected == actual else "fail"
+        self.checks.append(CheckResult(name, status, str(expected), str(actual)))
 
     @property
     def overall(self) -> bool:
@@ -288,7 +286,7 @@ def verify_hall(g: ConcreteGroup, lattice: Lattice) -> VerificationReport:
     Non-elementary subgroups must give 0; elementary abelian ones of rank n
     must give (-1)^n p^(n(n-1)/2).  Mismatches are listed individually.
     """
-    report = VerificationReport(g.gtype, g.p)
+    report = VerificationReport()
     mu = _mobius_from(lattice.bottom.id, range(len(lattice)), lattice.below)
     mismatches = 0
     for H in lattice.subgroups:
@@ -308,7 +306,7 @@ def verify_inversion_forms(g: ConcreteGroup, lattice: Lattice) -> VerificationRe
     from the closed form; both must equal the brute-force factorization
     count.
     """
-    report = VerificationReport(g.gtype, g.p)
+    report = VerificationReport()
     mu_top = _mobius_to_top(lattice)
     s1 = 0
     s2 = 0

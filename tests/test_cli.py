@@ -328,7 +328,17 @@ def test_table_rejects_grid_above_row_limit(capsys):
 @pytest.mark.parametrize("max_lambda", [1, 2, 5, 12])
 def test_table_row_count_formula_matches_grid(max_lambda):
     # cmd_table counts the grid's types as comb(L + 3, 3) - 1 without building it
-    assert len(_grid_types(max_lambda)) == math.comb(max_lambda + 3, 3) - 1
+    types = _grid_types(max_lambda)
+    assert len(types) == math.comb(max_lambda + 3, 3) - 1
+    assert types == sorted(set(types))  # distinct, in lexicographic order
+
+
+@pytest.mark.parametrize("primes,repeated", [("2,2", "2"), ("3,5,3", "3"), ("7,5,7,5", "7")])
+def test_table_rejects_repeated_prime(capsys, primes, repeated):
+    code, out, err = run_cli(capsys, "table", "--max-lambda", "1", "--primes", primes, "--format", "csv")
+    assert code == 2
+    assert out == ""
+    assert f"--primes lists {repeated} more than once" in err
 
 
 def test_table_composite_prime(capsys):

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from itertools import accumulate, product
 from pathlib import Path
 
 import pytest
@@ -10,11 +11,12 @@ from hypothesis import strategies as st
 import pgfactor
 from pgfactor import oracle
 from pgfactor.formulas import factorization_count, subgroup_count
-from pgfactor.grouptype import GroupType
+from pgfactor.grouptype import GroupType, p_valuation, type_from_layers
 from pgfactor.mobius import hall_mobius
 from pgfactor.oracle import (
     GroupTooLarge,
     NotComparable,
+    VerificationReport,
     _mobius_to_top,
     all_subgroups,
     build_group,
@@ -36,8 +38,8 @@ def test_build_group_sizes():
 
 def test_build_group_identity_first():
     g = build_group(GroupType((2, 1, 0)), 3)
-    assert g.elements[0] == (0, 0, 0)
-    assert g.index[(0, 0, 0)] == 0
+    assert g.omega[0] == 1  # Omega_0 = {0}: the identity is index 0
+    assert all_subgroups(g).bottom.members == 1
 
 
 def test_build_group_cap():
@@ -192,6 +194,15 @@ def test_hall_values_spotchecks(lattice_cache):
     assert mobius_interval(lat, lat.bottom, lat.top) == 0  # not elementary abelian
 
 
+def test_verification_report_records_checks_only():
+    report = VerificationReport()
+    report.add("same", 3, 3)
+    assert report.overall
+    report.add("differ", 3, 4)
+    assert [(c.name, c.status) for c in report.checks] == [("same", "pass"), ("differ", "fail")]
+    assert not report.overall
+
+
 @pytest.mark.parametrize(
     "exps,p,expected",
     [((1, 1, 0), 2, 15), ((3, 0, 0), 2, 7), ((3, 2, 1), 2, 1635)],
@@ -234,11 +245,22 @@ def test_factorizations_match_closed_form(exps, p, lattice_cache):
     assert count_factorizations(g, lat) == factorization_count(GroupType(exps), p).value
 
 
+def _element_table(g):
+    """The elements of g as coordinate tuples in index order, and their index.
+
+    Element (y1, y2, y3) is bit (y1 m2 + y2) m3 + y3 of a membership mask,
+    which is the lexicographic order of the coordinates.
+    """
+    elements = list(product(*(range(m) for m in g.moduli)))
+    return elements, {e: i for i, e in enumerate(elements)}
+
+
 def _addition_table(g):
-    """table[i][j] is the index of g.elements[i] + g.elements[j]."""
+    """table[i][j] is the index of elements[i] + elements[j]."""
+    elements, index = _element_table(g)
     return [
-        [g.index[tuple((a + b) % m for a, b, m in zip(u, v, g.moduli))] for v in g.elements]
-        for u in g.elements
+        [index[tuple((a + b) % m for a, b, m in zip(u, v, g.moduli))] for v in elements]
+        for u in elements
     ]
 
 
@@ -367,3 +389,53 @@ def test_oracle_matches_closed_form_random(case):
     lat = all_subgroups(g)
     assert len(lat) == subgroup_count(t, p).value
     assert count_factorizations(g, lat) == factorization_count(t, p).value
+
+
+def _element_census(g):
+    """Reference types from the element table: (H -> type of H, H -> type of G/H).
+
+    The first tallies the members of H by exponent (least k with p^k x = 0);
+    the second counts, for each k, the x with p^k x in H and divides by |H|,
+    the number of such x per coset.
+    """
+    elements, index = _element_table(g)
+    layers = range(g.gtype[0] + 1)
+    elem_exp = [max((e - p_valuation(a, g.p) for a, e in zip(vec, g.gtype) if a), default=0)
+                for vec in elements]
+    images = [[index[tuple(a * g.p**k % m for a, m in zip(vec, g.moduli))] for vec in elements]
+              for k in layers]
+
+    def subgroup(H):
+        tally = [0] * len(layers)
+        for idx in oracle._iter_bits(H.members):
+            tally[elem_exp[idx]] += 1
+        return type_from_layers(accumulate(tally), g.p)
+
+    def quotient(H):
+        members = set(oracle._iter_bits(H.members))
+        killed = [sum(y in members for y in image) for image in images]
+        return type_from_layers([n // H.order for n in killed], g.p)
+
+    return subgroup, quotient
+
+
+@pytest.mark.parametrize("exps,p", SMALL_GROUPS)
+def test_types_by_popcount_match_element_census(exps, p, lattice_cache):
+    g, lat = lattice_cache(exps, p)
+    subgroup, quotient = _element_census(g)
+    for H in lat.subgroups:
+        assert subgroup_type(g, H) == subgroup(H)
+        assert quotient_type_mod(g, H) == quotient(H)
+
+
+@pytest.mark.parametrize("exps,p", [((3, 2, 1), 2), ((2, 2, 0), 3), ((4, 0, 0), 2), ((0, 0, 0), 5),
+                                    ((1, 1, 1), 5)])
+def test_layer_and_multiple_masks_match_definition(exps, p):
+    g = build_group(GroupType(exps), p)
+    elements, index = _element_table(g)
+    assert len(g.omega) == len(g.multiples) == exps[0] + 1
+    for k in range(exps[0] + 1):
+        pk = p**k
+        images = [tuple(a * pk % m for a, m in zip(vec, g.moduli)) for vec in elements]
+        assert g.omega[k] == sum(1 << i for i, y in enumerate(images) if y == (0, 0, 0))
+        assert g.multiples[k] == sum(1 << index[y] for y in set(images))
