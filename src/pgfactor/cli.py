@@ -7,7 +7,8 @@ Subcommands:
   table   grid of counts over types and primes, with internal consistency check
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage or domain error
-(a table grid over MAX_TABLE_ROWS rows among them), 3 oracle cap exceeded.
+(a type exponent over MAX_EXPONENT and a table grid over MAX_TABLE_ROWS rows
+among them), 3 oracle cap exceeded.
 The oracle cap defaults to 4096 elements and can be overridden by
 --max-order or the PGF_MAX_ORDER environment variable.
 """
@@ -62,6 +63,12 @@ _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # in 6.3 s), so an accepted grid ends in about 10 s plus its oracle cells.
 MAX_TABLE_ROWS = 3000
 
+# Largest type exponent that count, f2 and verify accept.  At (1000,1000,1000)
+# f2 --symbolic takes 0.18 s, the numeric closed form at the largest accepted
+# --p 0.34 s and --method mobius there 3.7 s; the Mobius route grows as the
+# square of the exponents (14 s at 2000), the closed forms more slowly.
+MAX_EXPONENT = 1000
+
 
 def _oracle_f2(gtype: GroupType, p: int, cap: int) -> int:
     g = build_group(gtype, p, cap)
@@ -110,9 +117,12 @@ def _canonical_json(obj) -> str:
 
 def _parse_common(args) -> GroupType:
     try:
-        return parse_type(args.type)
+        gtype = parse_type(args.type)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    if gtype[0] > MAX_EXPONENT:
+        raise UsageError(f"type exponent {gtype[0]} is over the limit of {MAX_EXPONENT}")
+    return gtype
 
 
 def _require_prime(p: int) -> int:

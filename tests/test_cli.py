@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import pgfactor
-from pgfactor.cli import MAX_TABLE_ROWS, PRIME_BOUND, _grid_types, main
+from pgfactor.cli import MAX_EXPONENT, MAX_TABLE_ROWS, PRIME_BOUND, _grid_types, main
 from pgfactor.formulas import factorization_count
 from pgfactor.grouptype import GroupType
 
@@ -312,14 +313,25 @@ def test_table_empty_primes(capsys):
     assert code == 2
 
 
+def _first_primes(n):
+    primes = []
+    candidate = 2
+    while len(primes) < n:
+        if all(candidate % q for q in primes if q * q <= candidate):
+            primes.append(candidate)
+        candidate += 1
+    return primes
+
+
 def test_table_rejects_grid_above_row_limit(capsys):
     # max-lambda 40 has 12340 types; the limit is checked before any row runs
     code, out, err = run_cli(capsys, "table", "--max-lambda", "40", "--primes", "2")
     assert code == 2
     assert not out
     assert str(MAX_TABLE_ROWS) in err
-    # three types at max-lambda 1, so one prime too many crosses the limit
-    primes = ",".join(["2"] * (MAX_TABLE_ROWS // 3 + 1))
+    # three types at max-lambda 1, so one prime too many crosses the limit;
+    # the primes are distinct, so no other check can reject the list first
+    primes = ",".join(map(str, _first_primes(MAX_TABLE_ROWS // 3 + 1)))
     code, _, err = run_cli(capsys, "table", "--max-lambda", "1", "--primes", primes)
     assert code == 2
     assert str(MAX_TABLE_ROWS) in err
@@ -413,6 +425,36 @@ def test_f2_prints_values_past_the_digit_limit(capsys, method):
     finally:
         if limit is not None:
             sys.set_int_max_str_digits(limit)
+
+
+# sha256 of the stdout, recorded before products were packed into big ints
+@pytest.mark.parametrize(
+    "argv,digest",
+    [
+        (("f2", "--type", "200,200,200", "--symbolic"),
+         "1b1d7985f3080095a3ed7ac981618c2c5086ed13b5c48dfaf3147472e86387a9"),
+        (("count", "--type", "200,60,20", "--symbolic"),
+         "26e380f108568f5f4b41f6cf207ac591bde9b9324c1e56b791ebeb6accaca1d2"),
+    ],
+)
+def test_large_symbolic_output_is_pinned(capsys, argv, digest):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("command", ["count", "f2", "verify"])
+def test_type_exponent_over_limit_rejected(capsys, command):
+    code, out, err = run_cli(capsys, command, "--type", f"{MAX_EXPONENT + 1},0,0", "--p", "2")
+    assert code == 2
+    assert not out
+    assert str(MAX_EXPONENT) in err
+
+
+def test_type_exponent_at_limit_accepted(capsys):
+    code, out, err = run_cli(capsys, "count", "--type", f"{MAX_EXPONENT},0,0", "--p", "2")
+    assert code == 0, err
+    assert out == f"{MAX_EXPONENT + 1}\n"
 
 
 def test_digit_limit_restored_after_error(capsys):

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pgfactor.formulas import (
     factorization_count,
@@ -148,3 +150,15 @@ def test_unsorted_middle_arguments():
         b = factorization_count_equal_exponents(2, p).value  # different path
         assert isinstance(a, int) and a > 0
         assert factorization_count(GroupType((2, 2, 2)), p).value == b
+
+
+# Exponents up to 60 make squared counts of up to 241 terms, far past the
+# length at which IntPolynomial products are packed into one big int.
+LARGE_TYPES = st.lists(st.integers(0, 60), min_size=3, max_size=3).map(normalize)
+
+
+@settings(deadline=None, max_examples=60)
+@given(LARGE_TYPES, st.sampled_from((2, 3, 7, 10**9 + 7)))
+def test_symbolic_evaluates_to_numeric_at_large_exponents(t, p):
+    assert factorization_count(t).value.evaluate(p) == factorization_count(t, p).value
+    assert subgroup_count(t).value.evaluate(p) == subgroup_count(t, p).value

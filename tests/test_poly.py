@@ -1,7 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pgfactor import poly as poly_module
 from pgfactor.poly import P, InexactDivision, IntPolynomial, render
 
 
@@ -139,6 +142,95 @@ def test_exact_div_roundtrip_random():
         if not b:
             continue
         assert (q * b).exact_div(b) == q
+
+
+def schoolbook(a, b):
+    """Reference product of two IntPolynomials, term by term."""
+    out = [0] * max(len(a.coeffs) + len(b.coeffs) - 1, 0)
+    for i, ca in enumerate(a.coeffs):
+        for j, cb in enumerate(b.coeffs):
+            out[i + j] += ca * cb
+    return IntPolynomial(out)
+
+
+@st.composite
+def polys(draw, max_len=80):
+    """Operands on both sides of the packed-product cutoff: lengths 0..80,
+    coefficients up to 2^300 in size with mixed signs, zeros anywhere, and
+    single terms c*p^d."""
+    bits = draw(st.sampled_from((1, 8, 64, 300)))
+    bound = 1 << bits
+    if draw(st.booleans()):
+        length = draw(st.integers(0, max_len))
+        coeff = st.one_of(st.just(0), st.integers(-bound, bound))
+        return IntPolynomial(draw(st.lists(coeff, min_size=length, max_size=length)))
+    degree = draw(st.integers(0, max_len))
+    return draw(st.integers(-bound, bound)) * P ** degree
+
+
+def test_dense_products_are_packed(monkeypatch):
+    packed = []
+    kronecker = poly_module._kronecker_product
+    monkeypatch.setattr(poly_module, "_kronecker_product", lambda a, b: packed.append(b is a) or kronecker(a, b))
+    a = IntPolynomial((-1) ** i * (i + 1) << 300 for i in range(40))
+    b = IntPolynomial(range(-20, 20))
+    assert a * b == schoolbook(a, b)
+    assert a ** 2 == schoolbook(a, a)
+    assert packed == [False, True]  # the square packs its operand once
+
+
+@settings(deadline=None, max_examples=200)
+@given(polys(), polys())
+def test_mul_matches_schoolbook(a, b):
+    assert a * b == schoolbook(a, b)
+    assert b * a == a * b
+    assert a * a == schoolbook(a, a)
+
+
+@settings(deadline=None, max_examples=60)
+@given(polys(max_len=30), st.integers(0, 6))
+def test_pow_matches_repeated_product(a, n):
+    expected = IntPolynomial((1,))
+    for _ in range(n):
+        expected = schoolbook(expected, a)
+    assert a ** n == expected
+
+
+@settings(deadline=None, max_examples=200)
+@given(polys(), polys())
+def test_exact_div_undoes_mul(q, b):
+    if b:
+        assert (q * b).exact_div(b) == q
+
+
+@pytest.fixture
+def dense_products(monkeypatch):
+    """Count products whose operands both have more than one coefficient."""
+    calls = []
+    mul = IntPolynomial.__mul__
+
+    def counting(self, other):
+        if isinstance(other, IntPolynomial) and len(self.coeffs) > 1 and len(other.coeffs) > 1:
+            calls.append((len(self.coeffs), len(other.coeffs)))
+        return mul(self, other)
+
+    monkeypatch.setattr(IntPolynomial, "__mul__", counting)
+    return calls
+
+
+@pytest.mark.parametrize("x", [P + 1, IntPolynomial(range(1, 31))], ids=["p+1", "dense30"])
+@pytest.mark.parametrize("n", range(1, 10))
+def test_pow_products_by_binary_expansion(dense_products, x, n):
+    # one squaring per bit below the top one, one product per further set bit
+    result = x ** n
+    assert len(dense_products) == n.bit_length() + bin(n).count("1") - 2
+    assert result.coeffs[-1] == x.coeffs[-1] ** n
+
+
+def test_single_term_powers_take_no_products(dense_products):
+    assert P ** 1000 == IntPolynomial((0,) * 1000 + (1,))
+    assert (3 * P ** 5) ** 7 == 3 ** 7 * P ** 35
+    assert dense_products == []
 
 
 @pytest.mark.parametrize(
