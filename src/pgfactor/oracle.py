@@ -15,16 +15,26 @@ stays independent of the closed form.
 
 Subgroups, the layers Omega_k and the multiples p^k G are membership
 bitmasks over the element index space, each built from an HNF basis, so a
-meet is one AND and a popcount and types are read off popcounts.  One pass
-over the pairs of subgroups reads both containment and the direct count of
-factorizations off the meet sizes.  This is a desk-scale verification
-tool; a configurable order cap keeps accidental huge inputs out.
+meet is one AND and a popcount and types are read off popcounts.
+
+No check takes a pass over all pairs of subgroups.  By Burnside's basis
+theorem pG is the Frattini subgroup (B. Huppert, "Endliche Gruppen I",
+III.3), so H + K = G exactly when the images of H and K span G/pG = F_p^r;
+the walk reads each image off the HNF rows mod p, and the factorization
+count is a sum over pairs of image classes.  Lattice Mobius values vanish
+outside the few elementary abelian sections (P. Hall, "The Eulerian
+functions of a group", 1936), so the Mobius recursions sum only the nonzero
+values found so far, testing containment by mask subset.  The full
+containment relation is built, by one pass over the pairs, only when asked
+for.  This is a desk-scale verification tool; a configurable order cap
+keeps accidental huge inputs out.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
+from functools import cached_property
+from itertools import pairwise, product
 
 from .grouptype import GroupType, type_from_layers
 from .mobius import hall_mobius
@@ -51,8 +61,9 @@ class ConcreteGroup:
     def __init__(self, gtype: GroupType, p: int, max_order: int = DEFAULT_MAX_ORDER):
         order = gtype.order(p)
         if order > max_order:
+            # the order itself can run to many thousands of digits
             raise GroupTooLarge(
-                f"group of type {gtype} at p={p} has order {order} > cap {max_order}"
+                f"group of type {gtype} at p={p} has order p^{sum(gtype)} > cap {max_order}"
             )
         self.gtype = gtype
         self.p = p
@@ -80,18 +91,42 @@ class SubgroupSet:
 
 @dataclass
 class Lattice:
-    """All subgroups of a ConcreteGroup with containment and F2 precomputed.
+    """All subgroups of a ConcreteGroup with F2 precomputed.
 
-    ``below[i]`` / ``above[i]`` are bitmasks over subgroup ids.  Ids are
-    assigned after sorting by (order, membership bitmask), so they are stable
-    across runs; id 0 is the trivial subgroup and the last id is the group.
-    ``factorizations`` is the number of ordered pairs (H, K) with H + K = G.
+    Ids are assigned after sorting by (order, membership bitmask), so they
+    are stable across runs; id 0 is the trivial subgroup and the last id is
+    the group.  ``factorizations`` is the number of ordered pairs (H, K) with
+    H + K = G.  ``below[i]`` / ``above[i]`` are bitmasks over subgroup ids,
+    built on first use.
     """
 
     subgroups: list[SubgroupSet]
-    below: list[int]
-    above: list[int]
     factorizations: int
+
+    @cached_property
+    def containment(self) -> tuple[list[int], list[int]]:
+        """(below, above), by one subset test per pair of ids a <= b.
+
+        Ids follow the order, so H_a <= H_b needs a <= b.
+        """
+        n = len(self.subgroups)
+        below = [0] * n
+        above = [0] * n
+        for a, H in enumerate(self.subgroups):
+            ma = H.members
+            for b in range(a, n):
+                if self.subgroups[b].members & ma == ma:
+                    below[b] |= 1 << a
+                    above[a] |= 1 << b
+        return below, above
+
+    @property
+    def below(self) -> list[int]:
+        return self.containment[0]
+
+    @property
+    def above(self) -> list[int]:
+        return self.containment[1]
 
     def __len__(self) -> int:
         return len(self.subgroups)
@@ -135,7 +170,7 @@ def _span_mask(moduli, d, x12: int, x13: int, x23: int) -> int:
 
 
 def _hnf_subgroups(g: ConcreteGroup):
-    """Yield (order, membership mask) once per subgroup of g.
+    """Yield the HNF entries (d1, x12, x13, d2, x23, d3) once per subgroup of g.
 
     With m_i = p^e_i, d_i = p^j_i (j_i <= e_i) and k_i = m_i / d_i, the HNF
     basis rows are (d1, x12, x13), (0, d2, x23), (0, 0, d3) with
@@ -153,37 +188,96 @@ def _hnf_subgroups(g: ConcreteGroup):
         for x12, x13, x23 in product(range(d2), range(d3), range(d3)):
             if k2 * x23 % d3 or k1 * x12 % d2 or (k1 * x13 - k1 * x12 // d2 * x23) % d3:
                 continue
-            yield k1 * k2 * k3, _span_mask(g.moduli, (d1, d2, d3), x12, x13, x23)
+            yield d1, x12, x13, d2, x23, d3
+
+
+def _frattini_image(residues, r: int, p: int) -> tuple[tuple[int, ...], ...]:
+    """Reduced row-echelon basis of a subgroup's image in G/pG = F_p^r.
+
+    ``residues`` are the HNF entries (d1, x12, x13, d2, x23, d3) mod p.  The
+    image is the row space of the basis rows mod p on the first r
+    coordinates; the others belong to factors with e_i = 0, which pG fills.
+    Rows come out with leading entry 1, sorted by pivot column.
+    """
+    d1, x12, x13, d2, x23, d3 = residues
+    basis = []  # (pivot column, row with 1 there and 0 at the other pivots)
+    for row in ((d1, x12, x13), (0, d2, x23), (0, 0, d3))[:r]:
+        row = row[:r]
+        for pivot, b in basis:
+            if f := row[pivot]:
+                row = [(x - f * y) % p for x, y in zip(row, b)]
+        pivot = next((c for c, x in enumerate(row) if x), None)
+        if pivot is None:
+            continue
+        if (lead := row[pivot]) != 1:
+            inverse = pow(lead, -1, p)
+            row = [x * inverse % p for x in row]
+        for i, (c, b) in enumerate(basis):
+            if f := b[pivot]:
+                basis[i] = c, [(x - f * y) % p for x, y in zip(b, row)]
+        basis.append((pivot, row))
+    return tuple(tuple(b) for _, b in sorted(basis))
+
+
+def _spanning_pairs(images: dict, r: int, p: int) -> int:
+    """Sum of n_V n_W over ordered pairs of images with V + W = F_p^r.
+
+    ``images`` maps each image in G/pG (its basis from ``_frattini_image``)
+    to the number n_V of subgroups with that image.  Since pG is the
+    Frattini subgroup, only G itself maps onto F_p^r.  At r <= 3 a spanning
+    pair either holds the whole space, or is two distinct hyperplanes, or
+    (r = 3) is a plane and a point off it.  The points of the plane with
+    basis (early, late) are late and early + s late for s < p, each with
+    leading entry 1 already.
+    """
+    by_dim = [{} for _ in range(r + 1)]
+    for image, n in images.items():
+        by_dim[len(image)][image] = n
+    full = sum(by_dim[r].values())
+    if full != 1:
+        raise RuntimeError(f"{full} subgroups map onto G/pG; only G should")
+    pairs = 2 * sum(images.values()) - 1
+    if r:
+        hyperplanes = by_dim[r - 1].values()
+        pairs += sum(hyperplanes) ** 2 - sum(n * n for n in hyperplanes)
+    if r == 3:
+        lines = by_dim[1]
+        all_lines = sum(lines.values())
+        for ((a1, a2, a3), late), n in by_dim[2].items():
+            b1, b2, b3 = late
+            on = lines.get((late,), 0) + sum(
+                lines.get((((a1 + s * b1) % p, (a2 + s * b2) % p, (a3 + s * b3) % p),), 0)
+                for s in range(p))
+            pairs += 2 * n * (all_lines - on)
+    return pairs
 
 
 def all_subgroups(g: ConcreteGroup) -> Lattice:
     """Enumerate every subgroup by its Hermite normal form basis.
 
     The HNF walk meets each subgroup exactly once; sorting by (order, mask)
-    fixes the ids.  One pass over the pairs a <= b then reads both relations
-    off the meet size c = |H_a & H_b|: H_a <= H_b when c = |H_a|, and
-    H_a + H_b = G when |H_b| = (|G| / |H_a|) c, since |H + K| = |H| |K| / c.
-    Of the diagonal pairs only (G, G) can factorize, and must, exactly once.
+    fixes the ids.  The same walk tallies the HNF entries mod p, and each
+    distinct tally is reduced once to the subgroup's image in G/pG, from
+    which ``_spanning_pairs`` counts the factorizations.
     """
-    walk = sorted(_hnf_subgroups(g))
-    n = len(walk)
-    below = [0] * n
-    above = [0] * n
-    unordered = diagonal = 0
-    for a, (order_a, ma) in enumerate(walk):
-        cofactor = g.order // order_a
-        for b, (order_b, mb) in enumerate(walk[a:], a):
-            meet = (ma & mb).bit_count()
-            if meet == order_a:
-                below[b] |= 1 << a
-                above[a] |= 1 << b
-            if order_b == cofactor * meet:
-                unordered += 1
-                diagonal += a == b
-    if diagonal != 1:
-        raise RuntimeError(f"{diagonal} diagonal pairs (H, H) factorize; only (G, G) should")
+    p = g.p
+    walk = []
+    residues = {}
+    for d1, x12, x13, d2, x23, d3 in _hnf_subgroups(g):
+        walk.append((g.order // (d1 * d2 * d3), _span_mask(g.moduli, (d1, d2, d3), x12, x13, x23)))
+        key = d1 % p, x12 % p, x13 % p, d2 % p, x23 % p, d3 % p
+        residues[key] = residues.get(key, 0) + 1
+    walk.sort()
+    for a, b in pairwise(walk):
+        if a == b:
+            raise RuntimeError(f"repeated subgroup of order {a[0]} in the HNF walk")
+    r = g.gtype.rank
+    images = {}
+    for key, n in residues.items():
+        image = _frattini_image(key, r, p)
+        images[image] = images.get(image, 0) + n
     subgroups = [SubgroupSet(i, mask, order) for i, (order, mask) in enumerate(walk)]
-    return Lattice(subgroups, below, above, 2 * unordered - 1)
+    return Lattice(subgroups, _spanning_pairs(images, r, p))
 
 
 def subgroup_type(g: ConcreteGroup, H: SubgroupSet) -> GroupType:
@@ -211,7 +305,7 @@ def quotient_type_mod(g: ConcreteGroup, H: SubgroupSet) -> GroupType:
 def count_factorizations(g: ConcreteGroup, lattice: Lattice) -> int:
     """Number of ordered pairs (H, K) with H + K = G.
 
-    ``all_subgroups`` counts them in its pass over pairs; this reads it off.
+    ``all_subgroups`` counts them from the images in G/pG; this reads it off.
     """
     return lattice.factorizations
 
@@ -247,14 +341,28 @@ def mobius_interval(lattice: Lattice, H: SubgroupSet, K: SubgroupSet) -> int:
     return _mobius_from(H.id, interval, lattice.below)[K.id]
 
 
-def _mobius_to_top(lattice: Lattice) -> list[int]:
-    """mu(H, G) for every H at once, by the downward pass from G.
+def _sparse_mobius(subgroups: list[SubgroupSet], upward: bool) -> list[int]:
+    """mu(1, H) (upward) or mu(H, G) (downward) for every H, indexed by id.
 
-    The same values as mobius_interval(lattice, H, top), which walks the
-    other way; the test suite checks the two against each other.
+    The recursion of ``_mobius_from`` over the whole lattice, with each sum
+    taken only over the values already found nonzero and containment tested
+    by mask subset.  The terms it skips are zero, so the values are exact;
+    the cost is len(subgroups) times the number of nonzero values.
     """
-    n = len(lattice)
-    return _mobius_from(n - 1, range(n - 1, -1, -1), lattice.above)
+    walk = subgroups if upward else subgroups[::-1]
+    mu = [0] * len(subgroups)
+    mu[walk[0].id] = 1
+    nonzero = [(walk[0].members, 1)]
+    for H in walk[1:]:
+        m = H.members
+        if upward:
+            value = -sum(v for k, v in nonzero if k & m == k)
+        else:
+            value = -sum(v for k, v in nonzero if k & m == m)
+        if value:
+            mu[H.id] = value
+            nonzero.append((m, value))
+    return mu
 
 
 @dataclass
@@ -287,7 +395,7 @@ def verify_hall(g: ConcreteGroup, lattice: Lattice) -> VerificationReport:
     must give (-1)^n p^(n(n-1)/2).  Mismatches are listed individually.
     """
     report = VerificationReport()
-    mu = _mobius_from(lattice.bottom.id, range(len(lattice)), lattice.below)
+    mu = _sparse_mobius(lattice.subgroups, upward=True)
     mismatches = 0
     for H in lattice.subgroups:
         expected = hall_mobius(subgroup_type(g, H), g.p)
@@ -304,15 +412,25 @@ def verify_inversion_forms(g: ConcreteGroup, lattice: Lattice) -> VerificationRe
 
     S1 sums |L(H)|^2 mu(H, G); S2 sums |[H, G]|^2 mu(1, H) with mu taken
     from the closed form; both must equal the brute-force factorization
-    count.
+    count.  Each sum counts by mask subset only at its nonzero terms: S1
+    where mu(H, G) != 0, S2 at the elementary abelian H, those inside
+    Omega_1(G), since the closed form vanishes elsewhere.
     """
     report = VerificationReport()
-    mu_top = _mobius_to_top(lattice)
+    subgroups = lattice.subgroups
+    mu_top = _sparse_mobius(subgroups, upward=False)
     s1 = 0
+    for H in subgroups:
+        if mu_top[H.id]:
+            m = H.members
+            s1 += sum(K.members & m == K.members for K in subgroups) ** 2 * mu_top[H.id]
+    omega1 = g.omega[min(1, len(g.omega) - 1)]  # the trivial group has only Omega_0
     s2 = 0
-    for H in lattice.subgroups:
-        s1 += lattice.below[H.id].bit_count() ** 2 * mu_top[H.id]
-        s2 += interval_size(lattice, H) ** 2 * hall_mobius(subgroup_type(g, H), g.p)
+    for H in subgroups:
+        m = H.members
+        if m & omega1 == m:
+            above = sum(K.members & m == m for K in subgroups)
+            s2 += above ** 2 * hall_mobius(subgroup_type(g, H), g.p)
     direct = count_factorizations(g, lattice)
     report.add("inversion_sum_subgroup_counts", direct, s1)
     report.add("inversion_sum_quotient_counts", direct, s2)

@@ -255,6 +255,32 @@ def test_verify_cap(capsys):
     assert code == 3
 
 
+def test_cap_error_states_the_order_as_a_power(capsys):
+    # the order in full would be thousands of digits at the largest type and prime
+    p = 3317044064679887385961813
+    code, out, err = run_cli(capsys, "verify", "--type", f"{MAX_EXPONENT},{MAX_EXPONENT},{MAX_EXPONENT}",
+                             "--p", str(p))
+    assert code == 3
+    assert not out
+    assert len(err.encode()) < 1024
+    assert f"p={p} has order p^{3 * MAX_EXPONENT} > cap" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--type", "2,2,1", "--p", "3"],
+    ["verify", "--type", "0,0,0", "--p", "2"],
+    ["f2", "--type", "3,2,1", "--p", "2", "--method", "oracle"],
+])
+def test_oracle_commands_never_build_the_containment_relation(capsys, monkeypatch, argv):
+    def refuse(self):
+        raise AssertionError("containment relation built")
+
+    monkeypatch.setattr(pgfactor.oracle.Lattice, "containment", property(refuse))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    assert out
+
+
 def test_table_csv(capsys):
     code, out, _ = run_cli(capsys, "table", "--max-lambda", "2", "--primes", "2", "--format", "csv")
     assert code == 0

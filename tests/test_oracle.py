@@ -17,7 +17,7 @@ from pgfactor.oracle import (
     GroupTooLarge,
     NotComparable,
     VerificationReport,
-    _mobius_to_top,
+    _mobius_from,
     all_subgroups,
     build_group,
     count_factorizations,
@@ -28,6 +28,26 @@ from pgfactor.oracle import (
     verify_hall,
     verify_inversion_forms,
 )
+
+
+def _mobius_to_top(lattice):
+    """Dense reference for mu(H, G): the downward recursion over ``above``.
+
+    The same values as mobius_interval(lattice, H, top), which walks the
+    other way; the tests check the two against each other.
+    """
+    n = len(lattice)
+    return _mobius_from(n - 1, range(n - 1, -1, -1), lattice.above)
+
+
+def _pair_count(g, lattice):
+    """Reference F2: ordered pairs (H, K) with |H| |K| = |G| |H & K|, tested pair by pair."""
+    subs = lattice.subgroups
+    unordered = 0
+    for a, H in enumerate(subs):
+        for K in subs[a:]:
+            unordered += H.order * K.order == g.order * (H.members & K.members).bit_count()
+    return 2 * unordered - 1
 
 
 def test_build_group_sizes():
@@ -336,17 +356,20 @@ def test_count_factorizations_by_sumsets(exps, p, lattice_cache):
     assert direct == count_factorizations(g, lat)
 
 
+WHOLE_GROUP_HNF = (1, 0, 0, 1, 0, 1)
+
+
 def _whole_group_twice(hnf_subgroups):
     def walk(g):
         yield from hnf_subgroups(g)
-        yield g.order, (1 << g.order) - 1
+        yield WHOLE_GROUP_HNF
 
     return walk
 
 
 def test_all_subgroups_rejects_a_repeated_whole_group(monkeypatch):
     monkeypatch.setattr(oracle, "_hnf_subgroups", _whole_group_twice(oracle._hnf_subgroups))
-    with pytest.raises(RuntimeError, match="diagonal"):
+    with pytest.raises(RuntimeError, match="repeated subgroup"):
         all_subgroups(build_group(GroupType((2, 1, 0)), 2))
 
 
@@ -359,7 +382,7 @@ def test_all_subgroups_rejects_a_repeated_whole_group_under_optimize():
         "walk = oracle._hnf_subgroups\n"
         "def twice(g):\n"
         "    yield from walk(g)\n"
-        "    yield g.order, (1 << g.order) - 1\n"
+        f"    yield {WHOLE_GROUP_HNF}\n"
         "oracle._hnf_subgroups = twice\n"
         "oracle.all_subgroups(oracle.build_group(oracle.GroupType((2, 1, 0)), 2))\n"
     )
@@ -367,7 +390,27 @@ def test_all_subgroups_rejects_a_repeated_whole_group_under_optimize():
         [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
     )
     assert proc.returncode != 0
-    assert "RuntimeError" in proc.stderr
+    assert "RuntimeError: repeated subgroup" in proc.stderr
+
+
+def test_all_subgroups_rejects_a_walk_without_the_whole_group(monkeypatch):
+    walk = oracle._hnf_subgroups
+    monkeypatch.setattr(oracle, "_hnf_subgroups",
+                        lambda g: (e for e in walk(g) if e != WHOLE_GROUP_HNF))
+    with pytest.raises(RuntimeError, match="0 subgroups map onto G/pG"):
+        all_subgroups(build_group(GroupType((2, 1, 0)), 2))
+
+
+@pytest.mark.parametrize("r", [0, 1, 2, 3])
+def test_spanning_pairs_rejects_a_corrupted_full_class(r):
+    p = 3
+    full = oracle._frattini_image((1, 0, 0, 1, 0, 1), r, p)
+    zero = oracle._frattini_image((0, 0, 0, 0, 0, 0), r, p)
+    assert oracle._spanning_pairs({full: 1}, r, p) == 1
+    for n in (0, 2):
+        images = {full: n, zero: 1} if r else {full: n}
+        with pytest.raises(RuntimeError, match=f"{n} subgroups map onto G/pG"):
+            oracle._spanning_pairs(images, r, p)
 
 
 SMALL_GROUPS = [
@@ -378,6 +421,35 @@ SMALL_GROUPS = [
     for e3 in range(e2 + 1)
     if p ** (e1 + e2 + e3) <= 729
 ]
+
+
+PAIR_COUNT_GROUPS = sorted(
+    {((e1, e2, e3), p)
+     for p in (2, 3, 5, 7, 11, 13)
+     for e1 in range(10)
+     for e2 in range(e1 + 1)
+     for e3 in range(e2 + 1)
+     if p ** (e1 + e2 + e3) <= 729}
+    | {((1, 1, 1), p) for p in (2, 3, 5, 7, 11, 13)}
+)
+
+
+@pytest.mark.parametrize("exps,p", PAIR_COUNT_GROUPS)
+def test_frattini_count_matches_pair_count(exps, p, lattice_cache):
+    # at (1,1,1) every subgroup is its own class in G/pG = G
+    g, lat = lattice_cache(exps, p)
+    assert lat.factorizations == _pair_count(g, lat)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.sampled_from(SMALL_GROUPS))
+def test_sparse_mobius_matches_dense(case):
+    exps, p = case
+    g = build_group(GroupType(exps), p)
+    lat = all_subgroups(g)
+    n = len(lat)
+    assert oracle._sparse_mobius(lat.subgroups, upward=True) == _mobius_from(0, range(n), lat.below)
+    assert oracle._sparse_mobius(lat.subgroups, upward=False) == _mobius_to_top(lat)
 
 
 @settings(deadline=None, max_examples=50)
