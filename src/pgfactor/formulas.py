@@ -101,6 +101,11 @@ def _ext_value(raw, p: "int | None"):
     return _subgroup_count_value(normalize(raw), p)
 
 
+def _squared_count(a: int, b: int, c: int, p: "int | None"):
+    """Square of the subgroup count of type (a, b, c), zero when an entry is negative."""
+    return _ext_value((a, b, c), p) ** 2
+
+
 def subgroup_count_ext(raw, p: "int | None" = None) -> FormulaResult:
     """Subgroup count over unsorted triples, zero when any entry is negative."""
     return FormulaResult(_ext_value(tuple(raw), p), METHOD_SUBGROUP_COUNT)
@@ -111,23 +116,20 @@ def factorization_count(t: GroupType, p: "int | None" = None) -> FormulaResult:
     pv = p if p is not None else P
     e1, e2, e3 = t.exponents
 
-    def sq(a, b, c):
-        return _ext_value((a, b, c), p) ** 2
-
     value = (
-        -(pv**3) * sq(e1 - 1, e2 - 1, e3 - 1)
+        -(pv**3) * _squared_count(e1 - 1, e2 - 1, e3 - 1, p)
         + pv
         * (
-            sq(e1 - 1, e2 - 1, e3)
-            + pv * sq(e1 - 1, e2, e3 - 1)
-            + pv**2 * sq(e1, e2 - 1, e3 - 1)
+            _squared_count(e1 - 1, e2 - 1, e3, p)
+            + pv * _squared_count(e1 - 1, e2, e3 - 1, p)
+            + pv**2 * _squared_count(e1, e2 - 1, e3 - 1, p)
         )
         - (
-            sq(e1 - 1, e2, e3)
-            + pv * sq(e1, e2 - 1, e3)
-            + pv**2 * sq(e1, e2, e3 - 1)
+            _squared_count(e1 - 1, e2, e3, p)
+            + pv * _squared_count(e1, e2 - 1, e3, p)
+            + pv**2 * _squared_count(e1, e2, e3 - 1, p)
         )
-        + sq(e1, e2, e3)
+        + _squared_count(e1, e2, e3, p)
     )
     return FormulaResult(value, METHOD_CLOSED_FORM)
 
@@ -144,13 +146,10 @@ def factorization_count_equal_exponents(lam: int, p: "int | None" = None) -> For
     pv = p if p is not None else P
     one_p_p2 = 1 + pv + pv**2
 
-    def sq(a, b, c):
-        return _ext_value((a, b, c), p) ** 2
-
     value = (
-        -(pv**3) * sq(lam - 1, lam - 1, lam - 1)
-        + pv * one_p_p2 * sq(lam, lam - 1, lam - 1)
-        - one_p_p2 * sq(lam, lam, lam - 1)
-        + sq(lam, lam, lam)
+        -(pv**3) * _squared_count(lam - 1, lam - 1, lam - 1, p)
+        + pv * one_p_p2 * _squared_count(lam, lam - 1, lam - 1, p)
+        - one_p_p2 * _squared_count(lam, lam, lam - 1, p)
+        + _squared_count(lam, lam, lam, p)
     )
     return FormulaResult(value, METHOD_EQUAL_EXPONENTS)

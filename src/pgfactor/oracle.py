@@ -23,11 +23,11 @@ III.3), so H + K = G exactly when the images of H and K span G/pG = F_p^r;
 the walk reads each image off the HNF rows mod p, and the factorization
 count is a sum over pairs of image classes.  Lattice Mobius values vanish
 outside the few elementary abelian sections (P. Hall, "The Eulerian
-functions of a group", 1936), so the Mobius recursions sum only the nonzero
-values found so far, testing containment by mask subset.  The full
-containment relation is built, by one pass over the pairs, only when asked
-for.  This is a desk-scale verification tool; a configurable order cap
-keeps accidental huge inputs out.
+functions of a group", 1936), so the one Mobius recursion sums only the
+nonzero values found so far, testing containment by mask subset.  No library
+function builds the full containment relation; the tests and the benchmark's
+tracer do, as a reference.  This is a desk-scale verification tool; a
+configurable order cap keeps accidental huge inputs out.
 """
 
 from __future__ import annotations
@@ -97,7 +97,7 @@ class Lattice:
     are stable across runs; id 0 is the trivial subgroup and the last id is
     the group.  ``factorizations`` is the number of ordered pairs (H, K) with
     H + K = G.  ``below[i]`` / ``above[i]`` are bitmasks over subgroup ids,
-    built on first use.
+    built on first use; only the tests and the benchmark's tracer read them.
     """
 
     subgroups: list[SubgroupSet]
@@ -138,16 +138,6 @@ class Lattice:
     @property
     def top(self) -> SubgroupSet:
         return self.subgroups[-1]
-
-    def leq(self, i: int, j: int) -> bool:
-        return bool((self.above[i] >> j) & 1)
-
-
-def _iter_bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _span_mask(moduli, d, x12: int, x13: int, x23: int) -> int:
@@ -311,47 +301,23 @@ def count_factorizations(g: ConcreteGroup, lattice: Lattice) -> int:
 
 
 def interval_size(lattice: Lattice, H: SubgroupSet) -> int:
-    """Number of subgroups K with H <= K <= G."""
-    return lattice.above[H.id].bit_count()
-
-
-def _mobius_from(start: int, ids, relation: list[int]) -> list[int]:
-    """Lattice Mobius values between ``start`` and each id, in one pass.
-
-    Defined by mu(x, x) = 1 and, for x < y, the sum of mu(x, z) over
-    x <= z <= y vanishing.  Walking ``ids`` upward over ``below`` gives
-    mu(start, x); walking them downward over ``above`` gives mu(x, start).
-    ``ids`` must list the interval's ids so that each comes after every id
-    strictly between it and ``start``.  Ids outside the interval keep 0, so
-    the sum over ``relation[x]`` counts only the interval.
-    """
-    mu = [0] * len(relation)
-    mu[start] = 1
-    for x in ids:
-        if x != start:
-            mu[x] = -sum(mu[y] for y in _iter_bits(relation[x]) if y != x)
-    return mu
-
-
-def mobius_interval(lattice: Lattice, H: SubgroupSet, K: SubgroupSet) -> int:
-    """Lattice Mobius value mu(H, K), by the upward pass from H to K."""
-    if not lattice.leq(H.id, K.id):
-        raise NotComparable(f"subgroup {H.id} is not contained in subgroup {K.id}")
-    interval = _iter_bits(lattice.above[H.id] & lattice.below[K.id])
-    return _mobius_from(H.id, interval, lattice.below)[K.id]
+    """Number of subgroups K with H <= K <= G; ids follow the order, so K.id >= H.id."""
+    m = H.members
+    return sum(K.members & m == m for K in lattice.subgroups[H.id:])
 
 
 def _sparse_mobius(subgroups: list[SubgroupSet], upward: bool) -> list[int]:
-    """mu(1, H) (upward) or mu(H, G) (downward) for every H, indexed by id.
+    """Mobius values mu(A, H) (upward) or mu(H, B) (downward) over an interval [A, B].
 
-    The recursion of ``_mobius_from`` over the whole lattice, with each sum
-    taken only over the values already found nonzero and containment tested
-    by mask subset.  The terms it skips are zero, so the values are exact;
-    the cost is len(subgroups) times the number of nonzero values.
+    ``subgroups`` lists the interval in id order and the values come out
+    aligned with it, so over the whole lattice the positions are the ids.
+    mu(x, x) = 1 and, for x < y, the sum of mu(x, z) over x <= z <= y
+    vanishes.  Each sum runs only over the values already found nonzero,
+    testing containment by mask subset; the skipped terms are zero, so the
+    values are exact and the cost is len(subgroups) times the nonzero count.
     """
     walk = subgroups if upward else subgroups[::-1]
-    mu = [0] * len(subgroups)
-    mu[walk[0].id] = 1
+    mu = [1]
     nonzero = [(walk[0].members, 1)]
     for H in walk[1:]:
         m = H.members
@@ -359,10 +325,20 @@ def _sparse_mobius(subgroups: list[SubgroupSet], upward: bool) -> list[int]:
             value = -sum(v for k, v in nonzero if k & m == k)
         else:
             value = -sum(v for k, v in nonzero if k & m == m)
+        mu.append(value)
         if value:
-            mu[H.id] = value
             nonzero.append((m, value))
-    return mu
+    return mu if upward else mu[::-1]
+
+
+def mobius_interval(lattice: Lattice, H: SubgroupSet, K: SubgroupSet) -> int:
+    """Lattice Mobius value mu(H, K), upward over the ids H.id..K.id that lie in [H, K]."""
+    h, k = H.members, K.members
+    if h & k != h:
+        raise NotComparable(f"subgroup {H.id} is not contained in subgroup {K.id}")
+    interval = [L for L in lattice.subgroups[H.id:K.id + 1]
+                if L.members & h == h and L.members & k == L.members]
+    return _sparse_mobius(interval, upward=True)[-1]
 
 
 @dataclass

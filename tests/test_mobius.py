@@ -155,6 +155,39 @@ def test_snf_preserves_determinant_magnitude():
         assert prod(smith_normal_form(matrix)) == abs(_det(matrix))
 
 
+def _matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def _draw_unimodular(data, n):
+    """n x n identity after random elementary row operations, so of determinant +-1.
+
+    (i, i, _) negates row i; (i, j, k) with i != j adds k times row j to row i.
+    """
+    index = st.integers(0, n - 1)
+    ops = data.draw(st.lists(st.tuples(index, index, st.integers(-3, 3)), max_size=8))
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    for i, j, k in ops:
+        u[i] = [-x for x in u[i]] if i == j else [x + k * y for x, y in zip(u[i], u[j])]
+    return u
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.data())
+def test_snf_invariant_under_unimodular_transforms(data):
+    m, n = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 4))
+    row = st.lists(st.integers(-9, 9), min_size=n, max_size=n)
+    matrix = data.draw(st.lists(row, min_size=m, max_size=m))
+    u, v = _draw_unimodular(data, m), _draw_unimodular(data, n)
+    assert abs(_det(u)) == abs(_det(v)) == 1
+    diag = smith_normal_form(matrix)
+    assert smith_normal_form(_matmul(_matmul(u, matrix), v)) == diag
+    nonzero = [d for d in diag if d]
+    assert diag == nonzero + [0] * (len(diag) - len(nonzero))
+    assert all(d > 0 for d in nonzero)
+    assert all(b % a == 0 for a, b in zip(nonzero, nonzero[1:]))
+
+
 def test_hall_mobius_values():
     assert hall_mobius(GroupType((1, 1, 1)), 2) == -8
     assert hall_mobius(GroupType((1, 1, 1)), 3) == -27

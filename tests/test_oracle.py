@@ -17,7 +17,6 @@ from pgfactor.oracle import (
     GroupTooLarge,
     NotComparable,
     VerificationReport,
-    _mobius_from,
     all_subgroups,
     build_group,
     count_factorizations,
@@ -28,6 +27,31 @@ from pgfactor.oracle import (
     verify_hall,
     verify_inversion_forms,
 )
+
+
+def _iter_bits(mask: int):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _mobius_from(start: int, ids, relation: list[int]) -> list[int]:
+    """Dense reference: lattice Mobius values between ``start`` and each id, in one pass.
+
+    Defined by mu(x, x) = 1 and, for x < y, the sum of mu(x, z) over
+    x <= z <= y vanishing.  Walking ``ids`` upward over ``below`` gives
+    mu(start, x); walking them downward over ``above`` gives mu(x, start).
+    ``ids`` must list the interval's ids so that each comes after every id
+    strictly between it and ``start``.  Ids outside the interval keep 0, so
+    the sum over ``relation[x]`` counts only the interval.
+    """
+    mu = [0] * len(relation)
+    mu[start] = 1
+    for x in ids:
+        if x != start:
+            mu[x] = -sum(mu[y] for y in _iter_bits(relation[x]) if y != x)
+    return mu
 
 
 def _mobius_to_top(lattice):
@@ -452,6 +476,34 @@ def test_sparse_mobius_matches_dense(case):
     assert oracle._sparse_mobius(lat.subgroups, upward=False) == _mobius_to_top(lat)
 
 
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from(SMALL_GROUPS), st.data())
+def test_mobius_interval_and_interval_size_match_dense(lattice_cache, case, data):
+    g, lat = lattice_cache(*case)
+    H = data.draw(st.sampled_from(lat.subgroups))
+    K = lat.subgroups[data.draw(st.sampled_from(list(_iter_bits(lat.above[H.id]))))]
+    interval = _iter_bits(lat.above[H.id] & lat.below[K.id])
+    assert mobius_interval(lat, H, K) == _mobius_from(H.id, interval, lat.below)[K.id]
+    assert interval_size(lat, H) == lat.above[H.id].bit_count()
+
+
+@pytest.mark.parametrize("exps,p", [((3, 2, 1), 2), ((2, 2, 1), 3), ((1, 1, 1), 5), ((2, 0, 0), 3),
+                                    ((0, 0, 0), 2)])
+def test_oracle_checks_never_build_the_containment_relation(exps, p, monkeypatch):
+    def refuse(self):
+        raise AssertionError("containment relation built")
+
+    monkeypatch.setattr(oracle.Lattice, "containment", property(refuse))
+    t = GroupType(exps)
+    g = build_group(t, p)
+    lat = all_subgroups(g)
+    assert mobius_interval(lat, lat.bottom, lat.top) == hall_mobius(t, p)
+    assert interval_size(lat, lat.bottom) == len(lat)
+    assert verify_hall(g, lat).overall
+    assert verify_inversion_forms(g, lat).overall
+    assert count_factorizations(g, lat) == factorization_count(t, p).value
+
+
 @settings(deadline=None, max_examples=50)
 @given(st.sampled_from(SMALL_GROUPS))
 def test_oracle_matches_closed_form_random(case):
@@ -479,12 +531,12 @@ def _element_census(g):
 
     def subgroup(H):
         tally = [0] * len(layers)
-        for idx in oracle._iter_bits(H.members):
+        for idx in _iter_bits(H.members):
             tally[elem_exp[idx]] += 1
         return type_from_layers(accumulate(tally), g.p)
 
     def quotient(H):
-        members = set(oracle._iter_bits(H.members))
+        members = set(_iter_bits(H.members))
         killed = [sum(y in members for y in image) for image in images]
         return type_from_layers([n // H.order for n in killed], g.p)
 

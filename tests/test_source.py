@@ -1,5 +1,9 @@
 import ast
+import importlib
 from pathlib import Path
+
+import pgfactor
+from pgfactor.poly import IntPolynomial
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "pgfactor"
 
@@ -15,3 +19,28 @@ def test_no_assert_in_src():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def _tracer_table(name):
+    # bench/tracer.py is parsed, not imported, so tier-1 needs nothing from bench/
+    tracer = PACKAGE.parent.parent / "bench" / "tracer.py"
+    for node in ast.parse(tracer.read_text(), filename=str(tracer)).body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == name for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise LookupError(f"{name} not assigned in {tracer}")
+
+
+def test_names_the_benchmark_tracer_wraps_exist():
+    missing = [
+        f"{module}.{name}"
+        for module, names in _tracer_table("FUNCTIONS").items()
+        for name in names
+        if not callable(getattr(importlib.import_module(f"pgfactor.{module}"), name, None))
+    ]
+    missing += [f"IntPolynomial.{name}" for name in _tracer_table("POLY_METHODS")
+                if name not in IntPolynomial.__dict__]
+    assert missing == []
+
+
+def test_public_names_resolve():
+    assert [name for name in pgfactor.__all__ if not hasattr(pgfactor, name)] == []
