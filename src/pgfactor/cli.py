@@ -64,9 +64,9 @@ _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 MAX_TABLE_ROWS = 3000
 
 # Largest type exponent that count, f2 and verify accept.  At (1000,1000,1000)
-# f2 --symbolic takes 0.18 s, the numeric closed form at the largest accepted
-# --p 0.34 s and --method mobius there 3.7 s; the Mobius route grows as the
-# square of the exponents (14 s at 2000), the closed forms more slowly.
+# f2 --symbolic takes 0.2 s, and at the largest accepted --p the numeric
+# closed form and --method mobius take 0.4 s each, start-up included.  A
+# higher bound needs a benchmark instance at it before it is raised.
 MAX_EXPONENT = 1000
 
 

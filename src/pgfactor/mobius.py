@@ -3,9 +3,9 @@
 In an abelian p-group only the elementary abelian subgroups carry a nonzero
 Mobius value (Hall: mu = (-1)^n p^C(n,2) for rank n, else 0), and all of them
 sit inside the socle.  So the inversion sum collapses to a sum over the
-subspaces of the socle: for each subspace, type the quotient by its lift via
-an integer Smith normal form and weight the squared subgroup count of that
-quotient with the Hall value.
+subspaces of the socle: for each subspace, type the quotient by its lift from
+the pivot columns of one mod-p echelon form (``quotient_type``) and weight the
+squared subgroup count of that quotient with the Hall value.
 
 The sum never visits every subspace.  The diagonal automorphisms (F_p^*)^r,
 which scale each cyclic generator by a unit, act on the socle subspaces and
@@ -14,7 +14,7 @@ entries, and the torus scales them independently, so an orbit is exactly a
 pivot layout plus a choice of which free entries are nonzero.  Its size is
 (p-1)^(number of nonzero free entries), and the basis with each nonzero free
 entry set to 1 represents it.  The walk over these orbits (``socle_orbits``)
-costs 16 Smith normal forms at rank 3 and 5 at rank 2, whatever p is.
+types 16 subspaces at rank 3 and 5 at rank 2, whatever p is.
 
 The per-dimension tallies of quotient types (the census) are themselves a
 checkable invariant: for distinct exponents they match the maximal-subgroup
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 
 from .formulas import _subgroup_count_value
-from .grouptype import GroupType, normalize, p_valuation
+from .grouptype import GroupType, normalize
 
 
 class InvalidSubspace(ValueError):
@@ -122,7 +122,8 @@ def smith_normal_form(matrix) -> list[int]:
 
     Returns min(m, n) nonnegative entries d1 | d2 | ... with zeros last.
     Elimination pivots on the minimal nonzero absolute value; everything is
-    exact integer arithmetic (inputs here are tiny, at most 3 x 6).
+    exact integer arithmetic.  No route calls it; the tests type quotients
+    by it, as the reference that ``quotient_type`` must match.
     """
     a = [[int(x) for x in row] for row in matrix]
     m = len(a)
@@ -194,14 +195,40 @@ def hall_mobius(t: GroupType, p: int) -> int:
     return _hall_value(t.rank, p) if t.is_elementary_abelian else 0
 
 
+def _echelon(rows, p: int) -> list[tuple[int, list[int]]]:
+    """Reduced row-echelon basis of the F_p-span of integer ``rows``.
+
+    ``(pivot, row)`` pairs in the order found, each row reduced mod p with 1
+    at its pivot column and 0 at the others; dependent rows add no pair.
+    """
+    basis = []
+    for row in rows:
+        row = [x % p for x in row]
+        for pivot, b in basis:
+            if f := row[pivot]:
+                row = [(x - f * y) % p for x, y in zip(row, b)]
+        pivot = next((c for c, x in enumerate(row) if x), None)
+        if pivot is None:
+            continue
+        if (lead := row[pivot]) != 1:
+            inverse = pow(lead, -1, p)
+            row = [x * inverse % p for x in row]
+        for i, (c, b) in enumerate(basis):
+            if f := b[pivot]:
+                basis[i] = c, [(x - f * y) % p for x, y in zip(b, row)]
+        basis.append((pivot, row))
+    return basis
+
+
 def quotient_type(t: GroupType, subspace: Subspace, p: int) -> GroupType:
     """Type of G / E^ where E^ is the lift of a socle subspace E.
 
-    Socle coordinate j lifts to p^(e_j - 1) times the j-th cyclic generator.
-    The quotient is the cokernel of the integer matrix whose columns are the
-    relation vectors p^(e_j) e_j together with the lifted basis vectors; its
-    type is read off the p-valuations of the Smith normal form diagonal.
-    One uniform algorithm covers every coincidence pattern among exponents.
+    Socle coordinate j lifts to p^(e_j - 1) times the j-th generator, which
+    lies in p^k G exactly when e_j > k.  So of the parts equal to v,
+    dim(E & S_(v-1)) - dim(E & S_v) drop by one, where S_k = Omega_1(G) & p^k G:
+    the rank that the basis columns with e_j = v add to those with smaller e_j.
+    Hence e_j drops by one exactly when column j is not in the F_p-span of the
+    columns to its right: a pivot column of the column-reversed echelon form.
     """
     r = t.rank
     if subspace.ambient != r or subspace.dim > r:
@@ -209,21 +236,10 @@ def quotient_type(t: GroupType, subspace: Subspace, p: int) -> GroupType:
             f"subspace of F_p^{subspace.ambient} (dim {subspace.dim}) "
             f"does not fit a rank-{r} group"
         )
-    if r == 0:
-        return GroupType((0, 0, 0))
-    exps = t.exponents[:r]
-    cols = []
-    for j in range(r):
-        col = [0] * r
-        col[j] = p ** exps[j]
-        cols.append(col)
-    for row in subspace.rows:
-        cols.append([row[j] * p ** (exps[j] - 1) for j in range(r)])
-    matrix = [[cols[c][i] for c in range(len(cols))] for i in range(r)]
-    diag = smith_normal_form(matrix)
-    vals = sorted((p_valuation(d, p) for d in diag if d), reverse=True)
-    vals += [0] * (3 - len(vals))
-    return GroupType(tuple(vals[:3]))
+    exps = list(t.exponents)
+    for pivot, _ in _echelon((row[::-1] for row in subspace.rows), p):
+        exps[r - 1 - pivot] -= 1
+    return normalize(exps)
 
 
 @dataclass(frozen=True)
@@ -248,7 +264,7 @@ def _census_entries(counter: Counter) -> tuple[tuple[GroupType, int], ...]:
 def _orbit_tally(t: GroupType, k: int, p: int) -> Counter:
     """Quotient type -> number of k-dimensional socle subspaces giving it.
 
-    One Smith normal form per torus orbit, tallied with the orbit size.
+    One ``quotient_type`` per torus orbit, tallied with the orbit size.
     """
     tally = Counter()
     for subspace, nonzero in socle_orbits(t.rank, k):
@@ -259,7 +275,7 @@ def _orbit_tally(t: GroupType, k: int, p: int) -> Counter:
 def quotient_type_census(t: GroupType, k: int, p: int) -> QuotientCensus:
     """Count quotient types over every k-dimensional socle subspace (rank-3 t).
 
-    The totals are gaussian_binomial(3, k, p) at any p, from 7 Smith normal forms.
+    The totals are gaussian_binomial(3, k, p) at any p, from 7 orbit representatives.
     """
     if t.rank != 3:
         raise ValueError(f"census requires a rank-3 type, got {t}")

@@ -37,7 +37,7 @@ from functools import cached_property
 from itertools import pairwise, product
 
 from .grouptype import GroupType, type_from_layers
-from .mobius import hall_mobius
+from .mobius import _echelon, hall_mobius
 
 DEFAULT_MAX_ORDER = 4096
 
@@ -190,23 +190,8 @@ def _frattini_image(residues, r: int, p: int) -> tuple[tuple[int, ...], ...]:
     Rows come out with leading entry 1, sorted by pivot column.
     """
     d1, x12, x13, d2, x23, d3 = residues
-    basis = []  # (pivot column, row with 1 there and 0 at the other pivots)
-    for row in ((d1, x12, x13), (0, d2, x23), (0, 0, d3))[:r]:
-        row = row[:r]
-        for pivot, b in basis:
-            if f := row[pivot]:
-                row = [(x - f * y) % p for x, y in zip(row, b)]
-        pivot = next((c for c, x in enumerate(row) if x), None)
-        if pivot is None:
-            continue
-        if (lead := row[pivot]) != 1:
-            inverse = pow(lead, -1, p)
-            row = [x * inverse % p for x in row]
-        for i, (c, b) in enumerate(basis):
-            if f := b[pivot]:
-                basis[i] = c, [(x - f * y) % p for x, y in zip(b, row)]
-        basis.append((pivot, row))
-    return tuple(tuple(b) for _, b in sorted(basis))
+    rows = ((d1, x12, x13), (0, d2, x23), (0, 0, d3))[:r]
+    return tuple(tuple(b) for _, b in sorted(_echelon((row[:r] for row in rows), p)))
 
 
 def _spanning_pairs(images: dict, r: int, p: int) -> int:
@@ -389,8 +374,8 @@ def verify_inversion_forms(g: ConcreteGroup, lattice: Lattice) -> VerificationRe
     S1 sums |L(H)|^2 mu(H, G); S2 sums |[H, G]|^2 mu(1, H) with mu taken
     from the closed form; both must equal the brute-force factorization
     count.  Each sum counts by mask subset only at its nonzero terms: S1
-    where mu(H, G) != 0, S2 at the elementary abelian H, those inside
-    Omega_1(G), since the closed form vanishes elsewhere.
+    where mu(H, G) != 0, over ids up to H's, S2 at the elementary abelian H
+    (those in Omega_1(G), as the closed form vanishes elsewhere), by interval_size.
     """
     report = VerificationReport()
     subgroups = lattice.subgroups
@@ -399,14 +384,13 @@ def verify_inversion_forms(g: ConcreteGroup, lattice: Lattice) -> VerificationRe
     for H in subgroups:
         if mu_top[H.id]:
             m = H.members
-            s1 += sum(K.members & m == K.members for K in subgroups) ** 2 * mu_top[H.id]
+            below = sum(K.members & m == K.members for K in subgroups[:H.id + 1])
+            s1 += below ** 2 * mu_top[H.id]
     omega1 = g.omega[min(1, len(g.omega) - 1)]  # the trivial group has only Omega_0
     s2 = 0
     for H in subgroups:
-        m = H.members
-        if m & omega1 == m:
-            above = sum(K.members & m == m for K in subgroups)
-            s2 += above ** 2 * hall_mobius(subgroup_type(g, H), g.p)
+        if H.members & omega1 == H.members:
+            s2 += interval_size(lattice, H) ** 2 * hall_mobius(subgroup_type(g, H), g.p)
     direct = count_factorizations(g, lattice)
     report.add("inversion_sum_subgroup_counts", direct, s1)
     report.add("inversion_sum_quotient_counts", direct, s2)

@@ -1,13 +1,13 @@
 import random
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pgfactor.grouptype import GroupType
+from pgfactor.grouptype import GroupType, p_valuation
 from pgfactor.mobius import (
     InvalidSubspace,
     Subspace,
@@ -22,6 +22,8 @@ from pgfactor.mobius import (
     socle_orbits,
 )
 from pgfactor.formulas import factorization_count
+from pgfactor.oracle import SubgroupSet, build_group, quotient_type_mod
+from test_oracle import SMALL_GROUPS
 
 
 def test_gaussian_binomial_known_values():
@@ -197,6 +199,70 @@ def test_hall_mobius_values():
     assert hall_mobius(GroupType((0, 0, 0)), 3) == 1
 
 
+def _snf_quotient_type(t, subspace, p):
+    """Reference typing: G / E^ is the cokernel of the integer matrix whose columns
+    are the relation vectors p^(e_j) e_j and the lifted basis vectors, and its type
+    is read off the p-valuations of the Smith normal form diagonal."""
+    r = t.rank
+    if r == 0:
+        return GroupType((0, 0, 0))
+    exps = t.exponents[:r]
+    cols = []
+    for j in range(r):
+        col = [0] * r
+        col[j] = p ** exps[j]
+        cols.append(col)
+    for row in subspace.rows:
+        cols.append([row[j] * p ** (exps[j] - 1) for j in range(r)])
+    matrix = [[cols[c][i] for c in range(len(cols))] for i in range(r)]
+    diag = smith_normal_form(matrix)
+    vals = sorted((p_valuation(d, p) for d in diag if d), reverse=True)
+    vals += [0] * (3 - len(vals))
+    return GroupType(tuple(vals[:3]))
+
+
+def test_quotient_type_matches_snf_reference():
+    types = [GroupType((e1, e2, e3))
+             for e1 in range(6) for e2 in range(e1 + 1) for e3 in range(e2 + 1)]
+    typed = 0
+    for p in (2, 3, 5, 7):
+        for t in types:
+            for k in range(t.rank + 1):
+                for s in enumerate_subspaces(t.rank, k, p):
+                    assert quotient_type(t, s, p) == _snf_quotient_type(t, s, p), (t, p, s.rows)
+                    typed += 1
+    assert typed == 8319
+
+
+def _lifted_subgroup(g, t, subspace):
+    """E^ in the oracle's element indexing: all F_p-combinations of the lifted rows.
+
+    Socle coordinate j lifts to p^(e_j - 1) in the j-th factor; element
+    (y1, y2, y3) is bit (y1 m2 + y2) m3 + y3.
+    """
+    p = g.p
+    m1, m2, m3 = g.moduli
+    lifts = [[row[j] * p ** (t[j] - 1) for j in range(t.rank)] + [0] * (3 - t.rank)
+             for row in subspace.rows]
+    members = 0
+    for coeffs in product(range(p), repeat=len(lifts)):
+        y1, y2, y3 = (sum(c * v[j] for c, v in zip(coeffs, lifts)) % m
+                      for j, m in enumerate((m1, m2, m3)))
+        members |= 1 << ((y1 * m2 + y2) * m3 + y3)
+    return SubgroupSet(-1, members, p ** subspace.dim)
+
+
+@pytest.mark.parametrize("exps,p", SMALL_GROUPS)
+def test_quotient_type_matches_oracle_on_lifted_subgroups(exps, p):
+    t = GroupType(exps)
+    g = build_group(t, p)
+    for k in range(t.rank + 1):
+        for s in enumerate_subspaces(t.rank, k, p):
+            H = _lifted_subgroup(g, t, s)
+            assert H.members.bit_count() == H.order
+            assert quotient_type(t, s, p) == quotient_type_mod(g, H), (s.rows,)
+
+
 def test_quotient_by_line_of_elementary():
     for p in (2, 3):
         for line in enumerate_subspaces(3, 1, p):
@@ -307,6 +373,13 @@ def test_mobius_sum_matches_closed_form():
 )
 def test_mobius_sum_matches_closed_form_random(raw, p):
     t = GroupType(tuple(sorted(raw, reverse=True)))
+    assert factorization_count_mobius(t, p) == factorization_count(t, p).value
+
+
+@pytest.mark.parametrize("exps", [(1000, 1000, 1000), (1000, 700, 300), (1000, 1000, 0)])
+def test_mobius_sum_matches_closed_form_at_largest_accepted_input(exps):
+    # the top exponent and the largest prime the CLI accepts
+    t, p = GroupType(exps), 3317044064679887385961813
     assert factorization_count_mobius(t, p) == factorization_count(t, p).value
 
 
