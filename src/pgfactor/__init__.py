@@ -14,7 +14,6 @@ from .formulas import (
 from .grouptype import GroupType, NegativeExponent, normalize, parse_type
 from .mobius import (
     InvalidSubspace,
-    QuotientCensus,
     Subspace,
     enumerate_subspaces,
     factorization_count_mobius,
@@ -57,7 +56,6 @@ __all__ = [
     "NegativeExponent",
     "NotComparable",
     "P",
-    "QuotientCensus",
     "SubgroupSet",
     "Subspace",
     "VerificationReport",

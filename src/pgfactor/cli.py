@@ -210,9 +210,7 @@ def cmd_f2(args) -> int:
 
 def _census_checks(report: VerificationReport, gtype: GroupType, p: int) -> None:
     for k in (1, 2):
-        actual = quotient_type_census(gtype, k, p)
-        expected = reference_census(gtype, k, p)
-        report.add(f"census_k{k}", expected.entries, actual.entries)
+        report.add(f"census_k{k}", reference_census(gtype, k, p), quotient_type_census(gtype, k, p))
     full = enumerate_subspaces(3, 3, p)[0]
     shrunk = GroupType(tuple(e - 1 for e in gtype.exponents))
     report.add("census_full_socle", shrunk, quotient_type(gtype, full, p))
@@ -310,16 +308,16 @@ def cmd_table(args) -> int:
                 "p": p,
                 "f": str(subgroup_count(gtype, p).value),
             }
-            seen = set()
+            values = set()
             for method, route in ROUTES.items():
                 try:
                     value = route(gtype, p, cap)
                 except GroupTooLarge:  # the oracle cell stays empty over the cap
                     row[f"f2_{method}"] = None
                     continue
-                seen.add(value)
+                values.add(value)
                 row[f"f2_{method}"] = str(value)
-            if len(seen) != 1:
+            if len(values) != 1:
                 consistent = False
             rows.append(row)
 

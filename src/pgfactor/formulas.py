@@ -9,20 +9,21 @@ or with p left symbolic (an IntPolynomial):
 
 * ``factorization_count``: the number of ordered pairs (H, K) of subgroups
   with H + K equal to the whole group, obtained by Mobius inversion over
-  the subgroup lattice; only elementary abelian subgroups contribute, which
-  collapses the sum to eight squared subgroup counts with signed p-power
-  weights.
+  the subgroup lattice.  Only elementary abelian subgroups contribute: the
+  socle subspaces fall into eight cells, one per set S of exponent positions
+  that the quotient lowers by one, so the sum collapses to eight squared
+  subgroup counts with Hall-value weights.
 
-The eight argument triples decrement exponents by one, so they may come out
-unsorted (arguments are multisets and get re-sorted) or negative (the whole
-term vanishes by convention; that convention is what reduces the rank-3
-expression to the rank <= 2 case, and it is cross-validated against the
-brute-force oracle rather than assumed).
+Lowered triples may come out unsorted (arguments are multisets and get
+re-sorted) or negative (the whole term vanishes by convention; that
+convention is what reduces the rank-3 expression to the rank <= 2 case, and
+it is cross-validated against the brute-force oracle rather than assumed).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .grouptype import GroupType, normalize
 from .poly import InexactDivision, IntPolynomial, P
@@ -67,9 +68,7 @@ def _count_numerator(e1: int, e2: int, e3: int, pv):
 
 
 def _exact_quotient(num, den):
-    if isinstance(num, IntPolynomial) or isinstance(den, IntPolynomial):
-        if not isinstance(num, IntPolynomial):
-            num = IntPolynomial.constant(num)
+    if isinstance(num, IntPolynomial):
         return num.exact_div(den)
     q, r = divmod(num, den)
     if r:
@@ -111,26 +110,28 @@ def subgroup_count_ext(raw, p: "int | None" = None) -> FormulaResult:
     return FormulaResult(_ext_value(tuple(raw), p), METHOD_SUBGROUP_COUNT)
 
 
+def _hall_value(n: int, pv):
+    """Hall's value (-1)^n p^C(n,2) = mu(1, E), E elementary abelian of rank n; pv is p or P."""
+    return (-1) ** n * pv ** (n * (n - 1) // 2)
+
+
+# The socle cells (|S|, drop vector 1_S, inv(S)), one per set S of exponent
+# positions: p^inv(S) socle subspaces of dimension |S| lower the exponents at S
+# (Macdonald, Symmetric Functions and Hall Polynomials, ch. II), where
+# inv(S) = #{(i, j): i < j, i not in S, j in S}.
+_CELLS = tuple(
+    (k, tuple(int(i in s) for i in range(3)), sum(i not in s for j in s for i in range(j)))
+    for k in range(4)
+    for s in combinations(range(3), k)
+)
+
+
 def factorization_count(t: GroupType, p: "int | None" = None) -> FormulaResult:
-    """Ordered-pair factorization count via the eight-term closed form."""
+    """Ordered-pair factorization count: the Hall-weighted sum over the socle cells."""
     pv = p if p is not None else P
     e1, e2, e3 = t.exponents
-
-    value = (
-        -(pv**3) * _squared_count(e1 - 1, e2 - 1, e3 - 1, p)
-        + pv
-        * (
-            _squared_count(e1 - 1, e2 - 1, e3, p)
-            + pv * _squared_count(e1 - 1, e2, e3 - 1, p)
-            + pv**2 * _squared_count(e1, e2 - 1, e3 - 1, p)
-        )
-        - (
-            _squared_count(e1 - 1, e2, e3, p)
-            + pv * _squared_count(e1, e2 - 1, e3, p)
-            + pv**2 * _squared_count(e1, e2, e3 - 1, p)
-        )
-        + _squared_count(e1, e2, e3, p)
-    )
+    value = sum(_hall_value(k, pv) * pv**inv * _squared_count(e1 - d1, e2 - d2, e3 - d3, p)
+                for k, (d1, d2, d3), inv in _CELLS)
     return FormulaResult(value, METHOD_CLOSED_FORM)
 
 

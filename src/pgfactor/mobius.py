@@ -17,8 +17,8 @@ entry set to 1 represents it.  The walk over these orbits (``socle_orbits``)
 types 16 subspaces at rank 3 and 5 at rank 2, whatever p is.
 
 The per-dimension tallies of quotient types (the census) are themselves a
-checkable invariant: for distinct exponents they match the maximal-subgroup
-classification p^2 / p / 1 exactly.
+checkable invariant: they match the socle cells of the closed form, p^inv(S)
+subspaces lowering the exponents in S (``reference_census``).
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from .formulas import _subgroup_count_value
+from .formulas import _CELLS, _hall_value, _subgroup_count_value
 from .grouptype import GroupType, normalize
 
 
@@ -181,11 +181,6 @@ def smith_normal_form(matrix) -> list[int]:
     return diag
 
 
-def _hall_value(n: int, p: int) -> int:
-    """Hall's value (-1)^n p^(n(n-1)/2): mu(1, E) for E elementary abelian of rank n."""
-    return (-1) ** n * p ** (n * (n - 1) // 2)
-
-
 def hall_mobius(t: GroupType, p: int) -> int:
     """Mobius value mu(1, G) of a p-group of type ``t``.
 
@@ -242,21 +237,6 @@ def quotient_type(t: GroupType, subspace: Subspace, p: int) -> GroupType:
     return normalize(exps)
 
 
-@dataclass(frozen=True)
-class QuotientCensus:
-    """Tally of quotient types over all socle subspaces of one dimension."""
-
-    k: int
-    entries: tuple[tuple[GroupType, int], ...]
-
-    def as_dict(self) -> dict[GroupType, int]:
-        return dict(self.entries)
-
-    @property
-    def total(self) -> int:
-        return sum(c for _, c in self.entries)
-
-
 def _census_entries(counter: Counter) -> tuple[tuple[GroupType, int], ...]:
     return tuple(sorted(counter.items(), key=lambda item: item[0], reverse=True))
 
@@ -272,46 +252,37 @@ def _orbit_tally(t: GroupType, k: int, p: int) -> Counter:
     return tally
 
 
-def quotient_type_census(t: GroupType, k: int, p: int) -> QuotientCensus:
-    """Count quotient types over every k-dimensional socle subspace (rank-3 t).
-
-    The totals are gaussian_binomial(3, k, p) at any p, from 7 orbit representatives.
-    """
+def _check_census(t: GroupType, k: int) -> None:
     if t.rank != 3:
         raise ValueError(f"census requires a rank-3 type, got {t}")
     if k not in (1, 2):
         raise ValueError(f"census dimension must be 1 or 2, got {k}")
-    return QuotientCensus(k, _census_entries(_orbit_tally(t, k, p)))
 
 
-def reference_census(t: GroupType, k: int, p: int) -> QuotientCensus:
-    """Expected census from the maximal-subgroup classification.
+def quotient_type_census(t: GroupType, k: int, p: int) -> tuple[tuple[GroupType, int], ...]:
+    """Count quotient types over every k-dimensional socle subspace (rank-3 t).
 
-    Quotients by order-p subgroups: p^2 drop the smallest exponent, p the
-    middle one, 1 the largest; by order-p^2 subgroups: complementarily.
-    When exponents coincide the classified types merge under normalization.
+    ``(type, count)`` pairs, types descending.  The counts sum to
+    gaussian_binomial(3, k, p) at any p, from 7 orbit representatives.
     """
-    if t.rank != 3:
-        raise ValueError(f"census requires a rank-3 type, got {t}")
+    _check_census(t, k)
+    return _census_entries(_orbit_tally(t, k, p))
+
+
+def reference_census(t: GroupType, k: int, p: int) -> tuple[tuple[GroupType, int], ...]:
+    """Expected census from the socle cells of the closed form.
+
+    Each cell S with |S| = k gives p^inv(S) quotients of type t minus 1 at the
+    positions in S: by order-p subgroups, p^2 drop the smallest exponent, p
+    the middle one, 1 the largest.  Coinciding exponents merge types.
+    """
+    _check_census(t, k)
     e1, e2, e3 = t.exponents
-    if k == 1:
-        parts = [
-            (normalize((e1, e2, e3 - 1)), p * p),
-            (normalize((e1, e2 - 1, e3)), p),
-            (normalize((e1 - 1, e2, e3)), 1),
-        ]
-    elif k == 2:
-        parts = [
-            (normalize((e1, e2 - 1, e3 - 1)), p * p),
-            (normalize((e1 - 1, e2, e3 - 1)), p),
-            (normalize((e1 - 1, e2 - 1, e3)), 1),
-        ]
-    else:
-        raise ValueError(f"census dimension must be 1 or 2, got {k}")
-    counter = Counter()
-    for gt, count in parts:
-        counter[gt] += count
-    return QuotientCensus(k, _census_entries(counter))
+    tally = Counter()
+    for size, (d1, d2, d3), inv in _CELLS:
+        if size == k:
+            tally[normalize((e1 - d1, e2 - d2, e3 - d3))] += p**inv
+    return _census_entries(tally)
 
 
 def factorization_count_mobius(t: GroupType, p: int) -> int:

@@ -86,10 +86,6 @@ class IntPolynomial:
     def zero(cls) -> "IntPolynomial":
         return cls(())
 
-    @classmethod
-    def constant(cls, c: int) -> "IntPolynomial":
-        return cls((c,))
-
     @property
     def degree(self):
         """Degree of the polynomial; minus infinity for the zero polynomial."""

@@ -1,8 +1,12 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pgfactor.formulas import (
+    _CELLS,
+    _hall_value,
     factorization_count,
     factorization_count_equal_exponents,
     subgroup_count,
@@ -10,7 +14,7 @@ from pgfactor.formulas import (
 )
 from pgfactor.grouptype import GroupType, normalize
 from pgfactor.mobius import gaussian_binomial
-from pgfactor.poly import IntPolynomial
+from pgfactor.poly import IntPolynomial, P
 
 # Golden polynomial for type (3,2,1), cross-validated against the Mobius
 # route and the brute-force oracle at p in {2,3}.
@@ -91,6 +95,23 @@ def test_factorization_cyclic():
         assert factorization_count(t).value == expected
         for p in (2, 3, 5):
             assert factorization_count(t, p).value == expected
+
+
+def test_socle_cells_are_the_subsets_of_three_positions():
+    assert sorted(drop for _, drop, _ in _CELLS) == sorted(product((0, 1), repeat=3))
+    assert all(k == sum(drop) for k, drop, _ in _CELLS)
+
+
+def test_socle_cells_count_the_subspaces_of_each_dimension():
+    for p in (2, 3, 5, 7, 101):
+        for k in range(4):
+            cells = sum(p**inv for size, _, inv in _CELLS if size == k)
+            assert cells == gaussian_binomial(3, k, p), (p, k)
+
+
+def test_hall_value_numeric_and_symbolic():
+    assert [_hall_value(n, 3) for n in range(4)] == [1, -1, 3, -27]
+    assert [_hall_value(n, P) for n in range(4)] == [1, -1, P, -(P**3)]
 
 
 def test_equal_exponent_form_matches_general():

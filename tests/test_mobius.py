@@ -300,27 +300,27 @@ def test_quotient_trivial_group():
 
 def test_census_examples():
     census = quotient_type_census(GroupType((3, 2, 1)), 1, 2)
-    assert census.as_dict() == {
+    assert dict(census) == {
         GroupType((3, 2, 0)): 4,
         GroupType((3, 1, 1)): 2,
         GroupType((2, 2, 1)): 1,
     }
     census = quotient_type_census(GroupType((3, 2, 1)), 2, 2)
-    assert census.as_dict() == {
+    assert dict(census) == {
         GroupType((3, 1, 0)): 4,
         GroupType((2, 2, 0)): 2,
         GroupType((2, 1, 1)): 1,
     }
     for p in (2, 3, 5):
         census = quotient_type_census(GroupType((1, 1, 1)), 1, p)
-        assert census.as_dict() == {GroupType((1, 1, 0)): p * p + p + 1}
+        assert dict(census) == {GroupType((1, 1, 0)): p * p + p + 1}
 
 
 def test_census_totals():
     for p in (2, 3):
         for k in (1, 2):
             census = quotient_type_census(GroupType((4, 3, 2)), k, p)
-            assert census.total == gaussian_binomial(3, k, p)
+            assert sum(count for _, count in census) == gaussian_binomial(3, k, p)
 
 
 def test_census_matches_reference_on_grid():
@@ -422,4 +422,4 @@ def test_orbit_census_matches_explicit_enumeration():
         for t in RANK3_TYPES:
             for k in (1, 2):
                 explicit = Counter(quotient_type(t, s, p) for s in enumerate_subspaces(3, k, p))
-                assert quotient_type_census(t, k, p).as_dict() == dict(explicit)
+                assert dict(quotient_type_census(t, k, p)) == dict(explicit)
