@@ -7,8 +7,8 @@ Subcommands:
   table   grid of counts over types and primes, with internal consistency check
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage or domain error
-(a type exponent over MAX_EXPONENT and a table grid over MAX_TABLE_ROWS rows
-among them), 3 oracle cap exceeded.
+(a type exponent over MAX_EXPONENT, a table grid over MAX_TABLE_ROWS rows
+and an oracle cap over MAX_ORACLE_ORDER among them), 3 oracle cap exceeded.
 The oracle cap defaults to 4096 elements and can be overridden by
 --max-order or the PGF_MAX_ORDER environment variable.
 """
@@ -68,6 +68,13 @@ MAX_TABLE_ROWS = 3000
 # closed form and --method mobius take 0.4 s each, start-up included.  A
 # higher bound needs a benchmark instance at it before it is raised.
 MAX_EXPONENT = 1000
+
+# Largest oracle element cap that --max-order and PGF_MAX_ORDER accept.  The
+# oracle holds one |G|-bit mask per subgroup, so memory grows as the order
+# times the subgroup count: verify at (5,5,5)@2, order 2^15 with 22308
+# subgroups, is the worst cell at this cap (see the README for its time and
+# peak memory), where a cap of 2^24 would let (8,8,8)@2 ask for about 4.9 TB.
+MAX_ORACLE_ORDER = 32768
 
 
 def _oracle_f2(gtype: GroupType, p: int, cap: int) -> int:
@@ -133,14 +140,16 @@ def _require_prime(p: int) -> int:
     return p
 
 
-def _positive_int(text: str) -> int:
-    """Parse an oracle element cap, which must be a positive integer."""
+def _oracle_cap(text: str) -> int:
+    """Parse an oracle element cap, a positive integer up to MAX_ORACLE_ORDER."""
     try:
         value = int(text)
     except ValueError:
         value = 0
     if value <= 0:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    if value > MAX_ORACLE_ORDER:
+        raise argparse.ArgumentTypeError(f"{value} is over the limit of {MAX_ORACLE_ORDER}")
     return value
 
 
@@ -151,7 +160,7 @@ def _resolve_cap(args) -> int:
     if env is None:
         return DEFAULT_MAX_ORDER
     try:
-        return _positive_int(env)
+        return _oracle_cap(env)
     except argparse.ArgumentTypeError as exc:
         raise UsageError(f"PGF_MAX_ORDER {exc}") from None
 
@@ -351,7 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--p": dict(type=int, help="prime to evaluate at"),
         "--symbolic": dict(action="store_true", help="leave p symbolic"),
         "--format": dict(choices=("json", "csv", "text"), default="text"),
-        "--max-order": dict(type=_positive_int, help="oracle element cap (default 4096)"),
+        "--max-order": dict(type=_oracle_cap,
+                            help=f"oracle element cap (default 4096, at most {MAX_ORACLE_ORDER})"),
     }
 
     def subcommand(name, func, help, *options):

@@ -1,9 +1,11 @@
 """Exact integer-coefficient polynomials in a single indeterminate p.
 
 Everything here is immutable and uses Python's arbitrary-precision ints,
-so squared subgroup counts never overflow no matter the exponents.  Long
-dense products are packed into one big-int product, so they cost about as
-much as CPython's multiplication of the packed ints.
+so squared subgroup counts never overflow no matter the exponents.  A
+product with a single-term operand c*p^d scales the other operand's
+coefficients by c and shifts them by d; every other product is packed into
+one big-int product, so it costs about as much as CPython's multiplication
+of the packed ints.
 """
 
 from __future__ import annotations
@@ -21,15 +23,6 @@ def _trim(coeffs: list[int]) -> tuple[int, ...]:
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     return tuple(coeffs)
-
-
-# Products in which both operands have at least this many nonzero terms go
-# through one big-int product; shorter or sparser ones go term by term.  A
-# private tuning constant, not an option.  Packing costs a fixed overhead per
-# product: two 16-term operands multiply in 33 us packed and 38 us term by term
-# with 20-bit coefficients, but in 105 us and 79 us with 300-bit ones.  Packing
-# every product made the symbolic closed forms 1.7 times slower than this.
-_KRONECKER_MIN_TERMS = 24
 
 
 def _pack(coeffs, width: int) -> int:
@@ -148,17 +141,12 @@ class IntPolynomial:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return IntPolynomial(())
-        nonzero_a, nonzero_b = len(a) - a.count(0), len(b) - b.count(0)
-        if min(nonzero_a, nonzero_b) >= _KRONECKER_MIN_TERMS:
-            return IntPolynomial(_kronecker_product(a, b))
-        if nonzero_a > nonzero_b:  # walk the sparser operand's terms
+        if any(a[:-1]):  # put a single-term operand, if there is one, first
             a, b = b, a
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        return IntPolynomial(out)
+        if any(a[:-1]):
+            return IntPolynomial(_kronecker_product(a, b))
+        # a is c p^d: scale b by c and shift it by d
+        return IntPolynomial([0] * (len(a) - 1) + [a[-1] * c for c in b])
 
     __rmul__ = __mul__
 
@@ -193,8 +181,7 @@ class IntPolynomial:
         is a correctness property of the closed forms built on top of this,
         so failure here means a formula bug, not bad input.
         """
-        if not isinstance(den, IntPolynomial):
-            den = IntPolynomial._coerce(den)
+        den = self._coerce(den)
         if den is None or not den:
             raise ZeroDivisionError("polynomial division by zero")
         if not self:

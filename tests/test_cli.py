@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import pgfactor
-from pgfactor.cli import MAX_EXPONENT, MAX_TABLE_ROWS, PRIME_BOUND, _grid_types, main
+from pgfactor.cli import MAX_EXPONENT, MAX_ORACLE_ORDER, MAX_TABLE_ROWS, PRIME_BOUND, _grid_types, main
 from pgfactor.formulas import factorization_count
 from pgfactor.grouptype import GroupType
 
@@ -109,6 +109,39 @@ def test_max_order_env_must_be_positive(capsys, monkeypatch):
     assert code == 2
     assert not out
     assert "PGF_MAX_ORDER" in err
+
+
+def test_max_oracle_order_is_the_measured_bound():
+    assert MAX_ORACLE_ORDER == 32768
+
+
+@pytest.mark.parametrize("source", ["flag", "env"])
+def test_max_order_at_limit_accepted(capsys, monkeypatch, source):
+    argv = ["f2", "--type", "1,1,1", "--p", "2", "--method", "oracle"]
+    if source == "flag":
+        argv += ["--max-order", str(MAX_ORACLE_ORDER)]
+    else:
+        monkeypatch.setenv("PGF_MAX_ORDER", str(MAX_ORACLE_ORDER))
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == "129\n"
+
+
+@pytest.mark.parametrize("source", ["flag", "env"])
+@pytest.mark.parametrize("command", ["f2", "verify", "table"])
+def test_max_order_over_limit_rejected(capsys, monkeypatch, source, command):
+    argv = {"f2": ["f2", "--type", "1,1,1", "--p", "2", "--method", "oracle"],
+            "verify": ["verify", "--type", "1,1,1", "--p", "2"],
+            "table": ["table", "--max-lambda", "1", "--primes", "2"]}[command]
+    if source == "flag":
+        argv += ["--max-order", str(MAX_ORACLE_ORDER + 1)]
+    else:
+        monkeypatch.setenv("PGF_MAX_ORDER", str(MAX_ORACLE_ORDER + 1))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert not out
+    assert f"over the limit of {MAX_ORACLE_ORDER}" in err
+    assert ("--max-order" if source == "flag" else "PGF_MAX_ORDER") in err
 
 
 def test_f2_golden_321(capsys):

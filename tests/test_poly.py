@@ -155,9 +155,8 @@ def schoolbook(a, b):
 
 @st.composite
 def polys(draw, max_len=80):
-    """Operands on both sides of the packed-product cutoff: lengths 0..80,
-    coefficients up to 2^300 in size with mixed signs, zeros anywhere, and
-    single terms c*p^d."""
+    """Operands for both product rules: lengths 0..80, coefficients up to
+    2^300 in size with mixed signs, zeros anywhere, and single terms c*p^d."""
     bits = draw(st.sampled_from((1, 8, 64, 300)))
     bound = 1 << bits
     if draw(st.booleans()):
@@ -168,15 +167,63 @@ def polys(draw, max_len=80):
     return draw(st.integers(-bound, bound)) * P ** degree
 
 
-def test_dense_products_are_packed(monkeypatch):
-    packed = []
+@pytest.fixture
+def packed(monkeypatch):
+    """Record, for each packed product, whether it is a square of one tuple."""
+    calls = []
     kronecker = poly_module._kronecker_product
-    monkeypatch.setattr(poly_module, "_kronecker_product", lambda a, b: packed.append(b is a) or kronecker(a, b))
+
+    def recording(a, b):
+        calls.append(b is a)
+        return kronecker(a, b)
+
+    monkeypatch.setattr(poly_module, "_kronecker_product", recording)
+    return calls
+
+
+def test_dense_products_are_packed(packed):
     a = IntPolynomial((-1) ** i * (i + 1) << 300 for i in range(40))
     b = IntPolynomial(range(-20, 20))
     assert a * b == schoolbook(a, b)
     assert a ** 2 == schoolbook(a, a)
     assert packed == [False, True]  # the square packs its operand once
+
+
+BIG = 3 ** 190  # a 302-bit coefficient
+
+
+@pytest.mark.parametrize(
+    "term",
+    [poly(5), poly(-7), poly(BIG), poly(-BIG), 4 * P ** 3, -BIG * P ** 9, P, 11, -BIG],
+    ids=["5", "-7", "big", "-big", "4p^3", "-big*p^9", "p", "int", "-big-int"],
+)
+@pytest.mark.parametrize(
+    "other",
+    [P + 1, poly(BIG, 0, -BIG), IntPolynomial(range(-20, 20)), poly(3), 2 * P ** 4],
+    ids=["p+1", "big-2-term", "dense40", "constant", "2p^4"],
+)
+def test_single_term_products_scale_and_shift(packed, term, other):
+    reference = schoolbook(IntPolynomial._coerce(term), other)
+    assert term * other == reference
+    assert other * term == reference
+    assert packed == []
+
+
+@pytest.mark.parametrize(
+    "a,b",
+    [
+        (P + 1, P - 1),
+        (poly(BIG, -BIG), poly(-BIG, 0, BIG)),
+        (poly(1, 0, 0, 1), P ** 2 - 1),
+        (IntPolynomial(range(1, 41)), poly(BIG, 1)),
+    ],
+    ids=["(p+1)(p-1)", "big-2x2-term", "sparse", "dense40-big"],
+)
+def test_multi_term_products_pack(packed, a, b):
+    assert a * b == schoolbook(a, b)
+    assert b * a == schoolbook(a, b)
+    assert a * a == schoolbook(a, a)
+    assert packed == [False, False, True]
 
 
 @settings(deadline=None, max_examples=200)
