@@ -11,6 +11,10 @@ Exit codes: 0 success, 1 verification mismatch, 2 usage or domain error
 and an oracle cap over MAX_ORACLE_ORDER among them), 3 oracle cap exceeded.
 The oracle cap defaults to 4096 elements and can be overridden by
 --max-order or the PGF_MAX_ORDER environment variable.
+
+The argument parser depends on no input, so ``build_parser`` builds it once
+per process and every ``main`` call reuses it; ``parse_args`` returns a fresh
+namespace each time.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
 from math import comb
 
 from .formulas import (
@@ -85,6 +90,8 @@ def _oracle_f2(gtype: GroupType, p: int, cap: int) -> int:
 # The f2 routes, each (type, p | None, cap) -> int | IntPolynomial; only
 # theorem3 accepts a symbolic p.  The bodies look library functions up as
 # module globals at call time, so patching them on this module takes effect.
+# The cmd_* functions are different: the cached parser's set_defaults holds
+# the ones from its first build, so patching those would not take effect.
 ROUTES = {
     METHOD_CLOSED_FORM: lambda gtype, p, cap: factorization_count(gtype, p).value,
     "mobius": lambda gtype, p, cap: factorization_count_mobius(gtype, p),
@@ -347,6 +354,7 @@ def cmd_table(args) -> int:
     return EXIT_OK
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pgfactor",

@@ -14,7 +14,9 @@ entries, and the torus scales them independently, so an orbit is exactly a
 pivot layout plus a choice of which free entries are nonzero.  Its size is
 (p-1)^(number of nonzero free entries), and the basis with each nonzero free
 entry set to 1 represents it.  The walk over these orbits (``socle_orbits``)
-types 16 subspaces at rank 3 and 5 at rank 2, whatever p is.
+types 16 subspaces at rank 3 and 5 at rank 2, whatever p is.  The orbit table
+depends on neither the input nor p, so it is built once per process and
+reused; each call types the representatives afresh at its own p.
 
 The per-dimension tallies of quotient types (the census) are themselves a
 checkable invariant: they match the socle cells of the closed form, p^inv(S)
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations, product
 
 from .formulas import _CELLS, _hall_value, _subgroup_count_value
@@ -102,19 +105,21 @@ def enumerate_subspaces(r: int, k: int, p: int) -> list[Subspace]:
     return sorted((s for s, _ in _rref_bases(r, k, range(p))), key=lambda s: s.rows)
 
 
-def socle_orbits(r: int, k: int):
+@cache
+def socle_orbits(r: int, k: int) -> tuple[tuple[Subspace, int], ...]:
     """One representative per torus orbit of k-dimensional subspaces of F_p^r.
 
-    Yields ``(Subspace, nonzero)``: the canonical basis with every nonzero
+    A tuple of ``(Subspace, nonzero)``: the canonical basis with every nonzero
     free entry set to 1, and the number of those entries, so the orbit holds
     (p-1)**nonzero subspaces, all with the representative's quotient type.
-    The representatives do not depend on p.  Only at r <= 3, where a basis
-    has at most two free entries, is the zero pattern the whole orbit.
+    The representatives depend on neither the group nor p, so the table is
+    built once per (r, k) in a process and the same tuple is returned after.
+    Only at r <= 3, where a basis has at most two free entries, is the zero
+    pattern the whole orbit.
     """
     if r > 3:
         raise ValueError(f"torus orbits are zero patterns only up to rank 3, got r={r}")
-    for subspace, fill in _rref_bases(r, k, (0, 1)):
-        yield subspace, sum(fill)
+    return tuple((subspace, sum(fill)) for subspace, fill in _rref_bases(r, k, (0, 1)))
 
 
 def smith_normal_form(matrix) -> list[int]:

@@ -353,13 +353,17 @@ def verify_hall(g: ConcreteGroup, lattice: Lattice) -> VerificationReport:
     """Check mu(1, H) against the elementary-abelian closed form for every H.
 
     Non-elementary subgroups must give 0; elementary abelian ones of rank n
-    must give (-1)^n p^(n(n-1)/2).  Mismatches are listed individually.
+    must give (-1)^n p^(n(n-1)/2).  Only the subgroups in Omega_1(G) are
+    elementary abelian, so only those are typed; every subgroup is compared.
+    Mismatches are listed individually.
     """
     report = VerificationReport()
     mu = _sparse_mobius(lattice.subgroups, upward=True)
+    omega1 = g.omega[min(1, len(g.omega) - 1)]  # the trivial group has only Omega_0
     mismatches = 0
     for H in lattice.subgroups:
-        expected = hall_mobius(subgroup_type(g, H), g.p)
+        elementary = H.members & omega1 == H.members
+        expected = hall_mobius(subgroup_type(g, H), g.p) if elementary else 0
         actual = mu[H.id]
         if expected != actual:
             mismatches += 1

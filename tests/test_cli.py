@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import pgfactor
+from pgfactor import cli
 from pgfactor.cli import MAX_EXPONENT, MAX_ORACLE_ORDER, MAX_TABLE_ROWS, PRIME_BOUND, _grid_types, main
 from pgfactor.formulas import factorization_count
 from pgfactor.grouptype import GroupType
@@ -25,6 +26,32 @@ def run_cli(capsys, *argv):
 
 def canonical(obj):
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_reused_parser_keeps_no_option_between_calls(capsys, monkeypatch):
+    # a --symbolic left over from the second call would make the third a usage error
+    calls = (["f2", "--type", "x"], ["f2", "--type", "2,1,0", "--symbolic"],
+             ["f2", "--type", "2,1,0", "--p", "3"])
+    cached = [run_cli(capsys, *argv) for argv in calls]
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    fresh = [run_cli(capsys, *argv) for argv in calls]
+    assert cached == fresh
+    assert [code for code, _, _ in cached] == [2, 0, 0]
+
+
+@pytest.mark.parametrize("command", ["count", "f2", "verify", "table"])
+def test_reused_parser_help_matches_a_fresh_one(capsys, monkeypatch, command):
+    cli.build_parser()
+    # the width is read when help is formatted, after the parser was built
+    monkeypatch.setenv("COLUMNS", "50")
+    cached = run_cli(capsys, command, "--help")
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert run_cli(capsys, command, "--help") == cached
+    assert cached[0] == 0 and cached[1].startswith(f"usage: pgfactor {command}")
 
 
 def test_count_numeric_text(capsys):

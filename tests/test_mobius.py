@@ -11,6 +11,7 @@ from pgfactor.grouptype import GroupType, p_valuation
 from pgfactor.mobius import (
     InvalidSubspace,
     Subspace,
+    _rref_bases,
     enumerate_subspaces,
     factorization_count_mobius,
     gaussian_binomial,
@@ -397,6 +398,14 @@ def test_socle_orbit_counts():
     assert sum(len(list(socle_orbits(2, k))) for k in range(3)) == 5
     with pytest.raises(ValueError):
         list(socle_orbits(4, 2))
+
+
+def test_socle_orbits_are_built_once():
+    for r in range(4):
+        for k in range(r + 1):
+            table = socle_orbits(r, k)
+            assert socle_orbits(r, k) is table
+            assert list(table) == [(s, sum(fill)) for s, fill in _rref_bases(r, k, (0, 1))]
 
 
 def test_socle_orbit_sizes_sum_to_gaussian_binomial():

@@ -231,6 +231,25 @@ def test_verify_hall_passes(exps, p, lattice_cache):
     assert report.overall, [c for c in report.checks if c.status == "fail"]
 
 
+def test_verify_hall_compares_subgroups_outside_omega1(monkeypatch, lattice_cache):
+    # verify_hall types only the subgroups in Omega_1(G); a nonzero value
+    # planted at one outside it must still count as a mismatch
+    g, lat = lattice_cache((2, 1, 0), 3)
+    omega1 = g.omega[1]
+    outside = next(H for H in lat.subgroups if H.members & omega1 != H.members)
+    real = oracle._sparse_mobius
+
+    def planted(subgroups, upward):
+        mu = real(subgroups, upward)
+        mu[outside.id] = 1
+        return mu
+
+    monkeypatch.setattr(oracle, "_sparse_mobius", planted)
+    report = verify_hall(g, lat)
+    assert not report.overall
+    assert {c.name: c.actual for c in report.checks}["hall_mismatches"] == "1"
+
+
 def test_hall_values_spotchecks(lattice_cache):
     g, lat = lattice_cache((1, 1, 0), 2)
     assert mobius_interval(lat, lat.bottom, lat.top) == 2  # (-1)^2 * 2^1
