@@ -78,7 +78,8 @@ MAX_EXPONENT = 1000
 # oracle holds one |G|-bit mask per subgroup, so memory grows as the order
 # times the subgroup count: verify at (5,5,5)@2, order 2^15 with 22308
 # subgroups, is the worst cell at this cap (see the README for its time and
-# peak memory), where a cap of 2^24 would let (8,8,8)@2 ask for about 4.9 TB.
+# peak memory; CI runs it under a 60 s timeout), where a cap of 2^24 would
+# let (8,8,8)@2 ask for about 4.9 TB.
 MAX_ORACLE_ORDER = 32768
 
 
@@ -139,11 +140,11 @@ def _parse_common(args) -> GroupType:
     return gtype
 
 
-def _require_prime(p: int) -> int:
+def _require_prime(p: int, what: str = "--p") -> int:
     if p >= PRIME_BOUND:
-        raise UsageError(f"--p must be below {PRIME_BOUND}, got {p}")
+        raise UsageError(f"{what} must be below {PRIME_BOUND}, got {p}")
     if not _is_prime(p):
-        raise UsageError(f"--p must be prime, got {p}")
+        raise UsageError(f"{what} must be prime, got {p}")
     return p
 
 
@@ -310,7 +311,7 @@ def cmd_table(args) -> int:
     for p in primes:
         if p in seen:
             raise UsageError(f"--primes lists {p} more than once")
-        seen.add(_require_prime(p))
+        seen.add(_require_prime(p, "--primes entries"))
     cap = _resolve_cap(args)
 
     rows = []

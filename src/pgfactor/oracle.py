@@ -35,8 +35,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import pairwise, product
+from math import gcd
 
-from .grouptype import GroupType, type_from_layers
+from .grouptype import GroupType, p_valuation, type_from_layers
 from .mobius import _echelon, hall_mobius
 
 DEFAULT_MAX_ORDER = 4096
@@ -140,23 +141,55 @@ class Lattice:
         return self.subgroups[-1]
 
 
+def _repeat(x: int, stride: int, count: int) -> int:
+    """OR of x << (i stride) for i < count, by doubling: about 2 log2(count) shifts."""
+    out = 0
+    shift = 0
+    while count:
+        if count & 1:
+            out |= x << shift
+            shift += stride
+        count >>= 1
+        if count:
+            x |= x << stride
+            stride *= 2
+    return out
+
+
 def _span_mask(moduli, d, x12: int, x13: int, x23: int) -> int:
     """Membership mask of the subgroup with HNF basis (d1, x12, x13), (0, d2, x23), (0, 0, d3).
 
     The one map from coordinates to bits: (y1, y2, y3) is bit (y1 m2 + y2) m3 + y3.
+    The members are a r1 + b r2 + c r3 with a < k1, b < k2, c < k3
+    (k_i = m_i / d_i).  Writing a x12 = q d2 + s2, slice a holds the rows
+    y2 = s2 + b d2 with y3 = b x23 + t3 (mod d3), t3 = a x13 - q x23, each
+    row swept by c d3.  Rows repeat in b with period per2 = d3 / gcd(x23, d3)
+    and slices repeat in a with the least per1 for which per1 r1 lies in the
+    span of r2 and r3 modulo m.  Both divide k2 and k1: the HNF conditions
+    say that k2 x23 = 0 mod d3 and that k1 r1 lies in that span, and the
+    multiples with either property form a subgroup of Z.  So one block of
+    per1 slices of per2 rows is built bit by bit and then repeated by
+    doubling along c, b and a; s2 < d2 and every row offset is < d3, so no
+    copies overlap.
     """
     m1, m2, m3 = moduli
     d1, d2, d3 = d
-    # c r3 for c < m3 / d3 sweeps the third coordinates r, r + d3, ... with
-    # r = y3 mod d3: one run of bits, shifted to each a r1 + b r2
-    run = sum(1 << (d3 * c) for c in range(m3 // d3))
-    mask = 0
-    for a in range(m1 // d1):
-        for b in range(m2 // d2):
-            y2 = (a * x12 + b * d2) % m2
-            y3 = (a * x13 + b * x23) % d3
-            mask |= run << ((a * d1 * m2 + y2) * m3 + y3)
-    return mask
+    per2 = d3 // gcd(x23, d3)
+    alpha = d2 // gcd(x12, d2)
+    per1 = alpha * d3 // gcd(alpha * x13 - alpha * x12 // d2 * x23, d3)
+    slice_bits = d1 * m2 * m3
+    row_bits = d2 * m3
+    block = 0
+    for a in range(per1):
+        q, s2 = divmod(a * x12, d2)
+        t3 = a * x13 - q * x23
+        rows = 0
+        for b in range(per2):
+            rows |= 1 << (b * row_bits + (b * x23 + t3) % d3)
+        block |= rows << (a * slice_bits + s2 * m3)
+    block = _repeat(block, d3, m3 // d3)
+    block = _repeat(block, per2 * row_bits, m2 // d2 // per2)
+    return _repeat(block, per1 * slice_bits, m1 // d1 // per1)
 
 
 def _hnf_subgroups(g: ConcreteGroup):
@@ -286,9 +319,34 @@ def count_factorizations(g: ConcreteGroup, lattice: Lattice) -> int:
 
 
 def interval_size(lattice: Lattice, H: SubgroupSet) -> int:
-    """Number of subgroups K with H <= K <= G; ids follow the order, so K.id >= H.id."""
+    """Number of subgroups K with H <= K <= G; ids follow the order, so K.id >= H.id.
+
+    A reference for the tests and the benchmark's tracer: nothing in the
+    library calls it, as ``verify_inversion_forms`` counts by socle meets.
+    """
     m = H.members
     return sum(K.members & m == m for K in lattice.subgroups[H.id:])
+
+
+def _socle_intervals(lattice: Lattice, omega1: int) -> dict[int, int]:
+    """|[H, G]| for every elementary abelian H, keyed by H's mask.
+
+    H inside Omega_1(G) lies in K exactly when it lies in K & Omega_1(G), so
+    the subgroups are tallied once by that meet, and |[H, G]| is the sum of
+    the tallies whose meet contains H.  Each meet is an elementary abelian
+    subgroup and each of those is its own meet, so the keys are exactly
+    the elementary abelian subgroups.
+    """
+    tally = {}
+    for K in lattice.subgroups:
+        e = K.members & omega1
+        tally[e] = tally.get(e, 0) + 1
+    return {m: sum(n for e, n in tally.items() if e & m == m) for m in tally}
+
+
+def _hall_by_rank(p: int) -> list[int]:
+    """Hall's mu(1, H) for H elementary abelian of order p^n, listed by n = 0..3."""
+    return [hall_mobius(GroupType((1,) * n + (0,) * (3 - n)), p) for n in range(4)]
 
 
 def _sparse_mobius(subgroups: list[SubgroupSet], upward: bool) -> list[int]:
@@ -353,17 +411,19 @@ def verify_hall(g: ConcreteGroup, lattice: Lattice) -> VerificationReport:
     """Check mu(1, H) against the elementary-abelian closed form for every H.
 
     Non-elementary subgroups must give 0; elementary abelian ones of rank n
-    must give (-1)^n p^(n(n-1)/2).  Only the subgroups in Omega_1(G) are
-    elementary abelian, so only those are typed; every subgroup is compared.
-    Mismatches are listed individually.
+    must give (-1)^n p^(n(n-1)/2).  The elementary abelian subgroups are
+    those in Omega_1(G), and one of order p^n has rank n, so the expected
+    value is read from a list by n rather than by typing H; every subgroup
+    is compared.  Mismatches are listed individually.
     """
     report = VerificationReport()
     mu = _sparse_mobius(lattice.subgroups, upward=True)
     omega1 = g.omega[min(1, len(g.omega) - 1)]  # the trivial group has only Omega_0
+    hall = _hall_by_rank(g.p)
     mismatches = 0
     for H in lattice.subgroups:
         elementary = H.members & omega1 == H.members
-        expected = hall_mobius(subgroup_type(g, H), g.p) if elementary else 0
+        expected = hall[p_valuation(H.order, g.p)] if elementary else 0
         actual = mu[H.id]
         if expected != actual:
             mismatches += 1
@@ -377,9 +437,11 @@ def verify_inversion_forms(g: ConcreteGroup, lattice: Lattice) -> VerificationRe
 
     S1 sums |L(H)|^2 mu(H, G); S2 sums |[H, G]|^2 mu(1, H) with mu taken
     from the closed form; both must equal the brute-force factorization
-    count.  Each sum counts by mask subset only at its nonzero terms: S1
-    where mu(H, G) != 0, over ids up to H's, S2 at the elementary abelian H
-    (those in Omega_1(G), as the closed form vanishes elsewhere), by interval_size.
+    count.  Each sum counts only at its nonzero terms.  S1 runs where
+    mu(H, G) != 0 and counts |L(H)| by mask subset over ids up to H's.  S2
+    runs over the elementary abelian H (those in Omega_1(G), as the closed
+    form vanishes elsewhere), taking mu(1, H) by the rank of H and |[H, G]|
+    from the tallies of the subgroups' meets with Omega_1(G).
     """
     report = VerificationReport()
     subgroups = lattice.subgroups
@@ -391,10 +453,9 @@ def verify_inversion_forms(g: ConcreteGroup, lattice: Lattice) -> VerificationRe
             below = sum(K.members & m == K.members for K in subgroups[:H.id + 1])
             s1 += below ** 2 * mu_top[H.id]
     omega1 = g.omega[min(1, len(g.omega) - 1)]  # the trivial group has only Omega_0
-    s2 = 0
-    for H in subgroups:
-        if H.members & omega1 == H.members:
-            s2 += interval_size(lattice, H) ** 2 * hall_mobius(subgroup_type(g, H), g.p)
+    hall = _hall_by_rank(g.p)
+    s2 = sum(size ** 2 * hall[p_valuation(m.bit_count(), g.p)]
+             for m, size in _socle_intervals(lattice, omega1).items())
     direct = count_factorizations(g, lattice)
     report.add("inversion_sum_subgroup_counts", direct, s1)
     report.add("inversion_sum_quotient_counts", direct, s2)

@@ -444,6 +444,16 @@ def test_table_composite_prime(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("entry,message", [("4", "--primes entries must be prime, got 4"),
+                                           (str(PRIME_BOUND), "--primes entries must be below")])
+def test_table_bad_prime_names_primes_not_p(capsys, entry, message):
+    code, out, err = run_cli(capsys, "table", "--max-lambda", "1", "--primes", entry)
+    assert code == 2
+    assert out == ""
+    assert message in err
+    assert "--p " not in err
+
+
 def test_table_disagreement_exits_1(capsys, monkeypatch):
     # no real instance disagrees, so force one route to lie
     import pgfactor.cli as cli_mod

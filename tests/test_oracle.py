@@ -1,3 +1,4 @@
+import functools
 import os
 import subprocess
 import sys
@@ -242,6 +243,25 @@ def test_verify_hall_compares_subgroups_outside_omega1(monkeypatch, lattice_cach
     def planted(subgroups, upward):
         mu = real(subgroups, upward)
         mu[outside.id] = 1
+        return mu
+
+    monkeypatch.setattr(oracle, "_sparse_mobius", planted)
+    report = verify_hall(g, lat)
+    assert not report.overall
+    assert {c.name: c.actual for c in report.checks}["hall_mismatches"] == "1"
+
+
+def test_verify_hall_compares_subgroups_inside_omega1(monkeypatch, lattice_cache):
+    # verify_hall reads the expected value of an elementary abelian subgroup
+    # from its rank; a wrong value planted at one must count as a mismatch
+    g, lat = lattice_cache((2, 1, 0), 3)
+    omega1 = g.omega[1]
+    inside = next(H for H in lat.subgroups if H.order == 3 and H.members & omega1 == H.members)
+    real = oracle._sparse_mobius
+
+    def planted(subgroups, upward):
+        mu = real(subgroups, upward)
+        mu[inside.id] += 1
         return mu
 
     monkeypatch.setattr(oracle, "_sparse_mobius", planted)
@@ -582,3 +602,71 @@ def test_layer_and_multiple_masks_match_definition(exps, p):
         images = [tuple(a * pk % m for a, m in zip(vec, g.moduli)) for vec in elements]
         assert g.omega[k] == sum(1 << i for i, y in enumerate(images) if y == (0, 0, 0))
         assert g.multiples[k] == sum(1 << index[y] for y in set(images))
+
+
+def _reference_span_mask(moduli, d, x12, x13, x23):
+    """Mask of the HNF basis (d1, x12, x13), (0, d2, x23), (0, 0, d3), one run per (a, b).
+
+    For every a < m1 / d1 and b < m2 / d2, ORs the run of bits c d3,
+    c < m3 / d3, shifted to the member a r1 + b r2 with y3 reduced mod d3.
+    """
+    m1, m2, m3 = moduli
+    d1, d2, d3 = d
+    run = sum(1 << (d3 * c) for c in range(m3 // d3))
+    mask = 0
+    for a in range(m1 // d1):
+        for b in range(m2 // d2):
+            y2 = (a * x12 + b * d2) % m2
+            y3 = (a * x13 + b * x23) % d3
+            mask |= run << ((a * d1 * m2 + y2) * m3 + y3)
+    return mask
+
+
+MASK_GROUPS = [
+    ((e1, e2, e3), p)
+    for p in (2, 3, 5, 7)
+    for e1 in range(7)
+    for e2 in range(e1 + 1)
+    for e3 in range(e2 + 1)
+    if p ** (e1 + e2 + e3) <= oracle.DEFAULT_MAX_ORDER
+]
+
+
+@pytest.mark.parametrize("exps,p", MASK_GROUPS)
+def test_span_mask_matches_reference_on_every_basis(exps, p):
+    g = build_group(GroupType(exps), p)
+    for d1, x12, x13, d2, x23, d3 in oracle._hnf_subgroups(g):
+        args = g.moduli, (d1, d2, d3), x12, x13, x23
+        assert oracle._span_mask(*args) == _reference_span_mask(*args), args
+
+
+@functools.cache
+def _bases_over_cap(exps, p):
+    g = build_group(GroupType(exps), p, max_order=p ** sum(exps))
+    return g.moduli, list(oracle._hnf_subgroups(g))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from([((5, 5, 5), 2), ((2, 2, 2), 7), ((3, 3, 3), 3)]), st.data())
+def test_span_mask_matches_reference_over_the_cap(case, data):
+    moduli, bases = _bases_over_cap(*case)
+    d1, x12, x13, d2, x23, d3 = data.draw(st.sampled_from(bases))
+    args = moduli, (d1, d2, d3), x12, x13, x23
+    assert oracle._span_mask(*args) == _reference_span_mask(*args)
+
+
+@pytest.mark.parametrize("count", [0, 1, 8, 7, 13])
+def test_repeat_ors_count_shifted_copies(count):
+    x = 0b1011
+    assert oracle._repeat(x, 5, count) == sum(x << (5 * i) for i in range(count))
+
+
+@pytest.mark.parametrize("exps,p", PAIR_COUNT_GROUPS)
+def test_socle_intervals_match_interval_size(exps, p, lattice_cache):
+    g, lat = lattice_cache(exps, p)
+    omega1 = g.omega[min(1, len(g.omega) - 1)]
+    sizes = oracle._socle_intervals(lat, omega1)
+    elementary = [H for H in lat.subgroups if H.members & omega1 == H.members]
+    assert sorted(sizes) == sorted(H.members for H in elementary)
+    for H in elementary:
+        assert sizes[H.members] == interval_size(lat, H)
