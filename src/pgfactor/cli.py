@@ -9,8 +9,13 @@ Subcommands:
 Exit codes: 0 success, 1 verification mismatch, 2 usage or domain error
 (a type exponent over MAX_EXPONENT, a table grid over MAX_TABLE_ROWS rows
 and an oracle cap over MAX_ORACLE_ORDER among them), 3 oracle cap exceeded.
-The oracle cap defaults to 4096 elements and can be overridden by
---max-order or the PGF_MAX_ORDER environment variable.
+The oracle cap defaults to DEFAULT_MAX_ORDER (4096) elements and is set by
+--max-order alone.
+
+Each rule on one option is that option's argparse converter, ``required``
+setting or group, so argparse reports it.  UsageError is left to the rules
+that join two inputs and to the --primes entry checks, which wait for the
+table's row limit; ``main`` reports those.
 
 The argument parser depends on no input, so ``build_parser`` builds it once
 per process and every ``main`` call reuses it; ``parse_args`` returns a fresh
@@ -21,8 +26,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
+from dataclasses import asdict
 from functools import cache
 from math import comb
 
@@ -74,7 +79,7 @@ MAX_TABLE_ROWS = 3000
 # higher bound needs a benchmark instance at it before it is raised.
 MAX_EXPONENT = 1000
 
-# Largest oracle element cap that --max-order and PGF_MAX_ORDER accept.  The
+# Largest oracle element cap that --max-order accepts.  The
 # oracle holds one |G|-bit mask per subgroup, so memory grows as the order
 # times the subgroup count: verify at (5,5,5)@2, order 2^15 with 22308
 # subgroups, is the worst cell at this cap (see the README for its time and
@@ -100,8 +105,8 @@ ROUTES = {
 }
 
 
-class UsageError(Exception):
-    pass
+class UsageError(argparse.ArgumentTypeError):
+    """A rejected input; as an ArgumentTypeError it also serves as a converter's error."""
 
 
 def _is_prime(n: int) -> bool:
@@ -130,62 +135,77 @@ def _canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _parse_common(args) -> GroupType:
+def _group_type(text: str) -> GroupType:
+    """The --type converter: a descending triple with no exponent over MAX_EXPONENT."""
     try:
-        gtype = parse_type(args.type)
+        gtype = parse_type(text)
     except ValueError as exc:
-        raise UsageError(str(exc)) from None
+        raise argparse.ArgumentTypeError(str(exc)) from None
     if gtype[0] > MAX_EXPONENT:
-        raise UsageError(f"type exponent {gtype[0]} is over the limit of {MAX_EXPONENT}")
+        raise argparse.ArgumentTypeError(f"type exponent {gtype[0]} is over the limit of {MAX_EXPONENT}")
     return gtype
 
 
-def _require_prime(p: int, what: str = "--p") -> int:
+def _prime(text, what: str = "") -> int:
+    """The --p converter, and the check of each --primes entry; ``what`` starts its messages."""
+    try:
+        p = int(text)
+    except ValueError:
+        p = 0
     if p >= PRIME_BOUND:
-        raise UsageError(f"{what} must be below {PRIME_BOUND}, got {p}")
+        raise UsageError(f"{what}must be below {PRIME_BOUND}, got {text}")
     if not _is_prime(p):
-        raise UsageError(f"{what} must be prime, got {p}")
+        raise UsageError(f"{what}must be prime, got {text}")
     return p
 
 
-def _oracle_cap(text: str) -> int:
-    """Parse an oracle element cap, a positive integer up to MAX_ORACLE_ORDER."""
+def _positive(text: str) -> int:
+    """A positive integer: the --max-lambda converter, and the first check of --max-order."""
     try:
         value = int(text)
     except ValueError:
         value = 0
     if value <= 0:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
+def _oracle_cap(text: str) -> int:
+    """The --max-order converter: a positive integer up to MAX_ORACLE_ORDER."""
+    value = _positive(text)
     if value > MAX_ORACLE_ORDER:
         raise argparse.ArgumentTypeError(f"{value} is over the limit of {MAX_ORACLE_ORDER}")
     return value
 
 
-def _resolve_cap(args) -> int:
-    if args.max_order is not None:
-        return args.max_order
-    env = os.environ.get("PGF_MAX_ORDER")
-    if env is None:
-        return DEFAULT_MAX_ORDER
+def _int_list(text: str) -> list[int]:
+    """The --primes converter: a non-empty comma list of integers.
+
+    cmd_table checks the entries as distinct primes only after the row limit,
+    so a grid over the limit is rejected before any Miller-Rabin runs.
+    """
     try:
-        return _oracle_cap(env)
-    except argparse.ArgumentTypeError as exc:
-        raise UsageError(f"PGF_MAX_ORDER {exc}") from None
+        values = [int(x) for x in text.split(",") if x.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"cannot parse {text!r}") from None
+    if not values:
+        raise argparse.ArgumentTypeError("must list at least one prime")
+    return values
 
 
-def _mode(args) -> "int | None":
-    """Return the prime for numeric mode, None for symbolic."""
-    if args.symbolic and args.p is not None:
-        raise UsageError("--p and --symbolic are mutually exclusive")
-    if not args.symbolic and args.p is None:
-        raise UsageError("one of --p or --symbolic is required")
-    if args.p is not None:
-        return _require_prime(args.p)
-    return None
+def _check_list(text: str) -> list[str]:
+    """The --checks converter: a non-empty comma list out of ALL_CHECKS."""
+    checks = [c.strip() for c in text.split(",") if c.strip()]
+    unknown = [c for c in checks if c not in ALL_CHECKS]
+    if unknown:
+        raise argparse.ArgumentTypeError(f"unknown checks: {','.join(unknown)}")
+    if not checks:
+        raise argparse.ArgumentTypeError("empty check list")
+    return checks
 
 
-def _emit_scalar(args, gtype: GroupType, quantity: str, method: str, value) -> None:
-    text = str(value)
+def _emit_scalar(args, quantity: str, method: str, value) -> None:
+    gtype, text = args.type, str(value)
     if args.format == "text":
         print(text)
     elif args.format == "json":
@@ -207,21 +227,16 @@ def _emit_scalar(args, gtype: GroupType, quantity: str, method: str, value) -> N
 
 
 def cmd_count(args) -> int:
-    gtype = _parse_common(args)
-    result = subgroup_count(gtype, _mode(args))
-    _emit_scalar(args, gtype, "f", result.method, result.value)
+    result = subgroup_count(args.type, args.p)
+    _emit_scalar(args, "f", result.method, result.value)
     return EXIT_OK
 
 
 def cmd_f2(args) -> int:
-    gtype = _parse_common(args)
-    p = _mode(args)
-    if p is None and args.method != METHOD_CLOSED_FORM:
+    if args.p is None and args.method != METHOD_CLOSED_FORM:
         raise UsageError(f"--method {args.method} requires --p")
-    # only the oracle reads the cap, so a bad PGF_MAX_ORDER blocks no other route
-    cap = _resolve_cap(args) if args.method == "oracle" else None
-    value = ROUTES[args.method](gtype, p, cap)
-    _emit_scalar(args, gtype, "f2", args.method, value)
+    value = ROUTES[args.method](args.type, args.p, args.max_order)
+    _emit_scalar(args, "f2", args.method, value)
     return EXIT_OK
 
 
@@ -234,26 +249,16 @@ def _census_checks(report: VerificationReport, gtype: GroupType, p: int) -> None
 
 
 def cmd_verify(args) -> int:
-    gtype = _parse_common(args)
-    if args.p is None:
-        raise UsageError("verify requires --p")
-    p = _require_prime(args.p)
-    if args.checks is None:
+    gtype, p, checks = args.type, args.p, args.checks
+    if checks is None:
         checks = [c for c in ALL_CHECKS if c != "census" or gtype.rank == 3]
-    else:
-        checks = [c.strip() for c in args.checks.split(",") if c.strip()]
-        unknown = [c for c in checks if c not in ALL_CHECKS]
-        if unknown:
-            raise UsageError(f"unknown checks: {','.join(unknown)}")
-        if not checks:
-            raise UsageError("empty check list")
-        if "census" in checks and gtype.rank != 3:
-            raise UsageError("census check requires a rank-3 type")
+    elif "census" in checks and gtype.rank != 3:
+        raise UsageError("census check requires a rank-3 type")
 
     report = VerificationReport()
     need_lattice = any(c in checks for c in ("count", "f2", "hall", "eq2"))
     if need_lattice:
-        g = build_group(gtype, p, _resolve_cap(args))
+        g = build_group(gtype, p, args.max_order)
         lattice = all_subgroups(g)
     if "count" in checks:
         report.add("count", len(lattice), subgroup_count(gtype, p).value)
@@ -272,15 +277,7 @@ def cmd_verify(args) -> int:
         _canonical_json(
             {
                 "instance": {"type": list(gtype.exponents), "p": p},
-                "checks": [
-                    {
-                        "name": c.name,
-                        "status": c.status,
-                        "expected": c.expected,
-                        "actual": c.actual,
-                    }
-                    for c in report.checks
-                ],
+                "checks": [asdict(c) for c in report.checks],
                 "overall": report.overall,
             }
         )
@@ -295,14 +292,7 @@ def _grid_types(max_lambda: int) -> list[GroupType]:
 
 
 def cmd_table(args) -> int:
-    try:
-        primes = [int(x) for x in args.primes.split(",") if x.strip()]
-    except ValueError:
-        raise UsageError(f"cannot parse --primes {args.primes!r}") from None
-    if not primes:
-        raise UsageError("--primes must list at least one prime")
-    if args.max_lambda < 1:
-        raise UsageError("--max-lambda must be at least 1")
+    primes = args.primes
     # one row per prime and per type e1 >= e2 >= e3 >= 0 with 1 <= e1 <= max-lambda
     grid_rows = (comb(args.max_lambda + 3, 3) - 1) * len(primes)
     if grid_rows > MAX_TABLE_ROWS:
@@ -311,8 +301,8 @@ def cmd_table(args) -> int:
     for p in primes:
         if p in seen:
             raise UsageError(f"--primes lists {p} more than once")
-        seen.add(_require_prime(p, "--primes entries"))
-    cap = _resolve_cap(args)
+        seen.add(_prime(p, "--primes entries "))
+    cap = args.max_order
 
     rows = []
     consistent = True
@@ -365,12 +355,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     # options shared between subcommands, each declared once
     shared = {
-        "--type": dict(required=True, help="group type as 'e1,e2,e3', descending"),
-        "--p": dict(type=int, help="prime to evaluate at"),
-        "--symbolic": dict(action="store_true", help="leave p symbolic"),
+        "--type": dict(type=_group_type, required=True, help="group type as 'e1,e2,e3', descending"),
+        "--p": dict(type=_prime, help="prime to evaluate at"),
         "--format": dict(choices=("json", "csv", "text"), default="text"),
-        "--max-order": dict(type=_oracle_cap,
-                            help=f"oracle element cap (default 4096, at most {MAX_ORACLE_ORDER})"),
+        "--max-order": dict(type=_oracle_cap, default=DEFAULT_MAX_ORDER,
+                            help=f"oracle element cap (default %(default)s, at most {MAX_ORACLE_ORDER})"),
     }
 
     def subcommand(name, func, help, *options):
@@ -380,19 +369,25 @@ def build_parser() -> argparse.ArgumentParser:
         sp.set_defaults(func=func)
         return sp
 
-    subcommand("count", cmd_count, "total number of subgroups", "--type", "--p", "--symbolic", "--format")
+    def p_or_symbolic(sp):
+        mode = sp.add_mutually_exclusive_group(required=True)
+        mode.add_argument("--p", **shared["--p"])
+        mode.add_argument("--symbolic", action="store_true", help="leave p symbolic")
 
-    sp = subcommand(
-        "f2", cmd_f2, "factorization count", "--type", "--p", "--symbolic", "--format", "--max-order"
-    )
+    p_or_symbolic(subcommand("count", cmd_count, "total number of subgroups", "--type", "--format"))
+
+    sp = subcommand("f2", cmd_f2, "factorization count", "--type", "--format", "--max-order")
+    p_or_symbolic(sp)
     sp.add_argument("--method", choices=tuple(ROUTES), default=METHOD_CLOSED_FORM, help="computation route")
 
-    sp = subcommand("verify", cmd_verify, "cross-check all routes on one instance", "--type", "--p", "--max-order")
-    sp.add_argument("--checks", help=f"comma list out of {','.join(ALL_CHECKS)} (default: all applicable)")
+    sp = subcommand("verify", cmd_verify, "cross-check all routes on one instance", "--type", "--max-order")
+    sp.add_argument("--p", required=True, **shared["--p"])
+    sp.add_argument("--checks", type=_check_list,
+                    help=f"comma list out of {','.join(ALL_CHECKS)} (default: all applicable)")
 
     sp = subcommand("table", cmd_table, "grid of counts over types and primes", "--format", "--max-order")
-    sp.add_argument("--max-lambda", type=int, required=True, help="largest exponent in the grid")
-    sp.add_argument("--primes", required=True, help="comma-separated primes")
+    sp.add_argument("--max-lambda", type=_positive, required=True, help="largest exponent in the grid")
+    sp.add_argument("--primes", type=_int_list, required=True, help="comma-separated primes")
 
     return parser
 

@@ -54,14 +54,10 @@ def normalize(raw) -> GroupType:
 
     Formula arguments arise as unordered triples, so this is the one entry
     point that turns them into a canonical type.  Negative entries are
-    rejected; the zero-on-negative convention lives in the formulas module.
+    rejected, as is a length other than 3, both by GroupType itself; the
+    zero-on-negative convention lives in the formulas module.
     """
-    entries = [int(x) for x in raw]
-    if len(entries) != 3:
-        raise ValueError(f"expected exactly 3 exponents, got {len(entries)}")
-    if min(entries) < 0:
-        raise NegativeExponent(f"negative exponent in {entries!r}")
-    return GroupType(tuple(sorted(entries, reverse=True)))
+    return GroupType(tuple(sorted(map(int, raw), reverse=True)))
 
 
 def parse_type(text: str) -> GroupType:
@@ -70,8 +66,6 @@ def parse_type(text: str) -> GroupType:
         entries = tuple(int(part) for part in text.split(","))
     except ValueError:
         raise ValueError(f"cannot parse group type {text!r}") from None
-    if len(entries) != 3:
-        raise ValueError(f"group type needs exactly 3 comma-separated exponents: {text!r}")
     return GroupType(entries)
 
 

@@ -37,7 +37,7 @@ from functools import cached_property
 from itertools import pairwise, product
 from math import gcd
 
-from .grouptype import GroupType, p_valuation, type_from_layers
+from .grouptype import GroupType, type_from_layers
 from .mobius import _echelon, hall_mobius
 
 DEFAULT_MAX_ORDER = 4096
@@ -344,9 +344,10 @@ def _socle_intervals(lattice: Lattice, omega1: int) -> dict[int, int]:
     return {m: sum(n for e, n in tally.items() if e & m == m) for m in tally}
 
 
-def _hall_by_rank(p: int) -> list[int]:
-    """Hall's mu(1, H) for H elementary abelian of order p^n, listed by n = 0..3."""
-    return [hall_mobius(GroupType((1,) * n + (0,) * (3 - n)), p) for n in range(4)]
+def _socle_and_hall(g: ConcreteGroup) -> tuple[int, dict[int, int]]:
+    """Omega_1(G)'s mask, and Hall's mu(1, H) for H elementary abelian keyed by |H| = p^n, n = 0..3."""
+    omega1 = g.omega[min(1, len(g.omega) - 1)]  # the trivial group has only Omega_0
+    return omega1, {g.p ** n: hall_mobius(GroupType((1,) * n + (0,) * (3 - n)), g.p) for n in range(4)}
 
 
 def _sparse_mobius(subgroups: list[SubgroupSet], upward: bool) -> list[int]:
@@ -413,17 +414,16 @@ def verify_hall(g: ConcreteGroup, lattice: Lattice) -> VerificationReport:
     Non-elementary subgroups must give 0; elementary abelian ones of rank n
     must give (-1)^n p^(n(n-1)/2).  The elementary abelian subgroups are
     those in Omega_1(G), and one of order p^n has rank n, so the expected
-    value is read from a list by n rather than by typing H; every subgroup
-    is compared.  Mismatches are listed individually.
+    value is looked up by the order p^n rather than by typing H; every
+    subgroup is compared.  Mismatches are listed individually.
     """
     report = VerificationReport()
     mu = _sparse_mobius(lattice.subgroups, upward=True)
-    omega1 = g.omega[min(1, len(g.omega) - 1)]  # the trivial group has only Omega_0
-    hall = _hall_by_rank(g.p)
+    omega1, hall = _socle_and_hall(g)
     mismatches = 0
     for H in lattice.subgroups:
         elementary = H.members & omega1 == H.members
-        expected = hall[p_valuation(H.order, g.p)] if elementary else 0
+        expected = hall[H.order] if elementary else 0
         actual = mu[H.id]
         if expected != actual:
             mismatches += 1
@@ -440,7 +440,7 @@ def verify_inversion_forms(g: ConcreteGroup, lattice: Lattice) -> VerificationRe
     count.  Each sum counts only at its nonzero terms.  S1 runs where
     mu(H, G) != 0 and counts |L(H)| by mask subset over ids up to H's.  S2
     runs over the elementary abelian H (those in Omega_1(G), as the closed
-    form vanishes elsewhere), taking mu(1, H) by the rank of H and |[H, G]|
+    form vanishes elsewhere), taking mu(1, H) by the order of H and |[H, G]|
     from the tallies of the subgroups' meets with Omega_1(G).
     """
     report = VerificationReport()
@@ -452,9 +452,8 @@ def verify_inversion_forms(g: ConcreteGroup, lattice: Lattice) -> VerificationRe
             m = H.members
             below = sum(K.members & m == K.members for K in subgroups[:H.id + 1])
             s1 += below ** 2 * mu_top[H.id]
-    omega1 = g.omega[min(1, len(g.omega) - 1)]  # the trivial group has only Omega_0
-    hall = _hall_by_rank(g.p)
-    s2 = sum(size ** 2 * hall[p_valuation(m.bit_count(), g.p)]
+    omega1, hall = _socle_and_hall(g)
+    s2 = sum(size ** 2 * hall[m.bit_count()]
              for m, size in _socle_intervals(lattice, omega1).items())
     direct = count_factorizations(g, lattice)
     report.add("inversion_sum_subgroup_counts", direct, s1)

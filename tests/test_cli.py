@@ -84,7 +84,7 @@ def test_count_rejects_unsorted_type(capsys):
 def test_count_requires_mode(capsys):
     code, _, err = run_cli(capsys, "count", "--type", "1,1,1")
     assert code == 2
-    assert "--p or --symbolic" in err
+    assert "--p" in err and "--symbolic" in err
 
 
 def test_count_rejects_both_modes(capsys):
@@ -130,45 +130,70 @@ def test_max_order_flag_must_be_positive(capsys, cap):
     assert not out
 
 
-def test_max_order_env_must_be_positive(capsys, monkeypatch):
-    monkeypatch.setenv("PGF_MAX_ORDER", "0")
-    code, out, err = run_cli(capsys, "table", "--max-lambda", "1", "--primes", "2")
-    assert code == 2
-    assert not out
-    assert "PGF_MAX_ORDER" in err
-
-
 def test_max_oracle_order_is_the_measured_bound():
     assert MAX_ORACLE_ORDER == 32768
 
 
-@pytest.mark.parametrize("source", ["flag", "env"])
-def test_max_order_at_limit_accepted(capsys, monkeypatch, source):
-    argv = ["f2", "--type", "1,1,1", "--p", "2", "--method", "oracle"]
-    if source == "flag":
-        argv += ["--max-order", str(MAX_ORACLE_ORDER)]
-    else:
-        monkeypatch.setenv("PGF_MAX_ORDER", str(MAX_ORACLE_ORDER))
-    code, out, _ = run_cli(capsys, *argv)
+@pytest.mark.parametrize("cap", [pytest.param(MAX_ORACLE_ORDER, id="flag")])
+def test_max_order_at_limit_accepted(capsys, cap):
+    code, out, _ = run_cli(capsys, "f2", "--type", "1,1,1", "--p", "2", "--method", "oracle",
+                           "--max-order", str(cap))
     assert code == 0
     assert out == "129\n"
 
 
-@pytest.mark.parametrize("source", ["flag", "env"])
+@pytest.mark.parametrize("cap", [pytest.param(MAX_ORACLE_ORDER + 1, id="flag")])
 @pytest.mark.parametrize("command", ["f2", "verify", "table"])
-def test_max_order_over_limit_rejected(capsys, monkeypatch, source, command):
+def test_max_order_over_limit_rejected(capsys, cap, command):
     argv = {"f2": ["f2", "--type", "1,1,1", "--p", "2", "--method", "oracle"],
             "verify": ["verify", "--type", "1,1,1", "--p", "2"],
             "table": ["table", "--max-lambda", "1", "--primes", "2"]}[command]
-    if source == "flag":
-        argv += ["--max-order", str(MAX_ORACLE_ORDER + 1)]
-    else:
-        monkeypatch.setenv("PGF_MAX_ORDER", str(MAX_ORACLE_ORDER + 1))
-    code, out, err = run_cli(capsys, *argv)
+    code, out, err = run_cli(capsys, *argv, "--max-order", str(cap))
     assert code == 2
     assert not out
     assert f"over the limit of {MAX_ORACLE_ORDER}" in err
-    assert ("--max-order" if source == "flag" else "PGF_MAX_ORDER") in err
+    assert "--max-order" in err
+
+
+@pytest.mark.parametrize("value", ["4", "lots"])
+def test_max_order_env_var_is_ignored(capsys, monkeypatch, value):
+    monkeypatch.setenv("PGF_MAX_ORDER", value)
+    code, out, _ = run_cli(capsys, "f2", "--type", "1,1,1", "--p", "2", "--method", "oracle")
+    assert code == 0
+    assert out == "129\n"
+
+
+# each rule on a single option, and the options its message must name
+SINGLE_OPTION_REJECTIONS = [
+    ("count --type 2,3,1 --p 2", "--type"),
+    ("count --type 1,1 --p 2", "--type"),
+    (f"f2 --type {MAX_EXPONENT + 1},0,0 --p 2", "--type"),
+    ("count --type 1,1,1 --p 4", "--p"),
+    ("count --type 1,1,1 --p -3", "--p"),
+    (f"count --type 1,1,1 --p {PRIME_BOUND}", "--p"),
+    ("count --type 1,1,1 --p 2 --symbolic", "--p --symbolic"),
+    ("f2 --type 1,1,1 --p 2 --symbolic", "--p --symbolic"),
+    ("count --type 1,1,1", "--p --symbolic"),
+    ("f2 --type 1,1,1", "--p --symbolic"),
+    ("verify --type 1,1,1", "--p"),
+    ("verify --type 1,1,1 --p 2 --checks bogus", "--checks"),
+    ("verify --type 1,1,1 --p 2 --checks ,", "--checks"),
+    ("table --max-lambda 0 --primes 2", "--max-lambda"),
+    ("table --max-lambda 1 --primes 2,x", "--primes"),
+    ("table --max-lambda 1 --primes ,", "--primes"),
+    ("f2 --type 1,1,1 --p 2 --max-order 0", "--max-order"),
+    (f"f2 --type 1,1,1 --p 2 --max-order {MAX_ORACLE_ORDER + 1}", "--max-order"),
+]
+
+
+@pytest.mark.parametrize("argv,options", SINGLE_OPTION_REJECTIONS,
+                         ids=[argv for argv, _ in SINGLE_OPTION_REJECTIONS])
+def test_single_option_rule_is_reported_by_the_parser(capsys, argv, options):
+    code, out, err = run_cli(capsys, *argv.split())
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"usage: pgfactor {argv.split()[0]} ")
+    assert all(option in err for option in options.split())
 
 
 def test_f2_golden_321(capsys):
@@ -219,26 +244,6 @@ def test_f2_oracle_cap_flag(capsys):
         capsys, "f2", "--type", "1,1,1", "--p", "2", "--method", "oracle", "--max-order", "4"
     )
     assert code == 3
-
-
-def test_f2_oracle_cap_env(capsys, monkeypatch):
-    monkeypatch.setenv("PGF_MAX_ORDER", "4")
-    code, _, _ = run_cli(capsys, "f2", "--type", "1,1,1", "--p", "2", "--method", "oracle")
-    assert code == 3
-    # flag wins over env
-    monkeypatch.setenv("PGF_MAX_ORDER", "4")
-    code, out, _ = run_cli(
-        capsys, "f2", "--type", "1,1,1", "--p", "2", "--method", "oracle", "--max-order", "64"
-    )
-    assert code == 0
-    assert out.strip() == "129"
-
-
-def test_f2_bad_env_value(capsys, monkeypatch):
-    monkeypatch.setenv("PGF_MAX_ORDER", "lots")
-    code, _, err = run_cli(capsys, "f2", "--type", "1,1,1", "--p", "2", "--method", "oracle")
-    assert code == 2
-    assert "PGF_MAX_ORDER" in err
 
 
 def test_verify_full_pass(capsys):
