@@ -74,7 +74,7 @@ _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 MAX_TABLE_ROWS = 3000
 
 # Largest type exponent that count, f2 and verify accept.  At (1000,1000,1000)
-# f2 --symbolic takes 0.2 s, and at the largest accepted --p the numeric
+# f2 --symbolic takes 0.15 s, and at the largest accepted --p the numeric
 # closed form and --method mobius take 0.4 s each, start-up included.  A
 # higher bound needs a benchmark instance at it before it is raised.
 MAX_EXPONENT = 1000

@@ -5,7 +5,9 @@ or with p left symbolic (an IntPolynomial):
 
 * ``subgroup_count``: the total number of subgroups of
   Z_{p^e1} x Z_{p^e2} x Z_{p^e3}, as an explicit rational expression in p
-  whose numerator is divisible exactly by (p^2-1)^2 (p-1).
+  whose numerator, three shifted runs of coefficients, is divisible exactly
+  by (p^2-1)^2 (p-1); with p symbolic it is divided by p-1, p^2-1 and
+  p^2-1 in turn, each division a running sum.
 
 * ``factorization_count``: the number of ordered pairs (H, K) of subgroups
   with H + K equal to the whole group, obtained by Mobius inversion over
@@ -45,31 +47,32 @@ class FormulaResult:
         return str(self.value)
 
 
+def _run(pv, shift: int, *run: int):
+    """pv^shift * (run[0] + run[1] pv + ...), by Horner's rule; ``pv`` is an int or P."""
+    acc = run[-1]
+    for c in run[-2::-1]:
+        acc = acc * pv + c
+    return pv**shift * acc
+
+
 def _count_numerator(e1: int, e2: int, e3: int, pv):
     """Numerator of the subgroup-count expression; ``pv`` is an int or P.
 
-    Eleven terms; coefficients are linear in the exponents.  Terms whose
-    p-powers coincide (which happens when exponents are equal or zero)
-    simply add, which the polynomial/int arithmetic handles uniformly.
+    Three runs of consecutive powers, at p^(e2+e3+1), p^(2e3+2) and p^0,
+    with coefficients linear in the exponents.  Runs whose powers overlap
+    (which happens when exponents are equal or zero) simply add.
     """
-    return (
-        (e3 + 1) * (e1 - e2 + 1) * pv ** (e2 + e3 + 5)
-        + 2 * (e3 + 1) * pv ** (e2 + e3 + 4)
-        - 2 * (e3 + 1) * (e1 - e2) * pv ** (e2 + e3 + 3)
-        - 2 * (e3 + 1) * pv ** (e2 + e3 + 2)
-        + (e3 + 1) * (e1 - e2 - 1) * pv ** (e2 + e3 + 1)
-        - (e1 + e2 - e3 + 3) * pv ** (2 * e3 + 4)
-        - 2 * pv ** (2 * e3 + 3)
-        + (e1 + e2 - e3 - 1) * pv ** (2 * e3 + 2)
-        + (e1 + e2 + e3 + 5) * pv ** 2
-        + 2 * pv
-        - (e1 + e2 + e3 + 1)
-    )
+    a, d, s = e3 + 1, e1 - e2, e1 + e2 - e3
+    return (_run(pv, e2 + e3 + 1, a * (d - 1), -2 * a, -2 * a * d, 2 * a, a * (d + 1))
+            + _run(pv, 2 * e3 + 2, s - 1, -2, -(s + 3))
+            + _run(pv, 0, -(s + 2 * e3 + 1), 2, s + 2 * e3 + 5))
 
 
-def _exact_quotient(num, den):
-    if isinstance(num, IntPolynomial):
-        return num.exact_div(den)
+def _exact_quotient(num, p: "int | None"):
+    """num / ((p^2-1)^2 (p-1)), which must be exact."""
+    if p is None:
+        return num.exact_div_pk_minus_one(1).exact_div_pk_minus_one(2).exact_div_pk_minus_one(2)
+    den = (p**2 - 1) ** 2 * (p - 1)
     q, r = divmod(num, den)
     if r:
         raise InexactDivision(f"{num} is not divisible by {den}")
@@ -77,10 +80,7 @@ def _exact_quotient(num, den):
 
 
 def _subgroup_count_value(t: GroupType, p: "int | None"):
-    pv = p if p is not None else P
-    num = _count_numerator(*t.exponents, pv)
-    den = (pv**2 - 1) ** 2 * (pv - 1)
-    return _exact_quotient(num, den)
+    return _exact_quotient(_count_numerator(*t.exponents, p if p is not None else P), p)
 
 
 def subgroup_count(t: GroupType, p: "int | None" = None) -> FormulaResult:

@@ -5,11 +5,15 @@ so squared subgroup counts never overflow no matter the exponents.  A
 product with a single-term operand c*p^d scales the other operand's
 coefficients by c and shifts them by d; every other product is packed into
 one big-int product, so it costs about as much as CPython's multiplication
-of the packed ints.
+of the packed ints.  Division by p^k - 1 is a running sum in each residue
+class mod k.  Only the public constructor checks for integer coefficients;
+arithmetic results are built by ``_poly``, which only trims.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
+from operator import add, index
 from typing import Iterable
 
 NEG_INFINITY = float("-inf")
@@ -17,12 +21,6 @@ NEG_INFINITY = float("-inf")
 
 class InexactDivision(ArithmeticError):
     """Polynomial division left a nonzero remainder where none was expected."""
-
-
-def _trim(coeffs: list[int]) -> tuple[int, ...]:
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return tuple(coeffs)
 
 
 def _pack(coeffs, width: int) -> int:
@@ -58,6 +56,15 @@ def _kronecker_product(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
     return [int.from_bytes(data[i:i + width], "little") - bias for i in range(0, n * width, width)]
 
 
+def _poly(coeffs: list[int]) -> "IntPolynomial":
+    """An IntPolynomial from int coefficients: trailing zeros trimmed, nothing coerced."""
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    poly = object.__new__(IntPolynomial)
+    object.__setattr__(poly, "coeffs", tuple(coeffs))
+    return poly
+
+
 class IntPolynomial:
     """Dense polynomial over the integers; coeffs[i] is the coefficient of p^i.
 
@@ -69,8 +76,8 @@ class IntPolynomial:
 
     coeffs: tuple[int, ...]
 
-    def __init__(self, coeffs: Iterable[int] = ()):
-        object.__setattr__(self, "coeffs", _trim([int(c) for c in coeffs]))
+    def __new__(cls, coeffs: Iterable[int] = ()):
+        return _poly([index(c) for c in coeffs])
 
     def __setattr__(self, name, value):
         raise AttributeError("IntPolynomial is immutable")
@@ -95,14 +102,14 @@ class IntPolynomial:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash(self.coeffs) if len(self.coeffs) > 1 else hash(sum(self.coeffs))
 
     @staticmethod
     def _coerce(value) -> "IntPolynomial | None":
         if isinstance(value, IntPolynomial):
             return value
         if isinstance(value, int):
-            return IntPolynomial((value,))
+            return _poly([value])
         return None
 
     def __add__(self, other):
@@ -112,15 +119,12 @@ class IntPolynomial:
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return IntPolynomial(out)
+        return _poly([*map(add, a, b), *a[len(b):]])
 
     __radd__ = __add__
 
     def __neg__(self):
-        return IntPolynomial([-c for c in self.coeffs])
+        return _poly([-c for c in self.coeffs])
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -140,13 +144,13 @@ class IntPolynomial:
             return NotImplemented
         a, b = self.coeffs, other.coeffs
         if not a or not b:
-            return IntPolynomial(())
+            return _poly([])
         if any(a[:-1]):  # put a single-term operand, if there is one, first
             a, b = b, a
         if any(a[:-1]):
-            return IntPolynomial(_kronecker_product(a, b))
+            return _poly(_kronecker_product(a, b))
         # a is c p^d: scale b by c and shift it by d
-        return IntPolynomial([0] * (len(a) - 1) + [a[-1] * c for c in b])
+        return _poly([0] * (len(a) - 1) + [a[-1] * c for c in b])
 
     __rmul__ = __mul__
 
@@ -155,8 +159,8 @@ class IntPolynomial:
             raise ValueError("exponent must be a nonnegative integer")
         a = self.coeffs
         if a and not any(a[:-1]):  # a single term c p^d: c^n p^(dn)
-            return IntPolynomial((0,) * ((len(a) - 1) * n) + (a[-1] ** n,))
-        result = IntPolynomial((1,))
+            return _poly([0] * ((len(a) - 1) * n) + [a[-1] ** n])
+        result = _poly([1])
         base = self
         while True:
             if n & 1:
@@ -185,7 +189,7 @@ class IntPolynomial:
         if den is None or not den:
             raise ZeroDivisionError("polynomial division by zero")
         if not self:
-            return IntPolynomial(())
+            return _poly([])
         if len(self.coeffs) < len(den.coeffs):
             raise InexactDivision(f"{self!r} is not divisible by {den!r}")
         rem = list(self.coeffs)
@@ -204,7 +208,22 @@ class IntPolynomial:
                     rem[k + i] -= q * d
         if any(rem):
             raise InexactDivision(f"{self!r} is not divisible by {den!r}")
-        return IntPolynomial(quot)
+        return _poly(quot)
+
+    def exact_div_pk_minus_one(self, k: int) -> "IntPolynomial":
+        """Divide by p^k - 1 (k >= 1), raising InexactDivision as ``exact_div`` does.
+
+        Read from the top, the running sums in each residue class mod k are
+        the quotient, except the last k sums, which are the remainder."""
+        if k < 1:
+            raise ValueError("k must be a positive integer")
+        n = len(self.coeffs)
+        sums = list(reversed(self.coeffs))
+        for r in range(k):
+            sums[r::k] = accumulate(sums[r::k])
+        if any(sums[max(n - k, 0):]):
+            raise InexactDivision(f"{self!r} is not divisible by p^{k}-1")
+        return _poly(sums[n - k - 1::-1])
 
     def __str__(self) -> str:
         return render(self)

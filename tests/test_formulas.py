@@ -4,8 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pgfactor.cli import MAX_EXPONENT
 from pgfactor.formulas import (
     _CELLS,
+    _count_numerator,
+    _exact_quotient,
     _hall_value,
     factorization_count,
     factorization_count_equal_exponents,
@@ -14,7 +17,7 @@ from pgfactor.formulas import (
 )
 from pgfactor.grouptype import GroupType, normalize
 from pgfactor.mobius import gaussian_binomial
-from pgfactor.poly import IntPolynomial, P
+from pgfactor.poly import InexactDivision, IntPolynomial, P
 
 # Golden polynomial for type (3,2,1), cross-validated against the Mobius
 # route and the brute-force oracle at p in {2,3}.
@@ -130,6 +133,53 @@ def test_equal_exponent_golden():
 def test_equal_exponent_rejects_negative():
     with pytest.raises(ValueError):
         factorization_count_equal_exponents(-1)
+
+
+def dense_numerator(e1, e2, e3, pv):
+    """Eq3's numerator as its eleven terms c * p^k, the reference for the three runs."""
+    return (
+        (e3 + 1) * (e1 - e2 + 1) * pv ** (e2 + e3 + 5)
+        + 2 * (e3 + 1) * pv ** (e2 + e3 + 4)
+        - 2 * (e3 + 1) * (e1 - e2) * pv ** (e2 + e3 + 3)
+        - 2 * (e3 + 1) * pv ** (e2 + e3 + 2)
+        + (e3 + 1) * (e1 - e2 - 1) * pv ** (e2 + e3 + 1)
+        - (e1 + e2 - e3 + 3) * pv ** (2 * e3 + 4)
+        - 2 * pv ** (2 * e3 + 3)
+        + (e1 + e2 - e3 - 1) * pv ** (2 * e3 + 2)
+        + (e1 + e2 + e3 + 5) * pv ** 2
+        + 2 * pv
+        - (e1 + e2 + e3 + 1)
+    )
+
+
+NUMERATOR_TYPES = [
+    (e1, e2, e3) for e1 in range(13) for e2 in range(e1 + 1) for e3 in range(e2 + 1)
+] + [
+    (MAX_EXPONENT, MAX_EXPONENT, MAX_EXPONENT), (MAX_EXPONENT, MAX_EXPONENT - 1, MAX_EXPONENT - 2),
+    (MAX_EXPONENT, MAX_EXPONENT, 0), (MAX_EXPONENT, 500, 499), (MAX_EXPONENT - 1, 1, 1),
+    (MAX_EXPONENT, 0, 0),
+]
+
+
+def test_numerator_runs_match_the_dense_terms():
+    for t in NUMERATOR_TYPES:
+        assert _count_numerator(*t, P) == dense_numerator(*t, P), t
+
+
+@pytest.mark.parametrize("p", [2, 3, 10**9 + 7])
+def test_numerator_runs_match_the_dense_terms_numerically(p):
+    for t in NUMERATOR_TYPES:
+        assert _count_numerator(*t, p) == dense_numerator(*t, p), t
+
+
+def test_inexact_quotient_raises_in_both_modes():
+    num = dense_numerator(3, 2, 1, P)
+    assert _exact_quotient(num, None) == subgroup_count(GroupType((3, 2, 1))).value
+    assert _exact_quotient(num.evaluate(3), 3) == subgroup_count(GroupType((3, 2, 1)), 3).value
+    with pytest.raises(InexactDivision):
+        _exact_quotient(num + 1, None)
+    with pytest.raises(InexactDivision):
+        _exact_quotient(num.evaluate(3) + 1, 3)
 
 
 def test_symbolic_division_always_exact():

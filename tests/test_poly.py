@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -101,6 +102,31 @@ def test_int_equality_and_hash():
     assert poly(7) == 7
     assert IntPolynomial.zero() == 0
     assert hash(poly(1, 2)) == hash(IntPolynomial((1, 2, 0)))
+
+
+@pytest.mark.parametrize("c", [0, 5, -3])
+def test_constant_hashes_as_its_int(c):
+    constant = IntPolynomial((c,))
+    assert constant == c
+    assert hash(constant) == hash(c)
+    assert len({constant, c}) == 1
+    assert len({c, constant}) == 1
+
+
+def test_sets_deduplicate_constants_and_ints():
+    values = {IntPolynomial.zero(), 0, poly(5), 5, poly(-3), -3, P, poly(0, 1), 2 * P, poly(0, 2)}
+    assert len(values) == 5
+
+
+@pytest.mark.parametrize("coeffs", [[1.5], [2.0], [1, "3"], [Fraction(1, 2)]],
+                         ids=["1.5", "2.0", "str", "fraction"])
+def test_constructor_rejects_non_integers(coeffs):
+    with pytest.raises(TypeError):
+        IntPolynomial(coeffs)
+
+
+def test_constructor_accepts_integer_types():
+    assert IntPolynomial([True, 2]) == P * 2 + 1
 
 
 def test_pow():
@@ -248,6 +274,40 @@ def test_pow_matches_repeated_product(a, n):
 def test_exact_div_undoes_mul(q, b):
     if b:
         assert (q * b).exact_div(b) == q
+
+
+@settings(deadline=None, max_examples=200)
+@given(polys(max_len=60), st.integers(1, 3), st.data())
+def test_exact_div_pk_minus_one_undoes_mul(q, k, data):
+    den = P**k - 1
+    num = q * den
+    assert num.exact_div_pk_minus_one(k) == q
+    assert num.exact_div_pk_minus_one(k) == num.exact_div(den)
+    coeff = st.one_of(st.just(0), st.integers(-(1 << 64), 1 << 64))
+    r = IntPolynomial(data.draw(st.lists(coeff, min_size=k, max_size=k)))
+    if r:
+        with pytest.raises(InexactDivision):
+            (num + r).exact_div_pk_minus_one(k)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_exact_div_pk_minus_one_checks_every_remainder_slot(k):
+    num = (P**5 - 2 * P + 7) * (P**k - 1)
+    for slot in range(k):
+        for c in (1, -1, BIG):
+            with pytest.raises(InexactDivision):
+                (num + c * P**slot).exact_div_pk_minus_one(k)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_exact_div_pk_minus_one_of_zero(k):
+    assert IntPolynomial.zero().exact_div_pk_minus_one(k) == IntPolynomial.zero()
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_exact_div_pk_minus_one_needs_positive_k(k):
+    with pytest.raises(ValueError):
+        (P - 1).exact_div_pk_minus_one(k)
 
 
 @pytest.fixture
