@@ -12,10 +12,11 @@ and an oracle cap over MAX_ORACLE_ORDER among them), 3 oracle cap exceeded.
 The oracle cap defaults to DEFAULT_MAX_ORDER (4096) elements and is set by
 --max-order alone.
 
-Each rule on one option is that option's argparse converter, ``required``
-setting or group, so argparse reports it.  UsageError is left to the rules
-that join two inputs and to the --primes entry checks, which wait for the
-table's row limit; ``main`` reports those.
+Every rejected input is reported by argparse: a rule on one option is that
+option's converter, ``required`` setting or group, and a rule that joins two
+inputs calls the subcommand parser's ``error``.  So exit 2 always means a
+rejected input, with a ``usage:`` line and ``pgfactor <command>: error: ...``
+on stderr and nothing on stdout.
 
 The argument parser depends on no input, so ``build_parser`` builds it once
 per process and every ``main`` call reuses it; ``parse_args`` returns a fresh
@@ -82,9 +83,11 @@ MAX_EXPONENT = 1000
 # Largest oracle element cap that --max-order accepts.  The
 # oracle holds one |G|-bit mask per subgroup, so memory grows as the order
 # times the subgroup count: verify at (5,5,5)@2, order 2^15 with 22308
-# subgroups, is the worst cell at this cap (see the README for its time and
-# peak memory; CI runs it under a 60 s timeout), where a cap of 2^24 would
-# let (8,8,8)@2 ask for about 4.9 TB.
+# subgroups, is the worst cell for memory at this cap, where a cap of 2^24
+# would let (8,8,8)@2 ask for about 4.9 TB.  The worst for time is verify at
+# (1,1,1)@31, order 29791, whose hall and eq2 checks are quadratic in its
+# 1988 elementary abelian subgroups.  The README gives both cells' time and
+# peak memory; CI runs both under a 60 s timeout.
 MAX_ORACLE_ORDER = 32768
 
 
@@ -103,10 +106,6 @@ ROUTES = {
     "mobius": lambda gtype, p, cap: factorization_count_mobius(gtype, p),
     "oracle": _oracle_f2,
 }
-
-
-class UsageError(argparse.ArgumentTypeError):
-    """A rejected input; as an ArgumentTypeError it also serves as a converter's error."""
 
 
 def _is_prime(n: int) -> bool:
@@ -146,16 +145,16 @@ def _group_type(text: str) -> GroupType:
     return gtype
 
 
-def _prime(text, what: str = "") -> int:
-    """The --p converter, and the check of each --primes entry; ``what`` starts its messages."""
+def _prime(text: str) -> int:
+    """The --p converter, and the check of each --primes entry."""
     try:
         p = int(text)
     except ValueError:
         p = 0
     if p >= PRIME_BOUND:
-        raise UsageError(f"{what}must be below {PRIME_BOUND}, got {text}")
+        raise argparse.ArgumentTypeError(f"must be below {PRIME_BOUND}, got {text}")
     if not _is_prime(p):
-        raise UsageError(f"{what}must be prime, got {text}")
+        raise argparse.ArgumentTypeError(f"must be prime, got {text}")
     return p
 
 
@@ -178,19 +177,22 @@ def _oracle_cap(text: str) -> int:
     return value
 
 
-def _int_list(text: str) -> list[int]:
-    """The --primes converter: a non-empty comma list of integers.
+def _prime_list(text: str) -> list[int]:
+    """The --primes converter: a comma list of 1 to MAX_TABLE_ROWS distinct primes.
 
-    cmd_table checks the entries as distinct primes only after the row limit,
-    so a grid over the limit is rejected before any Miller-Rabin runs.
+    The length is checked first, so an overlong list runs no Miller-Rabin.
     """
-    try:
-        values = [int(x) for x in text.split(",") if x.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"cannot parse {text!r}") from None
-    if not values:
+    entries = [x for x in text.split(",") if x.strip()]
+    if not entries:
         raise argparse.ArgumentTypeError("must list at least one prime")
-    return values
+    if len(entries) > MAX_TABLE_ROWS:
+        raise argparse.ArgumentTypeError(f"lists {len(entries)} primes, over the row limit of {MAX_TABLE_ROWS}")
+    primes = {}
+    for p in map(_prime, entries):
+        if p in primes:
+            raise argparse.ArgumentTypeError(f"lists {p} more than once")
+        primes[p] = None
+    return list(primes)
 
 
 def _check_list(text: str) -> list[str]:
@@ -234,7 +236,7 @@ def cmd_count(args) -> int:
 
 def cmd_f2(args) -> int:
     if args.p is None and args.method != METHOD_CLOSED_FORM:
-        raise UsageError(f"--method {args.method} requires --p")
+        args.parser.error(f"--method {args.method} requires --p")
     value = ROUTES[args.method](args.type, args.p, args.max_order)
     _emit_scalar(args, "f2", args.method, value)
     return EXIT_OK
@@ -253,7 +255,7 @@ def cmd_verify(args) -> int:
     if checks is None:
         checks = [c for c in ALL_CHECKS if c != "census" or gtype.rank == 3]
     elif "census" in checks and gtype.rank != 3:
-        raise UsageError("census check requires a rank-3 type")
+        args.parser.error("census check requires a rank-3 type")
 
     report = VerificationReport()
     need_lattice = any(c in checks for c in ("count", "f2", "hall", "eq2"))
@@ -296,12 +298,7 @@ def cmd_table(args) -> int:
     # one row per prime and per type e1 >= e2 >= e3 >= 0 with 1 <= e1 <= max-lambda
     grid_rows = (comb(args.max_lambda + 3, 3) - 1) * len(primes)
     if grid_rows > MAX_TABLE_ROWS:
-        raise UsageError(f"table grid has {grid_rows} rows, over the limit of {MAX_TABLE_ROWS}")
-    seen = set()
-    for p in primes:
-        if p in seen:
-            raise UsageError(f"--primes lists {p} more than once")
-        seen.add(_prime(p, "--primes entries "))
+        args.parser.error(f"table grid has {grid_rows} rows, over the limit of {MAX_TABLE_ROWS}")
     cap = args.max_order
 
     rows = []
@@ -366,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=help)
         for option in options:
             sp.add_argument(option, **shared[option])
-        sp.set_defaults(func=func)
+        sp.set_defaults(func=func, parser=sp)
         return sp
 
     def p_or_symbolic(sp):
@@ -387,28 +384,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = subcommand("table", cmd_table, "grid of counts over types and primes", "--format", "--max-order")
     sp.add_argument("--max-lambda", type=_positive, required=True, help="largest exponent in the grid")
-    sp.add_argument("--primes", type=_int_list, required=True, help="comma-separated primes")
+    sp.add_argument("--primes", type=_prime_list, required=True, help="comma-separated primes")
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     # Exact values can run past Python's int-to-str digit limit (4300 by
     # default since 3.10.7; earlier versions have no limit and no getter).
-    # Lift it while the command runs and give the caller's value back after.
+    # Lift it only while the command runs, so parsing keeps the limit's guard
+    # against huge option values, and give the caller's value back after.
     previous = getattr(sys, "get_int_max_str_digits", lambda: None)()
-    if previous is not None:
-        sys.set_int_max_str_digits(0)
     try:
+        args = build_parser().parse_args(argv)
+        if previous is not None:
+            sys.set_int_max_str_digits(0)
         return args.func(args)
-    except (UsageError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except SystemExit as exc:  # argparse rejected the input, or printed --help
+        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     except GroupTooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP

@@ -82,6 +82,10 @@ class IntPolynomial:
     def __setattr__(self, name, value):
         raise AttributeError("IntPolynomial is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, not __setattr__
+        return IntPolynomial, (self.coeffs,)
+
     @classmethod
     def zero(cls) -> "IntPolynomial":
         return cls(())

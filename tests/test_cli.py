@@ -66,6 +66,17 @@ def test_count_symbolic_text(capsys):
     assert out.strip() == "p+3"
 
 
+@pytest.mark.parametrize("argv,row", [
+    ("count --type 3,2,1 --p 2", "3,2,1,2,f,eq3,81"),
+    ("f2 --type 3,2,1 --symbolic", "3,2,1,,f2,theorem3,9p^6+15p^5+21p^4+16p^3+20p^2+11p+13"),
+], ids=["count-numeric", "f2-symbolic"])
+def test_scalar_csv_golden(capsys, argv, row):
+    # a symbolic p leaves the p cell empty
+    code, out, _ = run_cli(capsys, *argv.split(), "--format", "csv")
+    assert code == 0
+    assert out == f"lambda1,lambda2,lambda3,p,quantity,method,value\n{row}\n"
+
+
 def test_count_json_roundtrip(capsys):
     code, out, _ = run_cli(capsys, "count", "--type", "3,2,1", "--p", "2", "--format", "json")
     assert code == 0
@@ -163,13 +174,14 @@ def test_max_order_env_var_is_ignored(capsys, monkeypatch, value):
     assert out == "129\n"
 
 
-# each rule on a single option, and the options its message must name
+# each rule on a single option, and the words its message must contain
 SINGLE_OPTION_REJECTIONS = [
     ("count --type 2,3,1 --p 2", "--type"),
     ("count --type 1,1 --p 2", "--type"),
     (f"f2 --type {MAX_EXPONENT + 1},0,0 --p 2", "--type"),
     ("count --type 1,1,1 --p 4", "--p"),
     ("count --type 1,1,1 --p -3", "--p"),
+    ("count --type 1,1,1 --p abc", "--p"),
     (f"count --type 1,1,1 --p {PRIME_BOUND}", "--p"),
     ("count --type 1,1,1 --p 2 --symbolic", "--p --symbolic"),
     ("f2 --type 1,1,1 --p 2 --symbolic", "--p --symbolic"),
@@ -179,21 +191,72 @@ SINGLE_OPTION_REJECTIONS = [
     ("verify --type 1,1,1 --p 2 --checks bogus", "--checks"),
     ("verify --type 1,1,1 --p 2 --checks ,", "--checks"),
     ("table --max-lambda 0 --primes 2", "--max-lambda"),
+    ("table --max-lambda x --primes 2", "--max-lambda"),
     ("table --max-lambda 1 --primes 2,x", "--primes"),
     ("table --max-lambda 1 --primes ,", "--primes"),
+    ("table --max-lambda 1 --primes 2,6", "--primes"),
+    ("table --max-lambda 1 --primes 3,5,3", "--primes"),
+    (f"table --max-lambda 1 --primes 2,{PRIME_BOUND}", "--primes"),
+    ("table --max-lambda 1 --primes " + ",".join(["2"] * (MAX_TABLE_ROWS + 1)), f"--primes {MAX_TABLE_ROWS}"),
     ("f2 --type 1,1,1 --p 2 --max-order 0", "--max-order"),
+    ("f2 --type 1,1,1 --p 2 --max-order x", "--max-order"),
     (f"f2 --type 1,1,1 --p 2 --max-order {MAX_ORACLE_ORDER + 1}", "--max-order"),
 ]
 
+# each rule that joins two inputs, and the words its message must contain
+JOINT_RULE_REJECTIONS = [
+    ("f2 --type 1,1,1 --symbolic --method mobius", "--method mobius requires --p"),
+    ("f2 --type 1,1,1 --symbolic --method oracle", "--method oracle requires --p"),
+    ("verify --type 2,1,0 --p 3 --checks census", "census rank-3"),
+    ("table --max-lambda 40 --primes 2", f"12340 {MAX_TABLE_ROWS}"),
+]
 
-@pytest.mark.parametrize("argv,options", SINGLE_OPTION_REJECTIONS,
-                         ids=[argv for argv, _ in SINGLE_OPTION_REJECTIONS])
-def test_single_option_rule_is_reported_by_the_parser(capsys, argv, options):
+
+def _rejection_ids(table):
+    # a --primes list of thousands of entries is named by its length
+    return [argv if len(argv) < 100 else f"{argv[:40]}...({argv.count(',') + 1} entries)" for argv, _ in table]
+
+
+def _assert_reported_by_the_parser(capsys, argv, words):
     code, out, err = run_cli(capsys, *argv.split())
     assert code == 2
     assert out == ""
     assert err.startswith(f"usage: pgfactor {argv.split()[0]} ")
-    assert all(option in err for option in options.split())
+    assert f"pgfactor {argv.split()[0]}: error: " in err
+    assert all(word in err for word in words.split())
+
+
+@pytest.mark.parametrize("argv,options", SINGLE_OPTION_REJECTIONS, ids=_rejection_ids(SINGLE_OPTION_REJECTIONS))
+def test_single_option_rule_is_reported_by_the_parser(capsys, argv, options):
+    _assert_reported_by_the_parser(capsys, argv, options)
+
+
+@pytest.mark.parametrize("argv,words", JOINT_RULE_REJECTIONS, ids=_rejection_ids(JOINT_RULE_REJECTIONS))
+def test_joint_rule_is_reported_by_the_parser(capsys, argv, words):
+    _assert_reported_by_the_parser(capsys, argv, words)
+
+
+def test_overlong_primes_list_runs_no_primality_test(capsys, monkeypatch):
+    def refuse(n):
+        raise AssertionError("Miller-Rabin ran")
+
+    monkeypatch.setattr(cli, "_is_prime", refuse)
+    primes = ",".join(["2"] * (MAX_TABLE_ROWS + 1))
+    code, out, err = run_cli(capsys, "table", "--max-lambda", "1", "--primes", primes)
+    assert (code, out) == (2, "")
+    assert f"lists {MAX_TABLE_ROWS + 1} primes, over the row limit of {MAX_TABLE_ROWS}" in err
+
+
+def test_value_error_after_parsing_is_not_a_usage_error(monkeypatch):
+    # every option is validated by the parser, so a ValueError from a route is a bug
+    def broken(gtype, p):
+        raise ValueError("route bug")
+
+    monkeypatch.setattr(cli, "factorization_count_mobius", broken)
+    limit = _digit_limit()
+    with pytest.raises(ValueError, match="route bug"):
+        main(["f2", "--type", "1,1,1", "--p", "2", "--method", "mobius"])
+    assert _digit_limit() == limit
 
 
 def test_f2_golden_321(capsys):
@@ -225,12 +288,7 @@ def test_f2_json_value_is_string(capsys):
 def test_f2_mobius_requires_p(capsys):
     code, _, err = run_cli(capsys, "f2", "--type", "1,1,1", "--symbolic", "--method", "mobius")
     assert code == 2
-    assert "mobius" in err
-
-
-def test_f2_oracle_requires_p(capsys):
-    code, _, _ = run_cli(capsys, "f2", "--type", "1,1,1", "--symbolic", "--method", "oracle")
-    assert code == 2
+    assert "pgfactor f2: error: --method mobius requires --p" in err
 
 
 def test_f2_oracle_cap_exit(capsys):
@@ -415,17 +473,13 @@ def _first_primes(n):
 
 
 def test_table_rejects_grid_above_row_limit(capsys):
-    # max-lambda 40 has 12340 types; the limit is checked before any row runs
-    code, out, err = run_cli(capsys, "table", "--max-lambda", "40", "--primes", "2")
-    assert code == 2
-    assert not out
-    assert str(MAX_TABLE_ROWS) in err
     # three types at max-lambda 1, so one prime too many crosses the limit;
     # the primes are distinct, so no other check can reject the list first
     primes = ",".join(map(str, _first_primes(MAX_TABLE_ROWS // 3 + 1)))
-    code, _, err = run_cli(capsys, "table", "--max-lambda", "1", "--primes", primes)
+    code, out, err = run_cli(capsys, "table", "--max-lambda", "1", "--primes", primes)
     assert code == 2
-    assert str(MAX_TABLE_ROWS) in err
+    assert not out
+    assert f"table grid has {MAX_TABLE_ROWS + 3} rows, over the limit of {MAX_TABLE_ROWS}" in err
 
 
 @pytest.mark.parametrize("max_lambda", [1, 2, 5, 12])
@@ -441,16 +495,12 @@ def test_table_rejects_repeated_prime(capsys, primes, repeated):
     code, out, err = run_cli(capsys, "table", "--max-lambda", "1", "--primes", primes, "--format", "csv")
     assert code == 2
     assert out == ""
-    assert f"--primes lists {repeated} more than once" in err
+    assert f"argument --primes: lists {repeated} more than once" in err
 
 
-def test_table_composite_prime(capsys):
-    code, _, _ = run_cli(capsys, "table", "--max-lambda", "1", "--primes", "2,6")
-    assert code == 2
-
-
-@pytest.mark.parametrize("entry,message", [("4", "--primes entries must be prime, got 4"),
-                                           (str(PRIME_BOUND), "--primes entries must be below")])
+@pytest.mark.parametrize("entry,message", [("4", "argument --primes: must be prime, got 4"),
+                                           (str(PRIME_BOUND), "argument --primes: must be below")],
+                         ids=["composite", "at-bound"])
 def test_table_bad_prime_names_primes_not_p(capsys, entry, message):
     code, out, err = run_cli(capsys, "table", "--max-lambda", "1", "--primes", entry)
     assert code == 2

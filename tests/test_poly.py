@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -127,6 +129,30 @@ def test_constructor_rejects_non_integers(coeffs):
 
 def test_constructor_accepts_integer_types():
     assert IntPolynomial([True, 2]) == P * 2 + 1
+
+
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+@pytest.mark.parametrize("x", [poly(1, 2), IntPolynomial.zero(), poly(-7), poly(0, 0, 3)],
+                         ids=["linear", "zero", "constant", "monomial"])
+def test_pickle_round_trip(x, protocol):
+    y = pickle.loads(pickle.dumps(x, protocol))
+    assert type(y) is IntPolynomial
+    assert (y, hash(y)) == (x, hash(x))
+
+
+@pytest.mark.parametrize("duplicate", [copy.copy, copy.deepcopy], ids=["copy", "deepcopy"])
+@pytest.mark.parametrize("x", [poly(1, 2), IntPolynomial.zero()], ids=["linear", "zero"])
+def test_copies_equal_the_original(x, duplicate):
+    y = duplicate(x)
+    assert type(y) is IntPolynomial
+    assert (y, hash(y)) == (x, hash(x))
+
+
+def test_coefficients_cannot_be_reassigned():
+    x = poly(1, 2)
+    with pytest.raises(AttributeError, match="immutable"):
+        x.coeffs = (3,)
+    assert x.coeffs == (1, 2)
 
 
 def test_pow():
