@@ -25,6 +25,7 @@ it is cross-validated against the brute-force oracle rather than assumed).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
 
 from .grouptype import GroupType, normalize
@@ -68,10 +69,13 @@ def _count_numerator(e1: int, e2: int, e3: int, pv):
             + _run(pv, 0, -(s + 2 * e3 + 1), 2, s + 2 * e3 + 5))
 
 
+_DENOMINATOR_FACTORS = (P - 1, P**2 - 1, P**2 - 1)
+
+
 def _exact_quotient(num, p: "int | None"):
     """num / ((p^2-1)^2 (p-1)), which must be exact."""
     if p is None:
-        return num.exact_div_pk_minus_one(1).exact_div_pk_minus_one(2).exact_div_pk_minus_one(2)
+        return reduce(IntPolynomial.exact_div, _DENOMINATOR_FACTORS, num)
     den = (p**2 - 1) ** 2 * (p - 1)
     q, r = divmod(num, den)
     if r:

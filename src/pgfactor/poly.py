@@ -5,9 +5,10 @@ so squared subgroup counts never overflow no matter the exponents.  A
 product with a single-term operand c*p^d scales the other operand's
 coefficients by c and shifts them by d; every other product is packed into
 one big-int product, so it costs about as much as CPython's multiplication
-of the packed ints.  Division by p^k - 1 is a running sum in each residue
-class mod k.  Only the public constructor checks for integer coefficients;
-arithmetic results are built by ``_poly``, which only trims.
+of the packed ints.  The one division, ``exact_div``, accepts only the
+divisors p^k - 1 and is a running sum in each residue class mod k.  Only
+the public constructor checks for integer coefficients; arithmetic results
+are built by ``_poly``, which only trims.
 """
 
 from __future__ import annotations
@@ -15,8 +16,6 @@ from __future__ import annotations
 from itertools import accumulate
 from operator import add, index
 from typing import Iterable
-
-NEG_INFINITY = float("-inf")
 
 
 class InexactDivision(ArithmeticError):
@@ -89,11 +88,6 @@ class IntPolynomial:
     @classmethod
     def zero(cls) -> "IntPolynomial":
         return cls(())
-
-    @property
-    def degree(self):
-        """Degree of the polynomial; minus infinity for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INFINITY
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -182,51 +176,25 @@ class IntPolynomial:
         return acc
 
     def exact_div(self, den: "IntPolynomial") -> "IntPolynomial":
-        """Divide by ``den`` over the integers, requiring a zero remainder.
-
-        Raises InexactDivision if any quotient coefficient would be
-        fractional or if a nonzero remainder survives.  Exact divisibility
-        is a correctness property of the closed forms built on top of this,
-        so failure here means a formula bug, not bad input.
-        """
-        den = self._coerce(den)
-        if den is None or not den:
-            raise ZeroDivisionError("polynomial division by zero")
-        if not self:
-            return _poly([])
-        if len(self.coeffs) < len(den.coeffs):
-            raise InexactDivision(f"{self!r} is not divisible by {den!r}")
-        rem = list(self.coeffs)
-        lead = den.coeffs[-1]
-        dn = len(den.coeffs)
-        qn = len(rem) - dn + 1
-        quot = [0] * qn
-        for k in range(qn - 1, -1, -1):
-            c = rem[k + dn - 1]
-            if c % lead:
-                raise InexactDivision(f"{self!r} is not divisible by {den!r}")
-            q = c // lead
-            quot[k] = q
-            if q:
-                for i, d in enumerate(den.coeffs):
-                    rem[k + i] -= q * d
-        if any(rem):
-            raise InexactDivision(f"{self!r} is not divisible by {den!r}")
-        return _poly(quot)
-
-    def exact_div_pk_minus_one(self, k: int) -> "IntPolynomial":
-        """Divide by p^k - 1 (k >= 1), raising InexactDivision as ``exact_div`` does.
+        """Divide by ``den`` = p^k - 1 (k >= 1), requiring a zero remainder.
 
         Read from the top, the running sums in each residue class mod k are
-        the quotient, except the last k sums, which are the remainder."""
-        if k < 1:
-            raise ValueError("k must be a positive integer")
+        the quotient, except the last k sums, which are the remainder.
+        Raises InexactDivision on a nonzero remainder: exact divisibility is
+        a correctness property of the closed forms built on top of this, so
+        failure here means a formula bug, not bad input.  Raises ValueError
+        if ``den`` is not p^k - 1.
+        """
+        d = den.coeffs if isinstance(den, IntPolynomial) else ()
+        k = len(d) - 1
+        if d != (-1, *[0] * (k - 1), 1):
+            raise ValueError(f"can only divide by p^k - 1, not {den!r}")
         n = len(self.coeffs)
         sums = list(reversed(self.coeffs))
         for r in range(k):
             sums[r::k] = accumulate(sums[r::k])
         if any(sums[max(n - k, 0):]):
-            raise InexactDivision(f"{self!r} is not divisible by p^{k}-1")
+            raise InexactDivision(f"{self!r} is not divisible by {den}")
         return _poly(sums[n - k - 1::-1])
 
     def __str__(self) -> str:

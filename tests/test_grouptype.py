@@ -109,6 +109,12 @@ def test_p_valuation_of_unit_times_power(q, v, p, data):
     assert p_valuation(u * p**v, p) == v
 
 
+@pytest.mark.parametrize("n,p", [(0, 3), (8, 1)])
+def test_p_valuation_needs_nonzero_n_and_p_at_least_2(n, p):
+    with pytest.raises(ValueError, match="p-valuation"):
+        p_valuation(n, p)
+
+
 @settings(deadline=None)
 @given(st.lists(st.integers(0, 6), min_size=3, max_size=3), PRIMES)
 def test_type_from_layers_reads_back_the_type(raw, p):
@@ -118,6 +124,8 @@ def test_type_from_layers_reads_back_the_type(raw, p):
 
 
 def test_type_from_layers_rejects_non_p_power_under_optimize():
+    with pytest.raises(ValueError, match="6 is not a power of 2"):
+        type_from_layers([1, 6], 2)
     # the check must be an explicit raise, not an assert that -O strips
     src = str(Path(pgfactor.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": src}

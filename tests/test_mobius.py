@@ -46,6 +46,11 @@ def test_gaussian_binomial_out_of_range():
         gaussian_binomial(2, 3, 2)
 
 
+def test_enumerate_subspaces_out_of_range():
+    with pytest.raises(ValueError, match="0 <= k <= r"):
+        enumerate_subspaces(2, 3, 5)
+
+
 def test_enumerate_lines_of_f2_squared():
     spaces = enumerate_subspaces(2, 1, 2)
     assert {s.rows for s in spaces} == {((1, 0),), ((0, 1),), ((1, 1),)}
