@@ -312,8 +312,20 @@ def test_pow_matches_repeated_product(a, n):
 
 
 @settings(deadline=None, max_examples=200)
+@given(polys(), st.lists(st.integers(1, 4), min_size=1, max_size=4))
+def test_exact_div_undoes_mul(q, ks):
+    # a product of several p^k - 1 factors divides back out one factor at a time
+    num = q
+    for k in ks:
+        num = num * (P**k - 1)
+    for k in reversed(ks):
+        num = num.exact_div(P**k - 1)
+    assert num == q
+
+
+@settings(deadline=None, max_examples=200)
 @given(polys(max_len=60), st.integers(1, 3), st.data())
-def test_exact_div_undoes_mul(q, k, data):
+def test_exact_div_pk_minus_one_undoes_mul(q, k, data):
     den = P**k - 1
     num = q * den
     assert num.exact_div(den) == q
