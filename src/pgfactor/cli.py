@@ -75,9 +75,9 @@ _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 MAX_TABLE_ROWS = 3000
 
 # Largest type exponent that count, f2 and verify accept.  At (1000,1000,1000)
-# f2 --symbolic takes 0.15 s, and at the largest accepted --p the numeric
-# closed form and --method mobius take 0.4 s each, start-up included.  A
-# higher bound needs a benchmark instance at it before it is raised.
+# f2 --symbolic takes 0.15-0.2 s by theorem3 or mobius, and 0.3-0.4 s each at
+# the largest accepted --p, start-up included.  A higher bound needs a
+# benchmark instance at it before it is raised.
 MAX_EXPONENT = 1000
 
 # Largest oracle element cap that --max-order accepts.  The
@@ -96,8 +96,8 @@ def _oracle_f2(gtype: GroupType, p: int, cap: int) -> int:
     return count_factorizations(g, all_subgroups(g))
 
 
-# The f2 routes, each (type, p | None, cap) -> int | IntPolynomial; only
-# theorem3 accepts a symbolic p.  The bodies look library functions up as
+# The f2 routes, each (type, p | None, cap) -> int | IntPolynomial; only the
+# oracle needs a prime.  The bodies look library functions up as
 # module globals at call time, so patching them on this module takes effect.
 # The cmd_* functions are different: the cached parser's set_defaults holds
 # the ones from its first build, so patching those would not take effect.
@@ -235,8 +235,8 @@ def cmd_count(args) -> int:
 
 
 def cmd_f2(args) -> int:
-    if args.p is None and args.method != METHOD_CLOSED_FORM:
-        args.parser.error(f"--method {args.method} requires --p")
+    if args.p is None and args.method == "oracle":
+        args.parser.error("--method oracle requires --p")
     value = ROUTES[args.method](args.type, args.p, args.max_order)
     _emit_scalar(args, "f2", args.method, value)
     return EXIT_OK

@@ -44,9 +44,6 @@ class FormulaResult:
     value: "int | IntPolynomial"
     method: str
 
-    def render(self) -> str:
-        return str(self.value)
-
 
 def _run(pv, shift: int, *run: int):
     """pv^shift * (run[0] + run[1] pv + ...), by Horner's rule; ``pv`` is an int or P."""

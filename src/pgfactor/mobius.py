@@ -13,10 +13,10 @@ preserve quotient types.  At rank <= 3 a canonical basis has at most two free
 entries, and the torus scales them independently, so an orbit is exactly a
 pivot layout plus a choice of which free entries are nonzero.  Its size is
 (p-1)^(number of nonzero free entries), and the basis with each nonzero free
-entry set to 1 represents it.  The walk over these orbits (``socle_orbits``)
-types 16 subspaces at rank 3 and 5 at rank 2, whatever p is.  The orbit table
-depends on neither the input nor p, so it is built once per process and
-reused; each call types the representatives afresh at its own p.
+entry set to 1 represents it.  The orbit table (``socle_orbits``), 16
+representatives at rank 3 and 5 at rank 2, stores once per process the
+exponent positions each one's quotient lowers, alike at every prime; a call
+only lowers its type by them, so p may be an int or the symbolic P.
 
 The per-dimension tallies of quotient types (the census) are themselves a
 checkable invariant: they match the socle cells of the closed form, p^inv(S)
@@ -32,6 +32,7 @@ from itertools import combinations, product
 
 from .formulas import _CELLS, _hall_value, _subgroup_count_value
 from .grouptype import GroupType, normalize
+from .poly import P
 
 
 class InvalidSubspace(ValueError):
@@ -106,20 +107,21 @@ def enumerate_subspaces(r: int, k: int, p: int) -> list[Subspace]:
 
 
 @cache
-def socle_orbits(r: int, k: int) -> tuple[tuple[Subspace, int], ...]:
+def socle_orbits(r: int, k: int) -> tuple[tuple[Subspace, int, tuple[int, int, int]], ...]:
     """One representative per torus orbit of k-dimensional subspaces of F_p^r.
 
-    A tuple of ``(Subspace, nonzero)``: the canonical basis with every nonzero
-    free entry set to 1, and the number of those entries, so the orbit holds
-    (p-1)**nonzero subspaces, all with the representative's quotient type.
-    The representatives depend on neither the group nor p, so the table is
-    built once per (r, k) in a process and the same tuple is returned after.
-    Only at r <= 3, where a basis has at most two free entries, is the zero
-    pattern the whole orbit.
+    A tuple of ``(Subspace, nonzero, drops)``: the canonical basis with every
+    nonzero free entry set to 1, the number of those entries, so the orbit
+    holds (p-1)**nonzero subspaces, and the exponent positions its quotient
+    lowers (``_drops``).  Only at r <= 3, where a basis has at most two free
+    entries, is the zero pattern the whole orbit; there every minor of a
+    representative is 0 or +-1, so each set of its columns has the same rank,
+    and its echelon form the same pivots, mod every prime.  So the table, its
+    drops read at p = 2, depends on neither group nor p: built once per (r, k).
     """
     if r > 3:
         raise ValueError(f"torus orbits are zero patterns only up to rank 3, got r={r}")
-    return tuple((subspace, sum(fill)) for subspace, fill in _rref_bases(r, k, (0, 1)))
+    return tuple((subspace, sum(fill), _drops(subspace, 2)) for subspace, fill in _rref_bases(r, k, (0, 1)))
 
 
 def smith_normal_form(matrix) -> list[int]:
@@ -220,8 +222,8 @@ def _echelon(rows, p: int) -> list[tuple[int, list[int]]]:
     return basis
 
 
-def quotient_type(t: GroupType, subspace: Subspace, p: int) -> GroupType:
-    """Type of G / E^ where E^ is the lift of a socle subspace E.
+def _drops(subspace: Subspace, p: int) -> tuple[int, int, int]:
+    """Exponent positions that the quotient by the lift of ``subspace`` lowers, as 0/1.
 
     Socle coordinate j lifts to p^(e_j - 1) times the j-th generator, which
     lies in p^k G exactly when e_j > k.  So of the parts equal to v,
@@ -230,30 +232,36 @@ def quotient_type(t: GroupType, subspace: Subspace, p: int) -> GroupType:
     Hence e_j drops by one exactly when column j is not in the F_p-span of the
     columns to its right: a pivot column of the column-reversed echelon form.
     """
-    r = t.rank
-    if subspace.ambient != r or subspace.dim > r:
+    pivots = {subspace.ambient - 1 - c for c, _ in _echelon((row[::-1] for row in subspace.rows), p)}
+    return tuple(int(j in pivots) for j in range(3))
+
+
+def _lowered(t: GroupType, drops) -> GroupType:
+    return normalize([e - d for e, d in zip(t.exponents, drops)])
+
+
+def quotient_type(t: GroupType, subspace: Subspace, p: int) -> GroupType:
+    """Type of G / E^ where E^ is the lift of a socle subspace E (see ``_drops``)."""
+    if subspace.ambient != t.rank or subspace.dim > t.rank:
         raise InvalidSubspace(
             f"subspace of F_p^{subspace.ambient} (dim {subspace.dim}) "
-            f"does not fit a rank-{r} group"
+            f"does not fit a rank-{t.rank} group"
         )
-    exps = list(t.exponents)
-    for pivot, _ in _echelon((row[::-1] for row in subspace.rows), p):
-        exps[r - 1 - pivot] -= 1
-    return normalize(exps)
+    return _lowered(t, _drops(subspace, p))
 
 
 def _census_entries(counter: Counter) -> tuple[tuple[GroupType, int], ...]:
     return tuple(sorted(counter.items(), key=lambda item: item[0], reverse=True))
 
 
-def _orbit_tally(t: GroupType, k: int, p: int) -> Counter:
-    """Quotient type -> number of k-dimensional socle subspaces giving it.
+def _orbit_tally(t: GroupType, k: int, pv) -> Counter:
+    """Quotient type -> number of k-dimensional socle subspaces giving it; ``pv`` is p or P.
 
-    One ``quotient_type`` per torus orbit, tallied with the orbit size.
+    Each torus orbit lowers t by its stored drops and counts (pv-1)**nonzero.
     """
     tally = Counter()
-    for subspace, nonzero in socle_orbits(t.rank, k):
-        tally[quotient_type(t, subspace, p)] += (p - 1) ** nonzero
+    for _, nonzero, drops in socle_orbits(t.rank, k):
+        tally[_lowered(t, drops)] += (pv - 1) ** nonzero
     return tally
 
 
@@ -282,25 +290,26 @@ def reference_census(t: GroupType, k: int, p: int) -> tuple[tuple[GroupType, int
     the middle one, 1 the largest.  Coinciding exponents merge types.
     """
     _check_census(t, k)
-    e1, e2, e3 = t.exponents
     tally = Counter()
-    for size, (d1, d2, d3), inv in _CELLS:
+    for size, drops, inv in _CELLS:
         if size == k:
-            tally[normalize((e1 - d1, e2 - d2, e3 - d3))] += p**inv
+            tally[_lowered(t, drops)] += p**inv
     return _census_entries(tally)
 
 
-def factorization_count_mobius(t: GroupType, p: int) -> int:
+def factorization_count_mobius(t: GroupType, p: "int | None" = None):
     """Factorization count as the Mobius-weighted sum over socle subspaces.
 
     Sums |L(G/E^)|^2 * mu(E) over all subspaces E of F_p^rank, where mu(E)
     depends only on dim E: each quotient type of the dimension's orbit tally
     is weighted by its number of subspaces times the Hall value.  This
     recomputes the closed form structurally and must agree with it exactly.
+    With ``p`` None the count is an IntPolynomial, as in ``formulas``.
     """
+    pv = p if p is not None else P
     total = 0
     for k in range(t.rank + 1):
-        weight = _hall_value(k, p)
-        for qt, size in _orbit_tally(t, k, p).items():
+        weight = _hall_value(k, pv)
+        for qt, size in _orbit_tally(t, k, pv).items():
             total += weight * size * _subgroup_count_value(qt, p) ** 2
     return total

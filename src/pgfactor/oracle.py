@@ -132,14 +132,6 @@ class Lattice:
     def __len__(self) -> int:
         return len(self.subgroups)
 
-    @property
-    def bottom(self) -> SubgroupSet:
-        return self.subgroups[0]
-
-    @property
-    def top(self) -> SubgroupSet:
-        return self.subgroups[-1]
-
 
 def _repeat(x: int, stride: int, count: int) -> int:
     """OR of x << (i stride) for i < count, by doubling: about 2 log2(count) shifts."""

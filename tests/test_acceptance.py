@@ -56,13 +56,15 @@ def criterion(number, label):
 
 def test_criterion_1_golden_rendering_321(capsys):
     with criterion(1, "golden symbolic rendering for (3,2,1)"):
-        start = time.perf_counter()
-        code = main(["f2", "--type", "3,2,1", "--symbolic", "--method", "theorem3"])
-        elapsed = time.perf_counter() - start
-        out = capsys.readouterr().out.strip()
-        assert code == 0
-        assert out == "9p^6+15p^5+21p^4+16p^3+20p^2+11p+13"
-        assert elapsed < 1.0
+        # the Mobius sum derives the same rendering without theorem3's socle cells
+        for method in ("theorem3", "mobius"):
+            start = time.perf_counter()
+            code = main(["f2", "--type", "3,2,1", "--symbolic", "--method", method])
+            elapsed = time.perf_counter() - start
+            out = capsys.readouterr().out.strip()
+            assert code == 0, method
+            assert out == "9p^6+15p^5+21p^4+16p^3+20p^2+11p+13", method
+            assert elapsed < 1.0, method
 
 
 def test_criterion_2_golden_rendering_222(capsys, lattice_cache):
@@ -83,6 +85,8 @@ def test_criterion_2_golden_rendering_222(capsys, lattice_cache):
         expected = IntPolynomial((13, 11, 20, 16, 21, 15, 16, 8, 5))
         assert out == "5p^8+8p^7+16p^6+15p^5+21p^4+16p^3+20p^2+11p+13"
         assert out == str(expected)
+        assert main(["f2", "--type", "2,2,2", "--symbolic", "--method", "mobius"]) == 0
+        assert capsys.readouterr().out.strip() == out
         t = GroupType((2, 2, 2))
         for p, enumerated in ((2, 4387), (3, 67969)):
             g, lattice = lattice_cache(t.exponents, p)

@@ -205,7 +205,6 @@ SINGLE_OPTION_REJECTIONS = [
 
 # each rule that joins two inputs, and the words its message must contain
 JOINT_RULE_REJECTIONS = [
-    ("f2 --type 1,1,1 --symbolic --method mobius", "--method mobius requires --p"),
     ("f2 --type 1,1,1 --symbolic --method oracle", "--method oracle requires --p"),
     ("verify --type 2,1,0 --p 3 --checks census", "census rank-3"),
     ("table --max-lambda 40 --primes 2", f"12340 {MAX_TABLE_ROWS}"),
@@ -285,10 +284,11 @@ def test_f2_json_value_is_string(capsys):
     assert canonical(parsed) == out.strip()
 
 
-def test_f2_mobius_requires_p(capsys):
-    code, _, err = run_cli(capsys, "f2", "--type", "1,1,1", "--symbolic", "--method", "mobius")
-    assert code == 2
-    assert "pgfactor f2: error: --method mobius requires --p" in err
+def test_f2_mobius_symbolic_matches_theorem3(capsys):
+    code, out, _ = run_cli(capsys, "f2", "--type", "3,2,1", "--symbolic", "--method", "mobius", "--format", "json")
+    assert code == 0
+    assert '"method":"mobius"' in out and '"p":null' in out
+    assert json.loads(out)["value"] == str(factorization_count(GroupType((3, 2, 1))).value)
 
 
 def test_f2_oracle_cap_exit(capsys):

@@ -370,6 +370,12 @@ def test_mobius_sum_matches_closed_form():
     for p in (2, 3, 101, 1009):
         for t in types:
             assert factorization_count_mobius(t, p) == factorization_count(t, p).value
+    # with p symbolic, as polynomials, for every type with e1 <= 8
+    for e1 in range(9):
+        for e2 in range(e1 + 1):
+            for e3 in range(e2 + 1):
+                t = GroupType((e1, e2, e3))
+                assert factorization_count_mobius(t) == factorization_count(t).value, t
 
 
 @settings(deadline=None)
@@ -387,6 +393,7 @@ def test_mobius_sum_matches_closed_form_at_largest_accepted_input(exps):
     # the top exponent and the largest prime the CLI accepts
     t, p = GroupType(exps), 3317044064679887385961813
     assert factorization_count_mobius(t, p) == factorization_count(t, p).value
+    assert factorization_count_mobius(t) == factorization_count(t).value
 
 
 RANK3_TYPES = [
@@ -410,15 +417,29 @@ def test_socle_orbits_are_built_once():
         for k in range(r + 1):
             table = socle_orbits(r, k)
             assert socle_orbits(r, k) is table
-            assert list(table) == [(s, sum(fill)) for s, fill in _rref_bases(r, k, (0, 1))]
+            assert [(s, nonzero) for s, nonzero, _ in table] == [
+                (s, sum(fill)) for s, fill in _rref_bases(r, k, (0, 1))
+            ]
 
 
 def test_socle_orbit_sizes_sum_to_gaussian_binomial():
     for r in range(4):
         for k in range(r + 1):
             for p in (2, 3, 101, 10**9 + 7):
-                sizes = sum((p - 1) ** nonzero for _, nonzero in socle_orbits(r, k))
+                sizes = sum((p - 1) ** nonzero for _, nonzero, _ in socle_orbits(r, k))
                 assert sizes == gaussian_binomial(r, k, p)
+
+
+def test_stored_drops_are_the_pivots_at_every_prime():
+    # quotient_type reads the pivots at its own p; the table read them once at p = 2.
+    # Exponents one apart stay in order when lowered, so t - quotient is the drops.
+    for r in range(4):
+        t = GroupType(tuple(5 - i if i < r else 0 for i in range(3)))
+        for k in range(r + 1):
+            for s, _, drops in socle_orbits(r, k):
+                for p in (2, 3, 5, 1000003, 3317044064679887385961813):
+                    expected = tuple(e - q for e, q in zip(t.exponents, quotient_type(t, s, p).exponents))
+                    assert drops == expected, (r, s.rows, p)
 
 
 def test_orbit_representative_has_every_members_quotient_type():

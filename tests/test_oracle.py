@@ -84,7 +84,7 @@ def test_build_group_sizes():
 def test_build_group_identity_first():
     g = build_group(GroupType((2, 1, 0)), 3)
     assert g.omega[0] == 1  # Omega_0 = {0}: the identity is index 0
-    assert all_subgroups(g).bottom.members == 1
+    assert all_subgroups(g).subgroups[0].members == 1
 
 
 def test_build_group_cap():
@@ -131,15 +131,15 @@ def test_lattice_ids_sorted_and_bounded(lattice_cache):
     g, lat = lattice_cache((2, 2, 1), 2)
     orders = [s.order for s in lat.subgroups]
     assert orders == sorted(orders)
-    assert lat.bottom.order == 1
-    assert lat.top.order == g.order
+    assert lat.subgroups[0].order == 1
+    assert lat.subgroups[-1].order == g.order
     assert all(s.id == i for i, s in enumerate(lat.subgroups))
 
 
 def test_subgroup_type_whole_socle_trivial(lattice_cache):
     g, lat = lattice_cache((3, 2, 1), 2)
-    assert subgroup_type(g, lat.top) == GroupType((3, 2, 1))
-    assert subgroup_type(g, lat.bottom) == GroupType((0, 0, 0))
+    assert subgroup_type(g, lat.subgroups[-1]) == GroupType((3, 2, 1))
+    assert subgroup_type(g, lat.subgroups[0]) == GroupType((0, 0, 0))
     socle = [s for s in lat.subgroups if s.order == 8 and subgroup_type(g, s) == GroupType((1, 1, 1))]
     assert len(socle) == 1  # the unique elementary abelian subgroup of order p^3
 
@@ -184,8 +184,8 @@ def test_count_factorizations_ordered_pairs_definition(lattice_cache):
 
 def test_interval_size(lattice_cache):
     g, lat = lattice_cache((3, 2, 1), 2)
-    assert interval_size(lat, lat.top) == 1
-    assert interval_size(lat, lat.bottom) == len(lat)
+    assert interval_size(lat, lat.subgroups[-1]) == 1
+    assert interval_size(lat, lat.subgroups[0]) == len(lat)
     (socle,) = [
         s for s in lat.subgroups if s.order == 8 and subgroup_type(g, s) == GroupType((1, 1, 1))
     ]
@@ -205,7 +205,7 @@ def test_mobius_interval_socle(lattice_cache):
     (socle,) = [
         s for s in lat.subgroups if s.order == 8 and subgroup_type(g, s) == GroupType((1, 1, 1))
     ]
-    assert mobius_interval(lat, lat.bottom, socle) == -8
+    assert mobius_interval(lat, lat.subgroups[0], socle) == -8
 
 
 def test_mobius_interval_not_comparable(lattice_cache):
@@ -219,7 +219,7 @@ def test_mobius_to_top_matches_recursive(lattice_cache):
     g, lat = lattice_cache((2, 2, 1), 2)
     mu = _mobius_to_top(lat)
     for H in lat.subgroups:
-        assert mu[H.id] == mobius_interval(lat, H, lat.top)
+        assert mu[H.id] == mobius_interval(lat, H, lat.subgroups[-1])
 
 
 @pytest.mark.parametrize(
@@ -272,9 +272,9 @@ def test_verify_hall_compares_subgroups_inside_omega1(monkeypatch, lattice_cache
 
 def test_hall_values_spotchecks(lattice_cache):
     g, lat = lattice_cache((1, 1, 0), 2)
-    assert mobius_interval(lat, lat.bottom, lat.top) == 2  # (-1)^2 * 2^1
+    assert mobius_interval(lat, lat.subgroups[0], lat.subgroups[-1]) == 2  # (-1)^2 * 2^1
     g, lat = lattice_cache((2, 0, 0), 2)
-    assert mobius_interval(lat, lat.bottom, lat.top) == 0  # not elementary abelian
+    assert mobius_interval(lat, lat.subgroups[0], lat.subgroups[-1]) == 0  # not elementary abelian
 
 
 def test_verification_report_records_checks_only():
@@ -308,8 +308,8 @@ def test_mobius_duality_through_quotients(exps, p, lattice_cache):
 
 def test_quotient_type_mod_spotchecks(lattice_cache):
     g, lat = lattice_cache((3, 2, 1), 2)
-    assert quotient_type_mod(g, lat.bottom) == GroupType((3, 2, 1))
-    assert quotient_type_mod(g, lat.top) == GroupType((0, 0, 0))
+    assert quotient_type_mod(g, lat.subgroups[0]) == GroupType((3, 2, 1))
+    assert quotient_type_mod(g, lat.subgroups[-1]) == GroupType((0, 0, 0))
     (socle,) = [
         s for s in lat.subgroups if s.order == 8 and subgroup_type(g, s) == GroupType((1, 1, 1))
     ]
@@ -536,8 +536,8 @@ def test_oracle_checks_never_build_the_containment_relation(exps, p, monkeypatch
     t = GroupType(exps)
     g = build_group(t, p)
     lat = all_subgroups(g)
-    assert mobius_interval(lat, lat.bottom, lat.top) == hall_mobius(t, p)
-    assert interval_size(lat, lat.bottom) == len(lat)
+    assert mobius_interval(lat, lat.subgroups[0], lat.subgroups[-1]) == hall_mobius(t, p)
+    assert interval_size(lat, lat.subgroups[0]) == len(lat)
     assert verify_hall(g, lat).overall
     assert verify_inversion_forms(g, lat).overall
     assert count_factorizations(g, lat) == factorization_count(t, p).value
