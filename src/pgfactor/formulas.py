@@ -14,7 +14,15 @@ or with p left symbolic (an IntPolynomial):
   the subgroup lattice.  Only elementary abelian subgroups contribute: the
   socle subspaces fall into eight cells, one per set S of exponent positions
   that the quotient lowers by one, so the sum collapses to eight squared
-  subgroup counts with Hall-value weights.
+  subgroup counts with Hall-value weights.  With p symbolic the sum is not
+  built from polynomial products: it is evaluated once as an int at
+  p = X = 2^(8w) and F2's coefficients are read off the balanced base-X
+  digits of that value (Kronecker substitution).  Each of the eight terms is
+  +-p^j c^2, and each coefficient of c^2 is at most sum_i c_i^2 in size
+  (Cauchy-Schwarz), so every coefficient of F2 is at most the sum of
+  sum_i c_i^2 over the cells; the width w is the least with 2^(8w-1) above
+  that bound, so no digit overflows into its neighbour and the digits are
+  exactly the coefficients.
 
 Lowered triples may come out unsorted (arguments are multisets and get
 re-sorted) or negative (the whole term vanishes by convention; that
@@ -29,7 +37,7 @@ from functools import reduce
 from itertools import combinations
 
 from .grouptype import GroupType, normalize
-from .poly import InexactDivision, IntPolynomial, P
+from .poly import InexactDivision, IntPolynomial, P, from_packed
 
 # Method tags used in CLI output and reports.
 METHOD_SUBGROUP_COUNT = "eq3"
@@ -128,10 +136,23 @@ _CELLS = tuple(
 
 
 def factorization_count(t: GroupType, p: "int | None" = None) -> FormulaResult:
-    """Ordered-pair factorization count: the Hall-weighted sum over the socle cells."""
-    pv = p if p is not None else P
+    """Ordered-pair factorization count: the Hall-weighted sum over the socle cells.
+
+    With ``p`` None the numeric sum is evaluated once at p = 2^(8w) and read
+    back as a polynomial by ``from_packed``.  The width w is the least with
+    2^(8w-1) > sum over the cells of sum_i c_i^2, where c is the cell's
+    subgroup count as a polynomial (its numerator divided exactly by
+    ``IntPolynomial.exact_div``): every coefficient of F2 is at most that
+    sum in size, so the balanced digits are F2's coefficients.
+    """
     e1, e2, e3 = t.exponents
-    value = sum(_hall_value(k, pv) * pv**inv * _squared_count(e1 - d1, e2 - d2, e3 - d3, p)
+    if p is None:
+        bound = sum(c * c for _, (d1, d2, d3), _ in _CELLS
+                    for c in _ext_value((e1 - d1, e2 - d2, e3 - d3), None).coeffs)
+        width = bound.bit_length() // 8 + 1
+        return FormulaResult(from_packed(factorization_count(t, 1 << 8 * width).value, width),
+                             METHOD_CLOSED_FORM)
+    value = sum(_hall_value(k, p) * p**inv * _squared_count(e1 - d1, e2 - d2, e3 - d3, p)
                 for k, (d1, d2, d3), inv in _CELLS)
     return FormulaResult(value, METHOD_CLOSED_FORM)
 

@@ -5,10 +5,13 @@ so squared subgroup counts never overflow no matter the exponents.  A
 product with a single-term operand c*p^d scales the other operand's
 coefficients by c and shifts them by d; every other product is packed into
 one big-int product, so it costs about as much as CPython's multiplication
-of the packed ints.  The one division, ``exact_div``, accepts only the
-divisors p^k - 1 and is a running sum in each residue class mod k.  Only
-the public constructor checks for integer coefficients; arithmetic results
-are built by ``_poly``, which only trims.
+of the packed ints.  One helper, ``_unpack``, reads a packed value's
+balanced base-2^(8*width) digits back into coefficients; the packed product
+and ``from_packed``, which reads a polynomial off its value at p = 2^(8*width),
+both use it.  The one division, ``exact_div``, accepts only the divisors
+p^k - 1 and is a running sum in each residue class mod k.  Only the public
+constructor checks for integer coefficients; arithmetic results are built by
+``_poly``, which only trims.
 """
 
 from __future__ import annotations
@@ -49,8 +52,17 @@ def _kronecker_product(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
     width = (max_a * max_b * min(len(a), len(b))).bit_length() // 8 + 1
     x = _pack(a, width)
     product = x * x if b is a else x * _pack(b, width)
-    n = len(a) + len(b) - 1
-    data = (product + _bias_sum(n, width)).to_bytes(n * width, "little")
+    return _unpack(product, len(a) + len(b) - 1, width)
+
+
+def _unpack(value: int, n: int, width: int) -> list[int]:
+    """The n balanced digits of ``value`` in base 2^(8*width), lowest first.
+
+    Each digit lies in [-2^(8*width-1), 2^(8*width-1)): adding the bias to
+    every slot makes the slots nonnegative, so one byte conversion reads
+    them all, and the bias is taken off each again.
+    """
+    data = (value + _bias_sum(n, width)).to_bytes(n * width, "little")
     bias = 1 << (8 * width - 1)
     return [int.from_bytes(data[i:i + width], "little") - bias for i in range(0, n * width, width)]
 
@@ -206,6 +218,17 @@ class IntPolynomial:
 
 #: The indeterminate itself, for building formulas by plain arithmetic.
 P = IntPolynomial((0, 1))
+
+
+def from_packed(value: int, width: int) -> IntPolynomial:
+    """The polynomial f with f(2^(8*width)) = ``value``, read off its digits.
+
+    Exact when every coefficient of f is below 2^(8*width-1) in size.  Then
+    a nonzero leading coefficient at p^(n-1) puts |value| in
+    (2^(8*width*(n-1)-1), 2^(8*width*n-1)), so the bit length of ``value``
+    gives the number of digits n.
+    """
+    return _poly(_unpack(value, abs(value).bit_length() // (8 * width) + 1, width))
 
 
 def render(poly: IntPolynomial) -> str:

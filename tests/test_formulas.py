@@ -233,3 +233,31 @@ LARGE_TYPES = st.lists(st.integers(0, 60), min_size=3, max_size=3).map(normalize
 def test_symbolic_evaluates_to_numeric_at_large_exponents(t, p):
     assert factorization_count(t).value.evaluate(p) == factorization_count(t, p).value
     assert subgroup_count(t).value.evaluate(p) == subgroup_count(t, p).value
+
+
+def theorem3_by_polynomials(t):
+    """Reference: the Hall-weighted sum over the socle cells with every square
+    taken by IntPolynomial arithmetic."""
+    e1, e2, e3 = t.exponents
+    return sum((_hall_value(k, P) * P**inv * subgroup_count_ext((e1 - d1, e2 - d2, e3 - d3)).value ** 2
+                for k, (d1, d2, d3), inv in _CELLS), IntPolynomial.zero())
+
+
+# Types of rank 0 to 3 with exponents up to 300: zero entries drop cells, and
+# the widest digits come from the largest exponents.
+RANKED_TYPES = st.integers(0, 3).flatmap(
+    lambda rank: st.lists(st.integers(1, 300), min_size=rank, max_size=rank)
+).map(lambda exps: normalize(exps + [0] * (3 - len(exps))))
+
+
+@settings(deadline=None, max_examples=40)
+@given(RANKED_TYPES)
+def test_packed_theorem3_matches_polynomial_arithmetic(t):
+    assert factorization_count(t).value == theorem3_by_polynomials(t)
+
+
+@pytest.mark.parametrize("t", [(1, 1, 1), (3, 2, 1), (60, 59, 58), (200, 200, 0)])
+def test_symbolic_theorem3_squares_no_polynomial(dense_products, t):
+    # the squared counts are taken on ints at p = 2^(8w), not as polynomials
+    factorization_count(GroupType(t))
+    assert dense_products == []

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pgfactor import poly as poly_module
-from pgfactor.poly import P, InexactDivision, IntPolynomial, render
+from pgfactor.poly import P, InexactDivision, IntPolynomial, from_packed, render
 
 
 def poly(*coeffs):
@@ -350,19 +350,27 @@ def test_exact_div_of_zero(k):
     assert IntPolynomial.zero().exact_div(P**k - 1) == IntPolynomial.zero()
 
 
-@pytest.fixture
-def dense_products(monkeypatch):
-    """Count products whose operands both have more than one coefficient."""
-    calls = []
-    mul = IntPolynomial.__mul__
+@settings(deadline=None, max_examples=200)
+@given(st.integers(1, 9), st.data())
+def test_from_packed_reads_the_value_at_a_power_of_256(width, data):
+    top = (1 << (8 * width - 1)) - 1
+    coeff = st.one_of(st.sampled_from((0, 1, -1, top, -top)), st.integers(-top, top))
+    f = IntPolynomial(data.draw(st.lists(coeff, max_size=40)))
+    assert from_packed(f.evaluate(1 << 8 * width), width) == f
 
-    def counting(self, other):
-        if isinstance(other, IntPolynomial) and len(self.coeffs) > 1 and len(other.coeffs) > 1:
-            calls.append((len(self.coeffs), len(other.coeffs)))
-        return mul(self, other)
 
-    monkeypatch.setattr(IntPolynomial, "__mul__", counting)
-    return calls
+@pytest.mark.parametrize("width", [1, 2, 5, 9])
+@pytest.mark.parametrize(
+    "digits",
+    [(), (1,), (-1,), ("top",), ("-top",), (0, 0, -1), (3, -2), ("top", "-top", "top"),
+     ("-top",) * 6, ("top",) * 6, ("-top", 0, 0, "top"), (1, 0, "-top"), ("top", -1, 0, -1)],
+    ids=lambda d: ",".join(map(str, d)) or "zero",
+)
+def test_from_packed_reads_extreme_and_negative_digits(width, digits):
+    # the largest digits a width holds, negative leading digits, zero and constants
+    top = (1 << (8 * width - 1)) - 1
+    f = IntPolynomial({"top": top, "-top": -top}.get(d, d) for d in digits)
+    assert from_packed(f.evaluate(1 << 8 * width), width) == f
 
 
 @pytest.mark.parametrize("x", [P + 1, IntPolynomial(range(1, 31))], ids=["p+1", "dense30"])
