@@ -75,10 +75,11 @@ _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 MAX_TABLE_ROWS = 3000
 
 # Largest type exponent that count, f2 and verify accept.  At (1000,1000,1000)
-# f2 --symbolic takes 0.12-0.13 s whole process by theorem3 or mobius: the
-# route 30-45 ms by theorem3 and 20-35 ms by mobius, str() 1-3 ms.  At the
-# largest accepted --p it takes 0.30-0.32 s each: the route 60-95 ms by
-# theorem3 and 30-50 ms by mobius, str() of the 98087-digit value 150-170 ms.
+# f2 --symbolic takes 0.13-0.17 s whole process by theorem3 or mobius: the
+# route 15-27 ms by theorem3 and 22-45 ms by mobius, str() 2-3 ms.  At the
+# largest accepted --p it takes 0.33-0.40 s each: the route 32-51 ms by
+# theorem3 and 31-55 ms by mobius, str() of the 98087-digit value 160-180 ms
+# (best of 7 in-process runs, Python 3.11, shared 2-CPU host).
 # A higher bound needs a benchmark instance at it before it is raised.
 MAX_EXPONENT = 1000
 

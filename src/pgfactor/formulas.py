@@ -13,16 +13,18 @@ or with p left symbolic (an IntPolynomial):
   with H + K equal to the whole group, obtained by Mobius inversion over
   the subgroup lattice.  Only elementary abelian subgroups contribute: the
   socle subspaces fall into eight cells, one per set S of exponent positions
-  that the quotient lowers by one, so the sum collapses to eight squared
-  subgroup counts with Hall-value weights.  With p symbolic the sum is not
-  built from polynomial products: it is evaluated once as an int at
-  p = X = 2^(8w) and F2's coefficients are read off the balanced base-X
-  digits of that value (Kronecker substitution).  Each of the eight terms is
-  +-p^j c^2, and each coefficient of c^2 is at most sum_i c_i^2 in size
-  (Cauchy-Schwarz), so every coefficient of F2 is at most the sum of
-  sum_i c_i^2 over the cells; the width w is the least with 2^(8w-1) above
-  that bound, so no digit overflows into its neighbour and the digits are
-  exactly the coefficients.
+  that the quotient lowers by one, so the sum collapses to Hall-weighted
+  squared subgroup counts.  Cells that lower to the same type merge in one
+  census (``_cell_census``), so each distinct quotient type is squared once.
+  With p symbolic the sum is not built from polynomial products: it is
+  evaluated once as an int at p = X = 2^(8w) and F2's coefficients are read
+  off the balanced base-X digits of that value (Kronecker substitution).
+  Cell by cell, F2 is a sum of terms +-p^j c^2, and each coefficient of c^2
+  is at most sum_i c_i^2 in size (Cauchy-Schwarz), so every coefficient of
+  F2 is at most the sum of sum_i c_i^2 over the cells; merging cells changes
+  how F2 is computed, not that bound.  The width w is the least with
+  2^(8w-1) above it, so no digit overflows into its neighbour and the
+  digits are exactly the coefficients.
 
 Lowered triples may come out unsorted (arguments are multisets and get
 re-sorted) or negative (the whole term vanishes by convention; that
@@ -32,6 +34,7 @@ it is cross-validated against the brute-force oracle rather than assumed).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
@@ -109,11 +112,6 @@ def _ext_value(raw, p: "int | None"):
     return _subgroup_count_value(normalize(raw), p)
 
 
-def _squared_count(a: int, b: int, c: int, p: "int | None"):
-    """Square of the subgroup count of type (a, b, c), zero when an entry is negative."""
-    return _ext_value((a, b, c), p) ** 2
-
-
 def subgroup_count_ext(raw, p: "int | None" = None) -> FormulaResult:
     """Subgroup count over unsorted triples, zero when any entry is negative."""
     return FormulaResult(_ext_value(tuple(raw), p), METHOD_SUBGROUP_COUNT)
@@ -135,25 +133,41 @@ _CELLS = tuple(
 )
 
 
+def _cell_census(t: GroupType, k: int, pv) -> Counter:
+    """Quotient type -> number of k-dimensional socle subspaces giving it; ``pv`` is p or P.
+
+    Each cell S with |S| = k adds pv**inv(S) to t lowered at S.  A cell that
+    would lower a zero exponent holds no subspace (the rank <= 2 convention).
+    """
+    census = Counter()
+    for size, drops, inv in _CELLS:
+        if size == k:
+            lowered = [e - d for e, d in zip(t.exponents, drops)]
+            if min(lowered) >= 0:
+                census[normalize(lowered)] += pv**inv
+    return census
+
+
 def factorization_count(t: GroupType, p: "int | None" = None) -> FormulaResult:
     """Ordered-pair factorization count: the Hall-weighted sum over the socle cells.
 
-    With ``p`` None the numeric sum is evaluated once at p = 2^(8w) and read
-    back as a polynomial by ``from_packed``.  The width w is the least with
-    2^(8w-1) > sum over the cells of sum_i c_i^2, where c is the cell's
-    subgroup count as a polynomial (its numerator divided exactly by
-    ``IntPolynomial.exact_div``): every coefficient of F2 is at most that
-    sum in size, so the balanced digits are F2's coefficients.
+    One square per distinct quotient type q of ``_cell_census``, weighted by
+    its number of subspaces n.  With ``p`` None the numeric sum is evaluated
+    once at p = 2^(8w) and read back as a polynomial by ``from_packed``.  The
+    width w is the least with 2^(8w-1) > sum over the types of
+    n(1) * sum_i c_i^2, where c is the type's subgroup count as a polynomial
+    and n(1) its number of cells: the cell-by-cell bound of the module
+    docstring.  Every coefficient of F2 is at most that sum in size, so the
+    balanced digits are F2's coefficients.
     """
-    e1, e2, e3 = t.exponents
     if p is None:
-        bound = sum(c * c for _, (d1, d2, d3), _ in _CELLS
-                    for c in _ext_value((e1 - d1, e2 - d2, e3 - d3), None).coeffs)
+        bound = sum(n * sum(c * c for c in _subgroup_count_value(q, None).coeffs)
+                    for k in range(t.rank + 1) for q, n in _cell_census(t, k, 1).items())
         width = bound.bit_length() // 8 + 1
         return FormulaResult(from_packed(factorization_count(t, 1 << 8 * width).value, width),
                              METHOD_CLOSED_FORM)
-    value = sum(_hall_value(k, p) * p**inv * _squared_count(e1 - d1, e2 - d2, e3 - d3, p)
-                for k, (d1, d2, d3), inv in _CELLS)
+    value = sum(_hall_value(k, p) * n * _subgroup_count_value(q, p) ** 2
+                for k in range(t.rank + 1) for q, n in _cell_census(t, k, p).items())
     return FormulaResult(value, METHOD_CLOSED_FORM)
 
 
@@ -170,9 +184,9 @@ def factorization_count_equal_exponents(lam: int, p: "int | None" = None) -> For
     one_p_p2 = 1 + pv + pv**2
 
     value = (
-        -(pv**3) * _squared_count(lam - 1, lam - 1, lam - 1, p)
-        + pv * one_p_p2 * _squared_count(lam, lam - 1, lam - 1, p)
-        - one_p_p2 * _squared_count(lam, lam, lam - 1, p)
-        + _squared_count(lam, lam, lam, p)
+        -(pv**3) * _ext_value((lam - 1, lam - 1, lam - 1), p) ** 2
+        + pv * one_p_p2 * _ext_value((lam, lam - 1, lam - 1), p) ** 2
+        - one_p_p2 * _ext_value((lam, lam, lam - 1), p) ** 2
+        + _ext_value((lam, lam, lam), p) ** 2
     )
     return FormulaResult(value, METHOD_EQUAL_EXPONENTS)

@@ -20,7 +20,11 @@ only lowers its type by them, so p may be an int or the symbolic P.
 
 The per-dimension tallies of quotient types (the census) are themselves a
 checkable invariant: they match the socle cells of the closed form, p^inv(S)
-subspaces lowering the exponents in S (``reference_census``).
+subspaces lowering the exponents in S, read from the one cell census that
+``theorem3`` sums over (``formulas._cell_census``, via ``reference_census``).
+The Smith normal form (``smith_normal_form``) types no quotient here; it is
+the tests' reference for ``quotient_type``, computed from its definition by
+determinantal divisors.
 """
 
 from __future__ import annotations
@@ -29,8 +33,9 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, product
+from math import gcd
 
-from .formulas import _CELLS, _hall_value, _subgroup_count_value
+from .formulas import _cell_census, _hall_value, _subgroup_count_value
 from .grouptype import GroupType, normalize
 from .poly import P
 
@@ -124,68 +129,40 @@ def socle_orbits(r: int, k: int) -> tuple[tuple[Subspace, int, tuple[int, int, i
     return tuple((subspace, sum(fill), _drops(subspace, 2)) for subspace, fill in _rref_bases(r, k, (0, 1)))
 
 
+def _det(matrix) -> int:
+    """Determinant of a square integer matrix, by cofactor expansion along the first row."""
+    if not matrix:
+        return 1
+    return sum((-1) ** j * a * _det([row[:j] + row[j + 1:] for row in matrix[1:]])
+               for j, a in enumerate(matrix[0]) if a)
+
+
 def smith_normal_form(matrix) -> list[int]:
     """Diagonal of the Smith normal form of an integer matrix.
 
-    Returns min(m, n) nonnegative entries d1 | d2 | ... with zeros last.
-    Elimination pivots on the minimal nonzero absolute value; everything is
-    exact integer arithmetic.  No route calls it; the tests type quotients
-    by it, as the reference that ``quotient_type`` must match.
+    Returns min(m, n) nonnegative entries d1 | d2 | ... with zeros last, by
+    the definition: d1 * ... * dk is the gcd of the k x k minors (M. Newman,
+    Integral Matrices, II.15); once all k x k minors vanish, k is past the
+    rank and the rest are 0.  Its cost grows with the number of minors,
+    C(m, k) C(n, k) cofactor expansions for each k up to the rank, so it is
+    for small matrices.  No route calls it; the tests type quotients by it,
+    on matrices of at most 4 x 5, as the reference that ``quotient_type``
+    must match.
     """
-    a = [[int(x) for x in row] for row in matrix]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    size = min(m, n)
-    diag = []
-    t = 0
-    while t < size:
-        # locate minimal nonzero |entry| in the trailing block
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if a[i][j] and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
+    rows = [[int(x) for x in row] for row in matrix]
+    n = len(rows[0]) if rows else 0
+    size = min(len(rows), n)
+    diag, previous = [], 1
+    for k in range(1, size + 1):
+        divisor = 0
+        for chosen in combinations(rows, k):
+            for cols in combinations(range(n), k):
+                divisor = gcd(divisor, _det([[row[j] for j in cols] for row in chosen]))
+        if not divisor:
             break
-        bi, bj = best
-        a[t], a[bi] = a[bi], a[t]
-        for row in a:
-            row[t], row[bj] = row[bj], row[t]
-        piv = a[t][t]
-        dirty = False
-        for i in range(t + 1, m):
-            if a[i][t]:
-                q = a[i][t] // piv
-                for j in range(t, n):
-                    a[i][j] -= q * a[t][j]
-                if a[i][t]:
-                    dirty = True
-        for j in range(t + 1, n):
-            if a[t][j]:
-                q = a[t][j] // piv
-                for i in range(t, m):
-                    a[i][j] -= q * a[i][t]
-                if a[t][j]:
-                    dirty = True
-        if dirty:
-            continue
-        # pivot must divide the rest of the block for the divisibility chain
-        offender = None
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if a[i][j] % piv:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            for j in range(t, n):
-                a[t][j] += a[offender][j]
-            continue
-        diag.append(abs(piv))
-        t += 1
-    diag.extend([0] * (size - len(diag)))
-    return diag
+        diag.append(divisor // previous)
+        previous = divisor
+    return diag + [0] * (size - len(diag))
 
 
 def hall_mobius(t: GroupType, p: int) -> int:
@@ -290,11 +267,7 @@ def reference_census(t: GroupType, k: int, p: int) -> tuple[tuple[GroupType, int
     the middle one, 1 the largest.  Coinciding exponents merge types.
     """
     _check_census(t, k)
-    tally = Counter()
-    for size, drops, inv in _CELLS:
-        if size == k:
-            tally[_lowered(t, drops)] += p**inv
-    return _census_entries(tally)
+    return _census_entries(_cell_census(t, k, p))
 
 
 def factorization_count_mobius(t: GroupType, p: "int | None" = None):

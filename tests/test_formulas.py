@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pgfactor import formulas
 from pgfactor.cli import MAX_EXPONENT
 from pgfactor.formulas import (
     _CELLS,
@@ -254,6 +255,23 @@ RANKED_TYPES = st.integers(0, 3).flatmap(
 @given(RANKED_TYPES)
 def test_packed_theorem3_matches_polynomial_arithmetic(t):
     assert factorization_count(t).value == theorem3_by_polynomials(t)
+
+
+@pytest.mark.parametrize("t, types", [((5, 5, 5), 4), ((5, 5, 2), 6), ((5, 2, 2), 6),
+                                      ((5, 3, 1), 8), ((5, 3, 0), 4), ((5, 0, 0), 2)])
+def test_theorem3_squares_once_per_distinct_quotient_type(monkeypatch, t, types):
+    # cells that lower to the same type share one count: 4 distinct types at
+    # (l,l,l), 6 at (l,l,m) or (l,m,m), 8 at distinct exponents, fewer at rank <= 2
+    calls = []
+    count = formulas._subgroup_count_value
+    monkeypatch.setattr(formulas, "_subgroup_count_value",
+                        lambda q, p: calls.append(q) or count(q, p))
+    factorization_count(GroupType(t), 7)
+    assert len(calls) == types
+    calls.clear()
+    # with p symbolic: once for the width bound, once at p = 2^(8w)
+    factorization_count(GroupType(t))
+    assert len(calls) == 2 * types
 
 
 @pytest.mark.parametrize("t", [(1, 1, 1), (3, 2, 1), (60, 59, 58), (200, 200, 0)])

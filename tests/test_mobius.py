@@ -1,16 +1,18 @@
 import random
 from collections import Counter
-from itertools import combinations, product
-from math import gcd, prod
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pgfactor import mobius
 from pgfactor.grouptype import GroupType, p_valuation
 from pgfactor.mobius import (
     InvalidSubspace,
     Subspace,
+    _det,
+    _orbit_tally,
     _rref_bases,
     enumerate_subspaces,
     factorization_count_mobius,
@@ -22,8 +24,9 @@ from pgfactor.mobius import (
     smith_normal_form,
     socle_orbits,
 )
-from pgfactor.formulas import factorization_count
+from pgfactor.formulas import _cell_census, factorization_count
 from pgfactor.oracle import SubgroupSet, build_group, quotient_type_mod
+from pgfactor.poly import P
 from test_oracle import SMALL_GROUPS
 
 
@@ -94,43 +97,24 @@ def test_enumerate_rows_are_canonical_echelon():
             assert len(set(pivots)) == len(pivots)
 
 
-def _det(matrix):
-    n = len(matrix)
-    if n == 1:
-        return matrix[0][0]
-    total = 0
-    for j in range(n):
-        if matrix[0][j]:
-            minor = [row[:j] + row[j + 1 :] for row in matrix[1:]]
-            total += (-1) ** j * matrix[0][j] * _det(minor)
-    return total
-
-
-def _invariant_factors_by_minors(matrix):
-    """Independent route: d_k = gcd of all k x k minors; factors are ratios."""
-    m, n = len(matrix), len(matrix[0])
-    size = min(m, n)
-    previous = 1
-    out = []
-    for k in range(1, size + 1):
-        g = 0
-        for rows in combinations(range(m), k):
-            for cols in combinations(range(n), k):
-                sub = [[matrix[i][j] for j in cols] for i in rows]
-                g = gcd(g, _det(sub))
-        if g == 0:
-            out.extend([0] * (size - len(out)))
-            break
-        out.append(g // previous)
-        previous = g
-    return out
-
-
 def test_snf_hand_cases():
     assert smith_normal_form([[1, 0], [0, 1]]) == [1, 1]
     assert smith_normal_form([[2, 0], [0, 3]]) == [1, 6]
     assert smith_normal_form([[0, 0], [0, 0]]) == [0, 0]
     assert smith_normal_form([[4, 0, 0], [0, 2, 0]]) == [2, 4]
+    assert smith_normal_form([[2, 4], [1, 2]]) == [1, 0]
+    assert smith_normal_form([[6, -4, 10]]) == [2]
+    assert smith_normal_form([[0], [9], [-6]]) == [3]
+
+
+def test_snf_computes_no_minor_past_the_rank(monkeypatch):
+    # every 1 x 1 minor of a zero 4 x 5 matrix vanishes, so the rank is 0 and
+    # none of the 105 larger minors is expanded
+    calls = []
+    det = mobius._det
+    monkeypatch.setattr(mobius, "_det", lambda matrix: calls.append(matrix) or det(matrix))
+    assert smith_normal_form([[0] * 5] * 4) == [0] * 4
+    assert len(calls) == 20
 
 
 def test_snf_divisibility_chain():
@@ -144,23 +128,6 @@ def test_snf_divisibility_chain():
         for a, b in zip(nonzero, nonzero[1:]):
             assert b % a == 0
         assert diag == nonzero + [0] * (len(diag) - len(nonzero))
-
-
-def test_snf_matches_minor_gcd_oracle():
-    rng = random.Random(20230101)
-    for _ in range(150):
-        m = rng.randint(1, 3)
-        n = rng.randint(1, 4)
-        matrix = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)]
-        assert smith_normal_form(matrix) == _invariant_factors_by_minors(matrix)
-
-
-def test_snf_preserves_determinant_magnitude():
-    rng = random.Random(3)
-    for _ in range(60):
-        n = rng.randint(1, 3)
-        matrix = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
-        assert prod(smith_normal_form(matrix)) == abs(_det(matrix))
 
 
 def _matmul(a, b):
@@ -340,6 +307,28 @@ def test_census_matches_reference_on_grid():
         for t in types:
             for k in (1, 2):
                 assert quotient_type_census(t, k, p) == reference_census(t, k, p)
+
+
+CENSUS_TYPES = [GroupType((e1, e2, e3))
+                for e1 in range(9) for e2 in range(e1 + 1) for e3 in range(e2 + 1)]
+
+
+def test_cell_census_matches_orbit_tally_with_p_symbolic():
+    # the closed form's cells against the torus orbits, as polynomials in p,
+    # at every rank and every dimension (verify checks one prime at rank 3)
+    cases = 0
+    for t in CENSUS_TYPES:
+        for k in range(t.rank + 1):
+            assert _cell_census(t, k, P) == _orbit_tally(t, k, P), (t, k)
+            cases += 1
+    assert cases == 605
+
+
+def test_cell_census_counts_every_subspace():
+    for p in (2, 3, 7):
+        for t in CENSUS_TYPES:
+            for k in range(t.rank + 1):
+                assert sum(_cell_census(t, k, p).values()) == gaussian_binomial(t.rank, k, p), (t, k, p)
 
 
 def test_census_requires_rank3():
