@@ -88,9 +88,11 @@ MAX_EXPONENT = 1000
 # times the subgroup count: verify at (5,5,5)@2, order 2^15 with 22308
 # subgroups, is the worst cell for memory at this cap, where a cap of 2^24
 # would let (8,8,8)@2 ask for about 4.9 TB.  The worst for time is verify at
-# (1,1,1)@31, order 29791, whose hall and eq2 checks are quadratic in its
-# 1988 elementary abelian subgroups.  The README gives both cells' time and
-# peak memory; CI runs both under a 60 s timeout.
+# (1,1,1)@31, order 29791: all 1988 of its subgroups are elementary abelian,
+# so each is its own meet with Omega_1 and has a nonzero Mobius value, and
+# the upward and downward Mobius passes and the |[H, G]| tally of eq2 each
+# stay quadratic in them.  The README gives both cells' time and peak
+# memory; CI runs both under a 60 s timeout and prints their wall time.
 MAX_ORACLE_ORDER = 32768
 
 

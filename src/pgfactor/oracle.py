@@ -24,7 +24,10 @@ the walk reads each image off the HNF rows mod p, and the factorization
 count is a sum over pairs of image classes.  Lattice Mobius values vanish
 outside the few elementary abelian sections (P. Hall, "The Eulerian
 functions of a group", 1936), so the one Mobius recursion sums only the
-nonzero values found so far, testing containment by mask subset.  No library
+nonzero values found so far, testing containment by mask subset.  Upward
+from the trivial subgroup those values lie in Omega_1(G), so a subgroup
+takes its sum from its meet with Omega_1(G), once per meet; downward to G
+the same tests count the subgroups below each nonzero value.  No library
 function builds the full containment relation; the tests and the benchmark's
 tracer do, as a reference.  This is a desk-scale verification tool; a
 configurable order cap keeps accidental huge inputs out.
@@ -342,29 +345,64 @@ def _socle_and_hall(g: ConcreteGroup) -> tuple[int, dict[int, int]]:
     return omega1, {g.p ** n: hall_mobius(GroupType((1,) * n + (0,) * (3 - n)), g.p) for n in range(4)}
 
 
-def _sparse_mobius(subgroups: list[SubgroupSet], upward: bool) -> list[int]:
+def _sparse_mobius(subgroups: list[SubgroupSet], upward: bool,
+                   socle: int = -1) -> tuple[list[int], list[int]]:
     """Mobius values mu(A, H) (upward) or mu(H, B) (downward) over an interval [A, B].
 
-    ``subgroups`` lists the interval in id order and the values come out
-    aligned with it, so over the whole lattice the positions are the ids.
-    mu(x, x) = 1 and, for x < y, the sum of mu(x, z) over x <= z <= y
-    vanishes.  Each sum runs only over the values already found nonzero,
-    testing containment by mask subset; the skipped terms are zero, so the
-    values are exact and the cost is len(subgroups) times the nonzero count.
+    ``subgroups`` lists the interval in (order, mask) order and the values
+    come out aligned with it, so over the whole lattice the positions are
+    the ids.  mu(x, x) = 1 and, for x < y, the sum of mu(x, z) over
+    x <= z <= y vanishes.  Each sum runs only over the values already found
+    nonzero, testing containment by mask subset; the skipped terms are zero.
+
+    Upward, while every nonzero value so far lies inside the mask
+    ``socle`` (the first value, at A, included), an H whose meet
+    e = H & socle is not H itself takes minus the sum of the nonzero values
+    at K <= e; that sum is computed once per e and kept.  This is exact for
+    any mask.  A K inside the mask lies in H exactly when it lies in e, and
+    a K <= e has fewer members than H, so it comes before the first H with
+    that meet and no kept sum can miss a later term.  Once a nonzero value
+    falls outside the mask, every later H is tested in full.  The default
+    mask has every bit, so each H is its own meet and every H is tested.
+    With Omega_1(G), which holds every nonzero mu(1, H), the tests
+    fall from the subgroup count times the nonzero count to about that count
+    plus the nonzero count squared.
+
+    The second list is the downward pass's by-product: the same tests count,
+    at each position with a nonzero value, the listed subgroups inside it,
+    itself included, which over the whole lattice is |L(H)|.  Every other
+    entry, and every entry of the upward pass, is 0.
     """
     walk = subgroups if upward else subgroups[::-1]
-    mu = [1]
-    nonzero = [(walk[0].members, 1)]
-    for H in walk[1:]:
+    mu = [0] * len(walk)
+    sizes = [0] * len(walk)
+    nonzero = []  # (mask, value, position) of each nonzero value so far
+    inside = True
+    sums = {}
+    for i, H in enumerate(walk):
         m = H.members
-        if upward:
-            value = -sum(v for k, v in nonzero if k & m == k)
+        e = m & socle
+        if not nonzero:
+            value = 1
+        elif not upward:
+            value = 0
+            for k, v, j in nonzero:
+                if k & m == m:
+                    sizes[j] += 1
+                    value -= v
+        elif inside and e != m:
+            if e not in sums:
+                sums[e] = sum(v for k, v, _ in nonzero if k & e == k)
+            value = -sums[e]
         else:
-            value = -sum(v for k, v in nonzero if k & m == m)
-        mu.append(value)
+            value = -sum(v for k, v, _ in nonzero if k & m == k)
         if value:
-            nonzero.append((m, value))
-    return mu if upward else mu[::-1]
+            mu[i] = value
+            nonzero.append((m, value, i))
+            inside = inside and e == m
+            if not upward:
+                sizes[i] = 1  # itself
+    return (mu, sizes) if upward else (mu[::-1], sizes[::-1])
 
 
 def mobius_interval(lattice: Lattice, H: SubgroupSet, K: SubgroupSet) -> int:
@@ -374,7 +412,7 @@ def mobius_interval(lattice: Lattice, H: SubgroupSet, K: SubgroupSet) -> int:
         raise NotComparable(f"subgroup {H.id} is not contained in subgroup {K.id}")
     interval = [L for L in lattice.subgroups[H.id:K.id + 1]
                 if L.members & h == h and L.members & k == L.members]
-    return _sparse_mobius(interval, upward=True)[-1]
+    return _sparse_mobius(interval, upward=True)[0][-1]
 
 
 @dataclass
@@ -407,11 +445,14 @@ def verify_hall(g: ConcreteGroup, lattice: Lattice) -> VerificationReport:
     must give (-1)^n p^(n(n-1)/2).  The elementary abelian subgroups are
     those in Omega_1(G), and one of order p^n has rank n, so the expected
     value is looked up by the order p^n rather than by typing H; every
-    subgroup is compared.  Mismatches are listed individually.
+    subgroup is compared.  The recursion gets Omega_1(G) as its socle mask,
+    so a subgroup outside it reuses the sum at its meet with Omega_1(G); the
+    mask only saves tests while Hall's vanishing holds, and the values stay
+    exact when it does not.  Mismatches are listed individually.
     """
     report = VerificationReport()
-    mu = _sparse_mobius(lattice.subgroups, upward=True)
     omega1, hall = _socle_and_hall(g)
+    mu, _ = _sparse_mobius(lattice.subgroups, upward=True, socle=omega1)
     mismatches = 0
     for H in lattice.subgroups:
         elementary = H.members & omega1 == H.members
@@ -430,20 +471,16 @@ def verify_inversion_forms(g: ConcreteGroup, lattice: Lattice) -> VerificationRe
     S1 sums |L(H)|^2 mu(H, G); S2 sums |[H, G]|^2 mu(1, H) with mu taken
     from the closed form; both must equal the brute-force factorization
     count.  Each sum counts only at its nonzero terms.  S1 runs where
-    mu(H, G) != 0 and counts |L(H)| by mask subset over ids up to H's.  S2
+    mu(H, G) != 0 and reads |L(H)| off the downward recursion, whose subset
+    tests against each nonzero H also count the subgroups below it; nothing
+    in S1 comes from the Frattini images, which give the direct count.  S2
     runs over the elementary abelian H (those in Omega_1(G), as the closed
     form vanishes elsewhere), taking mu(1, H) by the order of H and |[H, G]|
     from the tallies of the subgroups' meets with Omega_1(G).
     """
     report = VerificationReport()
-    subgroups = lattice.subgroups
-    mu_top = _sparse_mobius(subgroups, upward=False)
-    s1 = 0
-    for H in subgroups:
-        if mu_top[H.id]:
-            m = H.members
-            below = sum(K.members & m == K.members for K in subgroups[:H.id + 1])
-            s1 += below ** 2 * mu_top[H.id]
+    mu_top, below = _sparse_mobius(lattice.subgroups, upward=False)
+    s1 = sum(n * n * v for v, n in zip(mu_top, below))
     omega1, hall = _socle_and_hall(g)
     s2 = sum(size ** 2 * hall[m.bit_count()]
              for m, size in _socle_intervals(lattice, omega1).items())

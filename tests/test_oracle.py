@@ -240,10 +240,10 @@ def test_verify_hall_compares_subgroups_outside_omega1(monkeypatch, lattice_cach
     outside = next(H for H in lat.subgroups if H.members & omega1 != H.members)
     real = oracle._sparse_mobius
 
-    def planted(subgroups, upward):
-        mu = real(subgroups, upward)
+    def planted(subgroups, upward, socle=-1):
+        mu, sizes = real(subgroups, upward, socle)
         mu[outside.id] = 1
-        return mu
+        return mu, sizes
 
     monkeypatch.setattr(oracle, "_sparse_mobius", planted)
     report = verify_hall(g, lat)
@@ -259,15 +259,32 @@ def test_verify_hall_compares_subgroups_inside_omega1(monkeypatch, lattice_cache
     inside = next(H for H in lat.subgroups if H.order == 3 and H.members & omega1 == H.members)
     real = oracle._sparse_mobius
 
-    def planted(subgroups, upward):
-        mu = real(subgroups, upward)
+    def planted(subgroups, upward, socle=-1):
+        mu, sizes = real(subgroups, upward, socle)
         mu[inside.id] += 1
-        return mu
+        return mu, sizes
 
     monkeypatch.setattr(oracle, "_sparse_mobius", planted)
     report = verify_hall(g, lat)
     assert not report.overall
     assert {c.name: c.actual for c in report.checks}["hall_mismatches"] == "1"
+
+
+def test_inversion_forms_read_subgroup_counts_from_the_recursion(monkeypatch, lattice_cache):
+    # S1 takes |L(H)| from the downward pass's counts; one count planted off
+    # by one at a nonzero mu(H, G) must fail S1 and leave S2 passing
+    g, lat = lattice_cache((2, 1, 0), 3)
+    real = oracle._sparse_mobius
+
+    def planted(subgroups, upward, socle=-1):
+        mu, sizes = real(subgroups, upward, socle)
+        if not upward:
+            sizes[next(i for i, v in enumerate(mu) if v)] += 1
+        return mu, sizes
+
+    monkeypatch.setattr(oracle, "_sparse_mobius", planted)
+    status = {c.name: c.status for c in verify_inversion_forms(g, lat).checks}
+    assert status == {"inversion_sum_subgroup_counts": "fail", "inversion_sum_quotient_counts": "pass"}
 
 
 def test_hall_values_spotchecks(lattice_cache):
@@ -504,15 +521,25 @@ def test_frattini_count_matches_pair_count(exps, p, lattice_cache):
     assert lat.factorizations == _pair_count(g, lat)
 
 
-@settings(deadline=None, max_examples=40)
-@given(st.sampled_from(SMALL_GROUPS))
-def test_sparse_mobius_matches_dense(case):
-    exps, p = case
-    g = build_group(GroupType(exps), p)
-    lat = all_subgroups(g)
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from(SMALL_GROUPS), st.data())
+def test_sparse_mobius_matches_dense(lattice_cache, case, data):
+    # the upward pass reuses sums by meet with any mask, and must fall back
+    # to full tests once a nonzero value, the first one included, lies outside it
+    g, lat = lattice_cache(*case)
     n = len(lat)
-    assert oracle._sparse_mobius(lat.subgroups, upward=True) == _mobius_from(0, range(n), lat.below)
-    assert oracle._sparse_mobius(lat.subgroups, upward=False) == _mobius_to_top(lat)
+    everything = (1 << g.order) - 1
+    omega1 = g.omega[min(1, len(g.omega) - 1)]
+    socle = data.draw(st.one_of(
+        st.sampled_from([0, everything, omega1]),
+        st.sampled_from(list(_iter_bits(omega1))).map(lambda bit: omega1 & ~(1 << bit)),
+        st.integers(0, everything)))
+    mu, sizes = oracle._sparse_mobius(lat.subgroups, upward=True, socle=socle)
+    assert mu == _mobius_from(0, range(n), lat.below)
+    assert sizes == [0] * n
+    mu_top, below = oracle._sparse_mobius(lat.subgroups, upward=False)
+    assert mu_top == _mobius_to_top(lat)
+    assert below == [lat.below[i].bit_count() if v else 0 for i, v in enumerate(mu_top)]
 
 
 @settings(deadline=None, max_examples=60)
