@@ -90,9 +90,10 @@ MAX_EXPONENT = 1000
 # would let (8,8,8)@2 ask for about 4.9 TB.  The worst for time is verify at
 # (1,1,1)@31, order 29791: all 1988 of its subgroups are elementary abelian,
 # so each is its own meet with Omega_1 and has a nonzero Mobius value, and
-# the upward and downward Mobius passes and the |[H, G]| tally of eq2 each
+# the two Mobius passes, upward (shared by hall and eq2) and downward (eq2),
 # stay quadratic in them.  The README gives both cells' time and peak
-# memory; CI runs both under a 60 s timeout and prints their wall time.
+# memory; CI runs both, and that cell with eq2 alone, under a 60 s timeout
+# and prints their wall time.
 MAX_ORACLE_ORDER = 32768
 
 
@@ -187,9 +188,9 @@ def _prime_list(text: str) -> list[int]:
 
     The length is checked first, so an overlong list runs no Miller-Rabin.
     """
-    entries = [x for x in text.split(",") if x.strip()]
-    if not entries:
-        raise argparse.ArgumentTypeError("must list at least one prime")
+    entries = text.split(",")
+    if not all(x.strip() for x in entries):
+        raise argparse.ArgumentTypeError(f"empty entry in {text!r}")
     if len(entries) > MAX_TABLE_ROWS:
         raise argparse.ArgumentTypeError(f"lists {len(entries)} primes, over the row limit of {MAX_TABLE_ROWS}")
     primes = {}
@@ -201,13 +202,13 @@ def _prime_list(text: str) -> list[int]:
 
 
 def _check_list(text: str) -> list[str]:
-    """The --checks converter: a non-empty comma list out of ALL_CHECKS."""
-    checks = [c.strip() for c in text.split(",") if c.strip()]
+    """The --checks converter: a comma list out of ALL_CHECKS, no entry empty."""
+    checks = [c.strip() for c in text.split(",")]
+    if not all(checks):
+        raise argparse.ArgumentTypeError(f"empty entry in {text!r}")
     unknown = [c for c in checks if c not in ALL_CHECKS]
     if unknown:
         raise argparse.ArgumentTypeError(f"unknown checks: {','.join(unknown)}")
-    if not checks:
-        raise argparse.ArgumentTypeError("empty check list")
     return checks
 
 

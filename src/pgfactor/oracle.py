@@ -26,11 +26,12 @@ outside the few elementary abelian sections (P. Hall, "The Eulerian
 functions of a group", 1936), so the one Mobius recursion sums only the
 nonzero values found so far, testing containment by mask subset.  Upward
 from the trivial subgroup those values lie in Omega_1(G), so a subgroup
-takes its sum from its meet with Omega_1(G), once per meet; downward to G
-the same tests count the subgroups below each nonzero value.  No library
-function builds the full containment relation; the tests and the benchmark's
-tracer do, as a reference.  This is a desk-scale verification tool; a
-configurable order cap keeps accidental huge inputs out.
+takes its sum from its meet with Omega_1(G), once per meet; the same pass
+counts the subgroups above each nonzero value, and the downward pass to G
+those below it.  No library function builds the full containment relation;
+the tests and the benchmark's tracer do, as a reference.  This is a
+desk-scale verification tool; a configurable order cap keeps accidental
+huge inputs out.
 """
 
 from __future__ import annotations
@@ -100,12 +101,19 @@ class Lattice:
     Ids are assigned after sorting by (order, membership bitmask), so they
     are stable across runs; id 0 is the trivial subgroup and the last id is
     the group.  ``factorizations`` is the number of ordered pairs (H, K) with
-    H + K = G.  ``below[i]`` / ``above[i]`` are bitmasks over subgroup ids,
-    built on first use; only the tests and the benchmark's tracer read them.
+    H + K = G and ``socle`` is the mask of Omega_1(G).  ``upward`` and the
+    bitmasks over ids ``below[i]`` / ``above[i]`` are built on first use;
+    only the tests and the benchmark's tracer read the bitmasks.
     """
 
     subgroups: list[SubgroupSet]
     factorizations: int
+    socle: int
+
+    @cached_property
+    def upward(self) -> tuple[list[int], list[int]]:
+        """mu(1, H), and |[H, G]| where it is nonzero, by id; both verify checks share it."""
+        return _sparse_mobius(self.subgroups, upward=True, socle=self.socle)
 
     @cached_property
     def containment(self) -> tuple[list[int], list[int]]:
@@ -280,7 +288,8 @@ def all_subgroups(g: ConcreteGroup) -> Lattice:
         image = _frattini_image(key, r, p)
         images[image] = images.get(image, 0) + n
     subgroups = [SubgroupSet(i, mask, order) for i, (order, mask) in enumerate(walk)]
-    return Lattice(subgroups, _spanning_pairs(images, r, p))
+    socle = g.omega[min(1, len(g.omega) - 1)]  # the trivial group has only Omega_0
+    return Lattice(subgroups, _spanning_pairs(images, r, p), socle)
 
 
 def subgroup_type(g: ConcreteGroup, H: SubgroupSet) -> GroupType:
@@ -317,32 +326,16 @@ def interval_size(lattice: Lattice, H: SubgroupSet) -> int:
     """Number of subgroups K with H <= K <= G; ids follow the order, so K.id >= H.id.
 
     A reference for the tests and the benchmark's tracer: nothing in the
-    library calls it, as ``verify_inversion_forms`` counts by socle meets.
+    library calls it, as ``verify_inversion_forms`` reads the counts off
+    ``Lattice.upward``.
     """
     m = H.members
     return sum(K.members & m == m for K in lattice.subgroups[H.id:])
 
 
-def _socle_intervals(lattice: Lattice, omega1: int) -> dict[int, int]:
-    """|[H, G]| for every elementary abelian H, keyed by H's mask.
-
-    H inside Omega_1(G) lies in K exactly when it lies in K & Omega_1(G), so
-    the subgroups are tallied once by that meet, and |[H, G]| is the sum of
-    the tallies whose meet contains H.  Each meet is an elementary abelian
-    subgroup and each of those is its own meet, so the keys are exactly
-    the elementary abelian subgroups.
-    """
-    tally = {}
-    for K in lattice.subgroups:
-        e = K.members & omega1
-        tally[e] = tally.get(e, 0) + 1
-    return {m: sum(n for e, n in tally.items() if e & m == m) for m in tally}
-
-
-def _socle_and_hall(g: ConcreteGroup) -> tuple[int, dict[int, int]]:
-    """Omega_1(G)'s mask, and Hall's mu(1, H) for H elementary abelian keyed by |H| = p^n, n = 0..3."""
-    omega1 = g.omega[min(1, len(g.omega) - 1)]  # the trivial group has only Omega_0
-    return omega1, {g.p ** n: hall_mobius(GroupType((1,) * n + (0,) * (3 - n)), g.p) for n in range(4)}
+def _hall_by_order(p: int) -> dict[int, int]:
+    """Hall's mu(1, H) for H elementary abelian, keyed by |H| = p^n, n = 0..3."""
+    return {p ** n: hall_mobius(GroupType((1,) * n + (0,) * (3 - n)), p) for n in range(4)}
 
 
 def _sparse_mobius(subgroups: list[SubgroupSet], upward: bool,
@@ -368,40 +361,45 @@ def _sparse_mobius(subgroups: list[SubgroupSet], upward: bool,
     fall from the subgroup count times the nonzero count to about that count
     plus the nonzero count squared.
 
-    The second list is the downward pass's by-product: the same tests count,
-    at each position with a nonzero value, the listed subgroups inside it,
-    itself included, which over the whole lattice is |L(H)|.  Every other
-    entry, and every entry of the upward pass, is 0.
+    The second list counts, at each nonzero position, the listed subgroups
+    on its far side, itself included: over the whole lattice |[H, G]|
+    upward and |L(H)| downward; it is 0 elsewhere.  The full tests count as
+    they go.  An H that takes a kept sum is tallied by its meet e, and after
+    the walk each tally goes to the nonzero K <= e, which by the argument
+    above are the nonzero K below H.
     """
     walk = subgroups if upward else subgroups[::-1]
     mu = [0] * len(walk)
     sizes = [0] * len(walk)
     nonzero = []  # (mask, value, position) of each nonzero value so far
     inside = True
-    sums = {}
+    kept = {}  # meet -> [value, subgroups tallied], one lookup per H
     for i, H in enumerate(walk):
         m = H.members
         e = m & socle
         if not nonzero:
             value = 1
-        elif not upward:
+        elif upward and inside and e != m:
+            meet = kept.get(e)
+            if meet is None:
+                meet = kept[e] = [-sum(v for k, v, _ in nonzero if k & e == k), 0]
+            meet[1] += 1
+            value = meet[0]
+        else:
             value = 0
             for k, v, j in nonzero:
-                if k & m == m:
+                if k & m == (k if upward else m):
                     sizes[j] += 1
                     value -= v
-        elif inside and e != m:
-            if e not in sums:
-                sums[e] = sum(v for k, v, _ in nonzero if k & e == k)
-            value = -sums[e]
-        else:
-            value = -sum(v for k, v, _ in nonzero if k & m == k)
         if value:
             mu[i] = value
+            sizes[i] = 1  # itself
             nonzero.append((m, value, i))
             inside = inside and e == m
-            if not upward:
-                sizes[i] = 1  # itself
+    for e, (_, n) in kept.items():
+        for k, _, j in nonzero:
+            if k & e == k:
+                sizes[j] += n
     return (mu, sizes) if upward else (mu[::-1], sizes[::-1])
 
 
@@ -445,17 +443,17 @@ def verify_hall(g: ConcreteGroup, lattice: Lattice) -> VerificationReport:
     must give (-1)^n p^(n(n-1)/2).  The elementary abelian subgroups are
     those in Omega_1(G), and one of order p^n has rank n, so the expected
     value is looked up by the order p^n rather than by typing H; every
-    subgroup is compared.  The recursion gets Omega_1(G) as its socle mask,
-    so a subgroup outside it reuses the sum at its meet with Omega_1(G); the
-    mask only saves tests while Hall's vanishing holds, and the values stay
-    exact when it does not.  Mismatches are listed individually.
+    subgroup is compared.  ``lattice.upward`` has Omega_1(G) as its socle
+    mask, so a subgroup outside it reuses the sum at its meet with
+    Omega_1(G); the mask only saves tests while Hall's vanishing holds, and
+    the values stay exact when it does not.  Mismatches are listed individually.
     """
     report = VerificationReport()
-    omega1, hall = _socle_and_hall(g)
-    mu, _ = _sparse_mobius(lattice.subgroups, upward=True, socle=omega1)
+    hall, socle = _hall_by_order(g.p), lattice.socle
+    mu, _ = lattice.upward
     mismatches = 0
     for H in lattice.subgroups:
-        elementary = H.members & omega1 == H.members
+        elementary = H.members & socle == H.members
         expected = hall[H.order] if elementary else 0
         actual = mu[H.id]
         if expected != actual:
@@ -476,14 +474,14 @@ def verify_inversion_forms(g: ConcreteGroup, lattice: Lattice) -> VerificationRe
     in S1 comes from the Frattini images, which give the direct count.  S2
     runs over the elementary abelian H (those in Omega_1(G), as the closed
     form vanishes elsewhere), taking mu(1, H) by the order of H and |[H, G]|
-    from the tallies of the subgroups' meets with Omega_1(G).
+    from ``lattice.upward``, the pass that ``verify_hall`` reads.
     """
     report = VerificationReport()
     mu_top, below = _sparse_mobius(lattice.subgroups, upward=False)
     s1 = sum(n * n * v for v, n in zip(mu_top, below))
-    omega1, hall = _socle_and_hall(g)
-    s2 = sum(size ** 2 * hall[m.bit_count()]
-             for m, size in _socle_intervals(lattice, omega1).items())
+    hall, socle = _hall_by_order(g.p), lattice.socle
+    s2 = sum(n * n * hall[H.order] for H, n in zip(lattice.subgroups, lattice.upward[1])
+             if n and H.members & socle == H.members)
     direct = count_factorizations(g, lattice)
     report.add("inversion_sum_subgroup_counts", direct, s1)
     report.add("inversion_sum_quotient_counts", direct, s2)

@@ -190,10 +190,15 @@ SINGLE_OPTION_REJECTIONS = [
     ("verify --type 1,1,1", "--p"),
     ("verify --type 1,1,1 --p 2 --checks bogus", "--checks"),
     ("verify --type 1,1,1 --p 2 --checks ,", "--checks"),
+    ("verify --type 1,1,1 --p 2 --checks count,,f2", "--checks"),
+    ("verify --type 1,1,1 --p 2 --checks count,", "--checks"),
     ("table --max-lambda 0 --primes 2", "--max-lambda"),
     ("table --max-lambda x --primes 2", "--max-lambda"),
     ("table --max-lambda 1 --primes 2,x", "--primes"),
     ("table --max-lambda 1 --primes ,", "--primes"),
+    ("table --max-lambda 1 --primes 2,,3", "--primes"),
+    ("table --max-lambda 1 --primes 2,3,", "--primes"),
+    ("table --max-lambda 1 --primes ,2", "--primes"),
     ("table --max-lambda 1 --primes 2,6", "--primes"),
     ("table --max-lambda 1 --primes 3,5,3", "--primes"),
     (f"table --max-lambda 1 --primes 2,{PRIME_BOUND}", "--primes"),
@@ -324,6 +329,16 @@ def test_verify_subset_of_checks(capsys):
     names = {c["name"] for c in report["checks"]}
     assert "count" not in names
     assert "hall_mismatches" in names
+
+    # without hall, eq2 runs the upward Mobius pass itself
+    def inversion_sums(*checks):
+        code, out, _ = run_cli(capsys, "verify", "--type", "2,1,1", "--p", "3", *checks)
+        assert code == 0
+        return [c for c in json.loads(out)["checks"] if c["name"].startswith("inversion_sum_")]
+
+    alone = inversion_sums("--checks", "eq2")
+    assert len(alone) == 2
+    assert alone == inversion_sums()
 
 
 def test_verify_json_roundtrip(capsys):

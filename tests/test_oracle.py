@@ -232,10 +232,18 @@ def test_verify_hall_passes(exps, p, lattice_cache):
     assert report.overall, [c for c in report.checks if c.status == "fail"]
 
 
-def test_verify_hall_compares_subgroups_outside_omega1(monkeypatch, lattice_cache):
+def _fresh_lattice(exps, p):
+    # a lattice of its own: the lattice keeps its upward pass, so a planted
+    # pass would leak into later tests through a shared lattice, and a pass
+    # already kept there would never call the planted one
+    g = build_group(GroupType(exps), p)
+    return g, all_subgroups(g)
+
+
+def test_verify_hall_compares_subgroups_outside_omega1(monkeypatch):
     # verify_hall types only the subgroups in Omega_1(G); a nonzero value
     # planted at one outside it must still count as a mismatch
-    g, lat = lattice_cache((2, 1, 0), 3)
+    g, lat = _fresh_lattice((2, 1, 0), 3)
     omega1 = g.omega[1]
     outside = next(H for H in lat.subgroups if H.members & omega1 != H.members)
     real = oracle._sparse_mobius
@@ -251,10 +259,10 @@ def test_verify_hall_compares_subgroups_outside_omega1(monkeypatch, lattice_cach
     assert {c.name: c.actual for c in report.checks}["hall_mismatches"] == "1"
 
 
-def test_verify_hall_compares_subgroups_inside_omega1(monkeypatch, lattice_cache):
+def test_verify_hall_compares_subgroups_inside_omega1(monkeypatch):
     # verify_hall reads the expected value of an elementary abelian subgroup
     # from its rank; a wrong value planted at one must count as a mismatch
-    g, lat = lattice_cache((2, 1, 0), 3)
+    g, lat = _fresh_lattice((2, 1, 0), 3)
     omega1 = g.omega[1]
     inside = next(H for H in lat.subgroups if H.order == 3 and H.members & omega1 == H.members)
     real = oracle._sparse_mobius
@@ -270,10 +278,10 @@ def test_verify_hall_compares_subgroups_inside_omega1(monkeypatch, lattice_cache
     assert {c.name: c.actual for c in report.checks}["hall_mismatches"] == "1"
 
 
-def test_inversion_forms_read_subgroup_counts_from_the_recursion(monkeypatch, lattice_cache):
+def test_inversion_forms_read_subgroup_counts_from_the_recursion(monkeypatch):
     # S1 takes |L(H)| from the downward pass's counts; one count planted off
     # by one at a nonzero mu(H, G) must fail S1 and leave S2 passing
-    g, lat = lattice_cache((2, 1, 0), 3)
+    g, lat = _fresh_lattice((2, 1, 0), 3)
     real = oracle._sparse_mobius
 
     def planted(subgroups, upward, socle=-1):
@@ -285,6 +293,40 @@ def test_inversion_forms_read_subgroup_counts_from_the_recursion(monkeypatch, la
     monkeypatch.setattr(oracle, "_sparse_mobius", planted)
     status = {c.name: c.status for c in verify_inversion_forms(g, lat).checks}
     assert status == {"inversion_sum_subgroup_counts": "fail", "inversion_sum_quotient_counts": "pass"}
+
+
+def test_inversion_forms_read_interval_sizes_from_the_upward_pass(monkeypatch):
+    # S2 takes |[H, G]| from the upward pass's counts; one count planted off
+    # by one at a nonzero mu(1, H), H elementary, must fail S2 and leave S1 passing
+    g, lat = _fresh_lattice((2, 1, 0), 3)
+    real = oracle._sparse_mobius
+    H = next(H for H in lat.subgroups if H.order == 3 and H.members & g.omega[1] == H.members)
+
+    def planted(subgroups, upward, socle=-1):
+        mu, sizes = real(subgroups, upward, socle)
+        if upward:
+            assert mu[H.id]
+            sizes[H.id] += 1
+        return mu, sizes
+
+    monkeypatch.setattr(oracle, "_sparse_mobius", planted)
+    status = {c.name: c.status for c in verify_inversion_forms(g, lat).checks}
+    assert status == {"inversion_sum_subgroup_counts": "pass", "inversion_sum_quotient_counts": "fail"}
+
+
+def test_hall_and_inversion_forms_share_one_upward_pass(monkeypatch):
+    g, lat = _fresh_lattice((2, 2, 1), 2)
+    real = oracle._sparse_mobius
+    calls = []
+
+    def counting(subgroups, upward, socle=-1):
+        calls.append(upward)
+        return real(subgroups, upward, socle)
+
+    monkeypatch.setattr(oracle, "_sparse_mobius", counting)
+    assert verify_hall(g, lat).overall
+    assert verify_inversion_forms(g, lat).overall
+    assert sorted(calls) == [False, True]
 
 
 def test_hall_values_spotchecks(lattice_cache):
@@ -536,7 +578,7 @@ def test_sparse_mobius_matches_dense(lattice_cache, case, data):
         st.integers(0, everything)))
     mu, sizes = oracle._sparse_mobius(lat.subgroups, upward=True, socle=socle)
     assert mu == _mobius_from(0, range(n), lat.below)
-    assert sizes == [0] * n
+    assert sizes == [lat.above[i].bit_count() if v else 0 for i, v in enumerate(mu)]
     mu_top, below = oracle._sparse_mobius(lat.subgroups, upward=False)
     assert mu_top == _mobius_to_top(lat)
     assert below == [lat.below[i].bit_count() if v else 0 for i, v in enumerate(mu_top)]
@@ -690,10 +732,11 @@ def test_repeat_ors_count_shifted_copies(count):
 
 @pytest.mark.parametrize("exps,p", PAIR_COUNT_GROUPS)
 def test_socle_intervals_match_interval_size(exps, p, lattice_cache):
+    # the upward pass counts |[H, G]| at every elementary abelian H, the
+    # subgroups whose mu(1, H) Hall's theorem makes nonzero
     g, lat = lattice_cache(exps, p)
-    omega1 = g.omega[min(1, len(g.omega) - 1)]
-    sizes = oracle._socle_intervals(lat, omega1)
-    elementary = [H for H in lat.subgroups if H.members & omega1 == H.members]
-    assert sorted(sizes) == sorted(H.members for H in elementary)
+    _, sizes = lat.upward
+    elementary = [H for H in lat.subgroups if H.members & lat.socle == H.members]
+    assert len(elementary) == sum(1 for n in sizes if n)
     for H in elementary:
-        assert sizes[H.members] == interval_size(lat, H)
+        assert sizes[H.id] == interval_size(lat, H)
