@@ -86,14 +86,15 @@ MAX_EXPONENT = 1000
 # Largest oracle element cap that --max-order accepts.  The
 # oracle holds one |G|-bit mask per subgroup, so memory grows as the order
 # times the subgroup count: verify at (5,5,5)@2, order 2^15 with 22308
-# subgroups, is the worst cell for memory at this cap, where a cap of 2^24
-# would let (8,8,8)@2 ask for about 4.9 TB.  The worst for time is verify at
-# (1,1,1)@31, order 29791: all 1988 of its subgroups are elementary abelian,
-# so each is its own meet with Omega_1 and has a nonzero Mobius value, and
-# the two Mobius passes, upward (shared by hall and eq2) and downward (eq2),
-# stay quadratic in them.  The README gives both cells' time and peak
-# memory; CI runs both, and that cell with eq2 alone, under a 60 s timeout
-# and prints their wall time.
+# subgroups, is the worst cell for memory at this cap (about 110 MB peak,
+# of which the walk's dict of slice runs takes under 1 MB), where a cap of
+# 2^24 would let (8,8,8)@2 ask for about 4.9 TB.  The worst for time is
+# verify at (1,1,1)@31, order 29791: all 1988 of its subgroups are
+# elementary abelian, so each is its own meet with Omega_1 and has a
+# nonzero Mobius value, and the two Mobius passes, upward (shared by hall
+# and eq2) and downward (eq2), stay quadratic in them.  The README gives
+# both cells' time and peak memory; CI runs both, and that cell with eq2
+# alone, under a 60 s timeout and prints their wall time and peak RSS.
 MAX_ORACLE_ORDER = 32768
 
 

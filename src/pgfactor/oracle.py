@@ -15,23 +15,28 @@ stays independent of the closed form.
 
 Subgroups, the layers Omega_k and the multiples p^k G are membership
 bitmasks over the element index space, each built from an HNF basis, so a
-meet is one AND and a popcount and types are read off popcounts.
+meet is one AND and a popcount and types are read off popcounts.  A mask is
+one periodic block repeated by doubling, and the block's slices are runs of
+rows that recur across bases, so one walk builds each run once.  The walk
+builds only the layer Omega_1; the other layers and the multiples wait for
+``subgroup_type`` and ``quotient_type_mod``, which no command calls.
 
 No check takes a pass over all pairs of subgroups.  By Burnside's basis
 theorem pG is the Frattini subgroup (B. Huppert, "Endliche Gruppen I",
 III.3), so H + K = G exactly when the images of H and K span G/pG = F_p^r;
-the walk reads each image off the HNF rows mod p, and the factorization
-count is a sum over pairs of image classes.  Lattice Mobius values vanish
-outside the few elementary abelian sections (P. Hall, "The Eulerian
-functions of a group", 1936), so the one Mobius recursion sums only the
-nonzero values found so far, testing containment by mask subset.  Upward
-from the trivial subgroup those values lie in Omega_1(G), so a subgroup
-takes its sum from its meet with Omega_1(G), once per meet; the same pass
-counts the subgroups above each nonzero value, and the downward pass to G
-those below it.  No library function builds the full containment relation;
-the tests and the benchmark's tracer do, as a reference.  This is a
-desk-scale verification tool; a configurable order cap keeps accidental
-huge inputs out.
+the HNF rows mod p are triangular with 0 or 1 on the diagonal, so the walk
+reads each image's echelon basis off them by a few cases, and the
+factorization count is a sum over pairs of image classes.  Lattice Mobius
+values vanish outside the few elementary abelian sections (P. Hall, "The
+Eulerian functions of a group", 1936), so the one Mobius recursion sums
+only the nonzero values found so far, testing containment by mask
+subset.  Upward from the trivial subgroup those values lie in Omega_1(G),
+so a subgroup takes its sum from its meet with Omega_1(G), once per meet;
+the same pass counts the subgroups above each nonzero value, and the
+downward pass to G those below it.  No library function builds the full
+containment relation; the tests and the benchmark's tracer do, as a
+reference.  This is a desk-scale verification tool; a configurable order
+cap keeps accidental huge inputs out.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ from itertools import pairwise, product
 from math import gcd
 
 from .grouptype import GroupType, type_from_layers
-from .mobius import _echelon, hall_mobius
+from .mobius import hall_mobius
 
 DEFAULT_MAX_ORDER = 4096
 
@@ -58,9 +63,11 @@ class NotComparable(ValueError):
 class ConcreteGroup:
     """Explicit abelian p-group, held as bitmasks over its element indices.
 
-    For k = 0..e1, ``omega[k]`` is the layer Omega_k = {x : p^k x = 0} and
-    ``multiples[k]`` is p^k G: the diagonal HNF bases p^max(e_i - k, 0) and
-    p^min(k, e_i).
+    ``_layer(k)`` builds the mask of the layer Omega_k = {x : p^k x = 0}, the
+    diagonal HNF basis p^max(e_i - k, 0).  For k = 0..e1, ``omega[k]`` is
+    Omega_k and ``multiples[k]`` is p^k G, the diagonal basis p^min(k, e_i);
+    both lists are built on first use, as only ``subgroup_type`` and
+    ``quotient_type_mod`` read them.
     """
 
     def __init__(self, gtype: GroupType, p: int, max_order: int = DEFAULT_MAX_ORDER):
@@ -74,11 +81,18 @@ class ConcreteGroup:
         self.p = p
         self.moduli = tuple(p**e for e in gtype)
         self.order = order
-        layers = range(gtype[0] + 1)
-        self.omega = [_span_mask(self.moduli, (p ** max(e - k, 0) for e in gtype), 0, 0, 0)
-                      for k in layers]
-        self.multiples = [_span_mask(self.moduli, (p ** min(k, e) for e in gtype), 0, 0, 0)
-                          for k in layers]
+
+    def _layer(self, k: int) -> int:
+        return _span_mask(self.moduli, (self.p ** max(e - k, 0) for e in self.gtype), 0, 0, 0, {})
+
+    @cached_property
+    def omega(self) -> list[int]:
+        return [self._layer(k) for k in range(self.gtype[0] + 1)]
+
+    @cached_property
+    def multiples(self) -> list[int]:
+        return [_span_mask(self.moduli, (self.p ** min(k, e) for e in self.gtype), 0, 0, 0, {})
+                for k in range(self.gtype[0] + 1)]
 
 
 def build_group(t: GroupType, p: int, max_order: int = DEFAULT_MAX_ORDER) -> ConcreteGroup:
@@ -159,21 +173,25 @@ def _repeat(x: int, stride: int, count: int) -> int:
     return out
 
 
-def _span_mask(moduli, d, x12: int, x13: int, x23: int) -> int:
+def _span_mask(moduli, d, x12: int, x13: int, x23: int, rows: dict) -> int:
     """Membership mask of the subgroup with HNF basis (d1, x12, x13), (0, d2, x23), (0, 0, d3).
 
     The one map from coordinates to bits: (y1, y2, y3) is bit (y1 m2 + y2) m3 + y3.
     The members are a r1 + b r2 + c r3 with a < k1, b < k2, c < k3
     (k_i = m_i / d_i).  Writing a x12 = q d2 + s2, slice a holds the rows
-    y2 = s2 + b d2 with y3 = b x23 + t3 (mod d3), t3 = a x13 - q x23, each
+    y2 = s2 + b d2 with y3 = b x23 + t (mod d3), t = a x13 - q x23, each
     row swept by c d3.  Rows repeat in b with period per2 = d3 / gcd(x23, d3)
     and slices repeat in a with the least per1 for which per1 r1 lies in the
     span of r2 and r3 modulo m.  Both divide k2 and k1: the HNF conditions
     say that k2 x23 = 0 mod d3 and that k1 r1 lies in that span, and the
     multiples with either property form a subgroup of Z.  So one block of
-    per1 slices of per2 rows is built bit by bit and then repeated by
-    doubling along c, b and a; s2 < d2 and every row offset is < d3, so no
-    copies overlap.
+    per1 slices of per2 rows is built and then repeated by doubling along
+    c, b and a; s2 < d2 and every row offset is < d3, so no copies overlap.
+
+    A slice's per2 rows, unshifted, depend only on (d2, d3, x23, t mod d3)
+    once the moduli are fixed, so ``rows`` keeps each such run under that
+    key: the caller passes one dict for every basis of a group, and a slice
+    whose run is already there costs a lookup and a shift.
     """
     m1, m2, m3 = moduli
     d1, d2, d3 = d
@@ -185,11 +203,12 @@ def _span_mask(moduli, d, x12: int, x13: int, x23: int) -> int:
     block = 0
     for a in range(per1):
         q, s2 = divmod(a * x12, d2)
-        t3 = a * x13 - q * x23
-        rows = 0
-        for b in range(per2):
-            rows |= 1 << (b * row_bits + (b * x23 + t3) % d3)
-        block |= rows << (a * slice_bits + s2 * m3)
+        t = (a * x13 - q * x23) % d3
+        key = d2, d3, x23, t
+        run = rows.get(key)
+        if run is None:
+            run = rows[key] = sum(1 << (b * row_bits + (b * x23 + t) % d3) for b in range(per2))
+        block |= run << (a * slice_bits + s2 * m3)
     block = _repeat(block, d3, m3 // d3)
     block = _repeat(block, per2 * row_bits, m2 // d2 // per2)
     return _repeat(block, per1 * slice_bits, m1 // d1 // per1)
@@ -224,10 +243,31 @@ def _frattini_image(residues, r: int, p: int) -> tuple[tuple[int, ...], ...]:
     image is the row space of the basis rows mod p on the first r
     coordinates; the others belong to factors with e_i = 0, which pG fills.
     Rows come out with leading entry 1, sorted by pivot column.
+
+    The rows mod p are upper triangular with each d_i mod p 0 or 1, as d_i
+    is a power of p, and d2 = 1 forces x12 = 0, d3 = 1 forces x13 = x23 = 0.
+    So e3 lies in the image exactly when d3 = 1, or d2 = 0 and x23 != 0, or
+    the first row is (0, 0, x13) with x13 != 0; it then clears the third
+    column of the other rows.  What is left is already reduced once the
+    first row is scaled to lead with 1, since a second row (0, 1, x23) comes
+    with x12 = 0, and without e3 a first row (0, 0, x13) or a second row
+    (0, 0, x23) is zero.  Projecting that basis of the row space in F_p^3
+    onto the first r coordinates keeps the rows whose pivot is below r.
     """
     d1, x12, x13, d2, x23, d3 = residues
-    rows = ((d1, x12, x13), (0, d2, x23), (0, 0, d3))[:r]
-    return tuple(tuple(b) for _, b in sorted(_echelon((row[:r] for row in rows), p)))
+    e3 = d3 or (x23 and not d2) or (x13 and not (d1 or x12))
+    if e3:
+        x13 = x23 = 0
+    rows = []
+    if d1:
+        rows.append((1, x12, x13))
+    elif x12:
+        rows.append((0, 1, x13 * pow(x12, -1, p) % p))
+    if d2:
+        rows.append((0, 1, x23))
+    if e3:
+        rows.append((0, 0, 1))
+    return tuple(row[:r] for row in rows if any(row[:r]))
 
 
 def _spanning_pairs(images: dict, r: int, p: int) -> int:
@@ -267,15 +307,19 @@ def all_subgroups(g: ConcreteGroup) -> Lattice:
     """Enumerate every subgroup by its Hermite normal form basis.
 
     The HNF walk meets each subgroup exactly once; sorting by (order, mask)
-    fixes the ids.  The same walk tallies the HNF entries mod p, and each
-    distinct tally is reduced once to the subgroup's image in G/pG, from
-    which ``_spanning_pairs`` counts the factorizations.
+    fixes the ids.  Its masks share one dict of slice runs (see
+    ``_span_mask``), which lives only as long as this call.  The same walk
+    tallies the HNF entries mod p, and each distinct tally is reduced once
+    to the subgroup's image in G/pG, from which ``_spanning_pairs`` counts
+    the factorizations.
     """
     p = g.p
     walk = []
     residues = {}
+    rows = {}
     for d1, x12, x13, d2, x23, d3 in _hnf_subgroups(g):
-        walk.append((g.order // (d1 * d2 * d3), _span_mask(g.moduli, (d1, d2, d3), x12, x13, x23)))
+        walk.append((g.order // (d1 * d2 * d3),
+                     _span_mask(g.moduli, (d1, d2, d3), x12, x13, x23, rows)))
         key = d1 % p, x12 % p, x13 % p, d2 % p, x23 % p, d3 % p
         residues[key] = residues.get(key, 0) + 1
     walk.sort()
@@ -288,8 +332,8 @@ def all_subgroups(g: ConcreteGroup) -> Lattice:
         image = _frattini_image(key, r, p)
         images[image] = images.get(image, 0) + n
     subgroups = [SubgroupSet(i, mask, order) for i, (order, mask) in enumerate(walk)]
-    socle = g.omega[min(1, len(g.omega) - 1)]  # the trivial group has only Omega_0
-    return Lattice(subgroups, _spanning_pairs(images, r, p), socle)
+    # Omega_1; the trivial group's is its Omega_0 = {0}, as p^max(e_i - 1, 0) = 1
+    return Lattice(subgroups, _spanning_pairs(images, r, p), g._layer(1))
 
 
 def subgroup_type(g: ConcreteGroup, H: SubgroupSet) -> GroupType:

@@ -13,7 +13,7 @@ import pgfactor
 from pgfactor import oracle
 from pgfactor.formulas import factorization_count, subgroup_count
 from pgfactor.grouptype import GroupType, p_valuation, type_from_layers
-from pgfactor.mobius import hall_mobius
+from pgfactor.mobius import _echelon, hall_mobius
 from pgfactor.oracle import (
     GroupTooLarge,
     NotComparable,
@@ -701,12 +701,74 @@ MASK_GROUPS = [
 ]
 
 
+class _Runs(dict):
+    """A dict of slice runs that counts the lookups finding their key."""
+
+    hits = 0
+
+    def get(self, key, default=None):
+        self.hits += key in self
+        return super().get(key, default)
+
+
 @pytest.mark.parametrize("exps,p", MASK_GROUPS)
 def test_span_mask_matches_reference_on_every_basis(exps, p):
+    # each basis with a fresh dict of slice runs, and with one dict shared by
+    # every basis in walk order, as all_subgroups does, so later bases read
+    # runs that earlier ones stored
     g = build_group(GroupType(exps), p)
+    shared = _Runs()
     for d1, x12, x13, d2, x23, d3 in oracle._hnf_subgroups(g):
         args = g.moduli, (d1, d2, d3), x12, x13, x23
-        assert oracle._span_mask(*args) == _reference_span_mask(*args), args
+        expected = _reference_span_mask(*args)
+        assert oracle._span_mask(*args, {}) == expected, args
+        assert oracle._span_mask(*args, shared) == expected, ("shared", args)
+    assert shared.hits > 0 or g.order == 1
+
+
+@pytest.mark.parametrize("exps,p", [((1, 1, 1), 7), ((3, 3, 2), 2), ((2, 2, 1), 3), ((4, 2, 0), 3),
+                                    ((6, 0, 0), 2), ((0, 0, 0), 5)])
+def test_all_subgroups_masks_and_ids_match_reference_masks(exps, p):
+    g = build_group(GroupType(exps), p)
+    reference = sorted(
+        (g.order // (d1 * d2 * d3), _reference_span_mask(g.moduli, (d1, d2, d3), x12, x13, x23))
+        for d1, x12, x13, d2, x23, d3 in oracle._hnf_subgroups(g))
+    lat = all_subgroups(g)
+    assert [(H.id, H.order, H.members) for H in lat.subgroups] == [
+        (i, order, mask) for i, (order, mask) in enumerate(reference)]
+    assert lat.socle == g.omega[min(1, exps[0])]
+
+
+@pytest.mark.parametrize("exps,p", [((3, 2, 1), 3), ((0, 0, 0), 2), ((1, 1, 1), 5)])
+def test_walk_builds_no_layer_lists(exps, p):
+    # build_group and all_subgroups build only Omega_1; omega and multiples
+    # wait for the type readers, which no check calls
+    g = build_group(GroupType(exps), p)
+    lat = all_subgroups(g)
+    assert "omega" not in vars(g) and "multiples" not in vars(g)
+    count_factorizations(g, lat)
+    verify_hall(g, lat)
+    verify_inversion_forms(g, lat)
+    assert "omega" not in vars(g) and "multiples" not in vars(g)
+    subgroup_type(g, lat.subgroups[-1])
+    assert "omega" in vars(g)
+
+
+def _reference_frattini_image(residues, r, p):
+    """The image in G/pG by general elimination: ``_echelon`` of the HNF rows mod p, r columns."""
+    d1, x12, x13, d2, x23, d3 = residues
+    rows = ((d1, x12, x13), (0, d2, x23), (0, 0, d3))[:r]
+    return tuple(tuple(b) for _, b in sorted(_echelon((row[:r] for row in rows), p)))
+
+
+@pytest.mark.parametrize("exps,p", MASK_GROUPS)
+def test_frattini_image_matches_echelon_reference(exps, p):
+    g = build_group(GroupType(exps), p)
+    keys = {tuple(x % p for x in basis) for basis in oracle._hnf_subgroups(g)}
+    for key in keys:
+        for r in range(4):
+            expected = _reference_frattini_image(key, r, p)
+            assert oracle._frattini_image(key, r, p) == expected, (key, r)
 
 
 @functools.cache
@@ -721,7 +783,7 @@ def test_span_mask_matches_reference_over_the_cap(case, data):
     moduli, bases = _bases_over_cap(*case)
     d1, x12, x13, d2, x23, d3 = data.draw(st.sampled_from(bases))
     args = moduli, (d1, d2, d3), x12, x13, x23
-    assert oracle._span_mask(*args) == _reference_span_mask(*args)
+    assert oracle._span_mask(*args, {}) == _reference_span_mask(*args)
 
 
 @pytest.mark.parametrize("count", [0, 1, 8, 7, 13])

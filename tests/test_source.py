@@ -44,3 +44,16 @@ def test_names_the_benchmark_tracer_wraps_exist():
 
 def test_public_names_resolve():
     assert [name for name in pgfactor.__all__ if not hasattr(pgfactor, name)] == []
+
+
+def test_oracle_imports_only_hall_mobius_from_mobius():
+    # the routes share as little code as they can: the oracle reads its
+    # Frattini images off the HNF rows itself, not through mobius._echelon
+    path = PACKAGE / "oracle.py"
+    imported = {
+        alias.name
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "mobius"
+        for alias in node.names
+    }
+    assert imported == {"hall_mobius"}
