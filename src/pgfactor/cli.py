@@ -37,7 +37,7 @@ from .formulas import (
     factorization_count,
     subgroup_count,
 )
-from .grouptype import GroupType, p_valuation, parse_type
+from .grouptype import GroupType, p_valuation
 from .mobius import (
     factorization_count_mobius,
     quotient_type,
@@ -141,10 +141,23 @@ def _canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def _number(text: str) -> int:
+    """The grammar of every number an option takes: one or more ASCII digits 0-9.
+
+    int() alone would also take a sign, spaces, underscores and other scripts' digits.
+    """
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"must be one or more digits 0-9, got {text!r}")
+    try:
+        return int(text)
+    except ValueError:  # parsing keeps Python's int-to-str digit limit
+        raise argparse.ArgumentTypeError(f"has {len(text)} digits, over Python's int-to-str digit limit") from None
+
+
 def _group_type(text: str) -> GroupType:
     """The --type converter: a descending triple with no exponent over MAX_EXPONENT."""
     try:
-        gtype = parse_type(text)
+        gtype = GroupType(tuple(map(_number, text.split(","))))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
     if gtype[0] > MAX_EXPONENT:
@@ -154,10 +167,7 @@ def _group_type(text: str) -> GroupType:
 
 def _prime(text: str) -> int:
     """The --p converter, and the check of each --primes entry."""
-    try:
-        p = int(text)
-    except ValueError:
-        p = 0
+    p = _number(text)
     if p >= PRIME_BOUND:
         raise argparse.ArgumentTypeError(f"must be below {PRIME_BOUND}, got {text}")
     if not _is_prime(p):
@@ -167,10 +177,7 @@ def _prime(text: str) -> int:
 
 def _positive(text: str) -> int:
     """A positive integer: the --max-lambda converter, and the first check of --max-order."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
+    value = _number(text)
     if value <= 0:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
     return value
@@ -190,8 +197,6 @@ def _prime_list(text: str) -> list[int]:
     The length is checked first, so an overlong list runs no Miller-Rabin.
     """
     entries = text.split(",")
-    if not all(x.strip() for x in entries):
-        raise argparse.ArgumentTypeError(f"empty entry in {text!r}")
     if len(entries) > MAX_TABLE_ROWS:
         raise argparse.ArgumentTypeError(f"lists {len(entries)} primes, over the row limit of {MAX_TABLE_ROWS}")
     primes = {}
@@ -250,20 +255,16 @@ def cmd_f2(args) -> int:
 
 
 def _census_checks(report: VerificationReport, gtype: GroupType, p: int) -> None:
-    for k in (1, 2):
+    r = gtype.rank
+    for k in range(1, r):
         report.add(f"census_k{k}", reference_census(gtype, k, p), quotient_type_census(gtype, k, p))
-    full = enumerate_subspaces(3, 3, p)[0]
-    shrunk = GroupType(tuple(e - 1 for e in gtype.exponents))
+    full = enumerate_subspaces(r, r, p)[0]
+    shrunk = GroupType(tuple(max(e - 1, 0) for e in gtype.exponents))
     report.add("census_full_socle", shrunk, quotient_type(gtype, full, p))
 
 
 def cmd_verify(args) -> int:
     gtype, p, checks = args.type, args.p, args.checks
-    if checks is None:
-        checks = [c for c in ALL_CHECKS if c != "census" or gtype.rank == 3]
-    elif "census" in checks and gtype.rank != 3:
-        args.parser.error("census check requires a rank-3 type")
-
     report = VerificationReport()
     need_lattice = any(c in checks for c in ("count", "f2", "hall", "eq2"))
     if need_lattice:
@@ -359,11 +360,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     # options shared between subcommands, each declared once
     shared = {
-        "--type": dict(type=_group_type, required=True, help="group type as 'e1,e2,e3', descending"),
-        "--p": dict(type=_prime, help="prime to evaluate at"),
+        "--type": dict(type=_group_type, required=True,
+                       help="group type as 'e1,e2,e3', descending, exponents in digits 0-9"),
+        "--p": dict(type=_prime, help="prime to evaluate at, in digits 0-9"),
         "--format": dict(choices=("json", "csv", "text"), default="text"),
         "--max-order": dict(type=_oracle_cap, default=DEFAULT_MAX_ORDER,
-                            help=f"oracle element cap (default %(default)s, at most {MAX_ORACLE_ORDER})"),
+                            help=f"oracle element cap in digits 0-9 (default %(default)s, at most {MAX_ORACLE_ORDER})"),
     }
 
     def subcommand(name, func, help, *options):
@@ -386,12 +388,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = subcommand("verify", cmd_verify, "cross-check all routes on one instance", "--type", "--max-order")
     sp.add_argument("--p", required=True, **shared["--p"])
-    sp.add_argument("--checks", type=_check_list,
-                    help=f"comma list out of {','.join(ALL_CHECKS)} (default: all applicable)")
+    sp.add_argument("--checks", type=_check_list, default=ALL_CHECKS,
+                    help=f"comma list out of {','.join(ALL_CHECKS)} (default: all)")
 
     sp = subcommand("table", cmd_table, "grid of counts over types and primes", "--format", "--max-order")
-    sp.add_argument("--max-lambda", type=_positive, required=True, help="largest exponent in the grid")
-    sp.add_argument("--primes", type=_prime_list, required=True, help="comma-separated primes")
+    sp.add_argument("--max-lambda", type=_positive, required=True, help="largest exponent in the grid, in digits 0-9")
+    sp.add_argument("--primes", type=_prime_list, required=True, help="comma-separated primes, each in digits 0-9")
 
     return parser
 

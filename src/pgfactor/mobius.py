@@ -18,8 +18,8 @@ representatives at rank 3 and 5 at rank 2, stores once per process the
 exponent positions each one's quotient lowers, alike at every prime; a call
 only lowers its type by them, so p may be an int or the symbolic P.
 
-The per-dimension tallies of quotient types (the census) are themselves a
-checkable invariant: they match the socle cells of the closed form, p^inv(S)
+The per-dimension tallies of quotient types (the census) are, at every rank,
+a checkable invariant: they match the socle cells of the closed form, p^inv(S)
 subspaces lowering the exponents in S, read from the one cell census that
 ``theorem3`` sums over (``formulas._cell_census``, via ``reference_census``).
 The Smith normal form (``smith_normal_form``) types no quotient here; it is
@@ -242,20 +242,13 @@ def _orbit_tally(t: GroupType, k: int, pv) -> Counter:
     return tally
 
 
-def _check_census(t: GroupType, k: int) -> None:
-    if t.rank != 3:
-        raise ValueError(f"census requires a rank-3 type, got {t}")
-    if k not in (1, 2):
-        raise ValueError(f"census dimension must be 1 or 2, got {k}")
-
-
 def quotient_type_census(t: GroupType, k: int, p: int) -> tuple[tuple[GroupType, int], ...]:
-    """Count quotient types over every k-dimensional socle subspace (rank-3 t).
+    """Count quotient types over every k-dimensional socle subspace, 0 <= k <= rank.
 
     ``(type, count)`` pairs, types descending.  The counts sum to
-    gaussian_binomial(3, k, p) at any p, from 7 orbit representatives.
+    gaussian_binomial(t.rank, k, p) at any p, from at most 7 orbit
+    representatives.  A k outside 0..rank raises ValueError.
     """
-    _check_census(t, k)
     return _census_entries(_orbit_tally(t, k, p))
 
 
@@ -266,7 +259,6 @@ def reference_census(t: GroupType, k: int, p: int) -> tuple[tuple[GroupType, int
     positions in S: by order-p subgroups, p^2 drop the smallest exponent, p
     the middle one, 1 the largest.  Coinciding exponents merge types.
     """
-    _check_census(t, k)
     return _census_entries(_cell_census(t, k, p))
 
 

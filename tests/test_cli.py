@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -10,12 +12,17 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pgfactor
 from pgfactor import cli
 from pgfactor.cli import MAX_EXPONENT, MAX_ORACLE_ORDER, MAX_TABLE_ROWS, PRIME_BOUND, _grid_types, main
 from pgfactor.formulas import factorization_count
 from pgfactor.grouptype import GroupType
+from pgfactor.oracle import DEFAULT_MAX_ORDER
+
+LARGEST_ACCEPTED_PRIME = 3317044064679887385961813
 
 
 def run_cli(capsys, *argv):
@@ -211,7 +218,6 @@ SINGLE_OPTION_REJECTIONS = [
 # each rule that joins two inputs, and the words its message must contain
 JOINT_RULE_REJECTIONS = [
     ("f2 --type 1,1,1 --symbolic --method oracle", "--method oracle requires --p"),
-    ("verify --type 2,1,0 --p 3 --checks census", "census rank-3"),
     ("table --max-lambda 40 --primes 2", f"12340 {MAX_TABLE_ROWS}"),
 ]
 
@@ -347,17 +353,51 @@ def test_verify_json_roundtrip(capsys):
     assert canonical(json.loads(out)) == out.strip()
 
 
-def test_verify_rank2_skips_census_by_default(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--type", "2,1,0", "--p", "3")
+@pytest.mark.parametrize("exps,census", [
+    ("0,0,0", ["census_full_socle"]),
+    ("3,0,0", ["census_full_socle"]),
+    ("2,1,0", ["census_k1", "census_full_socle"]),
+    ("2,2,0", ["census_k1", "census_full_socle"]),
+], ids=["rank0", "rank1", "rank2", "rank2-equal"])
+def test_verify_runs_census_by_default_below_rank3(capsys, exps, census):
+    code, out, _ = run_cli(capsys, "verify", "--type", exps, "--p", "3")
     assert code == 0
-    names = {c["name"] for c in json.loads(out)["checks"]}
-    assert not any(n.startswith("census") for n in names)
+    report = json.loads(out)
+    assert report["overall"] is True
+    assert [c["name"] for c in report["checks"] if c["name"].startswith("census")] == census
 
 
-def test_verify_census_on_rank2_is_usage_error(capsys):
-    code, _, err = run_cli(capsys, "verify", "--type", "2,1,0", "--p", "3", "--checks", "census")
-    assert code == 2
-    assert "rank-3" in err
+def test_verify_census_on_rank2_is_fast_at_the_largest_prime(capsys):
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "verify", "--type", "2,1,0", "--p", str(LARGEST_ACCEPTED_PRIME),
+                           "--checks", "census")
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    report = json.loads(out)
+    assert report["overall"] is True
+    assert [c["name"] for c in report["checks"]] == ["census_k1", "census_full_socle"]
+    assert elapsed < 1.0
+
+
+def test_largest_accepted_prime_is_the_last_below_the_bound():
+    assert cli._is_prime(LARGEST_ACCEPTED_PRIME)
+    assert not any(map(cli._is_prime, range(LARGEST_ACCEPTED_PRIME + 1, PRIME_BOUND)))
+
+
+def test_verify_rank3_census_golden(capsys):
+    # the rank-3 census rows print GroupType's repr; these bytes must not drift
+    code, out, _ = run_cli(capsys, "verify", "--type", "2,1,1", "--p", "3", "--checks", "census")
+    assert code == 0
+    assert out == (
+        '{"checks":[{"actual":"((GroupType(exponents=(2, 1, 0)), 12), (GroupType(exponents=(1, 1, 1)), 1))",'
+        '"expected":"((GroupType(exponents=(2, 1, 0)), 12), (GroupType(exponents=(1, 1, 1)), 1))",'
+        '"name":"census_k1","status":"pass"},'
+        '{"actual":"((GroupType(exponents=(2, 0, 0)), 9), (GroupType(exponents=(1, 1, 0)), 4))",'
+        '"expected":"((GroupType(exponents=(2, 0, 0)), 9), (GroupType(exponents=(1, 1, 0)), 4))",'
+        '"name":"census_k2","status":"pass"},'
+        '{"actual":"1,0,0","expected":"1,0,0","name":"census_full_socle","status":"pass"}],'
+        '"instance":{"p":3,"type":[2,1,1]},"overall":true}\n'
+    )
 
 
 def test_verify_census_is_fast_at_large_p(capsys):
@@ -395,7 +435,7 @@ def test_verify_cap(capsys):
 
 def test_cap_error_states_the_order_as_a_power(capsys):
     # the order in full would be thousands of digits at the largest type and prime
-    p = 3317044064679887385961813
+    p = LARGEST_ACCEPTED_PRIME
     code, out, err = run_cli(capsys, "verify", "--type", f"{MAX_EXPONENT},{MAX_EXPONENT},{MAX_EXPONENT}",
                              "--p", str(p))
     assert code == 3
@@ -664,3 +704,109 @@ def test_readme_cli_examples(capsys):
         assert code == 0, (argv, err)
         if value is not None:
             assert out == value + "\n", argv
+
+
+def oracle_cells(cap):
+    """Every (type, p) whose group the oracle accepts under ``cap``, in order of p.
+
+    Each prime p <= cap and each type with p^(e1+e2+e3) <= cap, the trivial
+    type included; the cap alone bounds the primes.
+    """
+    cells = []
+    for p in filter(cli._is_prime, range(2, cap + 1)):
+        n = 0
+        while p ** (n + 1) <= cap:
+            n += 1
+        cells += [((e1, e2, e3), p) for e1 in range(n + 1) for e2 in range(e1 + 1)
+                  for e3 in range(e2 + 1) if e1 + e2 + e3 <= n]
+    return cells
+
+
+def test_verify_passes_on_every_accepted_oracle_cell(capsys):
+    # the cells under the largest cap run in CI, through the same list
+    cells = oracle_cells(DEFAULT_MAX_ORDER)
+    assert len(cells) == 1314
+    failing = []
+    for exps, p in cells:
+        code, out, err = run_cli(capsys, "verify", "--type", ",".join(map(str, exps)), "--p", str(p))
+        if code != 0 or json.loads(out)["overall"] is not True:
+            failing.append((exps, p, code, err))
+    assert failing == []
+
+
+# The number grammar: every number an option takes is one or more ASCII digits.
+_PRIMES = (2, 3, 5, 7, 11, 13)
+_NUMBER_OPTIONS = ("--type", "--p", "--max-order", "--max-lambda", "--primes")
+_OTHER_DIGITS = ("\u0660", "\uff10", "\u0966")  # Arabic-Indic, fullwidth and Devanagari zero
+
+
+@st.composite
+def grammar_argv(draw):
+    """An argv whose numbers follow the grammar, some with leading zeros; cheap to run."""
+    def number(n):
+        return "0" * draw(st.integers(0, 2)) + str(n)
+
+    command = draw(st.sampled_from(("count", "f2", "verify", "table")))
+    argv = [command]
+    if command == "table":
+        primes = draw(st.lists(st.sampled_from(_PRIMES), min_size=1, max_size=3, unique=True))
+        argv += ["--max-lambda", number(draw(st.integers(1, 2))), "--primes", ",".join(map(number, primes))]
+    else:
+        exps = sorted(draw(st.lists(st.integers(0, 4), min_size=3, max_size=3)), reverse=True)
+        argv += ["--type", ",".join(map(number, exps))]
+        if command == "verify" or draw(st.booleans()):
+            argv += ["--p", number(draw(st.sampled_from(_PRIMES)))]
+        else:
+            argv.append("--symbolic")
+    if command != "count":
+        argv += ["--max-order", number(draw(st.integers(1, 256)))]
+    if command == "f2" and "--p" in argv:
+        argv += ["--method", draw(st.sampled_from(("theorem3", "mobius", "oracle")))]
+    return argv
+
+
+def _near_miss(draw, entry):
+    """``entry``, one number in the grammar, bent out of it."""
+    kind = draw(st.sampled_from(("sign", "space", "underscore", "digits", "empty", "long")))
+    if kind == "sign":
+        return draw(st.sampled_from("+-")) + entry
+    if kind == "space":
+        cut = draw(st.integers(0, len(entry)))
+        return entry[:cut] + draw(st.sampled_from((" ", "\t", "\u00a0"))) + entry[cut:]
+    if kind == "underscore":
+        return entry[:1] + "_" + entry[1:]
+    if kind == "digits":
+        zero = ord(draw(st.sampled_from(_OTHER_DIGITS)))
+        return "".join(chr(zero + int(c)) for c in entry)
+    if kind == "empty":
+        return ""
+    return "9" * draw(st.integers(4301, 5000))
+
+
+def _run_captured(argv):
+    # hypothesis runs many examples in one test, so no capsys fixture
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(deadline=None, max_examples=150)
+@given(grammar_argv())
+def test_argv_in_the_number_grammar_is_accepted(argv):
+    code, out, err = _run_captured(argv)
+    assert code in (0, 1, 3), (argv, err)
+    assert out or code == 3, argv
+
+
+@settings(deadline=None, max_examples=300)
+@given(grammar_argv(), st.data())
+def test_number_near_miss_is_rejected_with_nothing_on_stdout(argv, data):
+    at = 1 + data.draw(st.sampled_from([i for i, a in enumerate(argv[:-1]) if a in _NUMBER_OPTIONS]))
+    entries = argv[at].split(",")
+    i = data.draw(st.integers(0, len(entries) - 1))
+    entries[i] = _near_miss(data.draw, entries[i])
+    argv[at] = ",".join(entries)
+    code, out, err = _run_captured(argv)
+    assert (code, out) == (2, ""), argv
+    assert err.startswith(f"usage: pgfactor {argv[0]} ")

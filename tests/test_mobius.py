@@ -297,16 +297,17 @@ def test_census_totals():
 
 
 def test_census_matches_reference_on_grid():
+    # every rank from 0 to 3 and every dimension from 0 to the rank
     types = [
         GroupType((e1, e2, e3))
-        for e1 in range(1, 5)
-        for e2 in range(1, e1 + 1)
-        for e3 in range(1, e2 + 1)
+        for e1 in range(5)
+        for e2 in range(e1 + 1)
+        for e3 in range(e2 + 1)
     ]
     for p in (2, 3):
         for t in types:
-            for k in (1, 2):
-                assert quotient_type_census(t, k, p) == reference_census(t, k, p)
+            for k in range(t.rank + 1):
+                assert quotient_type_census(t, k, p) == reference_census(t, k, p), (t, k, p)
 
 
 CENSUS_TYPES = [GroupType((e1, e2, e3))
@@ -331,11 +332,12 @@ def test_cell_census_counts_every_subspace():
                 assert sum(_cell_census(t, k, p).values()) == gaussian_binomial(t.rank, k, p), (t, k, p)
 
 
-def test_census_requires_rank3():
-    with pytest.raises(ValueError):
-        quotient_type_census(GroupType((2, 1, 0)), 1, 2)
-    with pytest.raises(ValueError):
-        quotient_type_census(GroupType((1, 1, 1)), 3, 2)
+@pytest.mark.parametrize("exps", [(0, 0, 0), (2, 0, 0), (2, 1, 0), (1, 1, 1)], ids=lambda e: f"rank{sum(map(bool, e))}")
+def test_census_rejects_k_outside_0_to_rank(exps):
+    t = GroupType(exps)
+    for k in (-1, t.rank + 1):
+        with pytest.raises(ValueError):
+            quotient_type_census(t, k, 2)
 
 
 def test_mobius_sum_cyclic():
