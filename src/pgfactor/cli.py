@@ -37,7 +37,7 @@ from .formulas import (
     factorization_count,
     subgroup_count,
 )
-from .grouptype import GroupType, p_valuation
+from .grouptype import GroupType, p_valuation, parse_number, parse_type
 from .mobius import (
     factorization_count_mobius,
     quotient_type,
@@ -142,22 +142,17 @@ def _canonical_json(obj) -> str:
 
 
 def _number(text: str) -> int:
-    """The grammar of every number an option takes: one or more ASCII digits 0-9.
-
-    int() alone would also take a sign, spaces, underscores and other scripts' digits.
-    """
-    if not (text.isascii() and text.isdigit()):
-        raise argparse.ArgumentTypeError(f"must be one or more digits 0-9, got {text!r}")
+    """``parse_number`` as an option converter: every number an option takes is in its grammar."""
     try:
-        return int(text)
-    except ValueError:  # parsing keeps Python's int-to-str digit limit
-        raise argparse.ArgumentTypeError(f"has {len(text)} digits, over Python's int-to-str digit limit") from None
+        return parse_number(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _group_type(text: str) -> GroupType:
-    """The --type converter: a descending triple with no exponent over MAX_EXPONENT."""
+    """The --type converter: ``parse_type`` with no exponent over MAX_EXPONENT."""
     try:
-        gtype = GroupType(tuple(map(_number, text.split(","))))
+        gtype = parse_type(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
     if gtype[0] > MAX_EXPONENT:
@@ -360,8 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     # options shared between subcommands, each declared once
     shared = {
-        "--type": dict(type=_group_type, required=True,
-                       help="group type as 'e1,e2,e3', descending, exponents in digits 0-9"),
+        "--type": dict(type=_group_type, required=True, help="group type as 'e1,e2,e3', descending, in digits 0-9"),
         "--p": dict(type=_prime, help="prime to evaluate at, in digits 0-9"),
         "--format": dict(choices=("json", "csv", "text"), default="text"),
         "--max-order": dict(type=_oracle_cap, default=DEFAULT_MAX_ORDER,

@@ -60,13 +60,19 @@ def normalize(raw) -> GroupType:
     return GroupType(tuple(sorted(map(int, raw), reverse=True)))
 
 
+def parse_number(text: str) -> int:
+    """The grammar of every number in the CLI's text forms: one or more ASCII digits 0-9.
+
+    int() alone would also take a sign, spaces, underscores and other scripts' digits.
+    """
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"must be one or more digits 0-9, got {text!r}")
+    return int(text)  # a ValueError past Python's int-to-str digit limit
+
+
 def parse_type(text: str) -> GroupType:
-    """Parse the CLI text form 'e1,e2,e3'; the input must already be descending."""
-    try:
-        entries = tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise ValueError(f"cannot parse group type {text!r}") from None
-    return GroupType(entries)
+    """Parse the CLI text form 'e1,e2,e3': each entry a ``parse_number``, already descending."""
+    return GroupType(tuple(map(parse_number, text.split(","))))
 
 
 def p_valuation(n: int, p: int) -> int:

@@ -257,8 +257,11 @@ def reference_census(t: GroupType, k: int, p: int) -> tuple[tuple[GroupType, int
 
     Each cell S with |S| = k gives p^inv(S) quotients of type t minus 1 at the
     positions in S: by order-p subgroups, p^2 drop the smallest exponent, p
-    the middle one, 1 the largest.  Coinciding exponents merge types.
+    the middle one, 1 the largest.  Coinciding exponents merge types.  A k
+    outside 0..rank raises ValueError, as in ``quotient_type_census``.
     """
+    if not 0 <= k <= t.rank:
+        raise ValueError(f"need 0 <= k <= rank, got k={k}, rank={t.rank}")
     return _census_entries(_cell_census(t, k, p))
 
 

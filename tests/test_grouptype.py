@@ -102,6 +102,13 @@ def test_parse_rejects_bad_input():
         parse_type("3,2,-1")
 
 
+@pytest.mark.parametrize("text", ["٣,٢,١", " 3,2,1", "3,+2,1", "3,2,1 ", "3_0,2,1", "3,,1", "3,2,1,"])
+def test_parse_takes_only_ascii_digit_entries(text):
+    # the CLI's number grammar: int() would take each of these entries
+    with pytest.raises(ValueError, match="digits 0-9"):
+        parse_type(text)
+
+
 @settings(deadline=None)
 @given(st.integers(0, 10**6), st.integers(0, 60), PRIMES, st.data())
 def test_p_valuation_of_unit_times_power(q, v, p, data):

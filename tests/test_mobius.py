@@ -338,6 +338,8 @@ def test_census_rejects_k_outside_0_to_rank(exps):
     for k in (-1, t.rank + 1):
         with pytest.raises(ValueError):
             quotient_type_census(t, k, 2)
+        with pytest.raises(ValueError):
+            reference_census(t, k, 2)
 
 
 def test_mobius_sum_cyclic():
