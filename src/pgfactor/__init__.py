@@ -37,6 +37,7 @@ from .oracle import (
     count_factorizations,
     interval_size,
     mobius_interval,
+    oracle_factorizations,
     subgroup_type,
     verify_hall,
     verify_inversion_forms,
@@ -71,6 +72,7 @@ __all__ = [
     "interval_size",
     "mobius_interval",
     "normalize",
+    "oracle_factorizations",
     "parse_type",
     "quotient_type",
     "quotient_type_census",

@@ -52,6 +52,7 @@ from .oracle import (
     all_subgroups,
     build_group,
     count_factorizations,
+    oracle_factorizations,
     verify_hall,
     verify_inversion_forms,
 )
@@ -83,9 +84,11 @@ MAX_TABLE_ROWS = 3000
 # A higher bound needs a benchmark instance at it before it is raised.
 MAX_EXPONENT = 1000
 
-# Largest oracle element cap that --max-order accepts.  The
-# oracle holds one |G|-bit mask per subgroup, so memory grows as the order
-# times the subgroup count: verify at (5,5,5)@2, order 2^15 with 22308
+# Largest oracle element cap that --max-order accepts.  f2 --method oracle
+# and table tally HNF residues mod p and hold no subgroup mask (f2 at
+# (5,5,5)@2 peaks at about 16 MB).  Only verify holds one |G|-bit mask per
+# subgroup, so for verify alone memory grows as the order times the
+# subgroup count: verify at (5,5,5)@2, order 2^15 with 22308
 # subgroups, is the worst cell for memory at this cap (about 110 MB peak,
 # of which the walk's dict of slice runs takes under 1 MB), where a cap of
 # 2^24 would let (8,8,8)@2 ask for about 4.9 TB.  The worst for time is
@@ -93,14 +96,14 @@ MAX_EXPONENT = 1000
 # elementary abelian, so each is its own meet with Omega_1 and has a
 # nonzero Mobius value, and the two Mobius passes, upward (shared by hall
 # and eq2) and downward (eq2), stay quadratic in them.  The README gives
-# both cells' time and peak memory; CI runs both, and that cell with eq2
-# alone, under a 60 s timeout and prints their wall time and peak RSS.
+# both cells' time and peak memory; CI runs both, that cell with eq2
+# alone and f2 --method oracle at both, under a 60 s timeout and prints
+# their wall time and peak RSS.
 MAX_ORACLE_ORDER = 32768
 
 
 def _oracle_f2(gtype: GroupType, p: int, cap: int) -> int:
-    g = build_group(gtype, p, cap)
-    return count_factorizations(g, all_subgroups(g))
+    return oracle_factorizations(build_group(gtype, p, cap))
 
 
 # The f2 routes, each (type, p | None, cap) -> int | IntPolynomial; only the

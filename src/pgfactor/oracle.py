@@ -11,7 +11,14 @@ form basis (M. Tarnauceanu, "An arithmetic method of counting the subgroups
 of a finite abelian group", 2010; H. Cohen, "A Course in Computational
 Algebraic Number Theory", 2.4).  Walking those bases lists every subgroup
 exactly once, by explicit enumeration rather than a formula, so the oracle
-stays independent of the closed form.
+stays independent of the closed form.  The walk solves the HNF congruences
+for the off-diagonal entries and rechecks each basis it yields.
+
+There are two tiers.  ``oracle_factorizations``, which ``f2 --method
+oracle`` and ``table`` call, tallies the bases' entries mod p and builds no
+mask.  ``all_subgroups``, which only ``verify`` calls, also holds each
+subgroup as a mask, sorts the masks and rejects a repeated one; the Mobius
+checks need the masks.
 
 Subgroups, the layers Omega_k and the multiples p^k G are membership
 bitmasks over the element index space, each built from an HNF basis, so a
@@ -24,8 +31,8 @@ builds only the layer Omega_1; the other layers and the multiples wait for
 No check takes a pass over all pairs of subgroups.  By Burnside's basis
 theorem pG is the Frattini subgroup (B. Huppert, "Endliche Gruppen I",
 III.3), so H + K = G exactly when the images of H and K span G/pG = F_p^r;
-the HNF rows mod p are triangular with 0 or 1 on the diagonal, so the walk
-reads each image's echelon basis off them by a few cases, and the
+the HNF rows mod p are triangular with 0 or 1 on the diagonal, so both tiers
+read each image's echelon basis off them by a few cases, and the
 factorization count is a sum over pairs of image classes.  Lattice Mobius
 values vanish outside the few elementary abelian sections (P. Hall, "The
 Eulerian functions of a group", 1936), so the one Mobius recursion sums
@@ -41,6 +48,7 @@ cap keeps accidental huge inputs out.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import pairwise, product
@@ -225,15 +233,37 @@ def _hnf_subgroups(g: ConcreteGroup):
     a < k1, b < k2, c < k3 are then distinct, and there are k1 k2 k3 of
     them.  Missing factors have m_i = 1, so ranks below 3 need no special
     case.
+
+    The walk solves the congruences rather than filtering the d2 d3^2
+    candidates.  x23 runs over the multiples of d3 / gcd(k2, d3) and x12
+    over those of d2 / gcd(k1, d2).  With c = (k1 x12 / d2) x23 and
+    g13 = gcd(k1, d3), k1 x13 = c (mod d3) has solutions only when g13
+    divides c, and they are one coset of the multiples of s = d3 / g13.
+    As k1 and d3 are powers of p, g13 is the smaller of them: either s = 1
+    and every x13 solves it, or g13 = k1 and x13 = c / k1 (mod s); so the
+    coset starts at (c / g13) mod s either way.  Each basis is checked against
+    the entry ranges and the three conditions before it is yielded, and a
+    failure raises, so the walk checks its own invariant at every subgroup.
     """
     m1, m2, m3 = g.moduli
     divisors = [[g.p**j for j in range(e + 1)] for e in g.gtype]
     for d1, d2, d3 in product(*divisors):
-        k1, k2, k3 = m1 // d1, m2 // d2, m3 // d3
-        for x12, x13, x23 in product(range(d2), range(d3), range(d3)):
-            if k2 * x23 % d3 or k1 * x12 % d2 or (k1 * x13 - k1 * x12 // d2 * x23) % d3:
-                continue
-            yield d1, x12, x13, d2, x23, d3
+        k1, k2 = m1 // d1, m2 // d2
+        g13 = gcd(k1, d3)
+        s = d3 // g13
+        for x12 in range(0, d2, d2 // gcd(k1, d2)):
+            q = k1 * x12 // d2
+            for x23 in range(0, d3, d3 // gcd(k2, d3)):
+                c = q * x23
+                if c % g13:
+                    continue
+                for x13 in range(c // g13 % s, d3, s):
+                    if (not (0 <= x12 < d2 and 0 <= x13 < d3 and 0 <= x23 < d3)
+                            or k2 * x23 % d3 or k1 * x12 % d2 or (k1 * x13 - q * x23) % d3):
+                        raise RuntimeError(
+                            f"HNF walk yielded ({d1}, {x12}, {x13}, {d2}, {x23}, {d3}), "
+                            f"which breaks the HNF conditions")
+                    yield d1, x12, x13, d2, x23, d3
 
 
 def _frattini_image(residues, r: int, p: int) -> tuple[tuple[int, ...], ...]:
@@ -303,37 +333,56 @@ def _spanning_pairs(images: dict, r: int, p: int) -> int:
     return pairs
 
 
+def _factorizations(bases, g: ConcreteGroup) -> int:
+    """Number of ordered pairs (H, K) with H + K = G, from every subgroup's HNF basis.
+
+    The bases are tallied by their entries mod p, each distinct tally is
+    reduced once to the subgroup's image in G/pG, and ``_spanning_pairs``
+    counts the pairs of images that span.
+    """
+    p, r = g.p, g.gtype.rank
+    residues = Counter((d1 % p, x12 % p, x13 % p, d2 % p, x23 % p, d3 % p)
+                       for d1, x12, x13, d2, x23, d3 in bases)
+    images = Counter()
+    for key, n in residues.items():
+        images[_frattini_image(key, r, p)] += n
+    return _spanning_pairs(images, r, p)
+
+
+def oracle_factorizations(g: ConcreteGroup) -> int:
+    """Number of ordered pairs (H, K) with H + K = G, with no subgroup held as a mask.
+
+    The same count as ``all_subgroups(g).factorizations``, tallied straight
+    from the HNF walk, so memory stays at the tally of residues mod p
+    rather than one |G|-bit mask per subgroup.  Without masks there is no
+    repeated-subgroup check, and none is needed for a walk that yields
+    distinct HNF tuples in range: each subgroup has exactly one HNF basis,
+    so two distinct tuples span two distinct subgroups.  The walk rechecks
+    the ranges and the HNF conditions at every tuple, and ``_spanning_pairs``
+    raises unless exactly one subgroup, G, maps onto G/pG.
+    """
+    return _factorizations(_hnf_subgroups(g), g)
+
+
 def all_subgroups(g: ConcreteGroup) -> Lattice:
     """Enumerate every subgroup by its Hermite normal form basis.
 
     The HNF walk meets each subgroup exactly once; sorting by (order, mask)
-    fixes the ids.  Its masks share one dict of slice runs (see
-    ``_span_mask``), which lives only as long as this call.  The same walk
-    tallies the HNF entries mod p, and each distinct tally is reduced once
-    to the subgroup's image in G/pG, from which ``_spanning_pairs`` counts
-    the factorizations.
+    fixes the ids, and a repeated (order, mask) raises.  Its masks share one
+    dict of slice runs (see ``_span_mask``), which lives only as long as
+    this call.  The factorizations come from the same bases through
+    ``_factorizations``, as in ``oracle_factorizations``.
     """
-    p = g.p
-    walk = []
-    residues = {}
+    bases = list(_hnf_subgroups(g))
     rows = {}
-    for d1, x12, x13, d2, x23, d3 in _hnf_subgroups(g):
-        walk.append((g.order // (d1 * d2 * d3),
-                     _span_mask(g.moduli, (d1, d2, d3), x12, x13, x23, rows)))
-        key = d1 % p, x12 % p, x13 % p, d2 % p, x23 % p, d3 % p
-        residues[key] = residues.get(key, 0) + 1
-    walk.sort()
+    walk = sorted((g.order // (d1 * d2 * d3), _span_mask(g.moduli, (d1, d2, d3), x12, x13, x23, rows))
+                  for d1, x12, x13, d2, x23, d3 in bases)
     for a, b in pairwise(walk):
         if a == b:
             raise RuntimeError(f"repeated subgroup of order {a[0]} in the HNF walk")
-    r = g.gtype.rank
-    images = {}
-    for key, n in residues.items():
-        image = _frattini_image(key, r, p)
-        images[image] = images.get(image, 0) + n
     subgroups = [SubgroupSet(i, mask, order) for i, (order, mask) in enumerate(walk)]
     # Omega_1; the trivial group's is its Omega_0 = {0}, as p^max(e_i - 1, 0) = 1
-    return Lattice(subgroups, _spanning_pairs(images, r, p), g._layer(1))
+    return Lattice(subgroups, _factorizations(bases, g), g._layer(1))
 
 
 def subgroup_type(g: ConcreteGroup, H: SubgroupSet) -> GroupType:

@@ -459,6 +459,60 @@ def test_oracle_commands_never_build_the_containment_relation(capsys, monkeypatc
     assert out
 
 
+MASK_FREE_COMMANDS = [
+    ("f2", "--type", "3,2,1", "--p", "2", "--method", "oracle"),
+    ("f2", "--type", "1,1,1", "--p", "7", "--method", "oracle"),
+    ("f2", "--type", "0,0,0", "--p", "3", "--method", "oracle"),
+    ("table", "--max-lambda", "2", "--primes", "2,3"),
+]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+@pytest.mark.parametrize("argv", MASK_FREE_COMMANDS, ids=" ".join)
+def test_f2_and_table_build_no_mask(capsys, monkeypatch, argv, fmt):
+    # f2 --method oracle and table tally HNF residues; only verify holds masks
+    argv = (*argv, "--format", fmt)
+    expected = run_cli(capsys, *argv)
+    assert expected[0] == 0, expected
+
+    def refuse(*args):
+        raise AssertionError("subgroup mask built")
+
+    for module in (pgfactor.oracle, cli):
+        monkeypatch.setattr(module, "all_subgroups", refuse)
+    monkeypatch.setattr(pgfactor.oracle, "_span_mask", refuse)
+    assert run_cli(capsys, *argv) == expected
+
+
+def test_verify_enumerates_the_lattice_of_masks(capsys, monkeypatch):
+    calls = []
+    real = cli.all_subgroups
+    monkeypatch.setattr(cli, "all_subgroups", lambda g: calls.append(g) or real(g))
+    code, out, err = run_cli(capsys, "verify", "--type", "3,2,1", "--p", "2")
+    assert code == 0, err
+    assert json.loads(out)["overall"] is True
+    assert len(calls) == 1
+
+
+def test_table_catches_a_walk_that_repeats_a_proper_subgroup(capsys, monkeypatch):
+    # the mask-free tier has no repeated-subgroup check: a repeated proper
+    # subgroup adds its pairs with G, and the routes then disagree
+    walk = pgfactor.oracle._hnf_subgroups
+
+    def trivial_twice(g):
+        bases = list(walk(g))
+        yield from bases
+        yield bases[-1]  # the last divisor triple is d_i = m_i, the trivial subgroup
+
+    monkeypatch.setattr(pgfactor.oracle, "_hnf_subgroups", trivial_twice)
+    code, out, err = run_cli(capsys, "table", "--max-lambda", "1", "--primes", "2", "--format", "csv")
+    assert code == 1
+    assert "methods disagree" in err
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert len(rows) == 3
+    assert all(int(oracle) == int(theorem3) + 2 for *_, theorem3, _, oracle in rows)
+
+
 def test_table_csv(capsys):
     code, out, _ = run_cli(capsys, "table", "--max-lambda", "2", "--primes", "2", "--format", "csv")
     assert code == 0

@@ -1,4 +1,5 @@
 import functools
+import inspect
 import os
 import subprocess
 import sys
@@ -23,11 +24,13 @@ from pgfactor.oracle import (
     count_factorizations,
     interval_size,
     mobius_interval,
+    oracle_factorizations,
     quotient_type_mod,
     subgroup_type,
     verify_hall,
     verify_inversion_forms,
 )
+from test_cli import oracle_cells
 
 
 def _iter_bits(mask: int):
@@ -521,6 +524,78 @@ def test_all_subgroups_rejects_a_walk_without_the_whole_group(monkeypatch):
                         lambda g: (e for e in walk(g) if e != WHOLE_GROUP_HNF))
     with pytest.raises(RuntimeError, match="0 subgroups map onto G/pG"):
         all_subgroups(build_group(GroupType((2, 1, 0)), 2))
+
+
+def test_mask_free_tier_rejects_a_repeated_whole_group(monkeypatch):
+    # no repeated-subgroup check without masks: the Frattini tally catches a
+    # second copy of G, as the only subgroup that maps onto G/pG
+    monkeypatch.setattr(oracle, "_hnf_subgroups", _whole_group_twice(oracle._hnf_subgroups))
+    with pytest.raises(RuntimeError, match="2 subgroups map onto G/pG"):
+        oracle_factorizations(build_group(GroupType((2, 1, 0)), 2))
+
+
+def test_mask_free_tier_rejects_a_walk_without_the_whole_group(monkeypatch):
+    walk = oracle._hnf_subgroups
+    monkeypatch.setattr(oracle, "_hnf_subgroups",
+                        lambda g: (e for e in walk(g) if e != WHOLE_GROUP_HNF))
+    with pytest.raises(RuntimeError, match="0 subgroups map onto G/pG"):
+        oracle_factorizations(build_group(GroupType((2, 1, 0)), 2))
+
+
+def _reference_hnf_subgroups(g):
+    """The HNF bases by filtering all d2 d3^2 candidates of each divisor triple.
+
+    A candidate is kept when k2 x23, k1 x12 and k1 x13 - (k1 x12 / d2) x23
+    vanish modulo d3, d2 and d3; ``oracle._hnf_subgroups`` solves these
+    congruences instead.
+    """
+    m1, m2, m3 = g.moduli
+    divisors = [[g.p**j for j in range(e + 1)] for e in g.gtype]
+    for d1, d2, d3 in product(*divisors):
+        k1, k2 = m1 // d1, m2 // d2
+        for x12, x13, x23 in product(range(d2), range(d3), range(d3)):
+            if k2 * x23 % d3 or k1 * x12 % d2 or (k1 * x13 - k1 * x12 // d2 * x23) % d3:
+                continue
+            yield d1, x12, x13, d2, x23, d3
+
+
+def test_solved_walk_and_mask_free_tier_match_the_references_on_every_accepted_cell():
+    failing = []
+    for exps, p in oracle_cells(oracle.DEFAULT_MAX_ORDER):
+        g = build_group(GroupType(exps), p)
+        walk = list(oracle._hnf_subgroups(g))
+        if (len(set(walk)) != len(walk) or set(walk) != set(_reference_hnf_subgroups(g))
+                or oracle_factorizations(g) != all_subgroups(g).factorizations):
+            failing.append((exps, p))
+    assert failing == []
+
+
+X13_COSET = "range(c // g13 % s, d3, s)"
+
+
+def _mutant_walk(old, new):
+    """``oracle._hnf_subgroups`` with one piece of its source replaced, compiled in the module's namespace."""
+    source = inspect.getsource(oracle._hnf_subgroups)
+    assert source.count(old) == 1
+    namespace = dict(vars(oracle))
+    exec(compile(source.replace(old, new), oracle.__file__, "exec"), namespace)
+    return namespace["_hnf_subgroups"]
+
+
+@pytest.mark.parametrize("coset", [
+    "range(c // g13 % s + 1, d3, s)",  # one unit off: breaks k1 x13 = c (mod d3)
+    "range(c // g13 % s + s, d3 + s, s)",  # one step on: its last x13 is d3 too many
+])
+def test_walk_rechecks_its_x13_coset(monkeypatch, coset):
+    g = build_group(GroupType((2, 2, 2)), 2)
+    assert sorted(_mutant_walk(X13_COSET, X13_COSET)(g)) == sorted(oracle._hnf_subgroups(g))
+    mutant = _mutant_walk(X13_COSET, coset)
+    with pytest.raises(RuntimeError, match="breaks the HNF conditions"):
+        list(mutant(g))
+    monkeypatch.setattr(oracle, "_hnf_subgroups", mutant)
+    for count in (oracle_factorizations, all_subgroups):
+        with pytest.raises(RuntimeError, match="breaks the HNF conditions"):
+            count(g)
 
 
 @pytest.mark.parametrize("r", [0, 1, 2, 3])
