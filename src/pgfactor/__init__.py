@@ -30,7 +30,6 @@ from .oracle import (
     GroupTooLarge,
     Lattice,
     NotComparable,
-    SubgroupSet,
     VerificationReport,
     all_subgroups,
     build_group,
@@ -57,7 +56,6 @@ __all__ = [
     "NegativeExponent",
     "NotComparable",
     "P",
-    "SubgroupSet",
     "Subspace",
     "VerificationReport",
     "all_subgroups",

@@ -28,7 +28,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 from functools import cache
 from math import comb
 
@@ -189,31 +188,31 @@ def _oracle_cap(text: str) -> int:
     return value
 
 
-def _prime_list(text: str) -> list[int]:
-    """The --primes converter: a comma list of 1 to MAX_TABLE_ROWS distinct primes.
+def _check(text: str) -> str:
+    """One --checks entry: a name out of ALL_CHECKS, exactly as written there."""
+    if text not in ALL_CHECKS:
+        raise argparse.ArgumentTypeError(f"unknown check {text!r}, expected one of {','.join(ALL_CHECKS)}")
+    return text
 
-    The length is checked first, so an overlong list runs no Miller-Rabin.
+
+def _comma_list(item, limit: int):
+    """A comma-list converter: 1 to ``limit`` entries, each through ``item``, none repeated.
+
+    The length is checked before any entry is converted, so an overlong
+    --primes list runs no Miller-Rabin.  ``item`` rejects an empty entry.
     """
-    entries = text.split(",")
-    if len(entries) > MAX_TABLE_ROWS:
-        raise argparse.ArgumentTypeError(f"lists {len(entries)} primes, over the row limit of {MAX_TABLE_ROWS}")
-    primes = {}
-    for p in map(_prime, entries):
-        if p in primes:
-            raise argparse.ArgumentTypeError(f"lists {p} more than once")
-        primes[p] = None
-    return list(primes)
+    def convert(text: str) -> list:
+        entries = text.split(",")
+        if len(entries) > limit:
+            raise argparse.ArgumentTypeError(f"lists {len(entries)} entries, over the limit of {limit}")
+        values = {}
+        for value in map(item, entries):
+            if value in values:
+                raise argparse.ArgumentTypeError(f"lists {value} more than once")
+            values[value] = None
+        return list(values)
 
-
-def _check_list(text: str) -> list[str]:
-    """The --checks converter: a comma list out of ALL_CHECKS, no entry empty."""
-    checks = [c.strip() for c in text.split(",")]
-    if not all(checks):
-        raise argparse.ArgumentTypeError(f"empty entry in {text!r}")
-    unknown = [c for c in checks if c not in ALL_CHECKS]
-    if unknown:
-        raise argparse.ArgumentTypeError(f"unknown checks: {','.join(unknown)}")
-    return checks
+    return convert
 
 
 def _emit_scalar(args, quantity: str, method: str, value) -> None:
@@ -224,7 +223,7 @@ def _emit_scalar(args, quantity: str, method: str, value) -> None:
         print(
             _canonical_json(
                 {
-                    "type": list(gtype.exponents),
+                    "type": list(gtype),
                     "p": args.p,
                     "quantity": quantity,
                     "method": method,
@@ -257,7 +256,7 @@ def _census_checks(report: VerificationReport, gtype: GroupType, p: int) -> None
     for k in range(1, r):
         report.add(f"census_k{k}", reference_census(gtype, k, p), quotient_type_census(gtype, k, p))
     full = enumerate_subspaces(r, r, p)[0]
-    shrunk = GroupType(tuple(max(e - 1, 0) for e in gtype.exponents))
+    shrunk = GroupType(max(e - 1, 0) for e in gtype)
     report.add("census_full_socle", shrunk, quotient_type(gtype, full, p))
 
 
@@ -284,8 +283,8 @@ def cmd_verify(args) -> int:
     print(
         _canonical_json(
             {
-                "instance": {"type": list(gtype.exponents), "p": p},
-                "checks": [asdict(c) for c in report.checks],
+                "instance": {"type": list(gtype), "p": p},
+                "checks": report.checks,
                 "overall": report.overall,
             }
         )
@@ -385,12 +384,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = subcommand("verify", cmd_verify, "cross-check all routes on one instance", "--type", "--max-order")
     sp.add_argument("--p", required=True, **shared["--p"])
-    sp.add_argument("--checks", type=_check_list, default=ALL_CHECKS,
+    sp.add_argument("--checks", type=_comma_list(_check, len(ALL_CHECKS)), default=ALL_CHECKS,
                     help=f"comma list out of {','.join(ALL_CHECKS)} (default: all)")
 
     sp = subcommand("table", cmd_table, "grid of counts over types and primes", "--format", "--max-order")
     sp.add_argument("--max-lambda", type=_positive, required=True, help="largest exponent in the grid, in digits 0-9")
-    sp.add_argument("--primes", type=_prime_list, required=True, help="comma-separated primes, each in digits 0-9")
+    sp.add_argument("--primes", type=_comma_list(_prime, MAX_TABLE_ROWS), required=True,
+                    help="comma-separated primes, each in digits 0-9")
 
     return parser
 

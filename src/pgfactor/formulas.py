@@ -92,7 +92,7 @@ def _exact_quotient(num, p: "int | None"):
 
 
 def _subgroup_count_value(t: GroupType, p: "int | None"):
-    return _exact_quotient(_count_numerator(*t.exponents, p if p is not None else P), p)
+    return _exact_quotient(_count_numerator(*t, p if p is not None else P), p)
 
 
 def subgroup_count(t: GroupType, p: "int | None" = None) -> FormulaResult:
@@ -142,7 +142,7 @@ def _cell_census(t: GroupType, k: int, pv) -> Counter:
     census = Counter()
     for size, drops, inv in _CELLS:
         if size == k:
-            lowered = [e - d for e, d in zip(t.exponents, drops)]
+            lowered = [e - d for e, d in zip(t, drops)]
             if min(lowered) >= 0:
                 census[normalize(lowered)] += pv**inv
     return census

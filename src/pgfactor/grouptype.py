@@ -2,51 +2,50 @@
 
 A type is the descending exponent triple (e1, e2, e3) of
 Z_{p^e1} x Z_{p^e2} x Z_{p^e3}; smaller ranks are padded with zeros, so
-(2, 0, 0) is the cyclic group of order p^2.
+(2, 0, 0) is the cyclic group of order p^2.  ``GroupType`` is that tuple,
+checked once when it is built; hashing, equality, ordering, indexing and
+unpacking are the tuple's own.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 
 class NegativeExponent(ValueError):
     """A type exponent was negative."""
 
 
-@dataclass(frozen=True, order=True)
-class GroupType:
-    exponents: tuple[int, int, int]
+class GroupType(tuple):
+    """A checked descending triple of nonnegative int exponents."""
 
-    def __post_init__(self):
-        e = self.exponents
+    __slots__ = ()
+
+    def __new__(cls, exponents):
+        e = tuple(exponents)
         # bool is an int subclass; True/False are not exponents
-        if len(e) != 3 or not all(type(x) is int for x in e):
+        if len(e) != 3 or not (type(e[0]) is type(e[1]) is type(e[2]) is int):
             raise ValueError(f"expected exactly 3 integer exponents, got {e!r}")
         if min(e) < 0:
             raise NegativeExponent(f"negative exponent in {e!r}")
         if not (e[0] >= e[1] >= e[2]):
             raise ValueError(f"exponents must be descending, got {e!r}")
-
-    def __iter__(self):
-        return iter(self.exponents)
-
-    def __getitem__(self, i: int) -> int:
-        return self.exponents[i]
+        return tuple.__new__(cls, e)
 
     @property
     def rank(self) -> int:
-        return sum(1 for x in self.exponents if x > 0)
+        return sum(1 for x in self if x > 0)
 
     @property
     def is_elementary_abelian(self) -> bool:
-        return self.exponents[0] <= 1
+        return self[0] <= 1
 
     def order(self, p: int) -> int:
-        return p ** sum(self.exponents)
+        return p ** sum(self)
+
+    def __repr__(self) -> str:
+        return f"GroupType(exponents={tuple(self)!r})"
 
     def __str__(self) -> str:
-        return ",".join(str(x) for x in self.exponents)
+        return ",".join(map(str, self))
 
 
 def normalize(raw) -> GroupType:
@@ -57,7 +56,7 @@ def normalize(raw) -> GroupType:
     rejected, as is a length other than 3, both by GroupType itself; the
     zero-on-negative convention lives in the formulas module.
     """
-    return GroupType(tuple(sorted(map(int, raw), reverse=True)))
+    return GroupType(sorted(map(int, raw), reverse=True))
 
 
 def parse_number(text: str) -> int:
@@ -72,7 +71,7 @@ def parse_number(text: str) -> int:
 
 def parse_type(text: str) -> GroupType:
     """Parse the CLI text form 'e1,e2,e3': each entry a ``parse_number``, already descending."""
-    return GroupType(tuple(map(parse_number, text.split(","))))
+    return GroupType(map(parse_number, text.split(",")))
 
 
 def p_valuation(n: int, p: int) -> int:

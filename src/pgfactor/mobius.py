@@ -214,7 +214,7 @@ def _drops(subspace: Subspace, p: int) -> tuple[int, int, int]:
 
 
 def _lowered(t: GroupType, drops) -> GroupType:
-    return normalize([e - d for e, d in zip(t.exponents, drops)])
+    return normalize([e - d for e, d in zip(t, drops)])
 
 
 def quotient_type(t: GroupType, subspace: Subspace, p: int) -> GroupType:
@@ -228,7 +228,7 @@ def quotient_type(t: GroupType, subspace: Subspace, p: int) -> GroupType:
 
 
 def _census_entries(counter: Counter) -> tuple[tuple[GroupType, int], ...]:
-    return tuple(sorted(counter.items(), key=lambda item: item[0], reverse=True))
+    return tuple(sorted(counter.items(), reverse=True))
 
 
 def _orbit_tally(t: GroupType, k: int, pv) -> Counter:

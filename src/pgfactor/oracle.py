@@ -22,11 +22,14 @@ checks need the masks.
 
 Subgroups, the layers Omega_k and the multiples p^k G are membership
 bitmasks over the element index space, each built from an HNF basis, so a
-meet is one AND and a popcount and types are read off popcounts.  A mask is
-one periodic block repeated by doubling, and the block's slices are runs of
-rows that recur across bases, so one walk builds each run once.  The walk
-builds only the layer Omega_1; the other layers and the multiples wait for
-``subgroup_type`` and ``quotient_type_mod``, which no command calls.
+meet is one AND and a popcount and types are read off popcounts.  A
+subgroup is its mask and nothing more: ``Lattice.subgroups`` lists the
+masks sorted by (order, mask), a subgroup's id is its position there, and
+its order is the mask's popcount.  A mask is one periodic block repeated by
+doubling, and the block's slices are runs of rows that recur across bases,
+so one walk builds each run once.  The walk builds only the layer Omega_1;
+the other layers and the multiples wait for ``subgroup_type`` and
+``quotient_type_mod``, which no command calls.
 
 No check takes a pass over all pairs of subgroups.  By Burnside's basis
 theorem pG is the Frattini subgroup (B. Huppert, "Endliche Gruppen I",
@@ -107,28 +110,21 @@ def build_group(t: GroupType, p: int, max_order: int = DEFAULT_MAX_ORDER) -> Con
     return ConcreteGroup(t, p, max_order)
 
 
-@dataclass(frozen=True)
-class SubgroupSet:
-    """One subgroup: membership bitmask over element indices."""
-
-    id: int
-    members: int
-    order: int
-
-
 @dataclass
 class Lattice:
     """All subgroups of a ConcreteGroup with F2 precomputed.
 
-    Ids are assigned after sorting by (order, membership bitmask), so they
-    are stable across runs; id 0 is the trivial subgroup and the last id is
-    the group.  ``factorizations`` is the number of ordered pairs (H, K) with
+    A subgroup is its membership mask, and ``subgroups`` lists the masks
+    sorted by (order, mask), the order being the mask's popcount.  A
+    subgroup's id is its position in that list, so ids are stable across
+    runs; id 0 is the trivial subgroup (mask 1) and the last id is the
+    group.  ``factorizations`` is the number of ordered pairs (H, K) with
     H + K = G and ``socle`` is the mask of Omega_1(G).  ``upward`` and the
     bitmasks over ids ``below[i]`` / ``above[i]`` are built on first use;
     only the tests and the benchmark's tracer read the bitmasks.
     """
 
-    subgroups: list[SubgroupSet]
+    subgroups: list[int]
     factorizations: int
     socle: int
 
@@ -146,10 +142,9 @@ class Lattice:
         n = len(self.subgroups)
         below = [0] * n
         above = [0] * n
-        for a, H in enumerate(self.subgroups):
-            ma = H.members
+        for a, ma in enumerate(self.subgroups):
             for b in range(a, n):
-                if self.subgroups[b].members & ma == ma:
+                if self.subgroups[b] & ma == ma:
                     below[b] |= 1 << a
                     above[a] |= 1 << b
         return below, above
@@ -380,29 +375,29 @@ def all_subgroups(g: ConcreteGroup) -> Lattice:
     for a, b in pairwise(walk):
         if a == b:
             raise RuntimeError(f"repeated subgroup of order {a[0]} in the HNF walk")
-    subgroups = [SubgroupSet(i, mask, order) for i, (order, mask) in enumerate(walk)]
     # Omega_1; the trivial group's is its Omega_0 = {0}, as p^max(e_i - 1, 0) = 1
-    return Lattice(subgroups, _factorizations(bases, g), g._layer(1))
+    return Lattice([mask for _, mask in walk], _factorizations(bases, g), g._layer(1))
 
 
-def subgroup_type(g: ConcreteGroup, H: SubgroupSet) -> GroupType:
-    """Isomorphism type of a subgroup from its layer orders.
+def subgroup_type(g: ConcreteGroup, H: int) -> GroupType:
+    """Isomorphism type of the subgroup with mask ``H``, from its layer orders.
 
     Omega_k(H) = H & Omega_k(G), so the popcounts of those meets are the
     orders |Omega_k(H)| that type_from_layers turns into the type via the
     conjugate partition.
     """
-    return type_from_layers([(H.members & w).bit_count() for w in g.omega], g.p)
+    return type_from_layers([(H & w).bit_count() for w in g.omega], g.p)
 
 
-def quotient_type_mod(g: ConcreteGroup, H: SubgroupSet) -> GroupType:
-    """Isomorphism type of G/H from its layer orders.
+def quotient_type_mod(g: ConcreteGroup, H: int) -> GroupType:
+    """Isomorphism type of G/H, H given by its mask, from its layer orders.
 
     A coset x + H lies in Omega_k(G/H) when p^k x is in H.  Multiplication
     by p^k maps G onto p^k G with kernel Omega_k(G), so
     |Omega_k(G/H)| = |H & p^k G| |Omega_k(G)| / |H|.
     """
-    orders = [(H.members & pk).bit_count() * w.bit_count() // H.order
+    order = H.bit_count()
+    orders = [(H & pk).bit_count() * w.bit_count() // order
               for pk, w in zip(g.multiples, g.omega)]
     return type_from_layers(orders, g.p)
 
@@ -415,15 +410,15 @@ def count_factorizations(g: ConcreteGroup, lattice: Lattice) -> int:
     return lattice.factorizations
 
 
-def interval_size(lattice: Lattice, H: SubgroupSet) -> int:
-    """Number of subgroups K with H <= K <= G; ids follow the order, so K.id >= H.id.
+def interval_size(lattice: Lattice, i: int) -> int:
+    """Number of subgroups K with H <= K <= G, H the subgroup with id i; ids follow the order.
 
     A reference for the tests and the benchmark's tracer: nothing in the
     library calls it, as ``verify_inversion_forms`` reads the counts off
     ``Lattice.upward``.
     """
-    m = H.members
-    return sum(K.members & m == m for K in lattice.subgroups[H.id:])
+    m = lattice.subgroups[i]
+    return sum(K & m == m for K in lattice.subgroups[i:])
 
 
 def _hall_by_order(p: int) -> dict[int, int]:
@@ -431,11 +426,11 @@ def _hall_by_order(p: int) -> dict[int, int]:
     return {p ** n: hall_mobius(GroupType((1,) * n + (0,) * (3 - n)), p) for n in range(4)}
 
 
-def _sparse_mobius(subgroups: list[SubgroupSet], upward: bool,
+def _sparse_mobius(subgroups: list[int], upward: bool,
                    socle: int = -1) -> tuple[list[int], list[int]]:
     """Mobius values mu(A, H) (upward) or mu(H, B) (downward) over an interval [A, B].
 
-    ``subgroups`` lists the interval in (order, mask) order and the values
+    ``subgroups`` lists the interval's masks in (order, mask) order and the values
     come out aligned with it, so over the whole lattice the positions are
     the ids.  mu(x, x) = 1 and, for x < y, the sum of mu(x, z) over
     x <= z <= y vanishes.  Each sum runs only over the values already found
@@ -467,8 +462,7 @@ def _sparse_mobius(subgroups: list[SubgroupSet], upward: bool,
     nonzero = []  # (mask, value, position) of each nonzero value so far
     inside = True
     kept = {}  # meet -> [value, subgroups tallied], one lookup per H
-    for i, H in enumerate(walk):
-        m = H.members
+    for i, m in enumerate(walk):
         e = m & socle
         if not nonzero:
             value = 1
@@ -496,37 +490,31 @@ def _sparse_mobius(subgroups: list[SubgroupSet], upward: bool,
     return (mu, sizes) if upward else (mu[::-1], sizes[::-1])
 
 
-def mobius_interval(lattice: Lattice, H: SubgroupSet, K: SubgroupSet) -> int:
-    """Lattice Mobius value mu(H, K), upward over the ids H.id..K.id that lie in [H, K]."""
-    h, k = H.members, K.members
+def mobius_interval(lattice: Lattice, i: int, j: int) -> int:
+    """Lattice Mobius value mu(H, K), H and K the subgroups with ids i and j.
+
+    Upward over the ids i..j whose subgroups lie in [H, K].
+    """
+    h, k = lattice.subgroups[i], lattice.subgroups[j]
     if h & k != h:
-        raise NotComparable(f"subgroup {H.id} is not contained in subgroup {K.id}")
-    interval = [L for L in lattice.subgroups[H.id:K.id + 1]
-                if L.members & h == h and L.members & k == L.members]
+        raise NotComparable(f"subgroup {i} is not contained in subgroup {j}")
+    interval = [m for m in lattice.subgroups[i:j + 1] if m & h == h and m & k == m]
     return _sparse_mobius(interval, upward=True)[0][-1]
 
 
 @dataclass
-class CheckResult:
-    name: str
-    status: str
-    expected: str
-    actual: str
-
-
-@dataclass
 class VerificationReport:
-    """Pass/fail record for one (type, p) instance across named checks."""
+    """Pass/fail record for one (type, p) instance: one JSON row per named check."""
 
-    checks: list[CheckResult] = field(default_factory=list)
+    checks: list[dict] = field(default_factory=list)
 
     def add(self, name: str, expected, actual) -> None:
         status = "pass" if expected == actual else "fail"
-        self.checks.append(CheckResult(name, status, str(expected), str(actual)))
+        self.checks.append({"name": name, "status": status, "expected": str(expected), "actual": str(actual)})
 
     @property
     def overall(self) -> bool:
-        return all(c.status == "pass" for c in self.checks)
+        return all(c["status"] == "pass" for c in self.checks)
 
 
 def verify_hall(g: ConcreteGroup, lattice: Lattice) -> VerificationReport:
@@ -545,13 +533,11 @@ def verify_hall(g: ConcreteGroup, lattice: Lattice) -> VerificationReport:
     hall, socle = _hall_by_order(g.p), lattice.socle
     mu, _ = lattice.upward
     mismatches = 0
-    for H in lattice.subgroups:
-        elementary = H.members & socle == H.members
-        expected = hall[H.order] if elementary else 0
-        actual = mu[H.id]
-        if expected != actual:
+    for i, m in enumerate(lattice.subgroups):
+        expected = hall[m.bit_count()] if m & socle == m else 0
+        if expected != mu[i]:
             mismatches += 1
-            report.add(f"hall[id={H.id}]", expected, actual)
+            report.add(f"hall[id={i}]", expected, mu[i])
     report.add("hall_mismatches", 0, mismatches)
     return report
 
@@ -573,8 +559,8 @@ def verify_inversion_forms(g: ConcreteGroup, lattice: Lattice) -> VerificationRe
     mu_top, below = _sparse_mobius(lattice.subgroups, upward=False)
     s1 = sum(n * n * v for v, n in zip(mu_top, below))
     hall, socle = _hall_by_order(g.p), lattice.socle
-    s2 = sum(n * n * hall[H.order] for H, n in zip(lattice.subgroups, lattice.upward[1])
-             if n and H.members & socle == H.members)
+    s2 = sum(n * n * hall[m.bit_count()] for m, n in zip(lattice.subgroups, lattice.upward[1])
+             if n and m & socle == m)
     direct = count_factorizations(g, lattice)
     report.add("inversion_sum_subgroup_counts", direct, s1)
     report.add("inversion_sum_quotient_counts", direct, s2)

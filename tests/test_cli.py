@@ -199,6 +199,8 @@ SINGLE_OPTION_REJECTIONS = [
     ("verify --type 1,1,1 --p 2 --checks ,", "--checks"),
     ("verify --type 1,1,1 --p 2 --checks count,,f2", "--checks"),
     ("verify --type 1,1,1 --p 2 --checks count,", "--checks"),
+    ("verify --type 1,1,1 --p 2 --checks hall,hall", "--checks"),
+    (("verify", "--type", "1,1,1", "--p", "2", "--checks", " hall"), "--checks"),
     ("table --max-lambda 0 --primes 2", "--max-lambda"),
     ("table --max-lambda x --primes 2", "--max-lambda"),
     ("table --max-lambda 1 --primes 2,x", "--primes"),
@@ -208,6 +210,7 @@ SINGLE_OPTION_REJECTIONS = [
     ("table --max-lambda 1 --primes ,2", "--primes"),
     ("table --max-lambda 1 --primes 2,6", "--primes"),
     ("table --max-lambda 1 --primes 3,5,3", "--primes"),
+    (("table", "--max-lambda", "1", "--primes", " 2"), "--primes"),
     (f"table --max-lambda 1 --primes 2,{PRIME_BOUND}", "--primes"),
     ("table --max-lambda 1 --primes " + ",".join(["2"] * (MAX_TABLE_ROWS + 1)), f"--primes {MAX_TABLE_ROWS}"),
     ("f2 --type 1,1,1 --p 2 --max-order 0", "--max-order"),
@@ -223,16 +226,24 @@ JOINT_RULE_REJECTIONS = [
 
 
 def _rejection_ids(table):
-    # a --primes list of thousands of entries is named by its length
-    return [argv if len(argv) < 100 else f"{argv[:40]}...({argv.count(',') + 1} entries)" for argv, _ in table]
+    # a --primes list of thousands of entries is named by its length; a
+    # tuple argv, used when a token holds a space, shows each token quoted
+    ids = []
+    for argv, _ in table:
+        if not isinstance(argv, str):
+            argv = " ".join(map(repr, argv))
+        ids.append(argv if len(argv) < 100 else f"{argv[:40]}...({argv.count(',') + 1} entries)")
+    return ids
 
 
 def _assert_reported_by_the_parser(capsys, argv, words):
-    code, out, err = run_cli(capsys, *argv.split())
+    # argv is one string split on whitespace, or a tuple when a token holds a space
+    argv = argv.split() if isinstance(argv, str) else list(argv)
+    code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert err.startswith(f"usage: pgfactor {argv.split()[0]} ")
-    assert f"pgfactor {argv.split()[0]}: error: " in err
+    assert err.startswith(f"usage: pgfactor {argv[0]} ")
+    assert f"pgfactor {argv[0]}: error: " in err
     assert all(word in err for word in words.split())
 
 
@@ -254,7 +265,7 @@ def test_overlong_primes_list_runs_no_primality_test(capsys, monkeypatch):
     primes = ",".join(["2"] * (MAX_TABLE_ROWS + 1))
     code, out, err = run_cli(capsys, "table", "--max-lambda", "1", "--primes", primes)
     assert (code, out) == (2, "")
-    assert f"lists {MAX_TABLE_ROWS + 1} primes, over the row limit of {MAX_TABLE_ROWS}" in err
+    assert f"argument --primes: lists {MAX_TABLE_ROWS + 1} entries, over the limit of {MAX_TABLE_ROWS}" in err
 
 
 def test_value_error_after_parsing_is_not_a_usage_error(monkeypatch):

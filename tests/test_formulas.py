@@ -203,7 +203,7 @@ def test_numeric_matches_symbolic_everywhere(p):
 @pytest.mark.parametrize("p", [2, 3])
 def test_count_monotone_in_largest_exponent(p):
     for t in GRID_TYPES:
-        e1, e2, e3 = t.exponents
+        e1, e2, e3 = t
         bigger = GroupType((e1 + 1, e2, e3))
         assert subgroup_count(t, p).value < subgroup_count(bigger, p).value
 
@@ -239,7 +239,7 @@ def test_symbolic_evaluates_to_numeric_at_large_exponents(t, p):
 def theorem3_by_polynomials(t):
     """Reference: the Hall-weighted sum over the socle cells with every square
     taken by IntPolynomial arithmetic."""
-    e1, e2, e3 = t.exponents
+    e1, e2, e3 = t
     return sum((_hall_value(k, P) * P**inv * subgroup_count_ext((e1 - d1, e2 - d2, e3 - d3)).value ** 2
                 for k, (d1, d2, d3), inv in _CELLS), IntPolynomial.zero())
 

@@ -1,4 +1,6 @@
+import copy
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -22,9 +24,9 @@ PRIMES = st.sampled_from([2, 3, 5, 7])
 
 
 def test_normalize_sorts():
-    assert normalize((0, 1, 1)).exponents == (1, 1, 0)
-    assert normalize((2, 2, 2)).exponents == (2, 2, 2)
-    assert normalize((1, 2, 3)).exponents == (3, 2, 1)
+    assert normalize((0, 1, 1)) == (1, 1, 0)
+    assert normalize((2, 2, 2)) == (2, 2, 2)
+    assert normalize((1, 2, 3)) == (3, 2, 1)
 
 
 def test_normalize_rejects_negative():
@@ -42,7 +44,7 @@ def test_normalize_idempotent():
     for _ in range(50):
         raw = [rng.randint(0, 6) for _ in range(3)]
         once = normalize(raw)
-        assert normalize(once.exponents) == once
+        assert normalize(once) == once
 
 
 def test_constructor_enforces_descending():
@@ -55,6 +57,62 @@ def test_constructor_enforces_descending():
 def test_constructor_rejects_bool():
     with pytest.raises(ValueError):
         GroupType((True, False, False))
+
+
+@pytest.mark.parametrize("raw,error", [
+    ((1, 2), ValueError),                 # length before anything else
+    ((1, 1, 0, 0), ValueError),
+    ((-1, 0), ValueError),                # a wrong length wins over a negative entry
+    ((1.0, 0, 0), ValueError),            # only int entries
+    ((True, -1, 0), ValueError),          # the entry types before the signs
+    ((-1, 0, 0), NegativeExponent),       # a negative entry, also in an unsorted triple
+    ((0, -1, 2), NegativeExponent),
+    ((2, 1, -1), NegativeExponent),
+    ((1, 2, 0), ValueError),              # then the order
+    ((0, 0, 1), ValueError),
+])
+def test_constructor_checks_in_order(raw, error):
+    with pytest.raises(ValueError) as info:
+        GroupType(raw)
+    assert type(info.value) is error
+
+
+DESCENDING = st.lists(st.integers(0, 9), min_size=3, max_size=3).map(lambda e: tuple(sorted(e, reverse=True)))
+
+
+@given(DESCENDING, DESCENDING)
+def test_type_hashes_compares_and_orders_as_its_triple(a, b):
+    s, t = GroupType(a), GroupType(b)
+    assert hash(s) == hash(a)
+    assert s == a and tuple(s) == a
+    assert (s == t) == (a == b)
+    assert (s < t) == (a < b) and (s <= t) == (a <= b)
+    assert sorted([t, s]) == sorted([b, a])
+    assert {s: 1}.get(a) == 1
+
+
+def test_type_is_a_slotted_tuple():
+    t = GroupType((3, 2, 0))
+    assert isinstance(t, tuple) and not hasattr(t, "__dict__")
+    assert not hasattr(t, "exponents")
+    e1, e2, e3 = t
+    assert (e1, e2, e3) == (t[0], t[1], t[2]) == (3, 2, 0)
+
+
+@pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy, lambda t: pickle.loads(pickle.dumps(t))],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_copies_and_pickles_keep_the_class(clone):
+    t = GroupType((3, 2, 1))
+    u = clone(t)
+    assert type(u) is GroupType and u == t
+    assert u.rank == 3
+
+
+def test_repr_and_str_keep_their_bytes():
+    # verify's census rows print the repr of (type, count) pairs
+    assert repr(GroupType((3, 2, 0))) == "GroupType(exponents=(3, 2, 0))"
+    assert str(GroupType((3, 2, 0))) == "3,2,0"
+    assert str(((GroupType((2, 1, 0)), 12),)) == "((GroupType(exponents=(2, 1, 0)), 12),)"
 
 
 def test_order():

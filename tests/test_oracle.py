@@ -74,7 +74,7 @@ def _pair_count(g, lattice):
     unordered = 0
     for a, H in enumerate(subs):
         for K in subs[a:]:
-            unordered += H.order * K.order == g.order * (H.members & K.members).bit_count()
+            unordered += H.bit_count() * K.bit_count() == g.order * (H & K).bit_count()
     return 2 * unordered - 1
 
 
@@ -87,7 +87,7 @@ def test_build_group_sizes():
 def test_build_group_identity_first():
     g = build_group(GroupType((2, 1, 0)), 3)
     assert g.omega[0] == 1  # Omega_0 = {0}: the identity is index 0
-    assert all_subgroups(g).subgroups[0].members == 1
+    assert all_subgroups(g).subgroups[0] == 1
 
 
 def test_build_group_cap():
@@ -106,7 +106,7 @@ def test_all_subgroups_cyclic_chain():
     g = build_group(GroupType((2, 0, 0)), 2)
     lat = all_subgroups(g)
     assert len(lat) == 3
-    assert [s.order for s in lat.subgroups] == [1, 2, 4]
+    assert [s.bit_count() for s in lat.subgroups] == [1, 2, 4]
 
 
 def test_all_subgroups_64():
@@ -117,42 +117,43 @@ def test_all_subgroups_64():
 @pytest.mark.parametrize("exps,p", [((2, 1, 0), 2), ((1, 1, 1), 2), ((2, 1, 1), 2), ((1, 1, 0), 3)])
 def test_lattice_closed_under_meet_and_join(exps, p, lattice_cache):
     g, lat = lattice_cache(exps, p)
-    masks = {s.members for s in lat.subgroups}
-    order_of = {s.members: s.order for s in lat.subgroups}
+    masks = set(lat.subgroups)
     for a in lat.subgroups:
         for b in lat.subgroups:
-            meet = a.members & b.members
+            meet = a & b
             assert meet in masks
-            target = a.order * b.order // order_of[meet]
-            join_candidates = [
-                m for m in masks if order_of[m] == target and (a.members | b.members) & ~m == 0
-            ]
+            target = a.bit_count() * b.bit_count() // meet.bit_count()
+            join_candidates = [m for m in masks if m.bit_count() == target and (a | b) & ~m == 0]
             assert len(join_candidates) == 1
 
 
 def test_lattice_ids_sorted_and_bounded(lattice_cache):
-    g, lat = lattice_cache((2, 2, 1), 2)
-    orders = [s.order for s in lat.subgroups]
-    assert orders == sorted(orders)
-    assert lat.subgroups[0].order == 1
-    assert lat.subgroups[-1].order == g.order
-    assert all(s.id == i for i, s in enumerate(lat.subgroups))
+    # a subgroup is its mask and its id is its position; the list is sorted
+    # by (order, mask), so the popcounts never decrease
+    for exps, p in [((2, 2, 1), 2), ((1, 1, 0), 3), ((3, 0, 0), 2), ((0, 0, 0), 5)]:
+        g, lat = lattice_cache(exps, p)
+        orders = [m.bit_count() for m in lat.subgroups]
+        assert orders == sorted(orders)
+        assert lat.subgroups == sorted(lat.subgroups, key=lambda m: (m.bit_count(), m))
+        assert len(set(lat.subgroups)) == len(lat)
+        assert lat.subgroups[0] == 1  # the trivial subgroup {0}
+        assert lat.subgroups[-1] == 2**g.order - 1  # G, every element
 
 
 def test_subgroup_type_whole_socle_trivial(lattice_cache):
     g, lat = lattice_cache((3, 2, 1), 2)
     assert subgroup_type(g, lat.subgroups[-1]) == GroupType((3, 2, 1))
     assert subgroup_type(g, lat.subgroups[0]) == GroupType((0, 0, 0))
-    socle = [s for s in lat.subgroups if s.order == 8 and subgroup_type(g, s) == GroupType((1, 1, 1))]
+    socle = [s for s in lat.subgroups if s.bit_count() == 8 and subgroup_type(g, s) == GroupType((1, 1, 1))]
     assert len(socle) == 1  # the unique elementary abelian subgroup of order p^3
 
 
 def test_subgroup_type_census_consistency(lattice_cache):
     # every subgroup's own subgroup count must match the closed form
     g, lat = lattice_cache((2, 2, 1), 2)
-    for H in lat.subgroups:
+    for i, H in enumerate(lat.subgroups):
         t = subgroup_type(g, H)
-        assert lat.below[H.id].bit_count() == subgroup_count(t, g.p).value
+        assert lat.below[i].bit_count() == subgroup_count(t, g.p).value
 
 
 def test_count_factorizations_klein_four(lattice_cache):
@@ -180,24 +181,25 @@ def test_count_factorizations_ordered_pairs_definition(lattice_cache):
         1
         for a in subs
         for b in subs
-        if a.order * b.order == g.order * (a.members & b.members).bit_count()
+        if a.bit_count() * b.bit_count() == g.order * (a & b).bit_count()
     )
     assert direct == count_factorizations(g, lat)
 
 
 def test_interval_size(lattice_cache):
     g, lat = lattice_cache((3, 2, 1), 2)
-    assert interval_size(lat, lat.subgroups[-1]) == 1
-    assert interval_size(lat, lat.subgroups[0]) == len(lat)
+    assert interval_size(lat, len(lat) - 1) == 1
+    assert interval_size(lat, 0) == len(lat)
     (socle,) = [
-        s for s in lat.subgroups if s.order == 8 and subgroup_type(g, s) == GroupType((1, 1, 1))
+        i for i, s in enumerate(lat.subgroups)
+        if s.bit_count() == 8 and subgroup_type(g, s) == GroupType((1, 1, 1))
     ]
     assert interval_size(lat, socle) == subgroup_count(GroupType((2, 1, 0)), 2).value
 
 
 def test_mobius_interval_reflexive_and_chain(lattice_cache):
     g, lat = lattice_cache((2, 0, 0), 3)
-    b, mid, top = lat.subgroups
+    b, mid, top = range(len(lat))
     assert mobius_interval(lat, b, b) == 1
     assert mobius_interval(lat, b, mid) == -1
     assert mobius_interval(lat, b, top) == 0  # chain of length 2
@@ -206,23 +208,28 @@ def test_mobius_interval_reflexive_and_chain(lattice_cache):
 def test_mobius_interval_socle(lattice_cache):
     g, lat = lattice_cache((3, 2, 1), 2)
     (socle,) = [
-        s for s in lat.subgroups if s.order == 8 and subgroup_type(g, s) == GroupType((1, 1, 1))
+        i for i, s in enumerate(lat.subgroups)
+        if s.bit_count() == 8 and subgroup_type(g, s) == GroupType((1, 1, 1))
     ]
-    assert mobius_interval(lat, lat.subgroups[0], socle) == -8
+    assert mobius_interval(lat, 0, socle) == -8
 
 
 def test_mobius_interval_not_comparable(lattice_cache):
     g, lat = lattice_cache((1, 1, 0), 2)
-    lines = [s for s in lat.subgroups if s.order == 2]
+    lines = [i for i, s in enumerate(lat.subgroups) if s.bit_count() == 2]
     with pytest.raises(NotComparable):
         mobius_interval(lat, lines[0], lines[1])
+    with pytest.raises(NotComparable):
+        mobius_interval(lat, lines[1], lines[0])
+    with pytest.raises(NotComparable):  # G is not below a line
+        mobius_interval(lat, len(lat) - 1, lines[0])
 
 
 def test_mobius_to_top_matches_recursive(lattice_cache):
     g, lat = lattice_cache((2, 2, 1), 2)
     mu = _mobius_to_top(lat)
-    for H in lat.subgroups:
-        assert mu[H.id] == mobius_interval(lat, H, lat.subgroups[-1])
+    for i in range(len(lat)):
+        assert mu[i] == mobius_interval(lat, i, len(lat) - 1)
 
 
 @pytest.mark.parametrize(
@@ -232,7 +239,7 @@ def test_mobius_to_top_matches_recursive(lattice_cache):
 def test_verify_hall_passes(exps, p, lattice_cache):
     g, lat = lattice_cache(exps, p)
     report = verify_hall(g, lat)
-    assert report.overall, [c for c in report.checks if c.status == "fail"]
+    assert report.overall, [c for c in report.checks if c["status"] == "fail"]
 
 
 def _fresh_lattice(exps, p):
@@ -248,18 +255,18 @@ def test_verify_hall_compares_subgroups_outside_omega1(monkeypatch):
     # planted at one outside it must still count as a mismatch
     g, lat = _fresh_lattice((2, 1, 0), 3)
     omega1 = g.omega[1]
-    outside = next(H for H in lat.subgroups if H.members & omega1 != H.members)
+    outside = next(i for i, H in enumerate(lat.subgroups) if H & omega1 != H)
     real = oracle._sparse_mobius
 
     def planted(subgroups, upward, socle=-1):
         mu, sizes = real(subgroups, upward, socle)
-        mu[outside.id] = 1
+        mu[outside] = 1
         return mu, sizes
 
     monkeypatch.setattr(oracle, "_sparse_mobius", planted)
     report = verify_hall(g, lat)
     assert not report.overall
-    assert {c.name: c.actual for c in report.checks}["hall_mismatches"] == "1"
+    assert {c["name"]: c["actual"] for c in report.checks}["hall_mismatches"] == "1"
 
 
 def test_verify_hall_compares_subgroups_inside_omega1(monkeypatch):
@@ -267,18 +274,18 @@ def test_verify_hall_compares_subgroups_inside_omega1(monkeypatch):
     # from its rank; a wrong value planted at one must count as a mismatch
     g, lat = _fresh_lattice((2, 1, 0), 3)
     omega1 = g.omega[1]
-    inside = next(H for H in lat.subgroups if H.order == 3 and H.members & omega1 == H.members)
+    inside = next(i for i, H in enumerate(lat.subgroups) if H.bit_count() == 3 and H & omega1 == H)
     real = oracle._sparse_mobius
 
     def planted(subgroups, upward, socle=-1):
         mu, sizes = real(subgroups, upward, socle)
-        mu[inside.id] += 1
+        mu[inside] += 1
         return mu, sizes
 
     monkeypatch.setattr(oracle, "_sparse_mobius", planted)
     report = verify_hall(g, lat)
     assert not report.overall
-    assert {c.name: c.actual for c in report.checks}["hall_mismatches"] == "1"
+    assert {c["name"]: c["actual"] for c in report.checks}["hall_mismatches"] == "1"
 
 
 def test_inversion_forms_read_subgroup_counts_from_the_recursion(monkeypatch):
@@ -294,7 +301,7 @@ def test_inversion_forms_read_subgroup_counts_from_the_recursion(monkeypatch):
         return mu, sizes
 
     monkeypatch.setattr(oracle, "_sparse_mobius", planted)
-    status = {c.name: c.status for c in verify_inversion_forms(g, lat).checks}
+    status = {c["name"]: c["status"] for c in verify_inversion_forms(g, lat).checks}
     assert status == {"inversion_sum_subgroup_counts": "fail", "inversion_sum_quotient_counts": "pass"}
 
 
@@ -303,17 +310,17 @@ def test_inversion_forms_read_interval_sizes_from_the_upward_pass(monkeypatch):
     # by one at a nonzero mu(1, H), H elementary, must fail S2 and leave S1 passing
     g, lat = _fresh_lattice((2, 1, 0), 3)
     real = oracle._sparse_mobius
-    H = next(H for H in lat.subgroups if H.order == 3 and H.members & g.omega[1] == H.members)
+    h = next(i for i, H in enumerate(lat.subgroups) if H.bit_count() == 3 and H & g.omega[1] == H)
 
     def planted(subgroups, upward, socle=-1):
         mu, sizes = real(subgroups, upward, socle)
         if upward:
-            assert mu[H.id]
-            sizes[H.id] += 1
+            assert mu[h]
+            sizes[h] += 1
         return mu, sizes
 
     monkeypatch.setattr(oracle, "_sparse_mobius", planted)
-    status = {c.name: c.status for c in verify_inversion_forms(g, lat).checks}
+    status = {c["name"]: c["status"] for c in verify_inversion_forms(g, lat).checks}
     assert status == {"inversion_sum_subgroup_counts": "pass", "inversion_sum_quotient_counts": "fail"}
 
 
@@ -334,9 +341,9 @@ def test_hall_and_inversion_forms_share_one_upward_pass(monkeypatch):
 
 def test_hall_values_spotchecks(lattice_cache):
     g, lat = lattice_cache((1, 1, 0), 2)
-    assert mobius_interval(lat, lat.subgroups[0], lat.subgroups[-1]) == 2  # (-1)^2 * 2^1
+    assert mobius_interval(lat, 0, len(lat) - 1) == 2  # (-1)^2 * 2^1
     g, lat = lattice_cache((2, 0, 0), 2)
-    assert mobius_interval(lat, lat.subgroups[0], lat.subgroups[-1]) == 0  # not elementary abelian
+    assert mobius_interval(lat, 0, len(lat) - 1) == 0  # not elementary abelian
 
 
 def test_verification_report_records_checks_only():
@@ -344,7 +351,10 @@ def test_verification_report_records_checks_only():
     report.add("same", 3, 3)
     assert report.overall
     report.add("differ", 3, 4)
-    assert [(c.name, c.status) for c in report.checks] == [("same", "pass"), ("differ", "fail")]
+    assert report.checks == [
+        {"name": "same", "status": "pass", "expected": "3", "actual": "3"},
+        {"name": "differ", "status": "fail", "expected": "3", "actual": "4"},
+    ]
     assert not report.overall
 
 
@@ -364,8 +374,8 @@ def test_mobius_duality_through_quotients(exps, p, lattice_cache):
     # mu(H, G) must equal the closed-form Mobius value of the quotient type
     g, lat = lattice_cache(exps, p)
     mu = _mobius_to_top(lat)
-    for H in lat.subgroups:
-        assert mu[H.id] == hall_mobius(quotient_type_mod(g, H), p)
+    for i, H in enumerate(lat.subgroups):
+        assert mu[i] == hall_mobius(quotient_type_mod(g, H), p)
 
 
 def test_quotient_type_mod_spotchecks(lattice_cache):
@@ -373,7 +383,7 @@ def test_quotient_type_mod_spotchecks(lattice_cache):
     assert quotient_type_mod(g, lat.subgroups[0]) == GroupType((3, 2, 1))
     assert quotient_type_mod(g, lat.subgroups[-1]) == GroupType((0, 0, 0))
     (socle,) = [
-        s for s in lat.subgroups if s.order == 8 and subgroup_type(g, s) == GroupType((1, 1, 1))
+        s for s in lat.subgroups if s.bit_count() == 8 and subgroup_type(g, s) == GroupType((1, 1, 1))
     ]
     assert quotient_type_mod(g, socle) == GroupType((2, 1, 0))
 
@@ -410,8 +420,7 @@ def _addition_table(g):
 
 
 def _member_sets(lat):
-    return [frozenset(i for i in range(s.members.bit_length()) if (s.members >> i) & 1)
-            for s in lat.subgroups]
+    return [frozenset(_iter_bits(s)) for s in lat.subgroups]
 
 
 def _naive_subgroups(g):
@@ -458,8 +467,6 @@ def test_all_subgroups_matches_naive_closure(exps, p, lattice_cache):
     # completeness against a reference that shares nothing with the HNF walk
     # or the closed form
     g, lat = lattice_cache(exps, p)
-    for s in lat.subgroups:
-        assert s.order == s.members.bit_count()
     sets = _member_sets(lat)
     found = set(sets)
     assert len(found) == len(lat)
@@ -663,11 +670,19 @@ def test_sparse_mobius_matches_dense(lattice_cache, case, data):
 @given(st.sampled_from(SMALL_GROUPS), st.data())
 def test_mobius_interval_and_interval_size_match_dense(lattice_cache, case, data):
     g, lat = lattice_cache(*case)
-    H = data.draw(st.sampled_from(lat.subgroups))
-    K = lat.subgroups[data.draw(st.sampled_from(list(_iter_bits(lat.above[H.id]))))]
-    interval = _iter_bits(lat.above[H.id] & lat.below[K.id])
-    assert mobius_interval(lat, H, K) == _mobius_from(H.id, interval, lat.below)[K.id]
-    assert interval_size(lat, H) == lat.above[H.id].bit_count()
+    h = data.draw(st.integers(0, len(lat) - 1))
+    k = data.draw(st.sampled_from(list(_iter_bits(lat.above[h]))))
+    interval = _iter_bits(lat.above[h] & lat.below[k])
+    assert mobius_interval(lat, h, k) == _mobius_from(h, interval, lat.below)[k]
+    assert interval_size(lat, h) == lat.above[h].bit_count()
+    # a pair that containment does not relate has no interval
+    unrelated = [j for j in range(len(lat)) if not (lat.above[h] | lat.below[h]) >> j & 1]
+    if unrelated:
+        j = data.draw(st.sampled_from(unrelated))
+        with pytest.raises(NotComparable):
+            mobius_interval(lat, h, j)
+        with pytest.raises(NotComparable):
+            mobius_interval(lat, j, h)
 
 
 @pytest.mark.parametrize("exps,p", [((3, 2, 1), 2), ((2, 2, 1), 3), ((1, 1, 1), 5), ((2, 0, 0), 3),
@@ -680,8 +695,8 @@ def test_oracle_checks_never_build_the_containment_relation(exps, p, monkeypatch
     t = GroupType(exps)
     g = build_group(t, p)
     lat = all_subgroups(g)
-    assert mobius_interval(lat, lat.subgroups[0], lat.subgroups[-1]) == hall_mobius(t, p)
-    assert interval_size(lat, lat.subgroups[0]) == len(lat)
+    assert mobius_interval(lat, 0, len(lat) - 1) == hall_mobius(t, p)
+    assert interval_size(lat, 0) == len(lat)
     assert verify_hall(g, lat).overall
     assert verify_inversion_forms(g, lat).overall
     assert count_factorizations(g, lat) == factorization_count(t, p).value
@@ -714,14 +729,14 @@ def _element_census(g):
 
     def subgroup(H):
         tally = [0] * len(layers)
-        for idx in _iter_bits(H.members):
+        for idx in _iter_bits(H):
             tally[elem_exp[idx]] += 1
         return type_from_layers(accumulate(tally), g.p)
 
     def quotient(H):
-        members = set(_iter_bits(H.members))
+        members = set(_iter_bits(H))
         killed = [sum(y in members for y in image) for image in images]
-        return type_from_layers([n // H.order for n in killed], g.p)
+        return type_from_layers([n // len(members) for n in killed], g.p)
 
     return subgroup, quotient
 
@@ -809,8 +824,8 @@ def test_all_subgroups_masks_and_ids_match_reference_masks(exps, p):
         (g.order // (d1 * d2 * d3), _reference_span_mask(g.moduli, (d1, d2, d3), x12, x13, x23))
         for d1, x12, x13, d2, x23, d3 in oracle._hnf_subgroups(g))
     lat = all_subgroups(g)
-    assert [(H.id, H.order, H.members) for H in lat.subgroups] == [
-        (i, order, mask) for i, (order, mask) in enumerate(reference)]
+    assert lat.subgroups == [mask for _, mask in reference]
+    assert [H.bit_count() for H in lat.subgroups] == [order for order, _ in reference]
     assert lat.socle == g.omega[min(1, exps[0])]
 
 
@@ -873,7 +888,7 @@ def test_socle_intervals_match_interval_size(exps, p, lattice_cache):
     # subgroups whose mu(1, H) Hall's theorem makes nonzero
     g, lat = lattice_cache(exps, p)
     _, sizes = lat.upward
-    elementary = [H for H in lat.subgroups if H.members & lat.socle == H.members]
+    elementary = [i for i, H in enumerate(lat.subgroups) if H & lat.socle == H]
     assert len(elementary) == sum(1 for n in sizes if n)
-    for H in elementary:
-        assert sizes[H.id] == interval_size(lat, H)
+    for i in elementary:
+        assert sizes[i] == interval_size(lat, i)
