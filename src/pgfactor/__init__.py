@@ -14,7 +14,6 @@ from .formulas import (
 from .grouptype import GroupType, NegativeExponent, normalize, parse_type
 from .mobius import (
     InvalidSubspace,
-    Subspace,
     enumerate_subspaces,
     factorization_count_mobius,
     gaussian_binomial,
@@ -30,7 +29,6 @@ from .oracle import (
     GroupTooLarge,
     Lattice,
     NotComparable,
-    VerificationReport,
     all_subgroups,
     build_group,
     count_factorizations,
@@ -56,8 +54,6 @@ __all__ = [
     "NegativeExponent",
     "NotComparable",
     "P",
-    "Subspace",
-    "VerificationReport",
     "all_subgroups",
     "build_group",
     "count_factorizations",

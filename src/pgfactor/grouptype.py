@@ -52,11 +52,12 @@ def normalize(raw) -> GroupType:
     """Sort a 3-entry exponent sequence descending into a GroupType.
 
     Formula arguments arise as unordered triples, so this is the one entry
-    point that turns them into a canonical type.  Negative entries are
-    rejected, as is a length other than 3, both by GroupType itself; the
-    zero-on-negative convention lives in the formulas module.
+    point that turns them into a canonical type.  It converts nothing:
+    GroupType itself rejects a non-int entry (bools and floats included), a
+    negative one and a length other than 3; the zero-on-negative convention
+    lives in the formulas module.
     """
-    return GroupType(sorted(map(int, raw), reverse=True))
+    return GroupType(sorted(raw, reverse=True))
 
 
 def parse_number(text: str) -> int:

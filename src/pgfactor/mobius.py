@@ -5,7 +5,9 @@ Mobius value (Hall: mu = (-1)^n p^C(n,2) for rank n, else 0), and all of them
 sit inside the socle.  So the inversion sum collapses to a sum over the
 subspaces of the socle: for each subspace, type the quotient by its lift from
 the pivot columns of one mod-p echelon form (``quotient_type``) and weight the
-squared subgroup count of that quotient with the Hall value.
+squared subgroup count of that quotient with the Hall value.  A subspace is
+the tuple of its canonical basis rows, the reduced row-echelon form, and
+nothing more (``enumerate_subspaces``).
 
 The sum never visits every subspace.  The diagonal automorphisms (F_p^*)^r,
 which scale each cyclic generator by a unit, act on the socle subspaces and
@@ -30,7 +32,6 @@ determinantal divisors.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, product
 from math import gcd
@@ -41,7 +42,7 @@ from .poly import P
 
 
 class InvalidSubspace(ValueError):
-    """Subspace incompatible with the group it is applied to."""
+    """Basis rows that do not fit the group they are applied to."""
 
 
 def gaussian_binomial(n: int, k: int, p: int) -> int:
@@ -59,28 +60,14 @@ def gaussian_binomial(n: int, k: int, p: int) -> int:
     return q
 
 
-@dataclass(frozen=True)
-class Subspace:
-    """Canonical subspace of F_p^ambient: rows form a reduced row-echelon basis.
-
-    Pivots are 1 with zeros above and below, pivot columns strictly increase,
-    so equal subspaces have identical representations.
-    """
-
-    ambient: int
-    rows: tuple[tuple[int, ...], ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
-
 def _rref_bases(r: int, k: int, values):
     """Canonical bases of k-dimensional subspaces of F^r, free entries from ``values``.
 
-    Yields ``(Subspace, fill)`` for every pivot layout and every way of
-    filling its free slots with entries of ``values``; ``fill`` lists those
-    entries in slot order.
+    Yields ``(rows, fill)`` for every pivot layout and every way of filling
+    its free slots with entries of ``values``; ``fill`` lists those entries
+    in slot order.  ``rows`` is the reduced row-echelon basis, a tuple of k
+    rows of length r: pivots are 1 with zeros above and below and pivot
+    columns strictly increase, so equal subspaces have identical rows.
     """
     if not 0 <= k <= r:
         raise ValueError(f"need 0 <= k <= r, got k={k}, r={r}")
@@ -99,23 +86,23 @@ def _rref_bases(r: int, k: int, values):
                 rows[i][c] = 1
             for (i, j), v in zip(free, fill):
                 rows[i][j] = v
-            yield Subspace(r, tuple(tuple(row) for row in rows)), fill
+            yield tuple(tuple(row) for row in rows), fill
 
 
-def enumerate_subspaces(r: int, k: int, p: int) -> list[Subspace]:
-    """All k-dimensional subspaces of F_p^r, each via its canonical basis.
+def enumerate_subspaces(r: int, k: int, p: int) -> list[tuple[tuple[int, ...], ...]]:
+    """All k-dimensional subspaces of F_p^r, each as its canonical basis rows.
 
     Deterministic: the result is sorted lexicographically by basis rows.
     The count always equals gaussian_binomial(r, k, p).
     """
-    return sorted((s for s, _ in _rref_bases(r, k, range(p))), key=lambda s: s.rows)
+    return sorted(rows for rows, _ in _rref_bases(r, k, range(p)))
 
 
 @cache
-def socle_orbits(r: int, k: int) -> tuple[tuple[Subspace, int, tuple[int, int, int]], ...]:
+def socle_orbits(r: int, k: int) -> tuple[tuple[tuple, int, tuple[int, int, int]], ...]:
     """One representative per torus orbit of k-dimensional subspaces of F_p^r.
 
-    A tuple of ``(Subspace, nonzero, drops)``: the canonical basis with every
+    A tuple of ``(rows, nonzero, drops)``: the canonical basis with every
     nonzero free entry set to 1, the number of those entries, so the orbit
     holds (p-1)**nonzero subspaces, and the exponent positions its quotient
     lowers (``_drops``).  Only at r <= 3, where a basis has at most two free
@@ -126,7 +113,7 @@ def socle_orbits(r: int, k: int) -> tuple[tuple[Subspace, int, tuple[int, int, i
     """
     if r > 3:
         raise ValueError(f"torus orbits are zero patterns only up to rank 3, got r={r}")
-    return tuple((subspace, sum(fill), _drops(subspace, 2)) for subspace, fill in _rref_bases(r, k, (0, 1)))
+    return tuple((rows, sum(fill), _drops(rows, 2)) for rows, fill in _rref_bases(r, k, (0, 1)))
 
 
 def _det(matrix) -> int:
@@ -199,8 +186,8 @@ def _echelon(rows, p: int) -> list[tuple[int, list[int]]]:
     return basis
 
 
-def _drops(subspace: Subspace, p: int) -> tuple[int, int, int]:
-    """Exponent positions that the quotient by the lift of ``subspace`` lowers, as 0/1.
+def _drops(rows, p: int) -> tuple[int, int, int]:
+    """Exponent positions that the quotient by the lift of the span of ``rows`` lowers, as 0/1.
 
     Socle coordinate j lifts to p^(e_j - 1) times the j-th generator, which
     lies in p^k G exactly when e_j > k.  So of the parts equal to v,
@@ -209,7 +196,7 @@ def _drops(subspace: Subspace, p: int) -> tuple[int, int, int]:
     Hence e_j drops by one exactly when column j is not in the F_p-span of the
     columns to its right: a pivot column of the column-reversed echelon form.
     """
-    pivots = {subspace.ambient - 1 - c for c, _ in _echelon((row[::-1] for row in subspace.rows), p)}
+    pivots = {len(row) - 1 - c for c, row in _echelon((row[::-1] for row in rows), p)}
     return tuple(int(j in pivots) for j in range(3))
 
 
@@ -217,14 +204,15 @@ def _lowered(t: GroupType, drops) -> GroupType:
     return normalize([e - d for e, d in zip(t, drops)])
 
 
-def quotient_type(t: GroupType, subspace: Subspace, p: int) -> GroupType:
-    """Type of G / E^ where E^ is the lift of a socle subspace E (see ``_drops``)."""
-    if subspace.ambient != t.rank or subspace.dim > t.rank:
-        raise InvalidSubspace(
-            f"subspace of F_p^{subspace.ambient} (dim {subspace.dim}) "
-            f"does not fit a rank-{t.rank} group"
-        )
-    return _lowered(t, _drops(subspace, p))
+def quotient_type(t: GroupType, rows, p: int) -> GroupType:
+    """Type of G / E^ where E^ is the lift of the socle subspace E with basis ``rows``.
+
+    See ``_drops``.  Each row has one entry per nonzero exponent of t, and
+    there are at most rank(t) rows; the zero subspace ``()`` fits every rank.
+    """
+    if len(rows) > t.rank or any(len(row) != t.rank for row in rows):
+        raise InvalidSubspace(f"basis rows {rows!r} do not fit a rank-{t.rank} group")
+    return _lowered(t, _drops(rows, p))
 
 
 def _census_entries(counter: Counter) -> tuple[tuple[GroupType, int], ...]:

@@ -3,7 +3,8 @@
 Enumerates every subgroup of Z_{p^e1} x Z_{p^e2} x Z_{p^e3} by walking
 Hermite normal forms, and checks the structural claims the fast routes rely
 on: lattice Mobius values against the elementary-abelian closed form, and
-both inversion identities against a direct count of factorizations.
+both inversion identities against a direct count of factorizations.  A check
+is a ``(name, expected, actual)`` triple; ``cli`` turns it into a JSON row.
 
 A subgroup of Z^3 / diag(p^e) Z^3 is a lattice between diag(p^e) Z^3 and
 Z^3, and each such lattice has exactly one upper-triangular Hermite normal
@@ -52,7 +53,7 @@ cap keeps accidental huge inputs out.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import pairwise, product
 from math import gcd
@@ -502,22 +503,7 @@ def mobius_interval(lattice: Lattice, i: int, j: int) -> int:
     return _sparse_mobius(interval, upward=True)[0][-1]
 
 
-@dataclass
-class VerificationReport:
-    """Pass/fail record for one (type, p) instance: one JSON row per named check."""
-
-    checks: list[dict] = field(default_factory=list)
-
-    def add(self, name: str, expected, actual) -> None:
-        status = "pass" if expected == actual else "fail"
-        self.checks.append({"name": name, "status": status, "expected": str(expected), "actual": str(actual)})
-
-    @property
-    def overall(self) -> bool:
-        return all(c["status"] == "pass" for c in self.checks)
-
-
-def verify_hall(g: ConcreteGroup, lattice: Lattice) -> VerificationReport:
+def verify_hall(g: ConcreteGroup, lattice: Lattice) -> list[tuple]:
     """Check mu(1, H) against the elementary-abelian closed form for every H.
 
     Non-elementary subgroups must give 0; elementary abelian ones of rank n
@@ -527,22 +513,22 @@ def verify_hall(g: ConcreteGroup, lattice: Lattice) -> VerificationReport:
     subgroup is compared.  ``lattice.upward`` has Omega_1(G) as its socle
     mask, so a subgroup outside it reuses the sum at its meet with
     Omega_1(G); the mask only saves tests while Hall's vanishing holds, and
-    the values stay exact when it does not.  Mismatches are listed individually.
+    the values stay exact when it does not.  Each mismatch is a check of its
+    own, ``(f"hall[id={i}]", expected, actual)``, before the
+    ``("hall_mismatches", 0, count)`` check.
     """
-    report = VerificationReport()
+    checks = []
     hall, socle = _hall_by_order(g.p), lattice.socle
     mu, _ = lattice.upward
-    mismatches = 0
     for i, m in enumerate(lattice.subgroups):
         expected = hall[m.bit_count()] if m & socle == m else 0
         if expected != mu[i]:
-            mismatches += 1
-            report.add(f"hall[id={i}]", expected, mu[i])
-    report.add("hall_mismatches", 0, mismatches)
-    return report
+            checks.append((f"hall[id={i}]", expected, mu[i]))
+    checks.append(("hall_mismatches", 0, len(checks)))
+    return checks
 
 
-def verify_inversion_forms(g: ConcreteGroup, lattice: Lattice) -> VerificationReport:
+def verify_inversion_forms(g: ConcreteGroup, lattice: Lattice) -> list[tuple]:
     """Check both Mobius-inversion expressions against the direct count.
 
     S1 sums |L(H)|^2 mu(H, G); S2 sums |[H, G]|^2 mu(1, H) with mu taken
@@ -553,15 +539,14 @@ def verify_inversion_forms(g: ConcreteGroup, lattice: Lattice) -> VerificationRe
     in S1 comes from the Frattini images, which give the direct count.  S2
     runs over the elementary abelian H (those in Omega_1(G), as the closed
     form vanishes elsewhere), taking mu(1, H) by the order of H and |[H, G]|
-    from ``lattice.upward``, the pass that ``verify_hall`` reads.
+    from ``lattice.upward``, the pass that ``verify_hall`` reads.  Returns
+    the two checks ``(name, direct count, sum)``.
     """
-    report = VerificationReport()
     mu_top, below = _sparse_mobius(lattice.subgroups, upward=False)
     s1 = sum(n * n * v for v, n in zip(mu_top, below))
     hall, socle = _hall_by_order(g.p), lattice.socle
     s2 = sum(n * n * hall[m.bit_count()] for m, n in zip(lattice.subgroups, lattice.upward[1])
              if n and m & socle == m)
     direct = count_factorizations(g, lattice)
-    report.add("inversion_sum_subgroup_counts", direct, s1)
-    report.add("inversion_sum_quotient_counts", direct, s2)
-    return report
+    return [("inversion_sum_subgroup_counts", direct, s1),
+            ("inversion_sum_quotient_counts", direct, s2)]

@@ -411,6 +411,49 @@ def test_verify_rank3_census_golden(capsys):
     )
 
 
+VERIFY_321_AT_2 = (
+    '{"checks":[{"actual":"81","expected":"81","name":"count","status":"pass"},'
+    '{"actual":"1635","expected":"1635","name":"f2_theorem3","status":"pass"},'
+    '{"actual":"1635","expected":"1635","name":"f2_mobius","status":"pass"},'
+    '{"actual":"0","expected":"0","name":"hall_mismatches","status":"pass"},'
+    '{"actual":"1635","expected":"1635","name":"inversion_sum_subgroup_counts","status":"pass"},'
+    '{"actual":"1635","expected":"1635","name":"inversion_sum_quotient_counts","status":"pass"},'
+    '{"actual":"((GroupType(exponents=(3, 2, 0)), 4), (GroupType(exponents=(3, 1, 1)), 2), '
+    '(GroupType(exponents=(2, 2, 1)), 1))",'
+    '"expected":"((GroupType(exponents=(3, 2, 0)), 4), (GroupType(exponents=(3, 1, 1)), 2), '
+    '(GroupType(exponents=(2, 2, 1)), 1))",'
+    '"name":"census_k1","status":"pass"},'
+    '{"actual":"((GroupType(exponents=(3, 1, 0)), 4), (GroupType(exponents=(2, 2, 0)), 2), '
+    '(GroupType(exponents=(2, 1, 1)), 1))",'
+    '"expected":"((GroupType(exponents=(3, 1, 0)), 4), (GroupType(exponents=(2, 2, 0)), 2), '
+    '(GroupType(exponents=(2, 1, 1)), 1))",'
+    '"name":"census_k2","status":"pass"},'
+    '{"actual":"2,1,0","expected":"2,1,0","name":"census_full_socle","status":"pass"}],'
+    '"instance":{"p":2,"type":[3,2,1]},"overall":true}\n'
+)
+
+VERIFY_210_AT_3 = (
+    '{"checks":[{"actual":"10","expected":"10","name":"count","status":"pass"},'
+    '{"actual":"49","expected":"49","name":"f2_theorem3","status":"pass"},'
+    '{"actual":"49","expected":"49","name":"f2_mobius","status":"pass"},'
+    '{"actual":"0","expected":"0","name":"hall_mismatches","status":"pass"},'
+    '{"actual":"49","expected":"49","name":"inversion_sum_subgroup_counts","status":"pass"},'
+    '{"actual":"49","expected":"49","name":"inversion_sum_quotient_counts","status":"pass"},'
+    '{"actual":"((GroupType(exponents=(2, 0, 0)), 3), (GroupType(exponents=(1, 1, 0)), 1))",'
+    '"expected":"((GroupType(exponents=(2, 0, 0)), 3), (GroupType(exponents=(1, 1, 0)), 1))",'
+    '"name":"census_k1","status":"pass"},'
+    '{"actual":"1,0,0","expected":"1,0,0","name":"census_full_socle","status":"pass"}],'
+    '"instance":{"p":3,"type":[2,1,0]},"overall":true}\n'
+)
+
+
+@pytest.mark.parametrize("exps,p,golden", [("3,2,1", "2", VERIFY_321_AT_2), ("2,1,0", "3", VERIFY_210_AT_3)],
+                         ids=["321-at-2", "210-at-3"])
+def test_verify_default_report_golden(capsys, exps, p, golden):
+    # every check's row, in order, with the bytes the report prints
+    assert run_cli(capsys, "verify", "--type", exps, "--p", p) == (0, golden, "")
+
+
 def test_verify_census_is_fast_at_large_p(capsys):
     # about 2*10^12 socle subspaces; the census walks 7 torus orbits per dimension
     start = time.perf_counter()
@@ -644,13 +687,10 @@ def test_verify_failure_exits_1(capsys, monkeypatch):
     import pgfactor.cli as cli_mod
 
     monkeypatch.setattr(cli_mod, "factorization_count_mobius", lambda t, p: -1)
-    code, out, _ = run_cli(capsys, "verify", "--type", "1,1,1", "--p", "2", "--checks", "f2")
-    assert code == 1
-    report = json.loads(out)
-    assert report["overall"] is False
-    statuses = {c["name"]: c["status"] for c in report["checks"]}
-    assert statuses["f2_mobius"] == "fail"
-    assert statuses["f2_theorem3"] == "pass"
+    assert run_cli(capsys, "verify", "--type", "1,1,1", "--p", "2", "--checks", "f2") == (1, (
+        '{"checks":[{"actual":"129","expected":"129","name":"f2_theorem3","status":"pass"},'
+        '{"actual":"-1","expected":"129","name":"f2_mobius","status":"fail"}],'
+        '"instance":{"p":2,"type":[1,1,1]},"overall":false}\n'), "")
 
 
 def test_unknown_subcommand(capsys):

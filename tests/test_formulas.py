@@ -77,6 +77,17 @@ def test_ext_sorts_arguments():
     assert subgroup_count_ext((0, 0, 0), 3).value == 1
 
 
+def test_ext_takes_only_int_entries():
+    with pytest.raises(ValueError):
+        subgroup_count_ext((2.9, 1, 0), 2)
+
+
+@pytest.mark.parametrize("lam", [2.5, True])
+def test_equal_exponent_takes_only_an_int(lam):
+    with pytest.raises(ValueError):
+        factorization_count_equal_exponents(lam, 2)
+
+
 def test_factorization_golden_321():
     assert factorization_count(GroupType((3, 2, 1))).value == F2_321
     assert str(factorization_count(GroupType((3, 2, 1))).value) == "9p^6+15p^5+21p^4+16p^3+20p^2+11p+13"

@@ -39,6 +39,13 @@ def test_normalize_rejects_wrong_length():
         normalize((1, 2))
 
 
+@pytest.mark.parametrize("raw", [(2.7, True, 0), ("3", "2", "1")], ids=["float-and-bool", "strings"])
+def test_normalize_takes_only_int_entries(raw):
+    # normalize converts nothing: it takes only what GroupType takes
+    with pytest.raises(ValueError):
+        normalize(raw)
+
+
 def test_normalize_idempotent():
     rng = random.Random(5)
     for _ in range(50):

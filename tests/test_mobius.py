@@ -10,7 +10,6 @@ from pgfactor import mobius
 from pgfactor.grouptype import GroupType, p_valuation
 from pgfactor.mobius import (
     InvalidSubspace,
-    Subspace,
     _det,
     _orbit_tally,
     _rref_bases,
@@ -56,13 +55,13 @@ def test_enumerate_subspaces_out_of_range():
 
 def test_enumerate_lines_of_f2_squared():
     spaces = enumerate_subspaces(2, 1, 2)
-    assert {s.rows for s in spaces} == {((1, 0),), ((0, 1),), ((1, 1),)}
+    assert set(spaces) == {((1, 0),), ((0, 1),), ((1, 1),)}
 
 
 def test_enumerate_full_space_is_identity_basis():
     for p in (2, 3, 5):
         (space,) = enumerate_subspaces(3, 3, p)
-        assert space.rows == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+        assert space == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 def test_enumerate_counts_match_gaussian_binomial():
@@ -78,21 +77,21 @@ def test_enumerate_is_deterministic_and_sorted():
     a = enumerate_subspaces(3, 2, 3)
     b = enumerate_subspaces(3, 2, 3)
     assert a == b
-    assert [s.rows for s in a] == sorted(s.rows for s in a)
+    assert a == sorted(a)
 
 
 def test_enumerate_rows_are_canonical_echelon():
     for spaces, r in ((enumerate_subspaces(3, 1, 3), 3), (enumerate_subspaces(3, 2, 2), 3)):
         for s in spaces:
             pivots = []
-            for row in s.rows:
+            for row in s:
                 lead = next(i for i, v in enumerate(row) if v)
                 assert row[lead] == 1
                 pivots.append(lead)
                 # entries above a pivot vanish
-                for other in s.rows:
+                for other in s:
                     if other is not row and other[lead] != 0:
-                        raise AssertionError(f"pivot column not clean in {s.rows}")
+                        raise AssertionError(f"pivot column not clean in {s}")
             assert pivots == sorted(pivots)
             assert len(set(pivots)) == len(pivots)
 
@@ -185,7 +184,7 @@ def _snf_quotient_type(t, subspace, p):
         col = [0] * r
         col[j] = p ** exps[j]
         cols.append(col)
-    for row in subspace.rows:
+    for row in subspace:
         cols.append([row[j] * p ** (exps[j] - 1) for j in range(r)])
     matrix = [[cols[c][i] for c in range(len(cols))] for i in range(r)]
     diag = smith_normal_form(matrix)
@@ -202,7 +201,7 @@ def test_quotient_type_matches_snf_reference():
         for t in types:
             for k in range(t.rank + 1):
                 for s in enumerate_subspaces(t.rank, k, p):
-                    assert quotient_type(t, s, p) == _snf_quotient_type(t, s, p), (t, p, s.rows)
+                    assert quotient_type(t, s, p) == _snf_quotient_type(t, s, p), (t, p, s)
                     typed += 1
     assert typed == 8319
 
@@ -216,7 +215,7 @@ def _lifted_subgroup(g, t, subspace):
     p = g.p
     m1, m2, m3 = g.moduli
     lifts = [[row[j] * p ** (t[j] - 1) for j in range(t.rank)] + [0] * (3 - t.rank)
-             for row in subspace.rows]
+             for row in subspace]
     members = 0
     for coeffs in product(range(p), repeat=len(lifts)):
         y1, y2, y3 = (sum(c * v[j] for c, v in zip(coeffs, lifts)) % m
@@ -232,8 +231,8 @@ def test_quotient_type_matches_oracle_on_lifted_subgroups(exps, p):
     for k in range(t.rank + 1):
         for s in enumerate_subspaces(t.rank, k, p):
             H = _lifted_subgroup(g, t, s)
-            assert H.bit_count() == p ** s.dim
-            assert quotient_type(t, s, p) == quotient_type_mod(g, H), (s.rows,)
+            assert H.bit_count() == p ** len(s)
+            assert quotient_type(t, s, p) == quotient_type_mod(g, H), (s,)
 
 
 def test_quotient_by_line_of_elementary():
@@ -244,8 +243,8 @@ def test_quotient_by_line_of_elementary():
 
 def test_quotient_hand_checked_lifts():
     t = GroupType((3, 2, 1))
-    e3 = Subspace(3, ((0, 0, 1),))
-    e1 = Subspace(3, ((1, 0, 0),))
+    e3 = ((0, 0, 1),)
+    e1 = ((1, 0, 0),)
     for p in (2, 3):
         # lift of e3 is the full last factor; quotient drops it
         assert quotient_type(t, e3, p) == GroupType((3, 2, 0))
@@ -263,12 +262,23 @@ def test_quotient_by_full_socle_decrements_all():
 
 
 def test_quotient_rejects_mismatched_subspace():
-    with pytest.raises(InvalidSubspace):
-        quotient_type(GroupType((2, 1, 0)), Subspace(3, ((1, 0, 0),)), 2)
+    for t, rows in (
+        ((2, 1, 0), ((1, 0, 0),)),  # a row longer than the rank
+        ((2, 1, 1), ((1, 0),)),  # a row shorter than the rank
+        ((2, 1, 0), ((1, 0), (0, 1), (1, 1))),  # more rows than the rank
+        ((0, 0, 0), ((),)),  # one empty row at rank 0
+    ):
+        with pytest.raises(InvalidSubspace):
+            quotient_type(GroupType(t), rows, 2)
 
 
 def test_quotient_trivial_group():
-    assert quotient_type(GroupType((0, 0, 0)), Subspace(0, ()), 3) == GroupType((0, 0, 0))
+    assert quotient_type(GroupType((0, 0, 0)), (), 3) == GroupType((0, 0, 0))
+
+
+@pytest.mark.parametrize("t", [(2, 0, 0), (2, 1, 0), (3, 2, 1)])
+def test_quotient_by_zero_subspace_fits_every_rank(t):
+    assert quotient_type(GroupType(t), (), 3) == GroupType(t)
 
 
 def test_census_examples():
@@ -432,7 +442,7 @@ def test_stored_drops_are_the_pivots_at_every_prime():
             for s, _, drops in socle_orbits(r, k):
                 for p in (2, 3, 5, 1000003, 3317044064679887385961813):
                     expected = tuple(e - q for e, q in zip(t, quotient_type(t, s, p)))
-                    assert drops == expected, (r, s.rows, p)
+                    assert drops == expected, (r, s, p)
 
 
 def test_orbit_representative_has_every_members_quotient_type():
@@ -441,8 +451,8 @@ def test_orbit_representative_has_every_members_quotient_type():
             spaces = enumerate_subspaces(3, k, p)
             for t in RANK3_TYPES:
                 for s in spaces:
-                    rep = Subspace(3, tuple(tuple(int(v != 0) for v in row) for row in s.rows))
-                    assert quotient_type(t, s, p) == quotient_type(t, rep, p), (t, s.rows)
+                    rep = tuple(tuple(int(v != 0) for v in row) for row in s)
+                    assert quotient_type(t, s, p) == quotient_type(t, rep, p), (t, s)
 
 
 def test_orbit_census_matches_explicit_enumeration():

@@ -1,5 +1,6 @@
 import functools
 import inspect
+import json
 import os
 import subprocess
 import sys
@@ -18,7 +19,6 @@ from pgfactor.mobius import _echelon, hall_mobius
 from pgfactor.oracle import (
     GroupTooLarge,
     NotComparable,
-    VerificationReport,
     all_subgroups,
     build_group,
     count_factorizations,
@@ -238,8 +238,12 @@ def test_mobius_to_top_matches_recursive(lattice_cache):
 )
 def test_verify_hall_passes(exps, p, lattice_cache):
     g, lat = lattice_cache(exps, p)
-    report = verify_hall(g, lat)
-    assert report.overall, [c for c in report.checks if c["status"] == "fail"]
+    assert _failures(verify_hall(g, lat)) == []
+
+
+def _failures(checks):
+    """The (name, expected, actual) checks whose values differ."""
+    return [c for c in checks if c[1] != c[2]]
 
 
 def _fresh_lattice(exps, p):
@@ -264,9 +268,9 @@ def test_verify_hall_compares_subgroups_outside_omega1(monkeypatch):
         return mu, sizes
 
     monkeypatch.setattr(oracle, "_sparse_mobius", planted)
-    report = verify_hall(g, lat)
-    assert not report.overall
-    assert {c["name"]: c["actual"] for c in report.checks}["hall_mismatches"] == "1"
+    checks = verify_hall(g, lat)
+    assert [name for name, _, _ in _failures(checks)] == [f"hall[id={outside}]", "hall_mismatches"]
+    assert checks[-1] == ("hall_mismatches", 0, 1)
 
 
 def test_verify_hall_compares_subgroups_inside_omega1(monkeypatch):
@@ -283,9 +287,9 @@ def test_verify_hall_compares_subgroups_inside_omega1(monkeypatch):
         return mu, sizes
 
     monkeypatch.setattr(oracle, "_sparse_mobius", planted)
-    report = verify_hall(g, lat)
-    assert not report.overall
-    assert {c["name"]: c["actual"] for c in report.checks}["hall_mismatches"] == "1"
+    checks = verify_hall(g, lat)
+    assert [name for name, _, _ in _failures(checks)] == [f"hall[id={inside}]", "hall_mismatches"]
+    assert checks[-1] == ("hall_mismatches", 0, 1)
 
 
 def test_inversion_forms_read_subgroup_counts_from_the_recursion(monkeypatch):
@@ -301,8 +305,8 @@ def test_inversion_forms_read_subgroup_counts_from_the_recursion(monkeypatch):
         return mu, sizes
 
     monkeypatch.setattr(oracle, "_sparse_mobius", planted)
-    status = {c["name"]: c["status"] for c in verify_inversion_forms(g, lat).checks}
-    assert status == {"inversion_sum_subgroup_counts": "fail", "inversion_sum_quotient_counts": "pass"}
+    failed = [name for name, _, _ in _failures(verify_inversion_forms(g, lat))]
+    assert failed == ["inversion_sum_subgroup_counts"]
 
 
 def test_inversion_forms_read_interval_sizes_from_the_upward_pass(monkeypatch):
@@ -320,8 +324,8 @@ def test_inversion_forms_read_interval_sizes_from_the_upward_pass(monkeypatch):
         return mu, sizes
 
     monkeypatch.setattr(oracle, "_sparse_mobius", planted)
-    status = {c["name"]: c["status"] for c in verify_inversion_forms(g, lat).checks}
-    assert status == {"inversion_sum_subgroup_counts": "pass", "inversion_sum_quotient_counts": "fail"}
+    failed = [name for name, _, _ in _failures(verify_inversion_forms(g, lat))]
+    assert failed == ["inversion_sum_quotient_counts"]
 
 
 def test_hall_and_inversion_forms_share_one_upward_pass(monkeypatch):
@@ -334,8 +338,8 @@ def test_hall_and_inversion_forms_share_one_upward_pass(monkeypatch):
         return real(subgroups, upward, socle)
 
     monkeypatch.setattr(oracle, "_sparse_mobius", counting)
-    assert verify_hall(g, lat).overall
-    assert verify_inversion_forms(g, lat).overall
+    assert _failures(verify_hall(g, lat)) == []
+    assert _failures(verify_inversion_forms(g, lat)) == []
     assert sorted(calls) == [False, True]
 
 
@@ -346,16 +350,25 @@ def test_hall_values_spotchecks(lattice_cache):
     assert mobius_interval(lat, 0, len(lat) - 1) == 0  # not elementary abelian
 
 
-def test_verification_report_records_checks_only():
-    report = VerificationReport()
-    report.add("same", 3, 3)
-    assert report.overall
-    report.add("differ", 3, 4)
-    assert report.checks == [
+def test_verify_rows_come_from_check_triples(capsys, monkeypatch):
+    # cmd_verify builds each JSON row from a (name, expected, actual) triple:
+    # it prints both values as strings, but compares the values themselves,
+    # so 3 and "3" print alike and still fail
+    from pgfactor import cli
+
+    monkeypatch.setattr(cli, "verify_hall", lambda g, lat: [("same", 3, 3), ("differ", 3, 4), ("text", 3, "3")])
+    code = cli.main(["verify", "--type", "1,0,0", "--p", "2", "--checks", "hall"])
+    rows = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert rows["checks"] == [
         {"name": "same", "status": "pass", "expected": "3", "actual": "3"},
         {"name": "differ", "status": "fail", "expected": "3", "actual": "4"},
+        {"name": "text", "status": "fail", "expected": "3", "actual": "3"},
     ]
-    assert not report.overall
+    assert rows["overall"] is False
+    monkeypatch.setattr(cli, "verify_hall", lambda g, lat: [("same", 3, 3)])
+    assert cli.main(["verify", "--type", "1,0,0", "--p", "2", "--checks", "hall"]) == 0
+    assert json.loads(capsys.readouterr().out)["overall"] is True
 
 
 @pytest.mark.parametrize(
@@ -364,8 +377,7 @@ def test_verification_report_records_checks_only():
 )
 def test_verify_inversion_forms(exps, p, expected, lattice_cache):
     g, lat = lattice_cache(exps, p)
-    report = verify_inversion_forms(g, lat)
-    assert report.overall
+    assert _failures(verify_inversion_forms(g, lat)) == []
     assert count_factorizations(g, lat) == expected
 
 
@@ -697,8 +709,8 @@ def test_oracle_checks_never_build_the_containment_relation(exps, p, monkeypatch
     lat = all_subgroups(g)
     assert mobius_interval(lat, 0, len(lat) - 1) == hall_mobius(t, p)
     assert interval_size(lat, 0) == len(lat)
-    assert verify_hall(g, lat).overall
-    assert verify_inversion_forms(g, lat).overall
+    assert _failures(verify_hall(g, lat)) == []
+    assert _failures(verify_inversion_forms(g, lat)) == []
     assert count_factorizations(g, lat) == factorization_count(t, p).value
 
 

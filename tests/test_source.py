@@ -57,3 +57,29 @@ def test_oracle_imports_only_hall_mobius_from_mobius():
         for alias in node.names
     }
     assert imported == {"hall_mobius"}
+
+
+def test_only_cli_builds_the_verify_row():
+    # a verify check travels as a (name, expected, actual) triple; only cli,
+    # which prints the JSON row, spells out its status keys and values
+    found = [
+        f"{path.name}:{node.lineno} {node.value!r}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "cli.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Constant) and node.value in ("status", "pass", "fail")
+    ]
+    assert found == []
+
+
+def test_mobius_imports_nothing_from_dataclasses():
+    # a canonical basis is its tuple of rows, with no record around it
+    path = PACKAGE / "mobius.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = [
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "dataclasses")
+        or (isinstance(node, ast.Import) and any(a.name.split(".")[0] == "dataclasses" for a in node.names))
+    ]
+    assert imported == []
