@@ -24,6 +24,8 @@ The per-dimension tallies of quotient types (the census) are, at every rank,
 a checkable invariant: they match the socle cells of the closed form, p^inv(S)
 subspaces lowering the exponents in S, read from the one cell census that
 ``theorem3`` sums over (``formulas._cell_census``, via ``reference_census``).
+``verify_census`` holds verify's census checks, those tallies and the
+quotient by the whole socle, as ``(name, expected, actual)`` triples.
 The Smith normal form (``smith_normal_form``) types no quotient here; it is
 the tests' reference for ``quotient_type``, computed from its definition by
 determinantal divisors.
@@ -207,12 +209,16 @@ def _lowered(t: GroupType, drops) -> GroupType:
 def quotient_type(t: GroupType, rows, p: int) -> GroupType:
     """Type of G / E^ where E^ is the lift of the socle subspace E with basis ``rows``.
 
-    See ``_drops``.  Each row has one entry per nonzero exponent of t, and
-    there are at most rank(t) rows; the zero subspace ``()`` fits every rank.
+    See ``_drops``.  Each row has one entry per nonzero exponent of t, there
+    are at most rank(t) rows, and they are independent mod p; the zero
+    subspace ``()`` fits every rank.
     """
     if len(rows) > t.rank or any(len(row) != t.rank for row in rows):
         raise InvalidSubspace(f"basis rows {rows!r} do not fit a rank-{t.rank} group")
-    return _lowered(t, _drops(rows, p))
+    drops = _drops(rows, p)
+    if sum(drops) != len(rows):
+        raise InvalidSubspace(f"basis rows {rows!r} are not independent mod {p}")
+    return _lowered(t, drops)
 
 
 def _census_entries(counter: Counter) -> tuple[tuple[GroupType, int], ...]:
@@ -251,6 +257,22 @@ def reference_census(t: GroupType, k: int, p: int) -> tuple[tuple[GroupType, int
     if not 0 <= k <= t.rank:
         raise ValueError(f"need 0 <= k <= rank, got k={k}, rank={t.rank}")
     return _census_entries(_cell_census(t, k, p))
+
+
+def verify_census(t: GroupType, p: int) -> list[tuple]:
+    """verify's census checks, as ``(name, expected, actual)`` triples.
+
+    ``census_k{k}`` for 1 <= k < rank compares the orbit census with the
+    socle cells, and ``census_full_socle`` types the quotient by the whole
+    socle, which lowers every nonzero exponent by one.
+    """
+    r = t.rank
+    checks = [(f"census_k{k}", reference_census(t, k, p), quotient_type_census(t, k, p))
+              for k in range(1, r)]
+    full = enumerate_subspaces(r, r, p)[0]
+    shrunk = GroupType(max(e - 1, 0) for e in t)
+    checks.append(("census_full_socle", shrunk, quotient_type(t, full, p)))
+    return checks
 
 
 def factorization_count_mobius(t: GroupType, p: "int | None" = None):

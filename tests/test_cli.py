@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import hashlib
 import io
@@ -9,6 +10,7 @@ import shlex
 import subprocess
 import sys
 import time
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -809,6 +811,24 @@ def test_readme_cli_examples(capsys):
         assert code == 0, (argv, err)
         if value is not None:
             assert out == value + "\n", argv
+
+
+def test_readme_library_example():
+    # the README's Library block runs as written, so a name it imports must stay
+    # in the package, and each commented expression's repr opens its comment
+    block = README.read_text().split("## Library", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+    comments = {tok.start[0]: tok.string[1:].strip()
+                for tok in tokenize.generate_tokens(io.StringIO(block).readline)
+                if tok.type == tokenize.COMMENT}
+    namespace, shown = {}, []
+    for node in ast.parse(block).body:
+        if isinstance(node, ast.Expr) and node.end_lineno in comments:
+            text = repr(eval(compile(ast.Expression(node.value), "README.md", "eval"), namespace))
+            assert re.match(re.escape(text) + r"(?![\w.])", comments[node.end_lineno]), (text, node.end_lineno)
+            shown.append(text)
+        else:
+            exec(compile(ast.Module([node], []), "README.md", "exec"), namespace)
+    assert shown == ["81", "'9p^6+15p^5+21p^4+16p^3+20p^2+11p+13'", "True", "81", "(1, True)", "1635", "1635"]
 
 
 def oracle_cells(cap):

@@ -272,6 +272,15 @@ def test_quotient_rejects_mismatched_subspace():
             quotient_type(GroupType(t), rows, 2)
 
 
+def test_quotient_rejects_dependent_rows():
+    t = GroupType((2, 1, 0))
+    for rows in (((1, 0), (1, 0)), ((3, 0),)):  # two rows for one line; a row that is zero mod 3
+        with pytest.raises(InvalidSubspace, match="not independent mod 3"):
+            quotient_type(t, rows, 3)
+    # an independent basis need not be canonical
+    assert quotient_type(t, ((1, 1), (0, 2)), 3) == GroupType((1, 0, 0))
+
+
 def test_quotient_trivial_group():
     assert quotient_type(GroupType((0, 0, 0)), (), 3) == GroupType((0, 0, 0))
 

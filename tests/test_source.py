@@ -1,11 +1,16 @@
 import ast
 import importlib
+import importlib.util
 from pathlib import Path
 
 import pgfactor
 from pgfactor.poly import IntPolynomial
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "pgfactor"
+
+
+def _parse(path):
+    return ast.parse(path.read_text(), filename=str(path))
 
 
 def test_no_assert_in_src():
@@ -15,7 +20,7 @@ def test_no_assert_in_src():
     found = [
         f"{path.name}:{node.lineno}"
         for path in modules
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        for node in ast.walk(_parse(path))
         if isinstance(node, ast.Assert)
     ]
     assert found == []
@@ -24,7 +29,7 @@ def test_no_assert_in_src():
 def _tracer_table(name):
     # bench/tracer.py is parsed, not imported, so tier-1 needs nothing from bench/
     tracer = PACKAGE.parent.parent / "bench" / "tracer.py"
-    for node in ast.parse(tracer.read_text(), filename=str(tracer)).body:
+    for node in _parse(tracer).body:
         if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == name for t in node.targets):
             return ast.literal_eval(node.value)
     raise LookupError(f"{name} not assigned in {tracer}")
@@ -46,17 +51,62 @@ def test_public_names_resolve():
     assert [name for name in pgfactor.__all__ if not hasattr(pgfactor, name)] == []
 
 
+def _imported_from(importer, module):
+    """Names that pgfactor's ``importer`` module imports from its ``module``."""
+    return {
+        alias.name
+        for node in ast.walk(_parse(PACKAGE / f"{importer}.py"))
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == module
+        for alias in node.names
+    }
+
+
 def test_oracle_imports_only_hall_mobius_from_mobius():
     # the routes share as little code as they can: the oracle reads its
     # Frattini images off the HNF rows itself, not through mobius._echelon
-    path = PACKAGE / "oracle.py"
-    imported = {
-        alias.name
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "mobius"
-        for alias in node.names
+    assert _imported_from("oracle", "mobius") == {"hall_mobius"}
+
+
+def test_cli_holds_no_census_maths():
+    # verify's census rows come whole from mobius.verify_census
+    assert _imported_from("cli", "mobius") == {"factorization_count_mobius", "verify_census"}
+    found = [
+        f"cli.py:{node.lineno} {node.value!r}"
+        for node in ast.walk(_parse(PACKAGE / "cli.py"))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.startswith("census_")
+    ]
+    assert found == []
+
+
+def test_package_exports_what_its_callers_import():
+    # the benchmark, the README's Library example and tests/conftest.py import
+    # these from the package; everything else is imported from its module
+    assert sorted(pgfactor.__all__) == [
+        "DEFAULT_MAX_ORDER", "GroupTooLarge", "GroupType", "InexactDivision", "IntPolynomial",
+        "NegativeExponent", "P", "all_subgroups", "build_group", "count_factorizations",
+        "factorization_count", "factorization_count_mobius", "oracle_factorizations",
+        "parse_type", "subgroup_count",
+    ]
+
+
+def test_package_names_the_benchmark_reads_resolve():
+    # bench/ is parsed, not imported: every pgf.<name> it reads (also as
+    # self._pgf or self._package) must be a package name or a submodule
+    bench = PACKAGE.parent.parent / "bench"
+    paths = sorted(bench.glob("*.py")) + sorted(bench.glob("tests/*.py"))
+    read = {
+        node.attr
+        for path in paths
+        for node in ast.walk(_parse(path))
+        if isinstance(node, ast.Attribute)
+        and getattr(node.value, "id", getattr(node.value, "attr", None)) in ("pgf", "_pgf", "_package")
     }
-    assert imported == {"hall_mobius"}
+    assert {"GroupType", "parse_type", "cli", "mobius"} <= read
+    missing = sorted(
+        name for name in read
+        if not hasattr(pgfactor, name) and importlib.util.find_spec(f"pgfactor.{name}") is None
+    )
+    assert missing == []
 
 
 def test_only_cli_builds_the_verify_row():
@@ -66,7 +116,7 @@ def test_only_cli_builds_the_verify_row():
         f"{path.name}:{node.lineno} {node.value!r}"
         for path in sorted(PACKAGE.glob("*.py"))
         if path.name != "cli.py"
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        for node in ast.walk(_parse(path))
         if isinstance(node, ast.Constant) and node.value in ("status", "pass", "fail")
     ]
     assert found == []
@@ -74,11 +124,9 @@ def test_only_cli_builds_the_verify_row():
 
 def test_mobius_imports_nothing_from_dataclasses():
     # a canonical basis is its tuple of rows, with no record around it
-    path = PACKAGE / "mobius.py"
-    tree = ast.parse(path.read_text(), filename=str(path))
     imported = [
         node.lineno
-        for node in ast.walk(tree)
+        for node in ast.walk(_parse(PACKAGE / "mobius.py"))
         if (isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "dataclasses")
         or (isinstance(node, ast.Import) and any(a.name.split(".")[0] == "dataclasses" for a in node.names))
     ]
