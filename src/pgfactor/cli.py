@@ -76,21 +76,20 @@ MAX_TABLE_ROWS = 3000
 # A higher bound needs a benchmark instance at it before it is raised.
 MAX_EXPONENT = 1000
 
-# Largest oracle element cap that --max-order accepts.  f2 --method oracle
-# and table tally HNF residues mod p and hold no subgroup mask (f2 at
-# (5,5,5)@2 peaks at about 16 MB).  Only verify holds one |G|-bit mask per
-# subgroup, so for verify alone memory grows as the order times the
-# subgroup count: verify at (5,5,5)@2, order 2^15 with 22308
-# subgroups, is the worst cell for memory at this cap (about 110 MB peak,
-# of which the walk's dict of slice runs takes under 1 MB), where a cap of
-# 2^24 would let (8,8,8)@2 ask for about 4.9 TB.  The worst for time is
-# verify at (1,1,1)@31, order 29791: all 1988 of its subgroups are
-# elementary abelian, so each is its own meet with Omega_1 and has a
-# nonzero Mobius value, and the two Mobius passes, upward (shared by hall
-# and eq2) and downward (eq2), stay quadratic in them.  The README gives
-# both cells' time and peak memory; CI runs both, that cell with eq2
-# alone and f2 --method oracle at both, under a 60 s timeout and prints
-# their wall time and peak RSS.
+# Largest oracle element cap that --max-order accepts.  No oracle command
+# holds a subgroup mask: f2 --method oracle and table tally HNF residues mod
+# p (f2 at (5,5,5)@2 peaks at about 16 MB), and verify keeps one HNF basis
+# per subgroup and reads hall and eq2 off each basis's socle and Frattini
+# images, so its memory grows with the subgroup count and its time with
+# that count plus p^3, the points of every plane at rank 3.  At this cap
+# verify at (5,5,5)@2, order 2^15 with the most subgroups (22308), peaks at
+# about 23 MB (110 MB when it held a |G|-bit mask per subgroup), and at
+# (1,1,1)@31, order 29791 with the most elementary abelian subgroups (all
+# 1988), takes about 0.3 s whole process (5 s when its two Mobius passes
+# were quadratic in them).  The README gives both cells' time and peak
+# memory; CI runs both, (1,1,1)@31 with eq2 alone and f2 --method oracle
+# at both, under a 60 s timeout, prints their wall time and peak RSS, and
+# fails verify at (5,5,5)@2 above 40 MB.
 MAX_ORACLE_ORDER = 32768
 
 

@@ -15,22 +15,11 @@ exactly once, by explicit enumeration rather than a formula, so the oracle
 stays independent of the closed form.  The walk solves the HNF congruences
 for the off-diagonal entries and rechecks each basis it yields.
 
-There are two tiers.  ``oracle_factorizations``, which ``f2 --method
-oracle`` and ``table`` call, tallies the bases' entries mod p and builds no
-mask.  ``all_subgroups``, which only ``verify`` calls, also holds each
-subgroup as a mask, sorts the masks and rejects a repeated one; the Mobius
-checks need the masks.
-
-Subgroups, the layers Omega_k and the multiples p^k G are membership
-bitmasks over the element index space, each built from an HNF basis, so a
-meet is one AND and a popcount and types are read off popcounts.  A
-subgroup is its mask and nothing more: ``Lattice.subgroups`` lists the
-masks sorted by (order, mask), a subgroup's id is its position there, and
-its order is the mask's popcount.  A mask is one periodic block repeated by
-doubling, and the block's slices are runs of rows that recur across bases,
-so one walk builds each run once.  The walk builds only the layer Omega_1;
-the other layers and the multiples wait for ``subgroup_type`` and
-``quotient_type_mod``, which no command calls.
+There are two tiers, and neither builds a subgroup as a set of elements.
+``oracle_factorizations``, which ``f2 --method oracle`` and ``table`` call,
+tallies the bases' entries mod p.  ``all_subgroups``, which only ``verify``
+calls, also keeps the bases, sorted by (order, HNF entries), and rejects a
+repeated one; a subgroup's id is its position there.
 
 No check takes a pass over all pairs of subgroups.  By Burnside's basis
 theorem pG is the Frattini subgroup (B. Huppert, "Endliche Gruppen I",
@@ -38,16 +27,23 @@ III.3), so H + K = G exactly when the images of H and K span G/pG = F_p^r;
 the HNF rows mod p are triangular with 0 or 1 on the diagonal, so both tiers
 read each image's echelon basis off them by a few cases, and the
 factorization count is a sum over pairs of image classes.  Lattice Mobius
-values vanish outside the few elementary abelian sections (P. Hall, "The
-Eulerian functions of a group", 1936), so the one Mobius recursion sums
-only the nonzero values found so far, testing containment by mask
-subset.  Upward from the trivial subgroup those values lie in Omega_1(G),
-so a subgroup takes its sum from its meet with Omega_1(G), once per meet;
-the same pass counts the subgroups above each nonzero value, and the
-downward pass to G those below it.  No library function builds the full
-containment relation; the tests and the benchmark's tracer do, as a
-reference.  This is a desk-scale verification tool; a configurable order
-cap keeps accidental huge inputs out.
+values vanish outside the elementary abelian sections (P. Hall, "The
+Eulerian functions of a group", 1936): mu(1, H) != 0 only for H inside
+Omega_1(G), and, read in the dual lattice, mu(H, G) != 0 only for H above
+pG.  Both sublattices are subspace lattices of F_p^r, so the two Mobius
+passes key each subgroup by a subspace read off its HNF basis (its socle
+image upward, the annihilator of its Frattini image downward) and sum over
+the subspaces of a key; at rank 3 a plane's proper nonzero subspaces are its
+p + 1 points.  A nonzero value off those sublattices, which only a broken
+walk gives, sends the pass to exact containment tests on the HNF bases.
+
+Membership bitmasks (element (y1, y2, y3) is bit (y1 m2 + y2) m3 + y3) are
+built only on demand: ``Lattice.subgroups``, ``Lattice.containment``, the
+layers Omega_k and the multiples p^k G, and the type readers
+``subgroup_type`` and ``quotient_type_mod``.  No command builds one; the
+tests and the benchmark's tracer read them as a reference.  This is a
+desk-scale verification tool; a configurable order cap keeps accidental huge
+inputs out.
 """
 
 from __future__ import annotations
@@ -73,12 +69,12 @@ class NotComparable(ValueError):
 
 
 class ConcreteGroup:
-    """Explicit abelian p-group, held as bitmasks over its element indices.
+    """Explicit abelian p-group Z_{m1} x Z_{m2} x Z_{m3}, m_i = p^e_i.
 
-    ``_layer(k)`` builds the mask of the layer Omega_k = {x : p^k x = 0}, the
-    diagonal HNF basis p^max(e_i - k, 0).  For k = 0..e1, ``omega[k]`` is
-    Omega_k and ``multiples[k]`` is p^k G, the diagonal basis p^min(k, e_i);
-    both lists are built on first use, as only ``subgroup_type`` and
+    For k = 0..e1, ``omega[k]`` is the mask of the layer Omega_k =
+    {x : p^k x = 0}, the diagonal HNF basis p^max(e_i - k, 0), and
+    ``multiples[k]`` is p^k G, the diagonal basis p^min(k, e_i); both lists
+    are built on first use, as only ``subgroup_type`` and
     ``quotient_type_mod`` read them.
     """
 
@@ -94,12 +90,10 @@ class ConcreteGroup:
         self.moduli = tuple(p**e for e in gtype)
         self.order = order
 
-    def _layer(self, k: int) -> int:
-        return _span_mask(self.moduli, (self.p ** max(e - k, 0) for e in self.gtype), 0, 0, 0, {})
-
     @cached_property
     def omega(self) -> list[int]:
-        return [self._layer(k) for k in range(self.gtype[0] + 1)]
+        return [_span_mask(self.moduli, (self.p ** max(e - k, 0) for e in self.gtype), 0, 0, 0, {})
+                for k in range(self.gtype[0] + 1)]
 
     @cached_property
     def multiples(self) -> list[int]:
@@ -113,26 +107,35 @@ def build_group(t: GroupType, p: int, max_order: int = DEFAULT_MAX_ORDER) -> Con
 
 @dataclass
 class Lattice:
-    """All subgroups of a ConcreteGroup with F2 precomputed.
+    """All subgroups of a ConcreteGroup, held as HNF bases, with F2 precomputed.
 
-    A subgroup is its membership mask, and ``subgroups`` lists the masks
-    sorted by (order, mask), the order being the mask's popcount.  A
-    subgroup's id is its position in that list, so ids are stable across
-    runs; id 0 is the trivial subgroup (mask 1) and the last id is the
-    group.  ``factorizations`` is the number of ordered pairs (H, K) with
-    H + K = G and ``socle`` is the mask of Omega_1(G).  ``upward`` and the
-    bitmasks over ids ``below[i]`` / ``above[i]`` are built on first use;
-    only the tests and the benchmark's tracer read the bitmasks.
+    ``bases`` lists each subgroup's HNF entries (d1, x12, x13, d2, x23, d3)
+    sorted by (order, entries).  A subgroup's id is its position there, so
+    ids are stable across runs; id 0 is the trivial subgroup and the last id
+    is the group.  ``factorizations`` is the number of ordered pairs (H, K)
+    with H + K = G.  ``upward`` is built on first use; so are the membership
+    masks ``subgroups`` (in id order) and the bitmasks over ids ``below[i]``
+    / ``above[i]``, which only the tests and the benchmark's tracer read.
     """
 
-    subgroups: list[int]
+    group: ConcreteGroup
+    bases: list[tuple]
     factorizations: int
-    socle: int
 
     @cached_property
-    def upward(self) -> tuple[list[int], list[int]]:
-        """mu(1, H), and |[H, G]| where it is nonzero, by id; both verify checks share it."""
-        return _sparse_mobius(self.subgroups, upward=True, socle=self.socle)
+    def upward(self) -> tuple[list[int], list[int], list[bool]]:
+        """mu(1, H), |[H, G]| where it is nonzero, and whether H is elementary, by id.
+
+        Both verify checks read it, so they run the upward pass once between them.
+        """
+        return _image_mobius(self.group, self.bases, upward=True)
+
+    @cached_property
+    def subgroups(self) -> list[int]:
+        """Membership masks in id order; the dict of slice runs the masks share lives only in this call."""
+        rows = {}
+        return [_span_mask(self.group.moduli, (d1, d2, d3), x12, x13, x23, rows)
+                for d1, x12, x13, d2, x23, d3 in self.bases]
 
     @cached_property
     def containment(self) -> tuple[list[int], list[int]]:
@@ -159,7 +162,7 @@ class Lattice:
         return self.containment[1]
 
     def __len__(self) -> int:
-        return len(self.subgroups)
+        return len(self.bases)
 
 
 def _repeat(x: int, stride: int, count: int) -> int:
@@ -296,6 +299,20 @@ def _frattini_image(residues, r: int, p: int) -> tuple[tuple[int, ...], ...]:
     return tuple(row[:r] for row in rows if any(row[:r]))
 
 
+def _plane_points(plane, p: int):
+    """Yield the p + 1 points of a plane in F_p^3, each as a one-row reduced basis.
+
+    ``plane`` is a reduced basis (early, late): the points are late and
+    early + s late for s < p.  Each leads with 1 already, as late is 0
+    before its pivot and early is 0 at it.
+    """
+    (a1, a2, a3), late = plane
+    b1, b2, b3 = late
+    yield late,
+    for s in range(p):
+        yield ((a1 + s * b1) % p, (a2 + s * b2) % p, (a3 + s * b3) % p),
+
+
 def _spanning_pairs(images: dict, r: int, p: int) -> int:
     """Sum of n_V n_W over ordered pairs of images with V + W = F_p^r.
 
@@ -303,9 +320,7 @@ def _spanning_pairs(images: dict, r: int, p: int) -> int:
     to the number n_V of subgroups with that image.  Since pG is the
     Frattini subgroup, only G itself maps onto F_p^r.  At r <= 3 a spanning
     pair either holds the whole space, or is two distinct hyperplanes, or
-    (r = 3) is a plane and a point off it.  The points of the plane with
-    basis (early, late) are late and early + s late for s < p, each with
-    leading entry 1 already.
+    (r = 3) is a plane and a point off it.
     """
     by_dim = [{} for _ in range(r + 1)]
     for image, n in images.items():
@@ -320,11 +335,9 @@ def _spanning_pairs(images: dict, r: int, p: int) -> int:
     if r == 3:
         lines = by_dim[1]
         all_lines = sum(lines.values())
-        for ((a1, a2, a3), late), n in by_dim[2].items():
-            b1, b2, b3 = late
-            on = lines.get((late,), 0) + sum(
-                lines.get((((a1 + s * b1) % p, (a2 + s * b2) % p, (a3 + s * b3) % p),), 0)
-                for s in range(p))
+        zeros = [0] * (p + 1)
+        for plane, n in by_dim[2].items():
+            on = sum(map(lines.get, _plane_points(plane, p), zeros))
             pairs += 2 * n * (all_lines - on)
     return pairs
 
@@ -346,11 +359,10 @@ def _factorizations(bases, g: ConcreteGroup) -> int:
 
 
 def oracle_factorizations(g: ConcreteGroup) -> int:
-    """Number of ordered pairs (H, K) with H + K = G, with no subgroup held as a mask.
+    """Number of ordered pairs (H, K) with H + K = G, tallied straight from the HNF walk.
 
-    The same count as ``all_subgroups(g).factorizations``, tallied straight
-    from the HNF walk, so memory stays at the tally of residues mod p
-    rather than one |G|-bit mask per subgroup.  Without masks there is no
+    The same count as ``all_subgroups(g).factorizations``, with memory at the
+    tally of residues mod p rather than the list of bases.  There is no
     repeated-subgroup check, and none is needed for a walk that yields
     distinct HNF tuples in range: each subgroup has exactly one HNF basis,
     so two distinct tuples span two distinct subgroups.  The walk rechecks
@@ -363,21 +375,17 @@ def oracle_factorizations(g: ConcreteGroup) -> int:
 def all_subgroups(g: ConcreteGroup) -> Lattice:
     """Enumerate every subgroup by its Hermite normal form basis.
 
-    The HNF walk meets each subgroup exactly once; sorting by (order, mask)
-    fixes the ids, and a repeated (order, mask) raises.  Its masks share one
-    dict of slice runs (see ``_span_mask``), which lives only as long as
-    this call.  The factorizations come from the same bases through
-    ``_factorizations``, as in ``oracle_factorizations``.
+    The HNF walk meets each subgroup exactly once; sorting by (order, HNF
+    entries) fixes the ids, and a repeated basis raises.  The factorizations
+    come from the same bases through ``_factorizations``, as in
+    ``oracle_factorizations``.
     """
-    bases = list(_hnf_subgroups(g))
-    rows = {}
-    walk = sorted((g.order // (d1 * d2 * d3), _span_mask(g.moduli, (d1, d2, d3), x12, x13, x23, rows))
-                  for d1, x12, x13, d2, x23, d3 in bases)
+    walk = sorted((g.order // (b[0] * b[3] * b[5]), b) for b in _hnf_subgroups(g))
     for a, b in pairwise(walk):
         if a == b:
             raise RuntimeError(f"repeated subgroup of order {a[0]} in the HNF walk")
-    # Omega_1; the trivial group's is its Omega_0 = {0}, as p^max(e_i - 1, 0) = 1
-    return Lattice([mask for _, mask in walk], _factorizations(bases, g), g._layer(1))
+    bases = [basis for _, basis in walk]
+    return Lattice(g, bases, _factorizations(bases, g))
 
 
 def subgroup_type(g: ConcreteGroup, H: int) -> GroupType:
@@ -411,6 +419,22 @@ def count_factorizations(g: ConcreteGroup, lattice: Lattice) -> int:
     return lattice.factorizations
 
 
+def _contains(h, k) -> bool:
+    """K <= H, for HNF entries h and k: each of K's three basis rows y lies in L_H.
+
+    y = a r1 + b r2 + c r3 in H's rows is solved from the first coordinate
+    down, as the rows are triangular; y lies in L_H exactly when a, b and c
+    are integers.
+    """
+    d1, x12, x13, d2, x23, d3 = h
+    for y1, y2, y3 in ((k[0], k[1], k[2]), (0, k[3], k[4]), (0, 0, k[5])):
+        a, rem1 = divmod(y1, d1)
+        b, rem2 = divmod(y2 - a * x12, d2)
+        if rem1 or rem2 or (y3 - a * x13 - b * x23) % d3:
+            return False
+    return True
+
+
 def interval_size(lattice: Lattice, i: int) -> int:
     """Number of subgroups K with H <= K <= G, H the subgroup with id i; ids follow the order.
 
@@ -418,8 +442,8 @@ def interval_size(lattice: Lattice, i: int) -> int:
     library calls it, as ``verify_inversion_forms`` reads the counts off
     ``Lattice.upward``.
     """
-    m = lattice.subgroups[i]
-    return sum(K & m == m for K in lattice.subgroups[i:])
+    h = lattice.bases[i]
+    return sum(_contains(k, h) for k in lattice.bases[i:])
 
 
 def _hall_by_order(p: int) -> dict[int, int]:
@@ -427,103 +451,233 @@ def _hall_by_order(p: int) -> dict[int, int]:
     return {p ** n: hall_mobius(GroupType((1,) * n + (0,) * (3 - n)), p) for n in range(4)}
 
 
-def _sparse_mobius(subgroups: list[int], upward: bool,
-                   socle: int = -1) -> tuple[list[int], list[int]]:
-    """Mobius values mu(A, H) (upward) or mu(H, B) (downward) over an interval [A, B].
+def _annihilator(vectors, r: int, p: int) -> tuple[tuple[int, ...], ...]:
+    """Reduced row-echelon basis of the v in F_p^r with v . u = 0 mod p for each u in ``vectors``.
 
-    ``subgroups`` lists the interval's masks in (order, mask) order and the values
-    come out aligned with it, so over the whole lattice the positions are
-    the ids.  mu(x, x) = 1 and, for x < y, the sum of mu(x, z) over
-    x <= z <= y vanishes.  Each sum runs only over the values already found
-    nonzero, testing containment by mask subset; the skipped terms are zero.
+    The entries of each u are residues mod p, and u is cut to its first r.
+    Their span is first reduced from the right: each basis row ends in a 1
+    at its pivot column, where every other row is 0.  A row is then 0 after
+    its pivot, so for each free column f the vector with 1 at f and minus
+    column f of each row at that row's pivot leads with its 1 at f and is 0
+    at the other free columns: those vectors, in order of f, are already the
+    reduced basis of the annihilator.
+    """
+    basis = {}  # pivot column -> row
+    for u in vectors:
+        v = list(u[:r])
+        for pivot, row in basis.items():
+            if c := v[pivot]:
+                for j in range(pivot):
+                    v[j] = (v[j] - c * row[j]) % p
+                v[pivot] = 0
+        pivot = r - 1
+        while pivot >= 0 and not v[pivot]:
+            pivot -= 1
+        if pivot < 0:
+            continue
+        if (c := v[pivot]) != 1:
+            c = pow(c, -1, p)
+            for j in range(pivot):
+                v[j] = v[j] * c % p
+            v[pivot] = 1
+        for row in basis.values():
+            if c := row[pivot]:
+                for j in range(pivot):
+                    row[j] = (row[j] - c * v[j]) % p
+                row[pivot] = 0
+        basis[pivot] = v
+    null = []
+    for f in range(r):
+        if f not in basis:
+            v = [0] * r
+            v[f] = 1
+            for pivot, row in basis.items():
+                v[pivot] = -row[f] % p
+            null.append(tuple(v))
+    return tuple(null)
 
-    Upward, while every nonzero value so far lies inside the mask
-    ``socle`` (the first value, at A, included), an H whose meet
-    e = H & socle is not H itself takes minus the sum of the nonzero values
-    at K <= e; that sum is computed once per e and kept.  This is exact for
-    any mask.  A K inside the mask lies in H exactly when it lies in e, and
-    a K <= e has fewer members than H, so it comes before the first H with
-    that meet and no kept sum can miss a later term.  Once a nonzero value
-    falls outside the mask, every later H is tested in full.  The default
-    mask has every bit, so each H is its own meet and every H is tested.
-    With Omega_1(G), which holds every nonzero mu(1, H), the tests
-    fall from the subgroup count times the nonzero count to about that count
-    plus the nonzero count squared.
+
+def _classes(entries, r: int, p: int):
+    """Each subgroup's label, the (key id, order) of each label, and the keys.
+
+    An entry holds nine residues mod p, three vectors of F_p^3, and the
+    subgroup's order last; a label numbers the distinct entries.  The key is
+    the annihilator of the vectors, each distinct set of vectors reduced
+    once per call, and a key's id is its position in the list of keys.
+    """
+    distinct = list(dict.fromkeys(entries))
+    ids, reduced = {}, {}
+    for residues in dict.fromkeys(e[:9] for e in distinct):
+        key = _annihilator((residues[:3], residues[3:6], residues[6:9]), r, p)
+        reduced[residues] = ids.setdefault(key, len(ids))
+    labels = dict(zip(distinct, range(len(distinct))))
+    return [*map(labels.__getitem__, entries)], [(reduced[e[:9]], e[9]) for e in distinct], list(ids)
+
+
+def _socle_images(g: ConcreteGroup, bases):
+    """Each subgroup's socle image S(H) = Omega_1(H), a subspace of F_p^r, by the labels of ``_classes``.
+
+    v in F_p^r lies in S(H) when the element (v_i m_i / p) lies in L_H, that
+    is when (1/p) v diag(m) R^-1 is integral for the HNF basis R: v C = 0
+    mod p for the integer matrix C = diag(m) R^-1.  C is upper triangular
+    with diagonal k_i = m_i / d_i, and its other entries are the quotients of
+    the walk's three congruences: -k1 x12 / d2, -(k1 x13 - (k1 x12 / d2) x23)
+    / d3 and -k2 x23 / d3.  So S(H) is the annihilator of C's columns, cut
+    to the first r rows (for e_j = 0 column j is zero there).
+    """
+    p = g.p
+    m1, m2, m3 = g.moduli
+    return _classes([((k1 := m1 // d1) % p, 0, 0, -(q := k1 * x12 // d2) % p, (k2 := m2 // d2) % p, 0,
+                      (q * x23 - k1 * x13) // d3 % p, -k2 * x23 // d3 % p, (k3 := m3 // d3) % p, k1 * k2 * k3)
+                     for d1, x12, x13, d2, x23, d3 in bases], g.gtype.rank, p)
+
+
+def _frattini_duals(g: ConcreteGroup, bases):
+    """Each subgroup's f(H)^perp, f(H) = (H + pG)/pG, a subspace of F_p^r, by the labels of ``_classes``.
+
+    f(H) is the row space of the HNF rows mod p, cut to the first r
+    columns; f(H)^perp is its annihilator, read by the general elimination
+    of ``_annihilator``, not by ``_frattini_image``, so S1 and the direct
+    count share no image reader.  Containment reverses: for K containing
+    pG, H <= K exactly when f(H) <= f(K), that is when f(K)^perp <=
+    f(H)^perp.
+    """
+    p, n = g.p, g.order
+    return _classes([(d1 % p, x12 % p, x13 % p, 0, d2 % p, x23 % p, 0, 0, d3 % p, n // (d1 * d2 * d3))
+                     for d1, x12, x13, d2, x23, d3 in bases], g.gtype.rank, p)
+
+
+def _subspaces(key, r: int, p: int, table) -> list:
+    """The keys of ``table`` that are subspaces of ``key``, key itself included.
+
+    Every subspace of F_p^r lies in the whole space; otherwise, at r <= 3,
+    a key's subspaces are 0, itself and, for a plane, its p + 1 points.
+    """
+    if len(key) == r:
+        return list(table)
+    candidates = [(), key] if key else [()]
+    if len(key) == 2:
+        candidates += _plane_points(key, p)
+    return [u for u in candidates if u in table]
+
+
+def _exact_mobius(bases, upward: bool) -> tuple[list[int], list[int]]:
+    """The Mobius values and far-side counts of ``_image_mobius``, testing containment by ``_contains``.
+
+    Each subgroup is tested against every nonzero value found so far, and
+    each nonzero one against every listed subgroup.
+    """
+    n = len(bases)
+
+    def between(j, i):  # j lies between the walk's start and i
+        return _contains(bases[i], bases[j]) if upward else _contains(bases[j], bases[i])
+
+    mu, sizes = [0] * n, [0] * n
+    nonzero = []
+    for i in range(n) if upward else range(n - 1, -1, -1):
+        mu[i] = -sum(mu[j] for j in nonzero if between(j, i)) if nonzero else 1
+        if mu[i]:
+            nonzero.append(i)
+    for i in nonzero:
+        sizes[i] = sum(between(i, x) for x in range(n))
+    return mu, sizes
+
+
+def _image_mobius(g: ConcreteGroup, bases, upward: bool) -> tuple[list[int], list[int], list[bool]]:
+    """Mobius values mu(A, H) (upward) or mu(H, B) (downward) over the listed subgroups.
+
+    ``bases`` lists HNF entries in (order, entries) order, from A to B, and
+    the values come out aligned with it, so over the whole lattice the
+    positions are the ids.  mu(x, x) = 1 at the walk's first subgroup and,
+    for x < y, the sum of mu(x, z) over x <= z <= y vanishes.
+
+    Each subgroup has a key, a subspace of F_p^r: its socle image upward,
+    the annihilator of its Frattini image downward.  A subgroup is keyed
+    when its order shows it lies in the sublattice its key maps onto
+    subspaces: elementary abelian upward (|H| = p^dim S(H)), containing pG
+    downward (|H| = |pG| p^dim f(H)).  A keyed K lies between the walk's
+    start and H exactly when key(K) <= key(H).  So a keyed subgroup's value
+    is minus the sum of the values at the proper subspaces of its key, taken
+    in order of dimension from the first subgroup's key, which has the
+    least.  Any other H lies above the keyed K with key(K) <= key(H) (those
+    below Omega_1(H) upward, above H + pG downward) and no others, so while
+    every nonzero value is keyed it takes minus the sum at the subspaces of
+    its key.  On a whole lattice those sums vanish (Hall).  Where one does
+    not, or the first subgroup is not keyed, which only a broken walk gives,
+    the pass falls back to ``_exact_mobius``.  So the values depend only on
+    (key, order), and the pass works on those classes.
 
     The second list counts, at each nonzero position, the listed subgroups
     on its far side, itself included: over the whole lattice |[H, G]|
-    upward and |L(H)| downward; it is 0 elsewhere.  The full tests count as
-    they go.  An H that takes a kept sum is tallied by its meet e, and after
-    the walk each tally goes to the nonzero K <= e, which by the argument
-    above are the nonzero K below H.
+    upward and |L(H)| downward; it is 0 elsewhere.  For a keyed K those are
+    the X with key(K) <= key(X), so a tally of the keys is spread to the
+    subspaces of each key.  The third list says which subgroups are keyed.
     """
-    walk = subgroups if upward else subgroups[::-1]
-    mu = [0] * len(walk)
-    sizes = [0] * len(walk)
-    nonzero = []  # (mask, value, position) of each nonzero value so far
-    inside = True
-    kept = {}  # meet -> [value, subgroups tallied], one lookup per H
-    for i, m in enumerate(walk):
-        e = m & socle
-        if not nonzero:
-            value = 1
-        elif upward and inside and e != m:
-            meet = kept.get(e)
-            if meet is None:
-                meet = kept[e] = [-sum(v for k, v, _ in nonzero if k & e == k), 0]
-            meet[1] += 1
-            value = meet[0]
-        else:
-            value = 0
-            for k, v, j in nonzero:
-                if k & m == (k if upward else m):
-                    sizes[j] += 1
-                    value -= v
-        if value:
-            mu[i] = value
-            sizes[i] = 1  # itself
-            nonzero.append((m, value, i))
-            inside = inside and e == m
-    for e, (_, n) in kept.items():
-        for k, _, j in nonzero:
-            if k & e == k:
-                sizes[j] += n
-    return (mu, sizes) if upward else (mu[::-1], sizes[::-1])
+    labels, classes, keys = (_socle_images if upward else _frattini_duals)(g, bases)
+    p, r = g.p, g.gtype.rank
+    floor = 1 if upward else g.order // p**r
+    # the order of a keyed subgroup whose key has dimension n
+    keyed_order = [floor * p ** (n if upward else r - n) for n in range(r + 1)]
+    dims = [len(key) for key in keys]
+    keyed = [order == keyed_order[dims[k]] for k, order in classes]
+    tally = [0] * len(keys)  # by key id: number of subgroups
+    keyed_keys, other_keys = set(), set()
+    for label, count in Counter(labels).items():
+        k = classes[label][0]
+        tally[k] += count
+        (keyed_keys if keyed[label] else other_keys).add(k)
+    ids = {key: k for k, key in enumerate(keys)}
+    below = [[ids[u] for u in _subspaces(key, r, p, ids)] for key in keys]  # key ids of the subspaces
+
+    start = labels[0 if upward else -1]
+    first = classes[start][0]
+    at = [0] * len(keys)  # by key id: the value at the keyed subgroup with that key
+    at[first] = 1
+    for k in sorted(keyed_keys, key=dims.__getitem__):
+        if k != first:
+            at[k] = -sum(at[u] for u in below[k])
+    if not keyed[start] or any(sum(at[u] for u in below[k]) for k in other_keys):
+        return (*_exact_mobius(bases, upward), [keyed[label] for label in labels])
+    reach = [0] * len(keys)
+    for k, count in enumerate(tally):
+        for u in below[k]:
+            reach[u] += count
+    value = [at[k] if e else 0 for (k, _), e in zip(classes, keyed)]
+    size = [reach[k] if v else 0 for (k, _), v in zip(classes, value)]
+    return tuple([*map(by_label.__getitem__, labels)] for by_label in (value, size, keyed))
 
 
 def mobius_interval(lattice: Lattice, i: int, j: int) -> int:
     """Lattice Mobius value mu(H, K), H and K the subgroups with ids i and j.
 
-    Upward over the ids i..j whose subgroups lie in [H, K].
+    Upward over the ids i..j whose subgroups lie in [H, K], tested on the
+    HNF bases.
     """
-    h, k = lattice.subgroups[i], lattice.subgroups[j]
-    if h & k != h:
+    h, k = lattice.bases[i], lattice.bases[j]
+    if not _contains(k, h):
         raise NotComparable(f"subgroup {i} is not contained in subgroup {j}")
-    interval = [m for m in lattice.subgroups[i:j + 1] if m & h == h and m & k == m]
-    return _sparse_mobius(interval, upward=True)[0][-1]
+    interval = [b for b in lattice.bases[i:j + 1] if _contains(b, h) and _contains(k, b)]
+    return _image_mobius(lattice.group, interval, upward=True)[0][-1]
 
 
 def verify_hall(g: ConcreteGroup, lattice: Lattice) -> list[tuple]:
     """Check mu(1, H) against the elementary-abelian closed form for every H.
 
     Non-elementary subgroups must give 0; elementary abelian ones of rank n
-    must give (-1)^n p^(n(n-1)/2).  The elementary abelian subgroups are
-    those in Omega_1(G), and one of order p^n has rank n, so the expected
-    value is looked up by the order p^n rather than by typing H; every
-    subgroup is compared.  ``lattice.upward`` has Omega_1(G) as its socle
-    mask, so a subgroup outside it reuses the sum at its meet with
-    Omega_1(G); the mask only saves tests while Hall's vanishing holds, and
-    the values stay exact when it does not.  Each mismatch is a check of its
-    own, ``(f"hall[id={i}]", expected, actual)``, before the
-    ``("hall_mismatches", 0, count)`` check.
+    must give (-1)^n p^(n(n-1)/2).  An elementary abelian subgroup of order
+    p^n has rank n, so the expected value is looked up by the order rather
+    than by typing H; every subgroup is compared.  The values come from
+    ``lattice.upward``, which also says which subgroups are elementary.  Each
+    mismatch is a check of its own, ``(f"hall[id={i}]", expected, actual)``,
+    before the ``("hall_mismatches", 0, count)`` check.
     """
     checks = []
-    hall, socle = _hall_by_order(g.p), lattice.socle
-    mu, _ = lattice.upward
-    for i, m in enumerate(lattice.subgroups):
-        expected = hall[m.bit_count()] if m & socle == m else 0
-        if expected != mu[i]:
-            checks.append((f"hall[id={i}]", expected, mu[i]))
+    hall = _hall_by_order(g.p)
+    mu, _, elementary = lattice.upward
+    for i, (basis, value, elem) in enumerate(zip(lattice.bases, mu, elementary)):
+        expected = hall[g.order // (basis[0] * basis[3] * basis[5])] if elem else 0
+        if expected != value:
+            checks.append((f"hall[id={i}]", expected, value))
     checks.append(("hall_mismatches", 0, len(checks)))
     return checks
 
@@ -534,19 +688,19 @@ def verify_inversion_forms(g: ConcreteGroup, lattice: Lattice) -> list[tuple]:
     S1 sums |L(H)|^2 mu(H, G); S2 sums |[H, G]|^2 mu(1, H) with mu taken
     from the closed form; both must equal the brute-force factorization
     count.  Each sum counts only at its nonzero terms.  S1 runs where
-    mu(H, G) != 0 and reads |L(H)| off the downward recursion, whose subset
-    tests against each nonzero H also count the subgroups below it; nothing
-    in S1 comes from the Frattini images, which give the direct count.  S2
-    runs over the elementary abelian H (those in Omega_1(G), as the closed
-    form vanishes elsewhere), taking mu(1, H) by the order of H and |[H, G]|
-    from ``lattice.upward``, the pass that ``verify_hall`` reads.  Returns
-    the two checks ``(name, direct count, sum)``.
+    mu(H, G) != 0 and reads |L(H)| off the downward pass, keyed by the
+    annihilators of the Frattini images; ``_frattini_image``, which gives
+    the direct count, feeds nothing in S1.  S2 runs over the elementary
+    abelian H, taking mu(1, H) by the order of H and |[H, G]| from
+    ``lattice.upward``, the pass that ``verify_hall`` reads.  Returns the
+    two checks ``(name, direct count, sum)``.
     """
-    mu_top, below = _sparse_mobius(lattice.subgroups, upward=False)
+    mu_top, below, _ = _image_mobius(g, lattice.bases, upward=False)
     s1 = sum(n * n * v for v, n in zip(mu_top, below))
-    hall, socle = _hall_by_order(g.p), lattice.socle
-    s2 = sum(n * n * hall[m.bit_count()] for m, n in zip(lattice.subgroups, lattice.upward[1])
-             if n and m & socle == m)
+    hall = _hall_by_order(g.p)
+    _, above, elementary = lattice.upward
+    s2 = sum(n * n * hall[g.order // (basis[0] * basis[3] * basis[5])]
+             for basis, n, elem in zip(lattice.bases, above, elementary) if n and elem)
     direct = count_factorizations(g, lattice)
     return [("inversion_sum_subgroup_counts", direct, s1),
             ("inversion_sum_quotient_counts", direct, s2)]

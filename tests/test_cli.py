@@ -520,27 +520,46 @@ MASK_FREE_COMMANDS = [
     ("f2", "--type", "1,1,1", "--p", "7", "--method", "oracle"),
     ("f2", "--type", "0,0,0", "--p", "3", "--method", "oracle"),
     ("table", "--max-lambda", "2", "--primes", "2,3"),
+    ("verify", "--type", "3,2,1", "--p", "2"),
+    ("verify", "--type", "1,1,1", "--p", "7"),
+    ("verify", "--type", "2,2,1", "--p", "3", "--checks", "eq2"),
+    ("verify", "--type", "2,1,0", "--p", "5", "--checks", "hall,count"),
+    ("verify", "--type", "0,0,0", "--p", "3"),
 ]
 
 
+def _refuse_masks(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("subgroup mask or containment relation built")
+
+    monkeypatch.setattr(pgfactor.oracle, "_span_mask", refuse)
+    monkeypatch.setattr(pgfactor.oracle.Lattice, "containment", property(refuse))
+    return refuse
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
-@pytest.mark.parametrize("argv", MASK_FREE_COMMANDS, ids=" ".join)
+@pytest.mark.parametrize("argv", [argv for argv in MASK_FREE_COMMANDS if argv[0] != "verify"], ids=" ".join)
 def test_f2_and_table_build_no_mask(capsys, monkeypatch, argv, fmt):
-    # f2 --method oracle and table tally HNF residues; only verify holds masks
+    # f2 --method oracle and table tally HNF residues and keep no bases
     argv = (*argv, "--format", fmt)
     expected = run_cli(capsys, *argv)
     assert expected[0] == 0, expected
-
-    def refuse(*args):
-        raise AssertionError("subgroup mask built")
-
+    refuse = _refuse_masks(monkeypatch)
     for module in (pgfactor.oracle, cli):
         monkeypatch.setattr(module, "all_subgroups", refuse)
-    monkeypatch.setattr(pgfactor.oracle, "_span_mask", refuse)
     assert run_cli(capsys, *argv) == expected
 
 
-def test_verify_enumerates_the_lattice_of_masks(capsys, monkeypatch):
+@pytest.mark.parametrize("argv", [argv for argv in MASK_FREE_COMMANDS if argv[0] == "verify"], ids=" ".join)
+def test_verify_builds_no_mask(capsys, monkeypatch, argv):
+    # verify keeps the HNF bases and reads its checks off their images
+    expected = run_cli(capsys, *argv)
+    assert expected[0] == 0, expected
+    _refuse_masks(monkeypatch)
+    assert run_cli(capsys, *argv) == expected
+
+
+def test_verify_walks_the_lattice_once(capsys, monkeypatch):
     calls = []
     real = cli.all_subgroups
     monkeypatch.setattr(cli, "all_subgroups", lambda g: calls.append(g) or real(g))

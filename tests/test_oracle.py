@@ -15,7 +15,7 @@ import pgfactor
 from pgfactor import oracle
 from pgfactor.formulas import factorization_count, subgroup_count
 from pgfactor.grouptype import GroupType, p_valuation, type_from_layers
-from pgfactor.mobius import _echelon, hall_mobius
+from pgfactor.mobius import _echelon, enumerate_subspaces, hall_mobius
 from pgfactor.oracle import (
     GroupTooLarge,
     NotComparable,
@@ -127,14 +127,20 @@ def test_lattice_closed_under_meet_and_join(exps, p, lattice_cache):
             assert len(join_candidates) == 1
 
 
+def _order(g, basis):
+    """|H| from H's HNF entries (d1, x12, x13, d2, x23, d3): |G| / (d1 d2 d3)."""
+    return g.order // (basis[0] * basis[3] * basis[5])
+
+
 def test_lattice_ids_sorted_and_bounded(lattice_cache):
-    # a subgroup is its mask and its id is its position; the list is sorted
-    # by (order, mask), so the popcounts never decrease
+    # a subgroup's id is its position among the HNF bases sorted by (order,
+    # entries), so the popcounts of the masks, built in id order, never decrease
     for exps, p in [((2, 2, 1), 2), ((1, 1, 0), 3), ((3, 0, 0), 2), ((0, 0, 0), 5)]:
         g, lat = lattice_cache(exps, p)
         orders = [m.bit_count() for m in lat.subgroups]
         assert orders == sorted(orders)
-        assert lat.subgroups == sorted(lat.subgroups, key=lambda m: (m.bit_count(), m))
+        assert lat.bases == sorted(lat.bases, key=lambda b: (_order(g, b), b))
+        assert orders == [_order(g, b) for b in lat.bases]
         assert len(set(lat.subgroups)) == len(lat)
         assert lat.subgroups[0] == 1  # the trivial subgroup {0}
         assert lat.subgroups[-1] == 2**g.order - 1  # G, every element
@@ -255,19 +261,20 @@ def _fresh_lattice(exps, p):
 
 
 def test_verify_hall_compares_subgroups_outside_omega1(monkeypatch):
-    # verify_hall types only the subgroups in Omega_1(G); a nonzero value
-    # planted at one outside it must still count as a mismatch
+    # verify_hall expects a nonzero value only at the subgroups the upward
+    # pass marks elementary; a nonzero value planted at one outside Omega_1(G)
+    # must still count as a mismatch
     g, lat = _fresh_lattice((2, 1, 0), 3)
     omega1 = g.omega[1]
     outside = next(i for i, H in enumerate(lat.subgroups) if H & omega1 != H)
-    real = oracle._sparse_mobius
+    real = oracle._image_mobius
 
-    def planted(subgroups, upward, socle=-1):
-        mu, sizes = real(subgroups, upward, socle)
+    def planted(g, bases, upward):
+        mu, sizes, keyed = real(g, bases, upward)
         mu[outside] = 1
-        return mu, sizes
+        return mu, sizes, keyed
 
-    monkeypatch.setattr(oracle, "_sparse_mobius", planted)
+    monkeypatch.setattr(oracle, "_image_mobius", planted)
     checks = verify_hall(g, lat)
     assert [name for name, _, _ in _failures(checks)] == [f"hall[id={outside}]", "hall_mismatches"]
     assert checks[-1] == ("hall_mismatches", 0, 1)
@@ -275,18 +282,18 @@ def test_verify_hall_compares_subgroups_outside_omega1(monkeypatch):
 
 def test_verify_hall_compares_subgroups_inside_omega1(monkeypatch):
     # verify_hall reads the expected value of an elementary abelian subgroup
-    # from its rank; a wrong value planted at one must count as a mismatch
+    # from its order; a wrong value planted at one must count as a mismatch
     g, lat = _fresh_lattice((2, 1, 0), 3)
     omega1 = g.omega[1]
     inside = next(i for i, H in enumerate(lat.subgroups) if H.bit_count() == 3 and H & omega1 == H)
-    real = oracle._sparse_mobius
+    real = oracle._image_mobius
 
-    def planted(subgroups, upward, socle=-1):
-        mu, sizes = real(subgroups, upward, socle)
+    def planted(g, bases, upward):
+        mu, sizes, keyed = real(g, bases, upward)
         mu[inside] += 1
-        return mu, sizes
+        return mu, sizes, keyed
 
-    monkeypatch.setattr(oracle, "_sparse_mobius", planted)
+    monkeypatch.setattr(oracle, "_image_mobius", planted)
     checks = verify_hall(g, lat)
     assert [name for name, _, _ in _failures(checks)] == [f"hall[id={inside}]", "hall_mismatches"]
     assert checks[-1] == ("hall_mismatches", 0, 1)
@@ -296,15 +303,15 @@ def test_inversion_forms_read_subgroup_counts_from_the_recursion(monkeypatch):
     # S1 takes |L(H)| from the downward pass's counts; one count planted off
     # by one at a nonzero mu(H, G) must fail S1 and leave S2 passing
     g, lat = _fresh_lattice((2, 1, 0), 3)
-    real = oracle._sparse_mobius
+    real = oracle._image_mobius
 
-    def planted(subgroups, upward, socle=-1):
-        mu, sizes = real(subgroups, upward, socle)
+    def planted(g, bases, upward):
+        mu, sizes, keyed = real(g, bases, upward)
         if not upward:
             sizes[next(i for i, v in enumerate(mu) if v)] += 1
-        return mu, sizes
+        return mu, sizes, keyed
 
-    monkeypatch.setattr(oracle, "_sparse_mobius", planted)
+    monkeypatch.setattr(oracle, "_image_mobius", planted)
     failed = [name for name, _, _ in _failures(verify_inversion_forms(g, lat))]
     assert failed == ["inversion_sum_subgroup_counts"]
 
@@ -313,31 +320,31 @@ def test_inversion_forms_read_interval_sizes_from_the_upward_pass(monkeypatch):
     # S2 takes |[H, G]| from the upward pass's counts; one count planted off
     # by one at a nonzero mu(1, H), H elementary, must fail S2 and leave S1 passing
     g, lat = _fresh_lattice((2, 1, 0), 3)
-    real = oracle._sparse_mobius
+    real = oracle._image_mobius
     h = next(i for i, H in enumerate(lat.subgroups) if H.bit_count() == 3 and H & g.omega[1] == H)
 
-    def planted(subgroups, upward, socle=-1):
-        mu, sizes = real(subgroups, upward, socle)
+    def planted(g, bases, upward):
+        mu, sizes, keyed = real(g, bases, upward)
         if upward:
-            assert mu[h]
+            assert mu[h] and keyed[h]
             sizes[h] += 1
-        return mu, sizes
+        return mu, sizes, keyed
 
-    monkeypatch.setattr(oracle, "_sparse_mobius", planted)
+    monkeypatch.setattr(oracle, "_image_mobius", planted)
     failed = [name for name, _, _ in _failures(verify_inversion_forms(g, lat))]
     assert failed == ["inversion_sum_quotient_counts"]
 
 
 def test_hall_and_inversion_forms_share_one_upward_pass(monkeypatch):
     g, lat = _fresh_lattice((2, 2, 1), 2)
-    real = oracle._sparse_mobius
+    real = oracle._image_mobius
     calls = []
 
-    def counting(subgroups, upward, socle=-1):
+    def counting(g, bases, upward):
         calls.append(upward)
-        return real(subgroups, upward, socle)
+        return real(g, bases, upward)
 
-    monkeypatch.setattr(oracle, "_sparse_mobius", counting)
+    monkeypatch.setattr(oracle, "_image_mobius", counting)
     assert _failures(verify_hall(g, lat)) == []
     assert _failures(verify_inversion_forms(g, lat)) == []
     assert sorted(calls) == [False, True]
@@ -657,25 +664,124 @@ def test_frattini_count_matches_pair_count(exps, p, lattice_cache):
     assert lat.factorizations == _pair_count(g, lat)
 
 
+def _dense_passes(g, masks, upward):
+    """Reference for ``oracle._image_mobius`` over the listed subgroups, from their masks.
+
+    The Mobius values from the walk's first subgroup upward, or to its last
+    downward, by the dense recursion; the count on the far side of each
+    nonzero value; and which subgroups are keyed: elementary abelian upward,
+    containing pG downward.
+    """
+    n = len(masks)
+    below = [sum(1 << a for a in range(n) if masks[b] & masks[a] == masks[a]) for b in range(n)]
+    above = [sum(1 << c for c in range(n) if masks[c] & masks[a] == masks[a]) for a in range(n)]
+    if upward:
+        mu, far = _mobius_from(0, range(n), below), above
+        layer = g.omega[min(1, g.gtype[0])]
+        keyed = [H & layer == H for H in masks]
+    else:
+        mu, far = _mobius_from(n - 1, range(n - 1, -1, -1), above), below
+        layer = g.multiples[min(1, g.gtype[0])]
+        keyed = [H & layer == layer for H in masks]
+    return mu, [far[i].bit_count() if v else 0 for i, v in enumerate(mu)], keyed
+
+
 @settings(deadline=None, max_examples=60)
 @given(st.sampled_from(SMALL_GROUPS), st.data())
-def test_sparse_mobius_matches_dense(lattice_cache, case, data):
-    # the upward pass reuses sums by meet with any mask, and must fall back
-    # to full tests once a nonzero value, the first one included, lies outside it
+def test_image_mobius_matches_dense_on_any_sublist(lattice_cache, case, data):
+    # on the whole lattice Hall's vanishing keeps every nonzero value on the
+    # keyed subgroups; on a sublist, as a broken walk would give, values can
+    # fall off them, and both passes must then fall back and stay exact
     g, lat = lattice_cache(*case)
     n = len(lat)
-    everything = (1 << g.order) - 1
-    omega1 = g.omega[min(1, len(g.omega) - 1)]
-    socle = data.draw(st.one_of(
-        st.sampled_from([0, everything, omega1]),
-        st.sampled_from(list(_iter_bits(omega1))).map(lambda bit: omega1 & ~(1 << bit)),
-        st.integers(0, everything)))
-    mu, sizes = oracle._sparse_mobius(lat.subgroups, upward=True, socle=socle)
-    assert mu == _mobius_from(0, range(n), lat.below)
-    assert sizes == [lat.above[i].bit_count() if v else 0 for i, v in enumerate(mu)]
-    mu_top, below = oracle._sparse_mobius(lat.subgroups, upward=False)
-    assert mu_top == _mobius_to_top(lat)
-    assert below == [lat.below[i].bit_count() if v else 0 for i, v in enumerate(mu_top)]
+    kept = data.draw(st.one_of(st.just(list(range(n))),
+                               st.lists(st.integers(0, n - 1), min_size=1, unique=True).map(sorted)))
+    bases = [lat.bases[i] for i in kept]
+    masks = [lat.subgroups[i] for i in kept]
+    for upward in (True, False):
+        assert oracle._image_mobius(g, bases, upward) == _dense_passes(g, masks, upward), upward
+
+
+@pytest.mark.parametrize("exps,p", [((2, 1, 0), 3), ((2, 2, 1), 2), ((3, 1, 1), 2)])
+@pytest.mark.parametrize("upward", [True, False])
+def test_image_mobius_falls_back_on_a_walk_with_a_planted_gap(monkeypatch, exps, p, upward):
+    # a walk without Omega_1(G) leaves a nonzero mu(1, H) at each H above
+    # it, and a walk without pG a nonzero mu(H, G) at each H below it, none
+    # of them keyed; the pass must then test containment in full and agree
+    # with the dense recursion over the same list
+    g, lat = _fresh_lattice(exps, p)
+    gap = lat.subgroups.index(g.omega[1] if upward else g.multiples[1])
+    bases = lat.bases[:gap] + lat.bases[gap + 1:]
+    masks = lat.subgroups[:gap] + lat.subgroups[gap + 1:]
+    real = oracle._exact_mobius
+    fallbacks = []
+    monkeypatch.setattr(oracle, "_exact_mobius",
+                        lambda bases, upward: fallbacks.append(upward) or real(bases, upward))
+    mu, sizes, keyed = oracle._image_mobius(g, bases, upward)
+    assert fallbacks == [upward]
+    assert (mu, sizes, keyed) == _dense_passes(g, masks, upward)
+    assert any(v and not k for v, k in zip(mu, keyed))
+
+
+def _per_subgroup(images):
+    """Each subgroup's key, from what ``oracle._socle_images`` or ``_frattini_duals`` returns."""
+    labels, classes, keys = images
+    return [keys[classes[label][0]] for label in labels]
+
+
+def test_images_match_masks_on_every_accepted_cell(monkeypatch):
+    # the keys against membership masks on every cell under the default cap:
+    # p^dim S(H) = |H & Omega_1(G)| and p^dim f(H) = |H| / |H & pG|, and the
+    # relation the passes read off the keys is mask subset, for elementary K
+    # (K <= H exactly when S(K) <= S(H)) and for K containing pG (X <= K
+    # exactly when f(K)^perp <= f(X)^perp); on whole lattices no pass falls back
+    def refuse(*args):
+        raise AssertionError("a pass fell back on a whole lattice")
+
+    monkeypatch.setattr(oracle, "_exact_mobius", refuse)
+    failing = []
+    for exps, p in oracle_cells(oracle.DEFAULT_MAX_ORDER):
+        g = build_group(GroupType(exps), p)
+        lat = all_subgroups(g)
+        r, masks = g.gtype.rank, lat.subgroups
+        omega1, floor = g.omega[min(1, exps[0])], g.multiples[min(1, exps[0])]
+        socle = _per_subgroup(oracle._socle_images(g, lat.bases))
+        duals = _per_subgroup(oracle._frattini_duals(g, lat.bases))
+        included = functools.cache(lambda small, big: len(_echelon(big + small, p)) == len(big))
+        elementary = [H & omega1 == H for H in masks]
+        above_floor = [H & floor == floor for H in masks]
+        if (lat.upward[2] != elementary
+                or oracle._image_mobius(g, lat.bases, upward=False)[2] != above_floor
+                or [p ** len(s) for s in socle] != [(H & omega1).bit_count() for H in masks]
+                or [p ** (r - len(d)) for d in duals]
+                != [H.bit_count() // (H & floor).bit_count() for H in masks]
+                or any(included(socle[k], socle[h]) != (H & K == K)
+                       for k, K in enumerate(masks) if elementary[k] for h, H in enumerate(masks))
+                or any(included(duals[k], duals[x]) != (K & X == X)
+                       for k, K in enumerate(masks) if above_floor[k] for x, X in enumerate(masks))):
+            failing.append((exps, p))
+    assert failing == []
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.sampled_from([2, 3, 5, 7]), st.integers(0, 3), st.data())
+def test_annihilator_matches_brute_force(p, r, data):
+    # every v in F_p^r orthogonal to the vectors, and the reduced basis of their span
+    vectors = data.draw(st.lists(st.tuples(*[st.integers(0, p - 1)] * 3), max_size=3))
+    key = oracle._annihilator(vectors, r, p)
+    members = [v for v in product(range(p), repeat=r)
+               if all(sum(a * b for a, b in zip(v, u)) % p == 0 for u in vectors)]
+    assert len(members) == p ** len(key)
+    assert all(len(_echelon(key + (v,), p)) == len(key) for v in members)
+    assert list(key) == [tuple(row) for _, row in sorted(_echelon(key, p))]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_plane_points_are_the_lines_in_the_plane(p):
+    lines = enumerate_subspaces(3, 1, p)
+    for plane in enumerate_subspaces(3, 2, p):
+        inside = [line for line in lines if len(_echelon(plane + line, p)) == 2]
+        assert sorted(oracle._plane_points(plane, p)) == inside
 
 
 @settings(deadline=None, max_examples=60)
@@ -700,10 +806,11 @@ def test_mobius_interval_and_interval_size_match_dense(lattice_cache, case, data
 @pytest.mark.parametrize("exps,p", [((3, 2, 1), 2), ((2, 2, 1), 3), ((1, 1, 1), 5), ((2, 0, 0), 3),
                                     ((0, 0, 0), 2)])
 def test_oracle_checks_never_build_the_containment_relation(exps, p, monkeypatch):
-    def refuse(self):
-        raise AssertionError("containment relation built")
+    def refuse(*args):
+        raise AssertionError("containment relation or mask built")
 
     monkeypatch.setattr(oracle.Lattice, "containment", property(refuse))
+    monkeypatch.setattr(oracle, "_span_mask", refuse)
     t = GroupType(exps)
     g = build_group(t, p)
     lat = all_subgroups(g)
@@ -831,20 +938,20 @@ def test_span_mask_matches_reference_on_every_basis(exps, p):
 @pytest.mark.parametrize("exps,p", [((1, 1, 1), 7), ((3, 3, 2), 2), ((2, 2, 1), 3), ((4, 2, 0), 3),
                                     ((6, 0, 0), 2), ((0, 0, 0), 5)])
 def test_all_subgroups_masks_and_ids_match_reference_masks(exps, p):
+    # ids follow (order, HNF entries), and the lazy masks follow the ids
     g = build_group(GroupType(exps), p)
-    reference = sorted(
-        (g.order // (d1 * d2 * d3), _reference_span_mask(g.moduli, (d1, d2, d3), x12, x13, x23))
-        for d1, x12, x13, d2, x23, d3 in oracle._hnf_subgroups(g))
+    bases = sorted(oracle._hnf_subgroups(g), key=lambda b: (_order(g, b), b))
     lat = all_subgroups(g)
-    assert lat.subgroups == [mask for _, mask in reference]
-    assert [H.bit_count() for H in lat.subgroups] == [order for order, _ in reference]
-    assert lat.socle == g.omega[min(1, exps[0])]
+    assert lat.bases == bases
+    assert lat.subgroups == [_reference_span_mask(g.moduli, (d1, d2, d3), x12, x13, x23)
+                             for d1, x12, x13, d2, x23, d3 in bases]
+    assert [H.bit_count() for H in lat.subgroups] == [_order(g, b) for b in bases]
 
 
 @pytest.mark.parametrize("exps,p", [((3, 2, 1), 3), ((0, 0, 0), 2), ((1, 1, 1), 5)])
 def test_walk_builds_no_layer_lists(exps, p):
-    # build_group and all_subgroups build only Omega_1; omega and multiples
-    # wait for the type readers, which no check calls
+    # omega and multiples wait for the type readers, which no check calls,
+    # and no check builds a subgroup's mask: they read the HNF bases alone
     g = build_group(GroupType(exps), p)
     lat = all_subgroups(g)
     assert "omega" not in vars(g) and "multiples" not in vars(g)
@@ -852,6 +959,7 @@ def test_walk_builds_no_layer_lists(exps, p):
     verify_hall(g, lat)
     verify_inversion_forms(g, lat)
     assert "omega" not in vars(g) and "multiples" not in vars(g)
+    assert "subgroups" not in vars(lat) and "containment" not in vars(lat)
     subgroup_type(g, lat.subgroups[-1])
     assert "omega" in vars(g)
 
@@ -899,8 +1007,10 @@ def test_socle_intervals_match_interval_size(exps, p, lattice_cache):
     # the upward pass counts |[H, G]| at every elementary abelian H, the
     # subgroups whose mu(1, H) Hall's theorem makes nonzero
     g, lat = lattice_cache(exps, p)
-    _, sizes = lat.upward
-    elementary = [i for i, H in enumerate(lat.subgroups) if H & lat.socle == H]
-    assert len(elementary) == sum(1 for n in sizes if n)
+    _, sizes, keyed = lat.upward
+    omega1 = g.omega[min(1, exps[0])]
+    elementary = [i for i, H in enumerate(lat.subgroups) if H & omega1 == H]
+    assert [i for i, k in enumerate(keyed) if k] == elementary
+    assert [i for i, n in enumerate(sizes) if n] == elementary
     for i in elementary:
-        assert sizes[i] == interval_size(lat, i)
+        assert sizes[i] == interval_size(lat, i) == lat.above[i].bit_count()
