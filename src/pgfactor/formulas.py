@@ -6,8 +6,9 @@ or with p left symbolic (an IntPolynomial):
 * ``subgroup_count``: the total number of subgroups of
   Z_{p^e1} x Z_{p^e2} x Z_{p^e3}, as an explicit rational expression in p
   whose numerator, three shifted runs of coefficients, is divisible exactly
-  by (p^2-1)^2 (p-1); with p symbolic it is divided by p-1, p^2-1 and
-  p^2-1 in turn, each division a running sum.
+  by (p^2-1)^2 (p-1); with p symbolic the numerator is written from its
+  runs as coefficient lists and divided by p-1, p^2-1 and p^2-1 in turn,
+  each division a running sum.
 
 * ``factorization_count``: the number of ordered pairs (H, K) of subgroups
   with H + K equal to the whole group, obtained by Mobius inversion over
@@ -16,9 +17,11 @@ or with p left symbolic (an IntPolynomial):
   that the quotient lowers by one, so the sum collapses to Hall-weighted
   squared subgroup counts.  Cells that lower to the same type merge in one
   census (``_cell_census``), so each distinct quotient type is squared once.
-  With p symbolic the sum is not built from polynomial products: it is
-  evaluated once as an int at p = X = 2^(8w) and F2's coefficients are read
-  off the balanced base-X digits of that value (Kronecker substitution).
+  With p symbolic the sum is not built from polynomial products: each
+  distinct type's subgroup count is built once as a polynomial, packed into
+  one int at p = X = 2^(8w), the Hall-weighted sum of their squares is taken
+  on ints, and F2's coefficients are read off the balanced base-X digits of
+  that value (Kronecker substitution).
   Cell by cell, F2 is a sum of terms +-p^j c^2, and each coefficient of c^2
   is at most sum_i c_i^2 in size (Cauchy-Schwarz), so every coefficient of
   F2 is at most the sum of sum_i c_i^2 over the cells; merging cells changes
@@ -40,7 +43,7 @@ from functools import reduce
 from itertools import combinations
 
 from .grouptype import GroupType, normalize
-from .poly import InexactDivision, IntPolynomial, P, from_packed
+from .poly import InexactDivision, IntPolynomial, P, from_packed, pack
 
 # Method tags used in CLI output and reports.
 METHOD_SUBGROUP_COUNT = "eq3"
@@ -56,8 +59,8 @@ class FormulaResult:
     method: str
 
 
-def _run(pv, shift: int, *run: int):
-    """pv^shift * (run[0] + run[1] pv + ...), by Horner's rule; ``pv`` is an int or P."""
+def _run(pv: int, shift: int, *run: int) -> int:
+    """pv^shift * (run[0] + run[1] pv + ...), by Horner's rule on ints."""
     acc = run[-1]
     for c in run[-2::-1]:
         acc = acc * pv + c
@@ -69,9 +72,19 @@ def _count_numerator(e1: int, e2: int, e3: int, pv):
 
     Three runs of consecutive powers, at p^(e2+e3+1), p^(2e3+2) and p^0,
     with coefficients linear in the exponents.  Runs whose powers overlap
-    (which happens when exponents are equal or zero) simply add.
+    (which happens when exponents are equal or zero) simply add.  At a
+    prime each run is an int by Horner's rule.  With p symbolic both high
+    runs carry p^(2e3+1), so they are written into one coefficient list of
+    e2-e3+5 entries, shifted into place by one product with p^(2e3+1), and
+    the low run is added.
     """
     a, d, s = e3 + 1, e1 - e2, e1 + e2 - e3
+    if pv is P:
+        high = [0, s - 1, -2, -(s + 3)] + [0] * (e2 - e3 + 1)
+        for i, c in enumerate((a * (d - 1), -2 * a, -2 * a * d, 2 * a, a * (d + 1)), e2 - e3):
+            high[i] += c
+        low = IntPolynomial((-(s + 2 * e3 + 1), 2, s + 2 * e3 + 5))
+        return P ** (2 * e3 + 1) * IntPolynomial(high) + low
     return (_run(pv, e2 + e3 + 1, a * (d - 1), -2 * a, -2 * a * d, 2 * a, a * (d + 1))
             + _run(pv, 2 * e3 + 2, s - 1, -2, -(s + 3))
             + _run(pv, 0, -(s + 2 * e3 + 1), 2, s + 2 * e3 + 5))
@@ -152,20 +165,24 @@ def factorization_count(t: GroupType, p: "int | None" = None) -> FormulaResult:
     """Ordered-pair factorization count: the Hall-weighted sum over the socle cells.
 
     One square per distinct quotient type q of ``_cell_census``, weighted by
-    its number of subspaces n.  With ``p`` None the numeric sum is evaluated
-    once at p = 2^(8w) and read back as a polynomial by ``from_packed``.  The
-    width w is the least with 2^(8w-1) > sum over the types of
-    n(1) * sum_i c_i^2, where c is the type's subgroup count as a polynomial
-    and n(1) its number of cells: the cell-by-cell bound of the module
-    docstring.  Every coefficient of F2 is at most that sum in size, so the
-    balanced digits are F2's coefficients.
+    its number of subspaces n.  With ``p`` None each type's subgroup count c
+    is built once as a polynomial.  The width w is the least with
+    2^(8w-1) > sum over the types of n(1) * sum_i c_i^2, where n(1) is the
+    type's number of cells: the cell-by-cell bound of the module docstring.
+    Each c is packed at X = 2^(8w) by ``pack``, the same sum is taken on
+    ints at p = X, and ``from_packed`` reads it back.  Every coefficient of
+    F2 is at most the bound in size, so the balanced digits are F2's
+    coefficients.
     """
     if p is None:
-        bound = sum(n * sum(c * c for c in _subgroup_count_value(q, None).coeffs)
-                    for k in range(t.rank + 1) for q, n in _cell_census(t, k, 1).items())
+        counts = {q: (n, _subgroup_count_value(q, None).coeffs)
+                  for k in range(t.rank + 1) for q, n in _cell_census(t, k, 1).items()}
+        bound = sum(n * sum(c * c for c in coeffs) for n, coeffs in counts.values())
         width = bound.bit_length() // 8 + 1
-        return FormulaResult(from_packed(factorization_count(t, 1 << 8 * width).value, width),
-                             METHOD_CLOSED_FORM)
+        x = 1 << 8 * width
+        value = sum(_hall_value(k, x) * n * pack(counts[q][1], width) ** 2
+                    for k in range(t.rank + 1) for q, n in _cell_census(t, k, x).items())
+        return FormulaResult(from_packed(value, width), METHOD_CLOSED_FORM)
     value = sum(_hall_value(k, p) * n * _subgroup_count_value(q, p) ** 2
                 for k in range(t.rank + 1) for q, n in _cell_census(t, k, p).items())
     return FormulaResult(value, METHOD_CLOSED_FORM)

@@ -5,10 +5,11 @@ so squared subgroup counts never overflow no matter the exponents.  A
 product with a single-term operand c*p^d scales the other operand's
 coefficients by c and shifts them by d; every other product is packed into
 one big-int product, so it costs about as much as CPython's multiplication
-of the packed ints.  One helper, ``_unpack``, reads a packed value's
-balanced base-2^(8*width) digits back into coefficients; the packed product
-and ``from_packed``, which reads a polynomial off its value at p = 2^(8*width),
-both use it.  The one division, ``exact_div``, accepts only the divisors
+of the packed ints.  ``pack`` writes coefficients into the balanced
+base-2^(8*width) digits of one int, the polynomial's value at p = 2^(8*width);
+``_unpack`` reads them back.  The packed product uses both, and
+``from_packed``, the inverse of ``pack``, reads a polynomial off its value
+with ``_unpack``.  The one division, ``exact_div``, accepts only the divisors
 p^k - 1 and is a running sum in each residue class mod k.  Only the public
 constructor checks for integer coefficients; arithmetic results are built by
 ``_poly``, which only trims.
@@ -23,13 +24,6 @@ from typing import Iterable
 
 class InexactDivision(ArithmeticError):
     """Polynomial division left a nonzero remainder where none was expected."""
-
-
-def _pack(coeffs, width: int) -> int:
-    """Sum of coeffs[i] * 2^(8*width*i), each coefficient biased into its slot."""
-    bias = 1 << (8 * width - 1)
-    data = b"".join((c + bias).to_bytes(width, "little") for c in coeffs)
-    return int.from_bytes(data, "little") - _bias_sum(len(coeffs), width)
 
 
 def _bias_sum(n: int, width: int) -> int:
@@ -50,8 +44,8 @@ def _kronecker_product(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
     max_a = max(map(abs, a))
     max_b = max_a if b is a else max(map(abs, b))
     width = (max_a * max_b * min(len(a), len(b))).bit_length() // 8 + 1
-    x = _pack(a, width)
-    product = x * x if b is a else x * _pack(b, width)
+    x = pack(a, width)
+    product = x * x if b is a else x * pack(b, width)
     return _unpack(product, len(a) + len(b) - 1, width)
 
 
@@ -218,6 +212,18 @@ class IntPolynomial:
 
 #: The indeterminate itself, for building formulas by plain arithmetic.
 P = IntPolynomial((0, 1))
+
+
+def pack(coeffs: tuple[int, ...], width: int) -> int:
+    """The value at p = 2^(8*width) of the polynomial with these coefficients.
+
+    The inverse of ``from_packed`` when every coefficient is below
+    2^(8*width-1) in size: each is biased into its ``width``-byte slot, the
+    slots are read as one int, and the biases are taken off again.
+    """
+    bias = 1 << (8 * width - 1)
+    data = b"".join((c + bias).to_bytes(width, "little") for c in coeffs)
+    return int.from_bytes(data, "little") - _bias_sum(len(coeffs), width)
 
 
 def from_packed(value: int, width: int) -> IntPolynomial:

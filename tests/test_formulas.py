@@ -280,9 +280,9 @@ def test_theorem3_squares_once_per_distinct_quotient_type(monkeypatch, t, types)
     factorization_count(GroupType(t), 7)
     assert len(calls) == types
     calls.clear()
-    # with p symbolic: once for the width bound, once at p = 2^(8w)
+    # with p symbolic: once, as the polynomial that sizes the width and is packed
     factorization_count(GroupType(t))
-    assert len(calls) == 2 * types
+    assert len(calls) == types
 
 
 @pytest.mark.parametrize("t", [(1, 1, 1), (3, 2, 1), (60, 59, 58), (200, 200, 0)])

@@ -400,9 +400,11 @@ def test_mobius_sum_matches_closed_form_random(raw, p):
     assert factorization_count_mobius(t, p) == factorization_count(t, p).value
 
 
-@pytest.mark.parametrize("exps", [(1000, 1000, 1000), (1000, 700, 300), (1000, 1000, 0)])
+@pytest.mark.parametrize("exps", [(1000, 1000, 1000), (1000, 700, 300), (1000, 1000, 0), (1000, 999, 998)])
 def test_mobius_sum_matches_closed_form_at_largest_accepted_input(exps):
-    # the top exponent and the largest prime the CLI accepts
+    # the top exponent and the largest prime the CLI accepts; with p symbolic,
+    # (1000,1000,1000) has theorem3's widest packed digits and (1000,999,998)
+    # is the slowest cell
     t, p = GroupType(exps), 3317044064679887385961813
     assert factorization_count_mobius(t, p) == factorization_count(t, p).value
     assert factorization_count_mobius(t) == factorization_count(t).value

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pgfactor import poly as poly_module
-from pgfactor.poly import P, InexactDivision, IntPolynomial, from_packed, render
+from pgfactor.poly import P, InexactDivision, IntPolynomial, from_packed, pack, render
 
 
 def poly(*coeffs):
@@ -357,6 +357,8 @@ def test_from_packed_reads_the_value_at_a_power_of_256(width, data):
     coeff = st.one_of(st.sampled_from((0, 1, -1, top, -top)), st.integers(-top, top))
     f = IntPolynomial(data.draw(st.lists(coeff, max_size=40)))
     assert from_packed(f.evaluate(1 << 8 * width), width) == f
+    assert pack(f.coeffs, width) == f.evaluate(1 << 8 * width)
+    assert from_packed(pack(f.coeffs, width), width) == f
 
 
 @pytest.mark.parametrize("width", [1, 2, 5, 9])
@@ -371,6 +373,8 @@ def test_from_packed_reads_extreme_and_negative_digits(width, digits):
     top = (1 << (8 * width - 1)) - 1
     f = IntPolynomial({"top": top, "-top": -top}.get(d, d) for d in digits)
     assert from_packed(f.evaluate(1 << 8 * width), width) == f
+    assert pack(f.coeffs, width) == f.evaluate(1 << 8 * width)
+    assert from_packed(pack(f.coeffs, width), width) == f
 
 
 @pytest.mark.parametrize("x", [P + 1, IntPolynomial(range(1, 31))], ids=["p+1", "dense30"])
