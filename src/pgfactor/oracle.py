@@ -38,12 +38,12 @@ p + 1 points.  A nonzero value off those sublattices, which only a broken
 walk gives, sends the pass to exact containment tests on the HNF bases.
 
 Membership bitmasks (element (y1, y2, y3) is bit (y1 m2 + y2) m3 + y3) are
-built only on demand: ``Lattice.subgroups``, ``Lattice.containment``, the
-layers Omega_k and the multiples p^k G, and the type readers
-``subgroup_type`` and ``quotient_type_mod``.  No command builds one; the
-tests and the benchmark's tracer read them as a reference.  This is a
-desk-scale verification tool; a configurable order cap keeps accidental huge
-inputs out.
+built only on demand, each from an HNF basis by one plain builder,
+``_span_mask``: ``Lattice.subgroups``, ``Lattice.containment``, the layers
+Omega_k and the multiples p^k G, and the type readers ``subgroup_type`` and
+``quotient_type_mod``.  No command builds one; the tests and the benchmark's
+tracer read them as a reference.  This is a desk-scale verification tool; a
+configurable order cap keeps accidental huge inputs out.
 """
 
 from __future__ import annotations
@@ -73,8 +73,8 @@ class ConcreteGroup:
 
     For k = 0..e1, ``omega[k]`` is the mask of the layer Omega_k =
     {x : p^k x = 0}, the diagonal HNF basis p^max(e_i - k, 0), and
-    ``multiples[k]`` is p^k G, the diagonal basis p^min(k, e_i); both lists
-    are built on first use, as only ``subgroup_type`` and
+    ``multiples[k]`` is p^k G, the diagonal basis p^min(k, e_i).  Both lists
+    come from ``_span_mask`` on first use, as only ``subgroup_type`` and
     ``quotient_type_mod`` read them.
     """
 
@@ -92,13 +92,13 @@ class ConcreteGroup:
 
     @cached_property
     def omega(self) -> list[int]:
-        return [_span_mask(self.moduli, (self.p ** max(e - k, 0) for e in self.gtype), 0, 0, 0, {})
-                for k in range(self.gtype[0] + 1)]
+        return [_span_mask(self.moduli, (d1, 0, 0, d2, 0, d3)) for d1, d2, d3 in
+                ((self.p ** max(e - k, 0) for e in self.gtype) for k in range(self.gtype[0] + 1))]
 
     @cached_property
     def multiples(self) -> list[int]:
-        return [_span_mask(self.moduli, (self.p ** min(k, e) for e in self.gtype), 0, 0, 0, {})
-                for k in range(self.gtype[0] + 1)]
+        return [_span_mask(self.moduli, (d1, 0, 0, d2, 0, d3)) for d1, d2, d3 in
+                ((self.p ** min(k, e) for e in self.gtype) for k in range(self.gtype[0] + 1))]
 
 
 def build_group(t: GroupType, p: int, max_order: int = DEFAULT_MAX_ORDER) -> ConcreteGroup:
@@ -132,10 +132,8 @@ class Lattice:
 
     @cached_property
     def subgroups(self) -> list[int]:
-        """Membership masks in id order; the dict of slice runs the masks share lives only in this call."""
-        rows = {}
-        return [_span_mask(self.group.moduli, (d1, d2, d3), x12, x13, x23, rows)
-                for d1, x12, x13, d2, x23, d3 in self.bases]
+        """Membership masks in id order, each built from its HNF basis by ``_span_mask``."""
+        return [_span_mask(self.group.moduli, basis) for basis in self.bases]
 
     @cached_property
     def containment(self) -> tuple[list[int], list[int]]:
@@ -165,60 +163,25 @@ class Lattice:
         return len(self.bases)
 
 
-def _repeat(x: int, stride: int, count: int) -> int:
-    """OR of x << (i stride) for i < count, by doubling: about 2 log2(count) shifts."""
-    out = 0
-    shift = 0
-    while count:
-        if count & 1:
-            out |= x << shift
-            shift += stride
-        count >>= 1
-        if count:
-            x |= x << stride
-            stride *= 2
-    return out
-
-
-def _span_mask(moduli, d, x12: int, x13: int, x23: int, rows: dict) -> int:
-    """Membership mask of the subgroup with HNF basis (d1, x12, x13), (0, d2, x23), (0, 0, d3).
+def _span_mask(moduli, basis) -> int:
+    """Membership mask of the subgroup with HNF entries (d1, x12, x13, d2, x23, d3).
 
     The one map from coordinates to bits: (y1, y2, y3) is bit (y1 m2 + y2) m3 + y3.
-    The members are a r1 + b r2 + c r3 with a < k1, b < k2, c < k3
-    (k_i = m_i / d_i).  Writing a x12 = q d2 + s2, slice a holds the rows
-    y2 = s2 + b d2 with y3 = b x23 + t (mod d3), t = a x13 - q x23, each
-    row swept by c d3.  Rows repeat in b with period per2 = d3 / gcd(x23, d3)
-    and slices repeat in a with the least per1 for which per1 r1 lies in the
-    span of r2 and r3 modulo m.  Both divide k2 and k1: the HNF conditions
-    say that k2 x23 = 0 mod d3 and that k1 r1 lies in that span, and the
-    multiples with either property form a subgroup of Z.  So one block of
-    per1 slices of per2 rows is built and then repeated by doubling along
-    c, b and a; s2 < d2 and every row offset is < d3, so no copies overlap.
-
-    A slice's per2 rows, unshifted, depend only on (d2, d3, x23, t mod d3)
-    once the moduli are fixed, so ``rows`` keeps each such run under that
-    key: the caller passes one dict for every basis of a group, and a slice
-    whose run is already there costs a lookup and a shift.
+    The members are a r1 + b r2 + c r3 mod m for the rows r1 = (d1, x12, x13),
+    r2 = (0, d2, x23), r3 = (0, 0, d3), with a < k1, b < k2, c < k3 (k_i =
+    m_i / d_i).  For each a and b the members over c are one run of bits d3
+    apart: y1 = a d1, y2 = a x12 + b d2 mod m2 and y3 runs from
+    a x13 + b x23 mod d3, as d3 divides m3.  So the mask ORs k1 k2 shifted
+    copies of that run.
     """
     m1, m2, m3 = moduli
-    d1, d2, d3 = d
-    per2 = d3 // gcd(x23, d3)
-    alpha = d2 // gcd(x12, d2)
-    per1 = alpha * d3 // gcd(alpha * x13 - alpha * x12 // d2 * x23, d3)
-    slice_bits = d1 * m2 * m3
-    row_bits = d2 * m3
-    block = 0
-    for a in range(per1):
-        q, s2 = divmod(a * x12, d2)
-        t = (a * x13 - q * x23) % d3
-        key = d2, d3, x23, t
-        run = rows.get(key)
-        if run is None:
-            run = rows[key] = sum(1 << (b * row_bits + (b * x23 + t) % d3) for b in range(per2))
-        block |= run << (a * slice_bits + s2 * m3)
-    block = _repeat(block, d3, m3 // d3)
-    block = _repeat(block, per2 * row_bits, m2 // d2 // per2)
-    return _repeat(block, per1 * slice_bits, m1 // d1 // per1)
+    d1, x12, x13, d2, x23, d3 = basis
+    run = sum(1 << y3 for y3 in range(0, m3, d3))
+    mask = 0
+    for a in range(m1 // d1):
+        for b in range(m2 // d2):
+            mask |= run << ((a * d1 * m2 + (a * x12 + b * d2) % m2) * m3 + (a * x13 + b * x23) % d3)
+    return mask
 
 
 def _hnf_subgroups(g: ConcreteGroup):

@@ -6,10 +6,10 @@ product with a single-term operand c*p^d scales the other operand's
 coefficients by c and shifts them by d; every other product is packed into
 one big-int product, so it costs about as much as CPython's multiplication
 of the packed ints.  ``pack`` writes coefficients into the balanced
-base-2^(8*width) digits of one int, the polynomial's value at p = 2^(8*width);
-``_unpack`` reads them back.  The packed product uses both, and
-``from_packed``, the inverse of ``pack``, reads a polynomial off its value
-with ``_unpack``.  The one division, ``exact_div``, accepts only the divisors
+base-2^(8*width) digits of one int, the polynomial's value at p = 2^(8*width),
+and ``from_packed``, its inverse, reads a polynomial back off those digits.
+They are the packed digits' one writer and one reader: the packed product
+uses both.  The one division, ``exact_div``, accepts only the divisors
 p^k - 1 and is a running sum in each residue class mod k.  Only the public
 constructor checks for integer coefficients; arithmetic results are built by
 ``_poly``, which only trims.
@@ -31,8 +31,8 @@ def _bias_sum(n: int, width: int) -> int:
     return int.from_bytes(((1 << (8 * width - 1)).to_bytes(width, "little")) * n, "little")
 
 
-def _kronecker_product(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
-    """Coefficients of a*b from one big-int product (Kronecker substitution).
+def _kronecker_product(a: tuple[int, ...], b: tuple[int, ...]) -> "IntPolynomial":
+    """a*b from one big-int product (Kronecker substitution).
 
     Each operand is evaluated at 2^(8*width), where every product coefficient
     is below max|a| * max|b| * min(len a, len b) < 2^(8*width-1) in size.
@@ -46,19 +46,7 @@ def _kronecker_product(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
     width = (max_a * max_b * min(len(a), len(b))).bit_length() // 8 + 1
     x = pack(a, width)
     product = x * x if b is a else x * pack(b, width)
-    return _unpack(product, len(a) + len(b) - 1, width)
-
-
-def _unpack(value: int, n: int, width: int) -> list[int]:
-    """The n balanced digits of ``value`` in base 2^(8*width), lowest first.
-
-    Each digit lies in [-2^(8*width-1), 2^(8*width-1)): adding the bias to
-    every slot makes the slots nonnegative, so one byte conversion reads
-    them all, and the bias is taken off each again.
-    """
-    data = (value + _bias_sum(n, width)).to_bytes(n * width, "little")
-    bias = 1 << (8 * width - 1)
-    return [int.from_bytes(data[i:i + width], "little") - bias for i in range(0, n * width, width)]
+    return from_packed(product, width)
 
 
 def _poly(coeffs: list[int]) -> "IntPolynomial":
@@ -152,7 +140,7 @@ class IntPolynomial:
         if any(a[:-1]):  # put a single-term operand, if there is one, first
             a, b = b, a
         if any(a[:-1]):
-            return _poly(_kronecker_product(a, b))
+            return _kronecker_product(a, b)
         # a is c p^d: scale b by c and shift it by d
         return _poly([0] * (len(a) - 1) + [a[-1] * c for c in b])
 
@@ -232,9 +220,13 @@ def from_packed(value: int, width: int) -> IntPolynomial:
     Exact when every coefficient of f is below 2^(8*width-1) in size.  Then
     a nonzero leading coefficient at p^(n-1) puts |value| in
     (2^(8*width*(n-1)-1), 2^(8*width*n-1)), so the bit length of ``value``
-    gives the number of digits n.
+    gives the number of digits n.  With the bias added to every slot, one
+    byte conversion reads them all, and the bias is taken off each again.
     """
-    return _poly(_unpack(value, abs(value).bit_length() // (8 * width) + 1, width))
+    n = abs(value).bit_length() // (8 * width) + 1
+    data = (value + _bias_sum(n, width)).to_bytes(n * width, "little")
+    bias = 1 << (8 * width - 1)
+    return _poly([int.from_bytes(data[i:i + width], "little") - bias for i in range(0, n * width, width)])
 
 
 def render(poly: IntPolynomial) -> str:

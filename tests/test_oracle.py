@@ -882,21 +882,19 @@ def test_layer_and_multiple_masks_match_definition(exps, p):
         assert g.multiples[k] == sum(1 << index[y] for y in set(images))
 
 
-def _reference_span_mask(moduli, d, x12, x13, x23):
-    """Mask of the HNF basis (d1, x12, x13), (0, d2, x23), (0, 0, d3), one run per (a, b).
+def _reference_span_mask(moduli, basis):
+    """Mask of the HNF entries (d1, x12, x13, d2, x23, d3) by definition: one bit per member.
 
-    For every a < m1 / d1 and b < m2 / d2, ORs the run of bits c d3,
-    c < m3 / d3, shifted to the member a r1 + b r2 with y3 reduced mod d3.
+    The members are a r1 + b r2 + c r3 mod m for the rows r1 = (d1, x12, x13),
+    r2 = (0, d2, x23), r3 = (0, 0, d3), with a < m1 / d1, b < m2 / d2 and
+    c < m3 / d3; (y1, y2, y3) is bit (y1 m2 + y2) m3 + y3.
     """
     m1, m2, m3 = moduli
-    d1, d2, d3 = d
-    run = sum(1 << (d3 * c) for c in range(m3 // d3))
+    d1, x12, x13, d2, x23, d3 = basis
     mask = 0
-    for a in range(m1 // d1):
-        for b in range(m2 // d2):
-            y2 = (a * x12 + b * d2) % m2
-            y3 = (a * x13 + b * x23) % d3
-            mask |= run << ((a * d1 * m2 + y2) * m3 + y3)
+    for a, b, c in product(range(m1 // d1), range(m2 // d2), range(m3 // d3)):
+        y1, y2, y3 = a * d1 % m1, (a * x12 + b * d2) % m2, (a * x13 + b * x23 + c * d3) % m3
+        mask |= 1 << ((y1 * m2 + y2) * m3 + y3)
     return mask
 
 
@@ -910,29 +908,11 @@ MASK_GROUPS = [
 ]
 
 
-class _Runs(dict):
-    """A dict of slice runs that counts the lookups finding their key."""
-
-    hits = 0
-
-    def get(self, key, default=None):
-        self.hits += key in self
-        return super().get(key, default)
-
-
 @pytest.mark.parametrize("exps,p", MASK_GROUPS)
 def test_span_mask_matches_reference_on_every_basis(exps, p):
-    # each basis with a fresh dict of slice runs, and with one dict shared by
-    # every basis in walk order, as all_subgroups does, so later bases read
-    # runs that earlier ones stored
     g = build_group(GroupType(exps), p)
-    shared = _Runs()
-    for d1, x12, x13, d2, x23, d3 in oracle._hnf_subgroups(g):
-        args = g.moduli, (d1, d2, d3), x12, x13, x23
-        expected = _reference_span_mask(*args)
-        assert oracle._span_mask(*args, {}) == expected, args
-        assert oracle._span_mask(*args, shared) == expected, ("shared", args)
-    assert shared.hits > 0 or g.order == 1
+    for basis in oracle._hnf_subgroups(g):
+        assert oracle._span_mask(g.moduli, basis) == _reference_span_mask(g.moduli, basis), basis
 
 
 @pytest.mark.parametrize("exps,p", [((1, 1, 1), 7), ((3, 3, 2), 2), ((2, 2, 1), 3), ((4, 2, 0), 3),
@@ -943,8 +923,7 @@ def test_all_subgroups_masks_and_ids_match_reference_masks(exps, p):
     bases = sorted(oracle._hnf_subgroups(g), key=lambda b: (_order(g, b), b))
     lat = all_subgroups(g)
     assert lat.bases == bases
-    assert lat.subgroups == [_reference_span_mask(g.moduli, (d1, d2, d3), x12, x13, x23)
-                             for d1, x12, x13, d2, x23, d3 in bases]
+    assert lat.subgroups == [_reference_span_mask(g.moduli, basis) for basis in bases]
     assert [H.bit_count() for H in lat.subgroups] == [_order(g, b) for b in bases]
 
 
@@ -991,15 +970,8 @@ def _bases_over_cap(exps, p):
 @given(st.sampled_from([((5, 5, 5), 2), ((2, 2, 2), 7), ((3, 3, 3), 3)]), st.data())
 def test_span_mask_matches_reference_over_the_cap(case, data):
     moduli, bases = _bases_over_cap(*case)
-    d1, x12, x13, d2, x23, d3 = data.draw(st.sampled_from(bases))
-    args = moduli, (d1, d2, d3), x12, x13, x23
-    assert oracle._span_mask(*args, {}) == _reference_span_mask(*args)
-
-
-@pytest.mark.parametrize("count", [0, 1, 8, 7, 13])
-def test_repeat_ors_count_shifted_copies(count):
-    x = 0b1011
-    assert oracle._repeat(x, 5, count) == sum(x << (5 * i) for i in range(count))
+    basis = data.draw(st.sampled_from(bases))
+    assert oracle._span_mask(moduli, basis) == _reference_span_mask(moduli, basis)
 
 
 @pytest.mark.parametrize("exps,p", PAIR_COUNT_GROUPS)
