@@ -86,13 +86,12 @@ MAX_EXPONENT = 1000
 # images, so its memory grows with the subgroup count and its time with
 # that count plus p^3, the points of every plane at rank 3.  At this cap
 # verify at (5,5,5)@2, order 2^15 with the most subgroups (22308), peaks at
-# about 23 MB (110 MB when it held a |G|-bit mask per subgroup), and at
-# (1,1,1)@31, order 29791 with the most elementary abelian subgroups (all
-# 1988), takes about 0.3 s whole process (5 s when its two Mobius passes
-# were quadratic in them).  The README gives both cells' time and peak
-# memory; CI runs both, (1,1,1)@31 with eq2 alone and f2 --method oracle
-# at both, under a 60 s timeout, prints their wall time and peak RSS, and
-# fails verify at (5,5,5)@2 above 40 MB.
+# about 23 MB, and at (1,1,1)@31, order 29791 with the most elementary
+# abelian subgroups (all 1988), takes about 0.3 s whole process.  The
+# README gives both cells' time and peak memory; CI runs both, (1,1,1)@31
+# with eq2 alone and f2 --method oracle at both, under a 60 s timeout,
+# prints their wall time and peak RSS, and fails verify at (5,5,5)@2 above
+# 40 MB.
 MAX_ORACLE_ORDER = 32768
 
 

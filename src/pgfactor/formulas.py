@@ -15,13 +15,13 @@ or with p left symbolic (an IntPolynomial):
   the subgroup lattice.  Only elementary abelian subgroups contribute: the
   socle subspaces fall into eight cells, one per set S of exponent positions
   that the quotient lowers by one, so the sum collapses to Hall-weighted
-  squared subgroup counts.  Cells that lower to the same type merge in one
-  census (``_cell_census``), so each distinct quotient type is squared once.
-  With p symbolic the sum is not built from polynomial products: each
-  distinct type's subgroup count is built once as a polynomial, packed into
-  one int at p = X = 2^(8w), the Hall-weighted sum of their squares is taken
-  on ints, and F2's coefficients are read off the balanced base-X digits of
-  that value (Kronecker substitution).
+  squared subgroup counts, one sum for both modes.  Cells that lower to the
+  same type merge in each dimension's census (``_cell_census``, read once),
+  so each distinct quotient type is squared once.  With p symbolic the sum is
+  not built from polynomial products: each type's subgroup count is built
+  once as a polynomial, packed into one int at p = X = 2^(8w), the sum of
+  their Hall-weighted squares is taken on ints, and F2's coefficients are
+  read off the balanced base-X digits of that value (Kronecker substitution).
   Cell by cell, F2 is a sum of terms +-p^j c^2, and each coefficient of c^2
   is at most sum_i c_i^2 in size (Cauchy-Schwarz), so every coefficient of
   F2 is at most the sum of sum_i c_i^2 over the cells; merging cells changes
@@ -135,57 +135,57 @@ def _hall_value(n: int, pv):
     return (-1) ** n * pv ** (n * (n - 1) // 2)
 
 
-# The socle cells (|S|, drop vector 1_S, inv(S)), one per set S of exponent
-# positions: p^inv(S) socle subspaces of dimension |S| lower the exponents at S
-# (Macdonald, Symmetric Functions and Hall Polynomials, ch. II), where
-# inv(S) = #{(i, j): i < j, i not in S, j in S}.
+# The socle cells by dimension: _CELLS[k] holds (drop vector 1_S, inv(S)) for
+# each set S of k exponent positions, and p^inv(S) socle subspaces of
+# dimension k lower the exponents at S (Macdonald, Symmetric Functions and
+# Hall Polynomials, ch. II), where inv(S) = #{(i, j): i < j, i not in S, j in S}.
 _CELLS = tuple(
-    (k, tuple(int(i in s) for i in range(3)), sum(i not in s for j in s for i in range(j)))
+    tuple((tuple(int(i in s) for i in range(3)), sum(i not in s for j in s for i in range(j)))
+          for s in combinations(range(3), k))
     for k in range(4)
-    for s in combinations(range(3), k)
 )
 
 
 def _cell_census(t: GroupType, k: int, pv) -> Counter:
     """Quotient type -> number of k-dimensional socle subspaces giving it; ``pv`` is p or P.
 
-    Each cell S with |S| = k adds pv**inv(S) to t lowered at S.  A cell that
-    would lower a zero exponent holds no subspace (the rank <= 2 convention).
+    Each cell S of ``_CELLS[k]`` adds pv**inv(S) to t lowered at S.  A cell
+    that would lower a zero exponent holds no subspace (the rank <= 2 convention).
     """
     census = Counter()
-    for size, drops, inv in _CELLS:
-        if size == k:
-            lowered = [e - d for e, d in zip(t, drops)]
-            if min(lowered) >= 0:
-                census[normalize(lowered)] += pv**inv
+    for drops, inv in _CELLS[k]:
+        lowered = [e - d for e, d in zip(t, drops)]
+        if min(lowered) >= 0:
+            census[normalize(lowered)] += pv**inv
     return census
 
 
 def factorization_count(t: GroupType, p: "int | None" = None) -> FormulaResult:
     """Ordered-pair factorization count: the Hall-weighted sum over the socle cells.
 
-    One square per distinct quotient type q of ``_cell_census``, weighted by
-    its number of subspaces n.  With ``p`` None each type's subgroup count c
-    is built once as a polynomial.  The width w is the least with
-    2^(8w-1) > sum over the types of n(1) * sum_i c_i^2, where n(1) is the
-    type's number of cells: the cell-by-cell bound of the module docstring.
-    Each c is packed at X = 2^(8w) by ``pack``, the same sum is taken on
-    ints at p = X, and ``from_packed`` reads it back.  Every coefficient of
-    F2 is at most the bound in size, so the balanced digits are F2's
-    coefficients.
+    One sum for both modes over each dimension k's census (``_cell_census``,
+    read once): each distinct quotient type is squared once, its subgroup
+    count c weighted by Hall's value times its number n of subspaces.  With
+    ``p`` None the census has p symbolic and the sum is taken on ints at
+    p = X = 2^(8w): each c is built once as a polynomial and packed at X by
+    ``pack``, each n is evaluated at X, and ``from_packed`` reads F2 back.
+    w is the least with 2^(8w-1) > sum over the types of n(1) sum_i c_i^2,
+    n(1) the type's number of cells: the cell-by-cell bound of the module
+    docstring, so the balanced digits are F2's coefficients.
     """
+    censuses = [_cell_census(t, k, p if p is not None else P) for k in range(t.rank + 1)]
+    counts = {q: _subgroup_count_value(q, p) for census in censuses for q in census}
+    x = p
     if p is None:
-        counts = {q: (n, _subgroup_count_value(q, None).coeffs)
-                  for k in range(t.rank + 1) for q, n in _cell_census(t, k, 1).items()}
-        bound = sum(n * sum(c * c for c in coeffs) for n, coeffs in counts.values())
+        bound = sum(n.evaluate(1) * sum(c * c for c in counts[q].coeffs)
+                    for census in censuses for q, n in census.items())
         width = bound.bit_length() // 8 + 1
         x = 1 << 8 * width
-        value = sum(_hall_value(k, x) * n * pack(counts[q][1], width) ** 2
-                    for k in range(t.rank + 1) for q, n in _cell_census(t, k, x).items())
-        return FormulaResult(from_packed(value, width), METHOD_CLOSED_FORM)
-    value = sum(_hall_value(k, p) * n * _subgroup_count_value(q, p) ** 2
-                for k in range(t.rank + 1) for q, n in _cell_census(t, k, p).items())
-    return FormulaResult(value, METHOD_CLOSED_FORM)
+        censuses = [{q: n.evaluate(x) for q, n in census.items()} for census in censuses]
+        counts = {q: pack(c.coeffs, width) for q, c in counts.items()}
+    value = sum(_hall_value(k, x) * n * counts[q] ** 2
+                for k, census in enumerate(censuses) for q, n in census.items())
+    return FormulaResult(value if p is not None else from_packed(value, width), METHOD_CLOSED_FORM)
 
 
 def factorization_count_equal_exponents(lam: int, p: "int | None" = None) -> FormulaResult:

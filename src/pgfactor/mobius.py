@@ -285,9 +285,5 @@ def factorization_count_mobius(t: GroupType, p: "int | None" = None):
     With ``p`` None the count is an IntPolynomial, as in ``formulas``.
     """
     pv = p if p is not None else P
-    total = 0
-    for k in range(t.rank + 1):
-        weight = _hall_value(k, pv)
-        for qt, size in _orbit_tally(t, k, pv).items():
-            total += weight * size * _subgroup_count_value(qt, p) ** 2
-    return total
+    return sum(_hall_value(k, pv) * size * _subgroup_count_value(qt, p) ** 2
+               for k in range(t.rank + 1) for qt, size in _orbit_tally(t, k, pv).items())

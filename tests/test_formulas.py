@@ -113,14 +113,16 @@ def test_factorization_cyclic():
 
 
 def test_socle_cells_are_the_subsets_of_three_positions():
-    assert sorted(drop for _, drop, _ in _CELLS) == sorted(product((0, 1), repeat=3))
-    assert all(k == sum(drop) for k, drop, _ in _CELLS)
+    # _CELLS[k] holds the cells of dimension k, one per set of k positions
+    assert len(_CELLS) == 4
+    assert sorted(drop for cells in _CELLS for drop, _ in cells) == sorted(product((0, 1), repeat=3))
+    assert all(k == sum(drop) for k, cells in enumerate(_CELLS) for drop, _ in cells)
 
 
 def test_socle_cells_count_the_subspaces_of_each_dimension():
     for p in (2, 3, 5, 7, 101):
         for k in range(4):
-            cells = sum(p**inv for size, _, inv in _CELLS if size == k)
+            cells = sum(p**inv for _, inv in _CELLS[k])
             assert cells == gaussian_binomial(3, k, p), (p, k)
 
 
@@ -252,7 +254,7 @@ def theorem3_by_polynomials(t):
     taken by IntPolynomial arithmetic."""
     e1, e2, e3 = t
     return sum((_hall_value(k, P) * P**inv * subgroup_count_ext((e1 - d1, e2 - d2, e3 - d3)).value ** 2
-                for k, (d1, d2, d3), inv in _CELLS), IntPolynomial.zero())
+                for k, cells in enumerate(_CELLS) for (d1, d2, d3), inv in cells), IntPolynomial.zero())
 
 
 # Types of rank 0 to 3 with exponents up to 300: zero entries drop cells, and
@@ -283,6 +285,20 @@ def test_theorem3_squares_once_per_distinct_quotient_type(monkeypatch, t, types)
     # with p symbolic: once, as the polynomial that sizes the width and is packed
     factorization_count(GroupType(t))
     assert len(calls) == types
+
+
+@pytest.mark.parametrize("t", [(0, 0, 0), (4, 0, 0), (3, 1, 0), (3, 2, 1)])
+def test_theorem3_reads_each_dimensions_census_once(monkeypatch, t):
+    # one sum for both modes: each k = 0..rank has its census read once, also
+    # with p symbolic, whose weights are evaluated at X rather than read again
+    calls = []
+    census = formulas._cell_census
+    monkeypatch.setattr(formulas, "_cell_census", lambda t, k, pv: calls.append(k) or census(t, k, pv))
+    t = GroupType(t)
+    for p in (7, None):
+        calls.clear()
+        factorization_count(t, p)
+        assert sorted(calls) == list(range(t.rank + 1)), (t, p)
 
 
 @pytest.mark.parametrize("t", [(1, 1, 1), (3, 2, 1), (60, 59, 58), (200, 200, 0)])
