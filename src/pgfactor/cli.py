@@ -68,14 +68,14 @@ _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 MAX_TABLE_ROWS = 3000
 
 # Largest type exponent that count, f2 and verify accept.  With p symbolic,
-# whole process (9 runs): f2 takes 0.09-0.14 s at (1000,1000,1000) and
-# 0.10-0.12 s at (1000,999,998) by theorem3, 0.10-0.13 s at either by
-# mobius, and count 0.08-0.11 s at (1000,1000,1000), most of it interpreter
-# start-up.  In-process (best of 7): the route at (1000,1000,1000) 12 ms by
-# theorem3 and 21-25 ms by mobius, at (1000,999,998) 22 ms and 37 ms, count
-# under 0.5 ms, str() 2 ms.  At the largest accepted --p f2 takes 0.33-0.40 s
-# each: the route 32-51 ms by theorem3 and 31-55 ms by mobius, str() of the
-# 98087-digit value 160-180 ms (Python 3.11, shared 2-CPU host).
+# whole process (9 runs): f2 takes 0.08-0.09 s at (1000,1000,1000) and
+# 0.09-0.10 s at (1000,999,998) by theorem3 or by mobius, and count
+# 0.07-0.08 s at (1000,1000,1000), most of it interpreter start-up.
+# In-process (best of 7): the route at (1000,1000,1000) 11 ms by theorem3
+# and 18 ms by mobius, at (1000,999,998) 22 ms and 30 ms, count under
+# 0.5 ms, str() 1.3 ms.  At the largest accepted --p f2 takes 0.22-0.25 s
+# each: the route 19-37 ms by theorem3 and by mobius, str() of the
+# 98087-digit value about 140 ms (Python 3.11, shared 2-CPU host).
 # A higher bound needs a benchmark instance at it before it is raised.
 MAX_EXPONENT = 1000
 

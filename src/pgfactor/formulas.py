@@ -17,17 +17,21 @@ or with p left symbolic (an IntPolynomial):
   that the quotient lowers by one, so the sum collapses to Hall-weighted
   squared subgroup counts, one sum for both modes.  Cells that lower to the
   same type merge in each dimension's census (``_cell_census``, read once),
-  so each distinct quotient type is squared once.  With p symbolic the sum is
-  not built from polynomial products: each type's subgroup count is built
-  once as a polynomial, packed into one int at p = X = 2^(8w), the sum of
-  their Hall-weighted squares is taken on ints, and F2's coefficients are
-  read off the balanced base-X digits of that value (Kronecker substitution).
+  so each distinct quotient type is squared once.  With p symbolic the sum
+  builds no polynomial: Theorem 3 is a polynomial identity in p, so F2's
+  coefficients are the balanced base-X digits of the numeric sum at
+  p = X = 2^(8w) (Kronecker substitution), which ``from_packed`` reads off.
   Cell by cell, F2 is a sum of terms +-p^j c^2, and each coefficient of c^2
-  is at most sum_i c_i^2 in size (Cauchy-Schwarz), so every coefficient of
-  F2 is at most the sum of sum_i c_i^2 over the cells; merging cells changes
-  how F2 is computed, not that bound.  The width w is the least with
-  2^(8w-1) above it, so no digit overflows into its neighbour and the
-  digits are exactly the coefficients.
+  is at most sum_i c_i^2 in size (Cauchy-Schwarz).  That is at most c(1)^2,
+  because subgroup counts have nonnegative coefficients (sums of p-powers
+  times Gaussian binomials, by Birkhoff's formula; L. M. Butler, "Subgroup
+  lattices and symmetric functions", Mem. AMS 539, 1994).  So every
+  coefficient of F2 is at most the sum of c(1)^2 over the cells; merging
+  cells changes how F2 is computed, not that bound.  c(1) is read off the
+  numerator's runs (``_count_at_one``), which also check that the division
+  is exact.  The width w is the least with 2^(8w-1) above the bound, so no
+  digit overflows into its neighbour and the digits are exactly the
+  coefficients.
 
 Lowered triples may come out unsorted (arguments are multisets and get
 re-sorted) or negative (the whole term vanishes by convention; that
@@ -43,7 +47,7 @@ from functools import reduce
 from itertools import combinations
 
 from .grouptype import GroupType, normalize
-from .poly import InexactDivision, IntPolynomial, P, from_packed, pack
+from .poly import InexactDivision, IntPolynomial, P, from_packed
 
 # Method tags used in CLI output and reports.
 METHOD_SUBGROUP_COUNT = "eq3"
@@ -59,35 +63,74 @@ class FormulaResult:
     method: str
 
 
-def _run(pv: int, shift: int, *run: int) -> int:
-    """pv^shift * (run[0] + run[1] pv + ...), by Horner's rule on ints."""
-    acc = run[-1]
-    for c in run[-2::-1]:
+def _numerator_runs(e1: int, e2: int, e3: int):
+    """The numerator's three runs, each (shift, coefficients) for p^shift (c0 + c1 p + ...).
+
+    The runs start at p^(e2+e3+1), p^(2e3+2) and p^0, with coefficients
+    linear in the exponents.  Runs whose powers overlap (which happens when
+    exponents are equal or zero) simply add.
+    """
+    a, d, s = e3 + 1, e1 - e2, e1 + e2 - e3
+    return ((e2 + e3 + 1, (a * (d - 1), -2 * a, -2 * a * d, 2 * a, a * (d + 1))),
+            (2 * e3 + 2, (s - 1, -2, -(s + 3))),
+            (0, (-(s + 2 * e3 + 1), 2, s + 2 * e3 + 5)))
+
+
+def _horner(run: tuple[int, ...], pv: int) -> int:
+    """run[0] + run[1] pv + ..., by Horner's rule on ints."""
+    acc = 0
+    for c in reversed(run):
         acc = acc * pv + c
-    return pv**shift * acc
+    return acc
 
 
 def _count_numerator(e1: int, e2: int, e3: int, pv):
     """Numerator of the subgroup-count expression; ``pv`` is an int or P.
 
-    Three runs of consecutive powers, at p^(e2+e3+1), p^(2e3+2) and p^0,
-    with coefficients linear in the exponents.  Runs whose powers overlap
-    (which happens when exponents are equal or zero) simply add.  At a
-    prime each run is an int by Horner's rule.  With p symbolic both high
-    runs carry p^(2e3+1), so they are written into one coefficient list of
-    e2-e3+5 entries, shifted into place by one product with p^(2e3+1), and
-    the low run is added.
+    Both high runs carry p^(2e3+1), the first times p^(e2-e3) and the second
+    times p, so either mode takes one power of that size.  With p symbolic
+    the high runs are written into one coefficient list of e2-e3+5 entries,
+    shifted into place by one product with p^(2e3+1), and the low run is
+    added; at a prime each run is an int by Horner's rule.
     """
-    a, d, s = e3 + 1, e1 - e2, e1 + e2 - e3
+    (s1, r1), (s2, r2), (_, low) = _numerator_runs(e1, e2, e3)
+    base = 2 * e3 + 1
     if pv is P:
-        high = [0, s - 1, -2, -(s + 3)] + [0] * (e2 - e3 + 1)
-        for i, c in enumerate((a * (d - 1), -2 * a, -2 * a * d, 2 * a, a * (d + 1)), e2 - e3):
-            high[i] += c
-        low = IntPolynomial((-(s + 2 * e3 + 1), 2, s + 2 * e3 + 5))
-        return P ** (2 * e3 + 1) * IntPolynomial(high) + low
-    return (_run(pv, e2 + e3 + 1, a * (d - 1), -2 * a, -2 * a * d, 2 * a, a * (d + 1))
-            + _run(pv, 2 * e3 + 2, s - 1, -2, -(s + 3))
-            + _run(pv, 0, -(s + 2 * e3 + 1), 2, s + 2 * e3 + 5))
+        high = [0] * (s1 - base + len(r1))
+        for shift, run in ((s1, r1), (s2, r2)):
+            for i, c in enumerate(run, shift - base):
+                high[i] += c
+        return P**base * IntPolynomial(high) + IntPolynomial(low)
+    return pv**base * (pv ** (s1 - base) * _horner(r1, pv) + pv * _horner(r2, pv)) + _horner(low, pv)
+
+
+def _count_at_one(t: GroupType) -> int:
+    """c(1) for the subgroup count c = N / D, read off the numerator's runs.
+
+    D = (p-1)(p^2-1)^2 = (p-1)^3 (p+1)^2 divides N exactly when N, N' and
+    N'' vanish at 1 and N and N' vanish at -1; InexactDivision is raised
+    otherwise.  Then N = (p-1)^3 (p+1)^2 c gives N'''(1) = 3! * 4 c(1).  A
+    term c p^k adds c k(k-1)...(k-j+1) to N^(j)(1) and (-1)^(k-j) times that
+    to N^(j)(-1).
+    """
+    n0 = n1 = n2 = n3 = m0 = m1 = 0
+    for shift, run in _numerator_runs(*t):
+        for k, c in enumerate(run, shift):
+            c1 = c * k
+            c2 = c1 * (k - 1)
+            n0 += c
+            n1 += c1
+            n2 += c2
+            n3 += c2 * (k - 2)
+            if k & 1:
+                m0 -= c
+                m1 += c1
+            else:
+                m0 += c
+                m1 -= c1
+    if n0 or n1 or n2 or m0 or m1:
+        raise InexactDivision(f"the subgroup-count numerator of {t} is not divisible by (p^2-1)^2 (p-1)")
+    return n3 // 24
 
 
 _DENOMINATOR_FACTORS = (P - 1, P**2 - 1, P**2 - 1)
@@ -163,27 +206,24 @@ def _cell_census(t: GroupType, k: int, pv) -> Counter:
 def factorization_count(t: GroupType, p: "int | None" = None) -> FormulaResult:
     """Ordered-pair factorization count: the Hall-weighted sum over the socle cells.
 
-    One sum for both modes over each dimension k's census (``_cell_census``,
-    read once): each distinct quotient type is squared once, its subgroup
-    count c weighted by Hall's value times its number n of subspaces.  With
-    ``p`` None the census has p symbolic and the sum is taken on ints at
-    p = X = 2^(8w): each c is built once as a polynomial and packed at X by
-    ``pack``, each n is evaluated at X, and ``from_packed`` reads F2 back.
-    w is the least with 2^(8w-1) > sum over the types of n(1) sum_i c_i^2,
-    n(1) the type's number of cells: the cell-by-cell bound of the module
-    docstring, so the balanced digits are F2's coefficients.
+    One numeric sum for both modes over each dimension k's census
+    (``_cell_census``, read once): each distinct quotient type is squared
+    once, its subgroup count c weighted by Hall's value times its number n
+    of subspaces.  With ``p`` None the census is read with p symbolic, and
+    the sum is taken at p = X = 2^(8w), with each n evaluated at X, and
+    ``from_packed`` reads F2's coefficients off its digits.  w is the least
+    with 2^(8w-1) > sum over the types of n(1) c(1)^2 (``_count_at_one``),
+    n(1) the type's number of cells: the bound of the module docstring, so
+    the balanced digits are F2's coefficients.
     """
     censuses = [_cell_census(t, k, p if p is not None else P) for k in range(t.rank + 1)]
-    counts = {q: _subgroup_count_value(q, p) for census in censuses for q in census}
     x = p
     if p is None:
-        bound = sum(n.evaluate(1) * sum(c * c for c in counts[q].coeffs)
-                    for census in censuses for q, n in census.items())
+        bound = sum(n.evaluate(1) * _count_at_one(q) ** 2 for census in censuses for q, n in census.items())
         width = bound.bit_length() // 8 + 1
         x = 1 << 8 * width
         censuses = [{q: n.evaluate(x) for q, n in census.items()} for census in censuses]
-        counts = {q: pack(c.coeffs, width) for q, c in counts.items()}
-    value = sum(_hall_value(k, x) * n * counts[q] ** 2
+    value = sum(_hall_value(k, x) * n * _subgroup_count_value(q, x) ** 2
                 for k, census in enumerate(censuses) for q, n in census.items())
     return FormulaResult(value if p is not None else from_packed(value, width), METHOD_CLOSED_FORM)
 

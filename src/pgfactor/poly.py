@@ -8,8 +8,9 @@ one big-int product, so it costs about as much as CPython's multiplication
 of the packed ints.  ``pack`` writes coefficients into the balanced
 base-2^(8*width) digits of one int, the polynomial's value at p = 2^(8*width),
 and ``from_packed``, its inverse, reads a polynomial back off those digits.
-They are the packed digits' one writer and one reader: the packed product
-uses both.  The one division, ``exact_div``, accepts only the divisors
+The packed product uses both; symbolic theorem3 reads F2 with
+``from_packed`` off a sum it takes on ints at p = 2^(8*width), so it packs
+nothing.  The one division, ``exact_div``, accepts only the divisors
 p^k - 1 and is a running sum in each residue class mod k.  Only the public
 constructor checks for integer coefficients; arithmetic results are built by
 ``_poly``, which only trims.

@@ -8,6 +8,7 @@ from pgfactor import formulas
 from pgfactor.cli import MAX_EXPONENT
 from pgfactor.formulas import (
     _CELLS,
+    _count_at_one,
     _count_numerator,
     _exact_quotient,
     _hall_value,
@@ -18,7 +19,7 @@ from pgfactor.formulas import (
 )
 from pgfactor.grouptype import GroupType, normalize
 from pgfactor.mobius import gaussian_binomial
-from pgfactor.poly import InexactDivision, IntPolynomial, P
+from pgfactor.poly import InexactDivision, IntPolynomial, P, from_packed
 
 # Golden polynomial for type (3,2,1), cross-validated against the Mobius
 # route and the brute-force oracle at p in {2,3}.
@@ -196,6 +197,58 @@ def test_inexact_quotient_raises_in_both_modes():
         _exact_quotient(num.evaluate(3) + 1, 3)
 
 
+@pytest.mark.parametrize("t", [(5, 3, 1), (4, 4, 0), (4, 0, 0)])
+@pytest.mark.parametrize("run, i", [(run, i) for run, size in enumerate((5, 3, 3)) for i in range(size)])
+def test_a_changed_run_coefficient_raises(monkeypatch, t, run, i):
+    # adding p^k to the numerator leaves it indivisible by (p^2-1)^2 (p-1):
+    # c(1)'s sums, the polynomial division and the numeric one all say so
+    runs = formulas._numerator_runs
+
+    def changed(*exps):
+        result = [(shift, list(coeffs)) for shift, coeffs in runs(*exps)]
+        result[run][1][i] += 1
+        return result
+
+    monkeypatch.setattr(formulas, "_numerator_runs", changed)
+    t = GroupType(t)
+    for compute in (_count_at_one, factorization_count, subgroup_count, lambda t: subgroup_count(t, 7)):
+        with pytest.raises(InexactDivision):
+            compute(t)
+
+
+def assert_width_premises(t):
+    # theorem3's width rests on sum_i c_i^2 <= c(1)^2, which needs every
+    # coefficient of a subgroup count c to be nonnegative, and on c(1) as
+    # read off the numerator's runs
+    count = subgroup_count(t).value
+    assert min(count.coeffs) >= 0, t
+    assert _count_at_one(t) == count.evaluate(1), t
+
+
+def test_subgroup_counts_are_nonnegative_with_c1_off_the_runs():
+    for t in GRID_TYPES + [GroupType(t) for t in NUMERATOR_TYPES]:
+        assert_width_premises(t)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.lists(st.integers(0, MAX_EXPONENT), min_size=3, max_size=3).map(normalize))
+def test_subgroup_counts_are_nonnegative_with_c1_off_the_runs_up_to_the_largest_exponent(t):
+    assert_width_premises(t)
+
+
+def test_symbolic_theorem3_width_bounds_every_coefficient(monkeypatch):
+    # the width from c(1) is never below the one from sum over the types of
+    # n(1) sum_i c_i^2, which bounds every coefficient of F2
+    widths = []
+    monkeypatch.setattr(formulas, "from_packed", lambda value, width: widths.append(width) or from_packed(value, width))
+    for t in GRID_TYPES + [GroupType(t) for t in NUMERATOR_TYPES[-6:]] + [GroupType((200, 200, 198))]:
+        widths.clear()
+        factorization_count(t)
+        bound = sum(n.evaluate(1) * sum(c * c for c in subgroup_count(q).value.coeffs)
+                    for k in range(t.rank + 1) for q, n in formulas._cell_census(t, k, P).items())
+        assert len(widths) == 1 and 1 << 8 * widths[0] - 1 > bound, t
+
+
 def test_symbolic_division_always_exact():
     # the count numerator must be divisible for every padded descending triple
     for t in GRID_TYPES:
@@ -282,7 +335,7 @@ def test_theorem3_squares_once_per_distinct_quotient_type(monkeypatch, t, types)
     factorization_count(GroupType(t), 7)
     assert len(calls) == types
     calls.clear()
-    # with p symbolic: once, as the polynomial that sizes the width and is packed
+    # with p symbolic: once, as an int at p = X = 2^(8w) in the sum whose digits are F2
     factorization_count(GroupType(t))
     assert len(calls) == types
 
@@ -306,3 +359,22 @@ def test_symbolic_theorem3_squares_no_polynomial(dense_products, t):
     # the squared counts are taken on ints at p = 2^(8w), not as polynomials
     factorization_count(GroupType(t))
     assert dense_products == []
+
+
+@pytest.mark.parametrize("t", [(0, 0, 0), (4, 0, 0), (3, 1, 0), (3, 2, 1)])
+def test_symbolic_theorem3_divides_no_polynomial(monkeypatch, t):
+    # theorem3 takes each count as an int at p = X; subgroup_count(t) still
+    # divides its polynomial numerator by p-1, p^2-1 and p^2-1
+    t = GroupType(t)
+    expected = theorem3_by_polynomials(t)
+    exact_div = IntPolynomial.exact_div
+
+    def refuse(self, den):
+        raise AssertionError(f"symbolic theorem3 divided {self!r} by {den!r}")
+
+    monkeypatch.setattr(IntPolynomial, "exact_div", refuse)
+    assert factorization_count(t).value == expected
+    divisors = []
+    monkeypatch.setattr(IntPolynomial, "exact_div", lambda self, den: divisors.append(den) or exact_div(self, den))
+    subgroup_count(t)
+    assert divisors == [P - 1, P**2 - 1, P**2 - 1]
