@@ -51,7 +51,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import pairwise, product
+from itertools import product
 from math import gcd
 
 from .grouptype import GroupType, type_from_layers
@@ -107,28 +107,42 @@ def build_group(t: GroupType, p: int, max_order: int = DEFAULT_MAX_ORDER) -> Con
 
 @dataclass
 class Lattice:
-    """All subgroups of a ConcreteGroup, held as HNF bases, with F2 precomputed.
+    """All subgroups of a ConcreteGroup, tallied into classes by the HNF walk, with F2 precomputed.
 
-    ``bases`` lists each subgroup's HNF entries (d1, x12, x13, d2, x23, d3)
-    sorted by (order, entries).  A subgroup's id is its position there, so
-    ids are stable across runs; id 0 is the trivial subgroup and the last id
-    is the group.  ``factorizations`` is the number of ordered pairs (H, K)
-    with H + K = G.  ``upward`` is built on first use; so are the membership
-    masks ``subgroups`` (in id order) and the bitmasks over ids ``below[i]``
-    / ``above[i]``, which only the tests and the benchmark's tracer read.
+    ``len()`` is the number of subgroups the walk yielded.  ``frattini``
+    maps each (HNF residues mod p, order) class to its number of subgroups,
+    and ``socle`` each (socle residues mod p, order) class; the two Mobius
+    passes read them, and ``factorizations``, the number of ordered pairs
+    (H, K) with H + K = G, comes from the first.  ``upward`` is built on
+    first use.  So are ``bases``, a second walk that lists each subgroup's
+    HNF entries (d1, x12, x13, d2, x23, d3) sorted by (order, entries), and
+    from it the membership masks ``subgroups`` and the bitmasks over ids
+    ``below[i]`` / ``above[i]``.  A subgroup's id is its position in
+    ``bases``, so ids are stable across runs; id 0 is the trivial subgroup
+    and the last id is the group.  Only the tests, the benchmark's tracer
+    and the ``_exact_mobius`` fallback read ``bases``.
     """
 
     group: ConcreteGroup
-    bases: list[tuple]
+    count: int
+    frattini: dict
+    socle: dict
     factorizations: int
 
     @cached_property
-    def upward(self) -> tuple[list[int], list[int], list[bool]]:
-        """mu(1, H), |[H, G]| where it is nonzero, and whether H is elementary, by id.
+    def upward(self) -> list[tuple]:
+        """The rows of the upward pass: mu(1, H) and |[H, G]| by class.
 
         Both verify checks read it, so they run the upward pass once between them.
         """
-        return _image_mobius(self.group, self.bases, upward=True)
+        return _lattice_mobius(self, upward=True)
+
+    @cached_property
+    def bases(self) -> list[tuple]:
+        """Every subgroup's HNF entries, walked again and sorted by (order, entries)."""
+        n = self.group.order
+        return sorted(((d1, x12, x13, d2, x23, d3) for d1, x12, xs, d2, x23, d3 in _hnf_subgroups(self.group)
+                       for x13 in xs), key=lambda b: (n // (b[0] * b[3] * b[5]), b))
 
     @cached_property
     def subgroups(self) -> list[int]:
@@ -160,7 +174,7 @@ class Lattice:
         return self.containment[1]
 
     def __len__(self) -> int:
-        return len(self.bases)
+        return self.count
 
 
 def _span_mask(moduli, basis) -> int:
@@ -185,27 +199,29 @@ def _span_mask(moduli, basis) -> int:
 
 
 def _hnf_subgroups(g: ConcreteGroup):
-    """Yield the HNF entries (d1, x12, x13, d2, x23, d3) once per subgroup of g.
+    """Yield (d1, x12, xs, d2, x23, d3) once per context, xs the range of its x13.
 
-    With m_i = p^e_i, d_i = p^j_i (j_i <= e_i) and k_i = m_i / d_i, the HNF
-    basis rows are (d1, x12, x13), (0, d2, x23), (0, 0, d3) with
-    0 <= x12 < d2 and 0 <= x13, x23 < d3.  They span a lattice containing
-    diag(m) Z^3 exactly when k2 x23, k1 x12 and k1 x13 - (k1 x12 / d2) x23
-    vanish modulo d3, d2 and d3.  The members a r1 + b r2 + c r3 mod m with
-    a < k1, b < k2, c < k3 are then distinct, and there are k1 k2 k3 of
-    them.  Missing factors have m_i = 1, so ranks below 3 need no special
-    case.
+    Each subgroup of g has the HNF entries (d1, x12, x13, d2, x23, d3) of
+    exactly one yield, with x13 in xs.  With m_i = p^e_i, d_i = p^j_i
+    (j_i <= e_i) and k_i = m_i / d_i, the HNF basis rows are (d1, x12, x13),
+    (0, d2, x23), (0, 0, d3) with 0 <= x12 < d2 and 0 <= x13, x23 < d3.
+    They span a lattice containing diag(m) Z^3 exactly when k2 x23, k1 x12
+    and k1 x13 - (k1 x12 / d2) x23 vanish modulo d3, d2 and d3.  The members
+    a r1 + b r2 + c r3 mod m with a < k1, b < k2, c < k3 are then distinct,
+    and there are k1 k2 k3 of them.  Missing factors have m_i = 1, so ranks
+    below 3 need no special case.
 
     The walk solves the congruences rather than filtering the d2 d3^2
     candidates.  x23 runs over the multiples of d3 / gcd(k2, d3) and x12
-    over those of d2 / gcd(k1, d2).  With c = (k1 x12 / d2) x23 and
-    g13 = gcd(k1, d3), k1 x13 = c (mod d3) has solutions only when g13
-    divides c, and they are one coset of the multiples of s = d3 / g13.
-    As k1 and d3 are powers of p, g13 is the smaller of them: either s = 1
-    and every x13 solves it, or g13 = k1 and x13 = c / k1 (mod s); so the
-    coset starts at (c / g13) mod s either way.  Each basis is checked against
-    the entry ranges and the three conditions before it is yielded, and a
-    failure raises, so the walk checks its own invariant at every subgroup.
+    over those of d2 / gcd(k1, d2); a context is the entries other than
+    x13.  With c = (k1 x12 / d2) x23 and g13 = gcd(k1, d3), k1 x13 = c (mod
+    d3) has solutions only when g13 divides c, and they are one coset of the
+    multiples of s = d3 / g13.  As k1 and d3 are powers of p, g13 is the
+    smaller of them: either s = 1 and every x13 solves it, or g13 = k1 and
+    x13 = c / k1 (mod s); so the coset starts at (c / g13) mod s either way.
+    Every basis of a context is checked against the entry ranges and the
+    three conditions before the context is yielded, and a failure raises,
+    so the walk checks its own invariant at every subgroup.
     """
     m1, m2, m3 = g.moduli
     divisors = [[g.p**j for j in range(e + 1)] for e in g.gtype]
@@ -219,13 +235,47 @@ def _hnf_subgroups(g: ConcreteGroup):
                 c = q * x23
                 if c % g13:
                     continue
-                for x13 in range(c // g13 % s, d3, s):
-                    if (not (0 <= x12 < d2 and 0 <= x13 < d3 and 0 <= x23 < d3)
-                            or k2 * x23 % d3 or k1 * x12 % d2 or (k1 * x13 - q * x23) % d3):
-                        raise RuntimeError(
-                            f"HNF walk yielded ({d1}, {x12}, {x13}, {d2}, {x23}, {d3}), "
-                            f"which breaks the HNF conditions")
-                    yield d1, x12, x13, d2, x23, d3
+                xs = range(c // g13 % s, d3, s)
+                if (not (0 <= x12 < d2 and 0 <= x23 < d3) or k2 * x23 % d3 or k1 * x12 % d2
+                        or [x13 for x13 in xs if not 0 <= x13 < d3 or (k1 * x13 - c) % d3]):
+                    raise RuntimeError(
+                        f"HNF walk yielded ({d1}, {x12}, x13 in {xs}, {d2}, {x23}, {d3}), "
+                        f"which breaks the HNF conditions")
+                yield d1, x12, xs, d2, x23, d3
+
+
+def _tally(g: ConcreteGroup, contexts) -> tuple[int, dict, dict]:
+    """The subgroups of the contexts (d1, x12, xs, d2, x23, d3), counted and tallied by class.
+
+    Returns the count and two tallies, by (HNF residues mod p, order) and
+    by (socle residues mod p, order), that map each class to its number of
+    subgroups.  The HNF residues are the entries mod p; the socle residues
+    are those of the matrix C of ``_socle_key``, nine entries, three
+    columns in turn.  Only C's entry (k1 x12 / d2) x23 - k1 x13) / d3 and
+    x13 itself change along a context's coset x13 = x0 + i s, each by a
+    fixed step per i (k1 s / d3 is an integer), so both residues depend on
+    i mod p alone.  So each context is read at its first p values of x13,
+    each standing for the run xs[i::p], and everything else once.
+    """
+    p = g.p
+    m1, m2, m3 = g.moduli
+    count, frattini, socle = 0, {}, {}
+    for d1, x12, xs, d2, x23, d3 in contexts:
+        k1, k2, k3 = m1 // d1, m2 // d2, m3 // d3
+        q = k1 * x12 // d2
+        c = q * x23
+        order = k1 * k2 * k3
+        r1, r2, r4, r5, r6 = d1 % p, x12 % p, d2 % p, x23 % p, d3 % p
+        c1, c4, c5, c8, c9 = k1 % p, -q % p, k2 % p, -k2 * x23 // d3 % p, k3 % p
+        n = len(xs)
+        count += n
+        for i in range(min(p, n)):
+            x13, w = xs[i], (n - i - 1) // p + 1  # w = len(xs[i::p])
+            key = r1, r2, x13 % p, r4, r5, r6, order
+            frattini[key] = frattini.get(key, 0) + w
+            key = c1, c4, c5, (c - k1 * x13) // d3 % p, c8, c9, order
+            socle[key] = socle.get(key, 0) + w
+    return count, frattini, socle
 
 
 def _frattini_image(residues, r: int, p: int) -> tuple[tuple[int, ...], ...]:
@@ -305,50 +355,46 @@ def _spanning_pairs(images: dict, r: int, p: int) -> int:
     return pairs
 
 
-def _factorizations(bases, g: ConcreteGroup) -> int:
-    """Number of ordered pairs (H, K) with H + K = G, from every subgroup's HNF basis.
+def _factorizations(frattini: dict, g: ConcreteGroup) -> int:
+    """Number of ordered pairs (H, K) with H + K = G, from the walk's tally by HNF residues.
 
-    The bases are tallied by their entries mod p, each distinct tally is
-    reduced once to the subgroup's image in G/pG, and ``_spanning_pairs``
-    counts the pairs of images that span.
+    Each class of the tally is reduced to the subgroups' image in G/pG, and
+    ``_spanning_pairs`` counts the pairs of images that span.
     """
     p, r = g.p, g.gtype.rank
-    residues = Counter((d1 % p, x12 % p, x13 % p, d2 % p, x23 % p, d3 % p)
-                       for d1, x12, x13, d2, x23, d3 in bases)
-    images = Counter()
-    for key, n in residues.items():
-        images[_frattini_image(key, r, p)] += n
+    tally, images = {}, {}
+    for key, n in frattini.items():
+        residues = key[:6]
+        tally[residues] = tally.get(residues, 0) + n
+    for residues, n in tally.items():
+        image = _frattini_image(residues, r, p)
+        images[image] = images.get(image, 0) + n
     return _spanning_pairs(images, r, p)
 
 
 def oracle_factorizations(g: ConcreteGroup) -> int:
     """Number of ordered pairs (H, K) with H + K = G, tallied straight from the HNF walk.
 
-    The same count as ``all_subgroups(g).factorizations``, with memory at the
-    tally of residues mod p rather than the list of bases.  There is no
-    repeated-subgroup check, and none is needed for a walk that yields
-    distinct HNF tuples in range: each subgroup has exactly one HNF basis,
-    so two distinct tuples span two distinct subgroups.  The walk rechecks
-    the ranges and the HNF conditions at every tuple, and ``_spanning_pairs``
-    raises unless exactly one subgroup, G, maps onto G/pG.
+    The same count as ``all_subgroups(g).factorizations``, from the same
+    tally.  There is no repeated-subgroup check, and none is needed for a
+    walk that yields distinct HNF tuples in range: each subgroup has
+    exactly one HNF basis, so two distinct tuples span two distinct
+    subgroups.  The walk rechecks the ranges and the HNF conditions at
+    every tuple, and ``_spanning_pairs`` raises unless exactly one
+    subgroup, G, maps onto G/pG.
     """
-    return _factorizations(_hnf_subgroups(g), g)
+    return _factorizations(_tally(g, _hnf_subgroups(g))[1], g)
 
 
 def all_subgroups(g: ConcreteGroup) -> Lattice:
-    """Enumerate every subgroup by its Hermite normal form basis.
+    """Walk every subgroup by its Hermite normal form basis, tallied into classes.
 
-    The HNF walk meets each subgroup exactly once; sorting by (order, HNF
-    entries) fixes the ids, and a repeated basis raises.  The factorizations
-    come from the same bases through ``_factorizations``, as in
-    ``oracle_factorizations``.
+    The factorizations come from the tally by HNF residues, as in
+    ``oracle_factorizations``; a repeated G raises there, and a repeated
+    proper subgroup shows in the count, which verify checks against eq3.
     """
-    walk = sorted((g.order // (b[0] * b[3] * b[5]), b) for b in _hnf_subgroups(g))
-    for a, b in pairwise(walk):
-        if a == b:
-            raise RuntimeError(f"repeated subgroup of order {a[0]} in the HNF walk")
-    bases = [basis for _, basis in walk]
-    return Lattice(g, bases, _factorizations(bases, g))
+    count, frattini, socle = _tally(g, _hnf_subgroups(g))
+    return Lattice(g, count, frattini, socle, _factorizations(frattini, g))
 
 
 def subgroup_type(g: ConcreteGroup, H: int) -> GroupType:
@@ -460,54 +506,64 @@ def _annihilator(vectors, r: int, p: int) -> tuple[tuple[int, ...], ...]:
     return tuple(null)
 
 
-def _classes(entries, r: int, p: int):
-    """Each subgroup's label, the (key id, order) of each label, and the keys.
+def _key(residues, upward: bool, g: ConcreteGroup) -> tuple[tuple[int, ...], ...]:
+    """The subspace of F_p^r that a Mobius pass keys a residue class by, from ``_tally``'s residues.
 
-    An entry holds nine residues mod p, three vectors of F_p^3, and the
-    subgroup's order last; a label numbers the distinct entries.  The key is
-    the annihilator of the vectors, each distinct set of vectors reduced
-    once per call, and a key's id is its position in the list of keys.
-    """
-    distinct = list(dict.fromkeys(entries))
-    ids, reduced = {}, {}
-    for residues in dict.fromkeys(e[:9] for e in distinct):
-        key = _annihilator((residues[:3], residues[3:6], residues[6:9]), r, p)
-        reduced[residues] = ids.setdefault(key, len(ids))
-    labels = dict(zip(distinct, range(len(distinct))))
-    return [*map(labels.__getitem__, entries)], [(reduced[e[:9]], e[9]) for e in distinct], list(ids)
+    Upward it is the socle image S(H) = Omega_1(H).  v in F_p^r lies in
+    S(H) when the element (v_i m_i / p) lies in L_H, that is when (1/p) v
+    diag(m) R^-1 is integral for the HNF basis R: v C = 0 mod p for the
+    integer matrix C = diag(m) R^-1.  C is upper triangular with diagonal
+    k_i = m_i / d_i, and its other entries are the quotients of the walk's
+    three congruences: -k1 x12 / d2, -(k1 x13 - (k1 x12 / d2) x23) / d3 and
+    -k2 x23 / d3.  So S(H) is the annihilator of C's columns, the nine
+    residues three at a time, cut to the first r rows (for e_j = 0 column
+    j is zero there).
 
-
-def _socle_images(g: ConcreteGroup, bases):
-    """Each subgroup's socle image S(H) = Omega_1(H), a subspace of F_p^r, by the labels of ``_classes``.
-
-    v in F_p^r lies in S(H) when the element (v_i m_i / p) lies in L_H, that
-    is when (1/p) v diag(m) R^-1 is integral for the HNF basis R: v C = 0
-    mod p for the integer matrix C = diag(m) R^-1.  C is upper triangular
-    with diagonal k_i = m_i / d_i, and its other entries are the quotients of
-    the walk's three congruences: -k1 x12 / d2, -(k1 x13 - (k1 x12 / d2) x23)
-    / d3 and -k2 x23 / d3.  So S(H) is the annihilator of C's columns, cut
-    to the first r rows (for e_j = 0 column j is zero there).
-    """
-    p = g.p
-    m1, m2, m3 = g.moduli
-    return _classes([((k1 := m1 // d1) % p, 0, 0, -(q := k1 * x12 // d2) % p, (k2 := m2 // d2) % p, 0,
-                      (q * x23 - k1 * x13) // d3 % p, -k2 * x23 // d3 % p, (k3 := m3 // d3) % p, k1 * k2 * k3)
-                     for d1, x12, x13, d2, x23, d3 in bases], g.gtype.rank, p)
-
-
-def _frattini_duals(g: ConcreteGroup, bases):
-    """Each subgroup's f(H)^perp, f(H) = (H + pG)/pG, a subspace of F_p^r, by the labels of ``_classes``.
-
-    f(H) is the row space of the HNF rows mod p, cut to the first r
-    columns; f(H)^perp is its annihilator, read by the general elimination
+    Downward it is f(H)^perp, f(H) = (H + pG)/pG the row space of the HNF
+    rows mod p cut to the first r columns, read by the general elimination
     of ``_annihilator``, not by ``_frattini_image``, so S1 and the direct
     count share no image reader.  Containment reverses: for K containing
     pG, H <= K exactly when f(H) <= f(K), that is when f(K)^perp <=
     f(H)^perp.
     """
-    p, n = g.p, g.order
-    return _classes([(d1 % p, x12 % p, x13 % p, 0, d2 % p, x23 % p, 0, 0, d3 % p, n // (d1 * d2 * d3))
-                     for d1, x12, x13, d2, x23, d3 in bases], g.gtype.rank, p)
+    if upward:
+        k1, q, k2, v, w, k3 = residues
+        vectors = (k1, 0, 0), (q, k2, 0), (v, w, k3)
+    else:
+        d1, x12, x13, d2, x23, d3 = residues
+        vectors = (d1, x12, x13), (0, d2, x23), (0, 0, d3)
+    return _annihilator(vectors, g.gtype.rank, g.p)
+
+
+def _key_classes(g: ConcreteGroup, tally: dict, upward: bool) -> dict:
+    """A tally by (residues, order) merged into (key, order) classes, each residue set keyed once."""
+    keys, classes = {}, {}
+    for key, n in tally.items():
+        residues, order = key[:-1], key[-1]
+        if residues not in keys:
+            keys[residues] = _key(residues, upward, g)
+        c = keys[residues], order
+        classes[c] = classes.get(c, 0) + n
+    return classes
+
+
+def _subgroup_classes(g: ConcreteGroup, bases, upward: bool) -> list[tuple]:
+    """Each listed subgroup's (key, order), tallied as the walk tallies a context with one x13."""
+    tallies = (_tally(g, [(d1, x12, range(x13, x13 + 1), d2, x23, d3)])[2 if upward else 1]
+               for d1, x12, x13, d2, x23, d3 in bases)
+    return [next(iter(_key_classes(g, tally, upward))) for tally in tallies]
+
+
+def _keyed_orders(g: ConcreteGroup, upward: bool) -> list[int]:
+    """The order of a keyed subgroup whose key has dimension n, for n = 0..r.
+
+    A subgroup is keyed when its order shows it lies in the sublattice its
+    key maps onto subspaces: elementary abelian upward (|H| = p^dim S(H)),
+    containing pG downward (|H| = |pG| p^dim f(H) = |pG| p^(r - dim f(H)^perp)).
+    """
+    p, r = g.p, g.gtype.rank
+    floor = 1 if upward else g.order // p**r
+    return [floor * p ** (n if upward else r - n) for n in range(r + 1)]
 
 
 def _subspaces(key, r: int, p: int, table) -> list:
@@ -524,11 +580,12 @@ def _subspaces(key, r: int, p: int, table) -> list:
     return [u for u in candidates if u in table]
 
 
-def _exact_mobius(bases, upward: bool) -> tuple[list[int], list[int]]:
-    """The Mobius values and far-side counts of ``_image_mobius``, testing containment by ``_contains``.
+def _exact_mobius(g: ConcreteGroup, bases, upward: bool) -> list[tuple]:
+    """The rows of ``_class_mobius``, one per listed subgroup, testing containment by ``_contains``.
 
-    Each subgroup is tested against every nonzero value found so far, and
-    each nonzero one against every listed subgroup.
+    ``bases`` lists HNF entries in (order, entries) order, from the walk's
+    start to its end.  Each subgroup is tested against every nonzero value
+    found so far, and each nonzero one against every listed subgroup.
     """
     n = len(bases)
 
@@ -543,71 +600,98 @@ def _exact_mobius(bases, upward: bool) -> tuple[list[int], list[int]]:
             nonzero.append(i)
     for i in nonzero:
         sizes[i] = sum(between(i, x) for x in range(n))
-    return mu, sizes
+    orders = _keyed_orders(g, upward)
+    return [(key, order, 1, value, size, order == orders[len(key)])
+            for (key, order), value, size in zip(_subgroup_classes(g, bases, upward), mu, sizes)]
+
+
+def _class_mobius(g: ConcreteGroup, classes: dict, upward: bool) -> list[tuple] | None:
+    """Mobius values mu(A, H) (upward) or mu(H, B) (downward) by (key, order) class, or None.
+
+    ``classes`` maps each (key, order) class of the listed subgroups to
+    their number (``_key_classes``).  The walk starts at its first class of
+    least order upward, of greatest order downward.  mu(x, x) = 1 at the
+    start and, for x < y, the sum of mu(x, z) over x <= z <= y vanishes.
+
+    A keyed K (``_keyed_orders``) lies between the start and H exactly
+    when key(K) <= key(H).  So a keyed subgroup's value is minus the sum of
+    the values at the proper subspaces of its key, taken in order of
+    dimension from the start's key, which has the least.  Any other H lies
+    above the keyed K with key(K) <= key(H) (those below Omega_1(H) upward,
+    above H + pG downward) and no others, so while every nonzero value is
+    keyed it takes minus the sum at the subspaces of its key.  On a whole
+    lattice those sums vanish (Hall).  Where one does not, or the start is
+    not keyed, which only a broken walk gives, the pass returns None and
+    its caller falls back to ``_exact_mobius``.  So the values depend only
+    on (key, order), and the pass works on those classes.
+
+    Returns one row (key, order, n, mu, size, keyed) per class.  size
+    counts, where mu != 0, the listed subgroups on the far side, itself
+    included: over the whole lattice |[H, G]| upward and |L(H)| downward;
+    it is 0 elsewhere.  For a keyed K those are the X with key(K) <=
+    key(X), so a tally of the keys is spread to the subspaces of each key.
+    """
+    p, r = g.p, g.gtype.rank
+    orders = _keyed_orders(g, upward)
+    ids = {}  # key -> key id, its position in keys
+    rows = []  # per class: key id, order, n, keyed
+    for (key, order), n in classes.items():
+        rows.append((ids.setdefault(key, len(ids)), order, n, order == orders[len(key)]))
+    keys = list(ids)
+    tally = [0] * len(keys)  # by key id: number of subgroups
+    keyed_keys, other_keys = set(), set()
+    for k, _, n, keyed in rows:
+        tally[k] += n
+        (keyed_keys if keyed else other_keys).add(k)
+    below = [[ids[u] for u in _subspaces(key, r, p, ids)] for key in keys]  # key ids of the subspaces
+
+    first, _, _, start_keyed = (min if upward else max)(rows, key=lambda row: row[1])
+    at = [0] * len(keys)  # by key id: the value at the keyed class with that key
+    at[first] = 1
+    for k in sorted(keyed_keys, key=lambda k: len(keys[k])):
+        if k != first:
+            at[k] = -sum(map(at.__getitem__, below[k]))
+    if not start_keyed or any(sum(map(at.__getitem__, below[k])) for k in other_keys):
+        return None
+    reach = [0] * len(keys)
+    for k, n in enumerate(tally):
+        for u in below[k]:
+            reach[u] += n
+    out = []
+    for k, order, n, keyed in rows:
+        value = at[k] if keyed else 0
+        out.append((keys[k], order, n, value, reach[k] if value else 0, keyed))
+    return out
+
+
+def _lattice_mobius(lattice: Lattice, upward: bool) -> list[tuple]:
+    """The rows of a Mobius pass over the whole lattice, by the classes of its tally.
+
+    A pass that does not vanish, which only a broken walk gives, is taken
+    again by ``_exact_mobius`` on the walked bases.
+    """
+    g = lattice.group
+    classes = _key_classes(g, lattice.socle if upward else lattice.frattini, upward)
+    return _class_mobius(g, classes, upward) or _exact_mobius(g, lattice.bases, upward)
 
 
 def _image_mobius(g: ConcreteGroup, bases, upward: bool) -> tuple[list[int], list[int], list[bool]]:
-    """Mobius values mu(A, H) (upward) or mu(H, B) (downward) over the listed subgroups.
+    """The mu, size and keyed of ``_class_mobius``'s rows for each listed subgroup.
 
-    ``bases`` lists HNF entries in (order, entries) order, from A to B, and
-    the values come out aligned with it, so over the whole lattice the
-    positions are the ids.  mu(x, x) = 1 at the walk's first subgroup and,
-    for x < y, the sum of mu(x, z) over x <= z <= y vanishes.
-
-    Each subgroup has a key, a subspace of F_p^r: its socle image upward,
-    the annihilator of its Frattini image downward.  A subgroup is keyed
-    when its order shows it lies in the sublattice its key maps onto
-    subspaces: elementary abelian upward (|H| = p^dim S(H)), containing pG
-    downward (|H| = |pG| p^dim f(H)).  A keyed K lies between the walk's
-    start and H exactly when key(K) <= key(H).  So a keyed subgroup's value
-    is minus the sum of the values at the proper subspaces of its key, taken
-    in order of dimension from the first subgroup's key, which has the
-    least.  Any other H lies above the keyed K with key(K) <= key(H) (those
-    below Omega_1(H) upward, above H + pG downward) and no others, so while
-    every nonzero value is keyed it takes minus the sum at the subspaces of
-    its key.  On a whole lattice those sums vanish (Hall).  Where one does
-    not, or the first subgroup is not keyed, which only a broken walk gives,
-    the pass falls back to ``_exact_mobius``.  So the values depend only on
-    (key, order), and the pass works on those classes.
-
-    The second list counts, at each nonzero position, the listed subgroups
-    on its far side, itself included: over the whole lattice |[H, G]|
-    upward and |L(H)| downward; it is 0 elsewhere.  For a keyed K those are
-    the X with key(K) <= key(X), so a tally of the keys is spread to the
-    subspaces of each key.  The third list says which subgroups are keyed.
+    ``bases`` lists HNF entries in (order, entries) order, from the walk's
+    start A to its end B, and the values come out aligned with it: mu(A, H)
+    upward, mu(H, B) downward.  The list is tallied by class with the
+    start's class first, each subgroup takes its class's row, and a pass
+    that does not vanish falls back to ``_exact_mobius`` on the list.
     """
-    labels, classes, keys = (_socle_images if upward else _frattini_duals)(g, bases)
-    p, r = g.p, g.gtype.rank
-    floor = 1 if upward else g.order // p**r
-    # the order of a keyed subgroup whose key has dimension n
-    keyed_order = [floor * p ** (n if upward else r - n) for n in range(r + 1)]
-    dims = [len(key) for key in keys]
-    keyed = [order == keyed_order[dims[k]] for k, order in classes]
-    tally = [0] * len(keys)  # by key id: number of subgroups
-    keyed_keys, other_keys = set(), set()
-    for label, count in Counter(labels).items():
-        k = classes[label][0]
-        tally[k] += count
-        (keyed_keys if keyed[label] else other_keys).add(k)
-    ids = {key: k for k, key in enumerate(keys)}
-    below = [[ids[u] for u in _subspaces(key, r, p, ids)] for key in keys]  # key ids of the subspaces
-
-    start = labels[0 if upward else -1]
-    first = classes[start][0]
-    at = [0] * len(keys)  # by key id: the value at the keyed subgroup with that key
-    at[first] = 1
-    for k in sorted(keyed_keys, key=dims.__getitem__):
-        if k != first:
-            at[k] = -sum(at[u] for u in below[k])
-    if not keyed[start] or any(sum(at[u] for u in below[k]) for k in other_keys):
-        return (*_exact_mobius(bases, upward), [keyed[label] for label in labels])
-    reach = [0] * len(keys)
-    for k, count in enumerate(tally):
-        for u in below[k]:
-            reach[u] += count
-    value = [at[k] if e else 0 for (k, _), e in zip(classes, keyed)]
-    size = [reach[k] if v else 0 for (k, _), v in zip(classes, value)]
-    return tuple([*map(by_label.__getitem__, labels)] for by_label in (value, size, keyed))
+    per = _subgroup_classes(g, bases, upward)
+    rows = _class_mobius(g, Counter(per if upward else per[::-1]), upward)
+    if rows is None:
+        rows = _exact_mobius(g, bases, upward)
+    else:
+        at = {row[:2]: row for row in rows}
+        rows = [at[c] for c in per]
+    return tuple([row[k] for row in rows] for k in (3, 4, 5))
 
 
 def mobius_interval(lattice: Lattice, i: int, j: int) -> int:
@@ -629,19 +713,22 @@ def verify_hall(g: ConcreteGroup, lattice: Lattice) -> list[tuple]:
     Non-elementary subgroups must give 0; elementary abelian ones of rank n
     must give (-1)^n p^(n(n-1)/2).  An elementary abelian subgroup of order
     p^n has rank n, so the expected value is looked up by the order rather
-    than by typing H; every subgroup is compared.  The values come from
-    ``lattice.upward``, which also says which subgroups are elementary.  Each
-    mismatch is a check of its own, ``(f"hall[id={i}]", expected, actual)``,
-    before the ``("hall_mismatches", 0, count)`` check.
+    than by typing H.  The values come by class from ``lattice.upward``,
+    which also says which classes are elementary, so every subgroup is
+    compared through its class.  Each class that mismatches is a check of
+    its own, ``(f"hall[order={order},key={key}]", expected, actual)``,
+    before the ``("hall_mismatches", 0, count)`` check, which counts the
+    subgroups in those classes.
     """
     checks = []
     hall = _hall_by_order(g.p)
-    mu, _, elementary = lattice.upward
-    for i, (basis, value, elem) in enumerate(zip(lattice.bases, mu, elementary)):
-        expected = hall[g.order // (basis[0] * basis[3] * basis[5])] if elem else 0
+    mismatches = 0
+    for key, order, n, value, _, elementary in lattice.upward:
+        expected = hall[order] if elementary else 0
         if expected != value:
-            checks.append((f"hall[id={i}]", expected, value))
-    checks.append(("hall_mismatches", 0, len(checks)))
+            checks.append((f"hall[order={order},key={key}]", expected, value))
+            mismatches += n
+    checks.append(("hall_mismatches", 0, mismatches))
     return checks
 
 
@@ -650,7 +737,8 @@ def verify_inversion_forms(g: ConcreteGroup, lattice: Lattice) -> list[tuple]:
 
     S1 sums |L(H)|^2 mu(H, G); S2 sums |[H, G]|^2 mu(1, H) with mu taken
     from the closed form; both must equal the brute-force factorization
-    count.  Each sum counts only at its nonzero terms.  S1 runs where
+    count.  Each sum runs over classes and counts only at its nonzero
+    terms, each n times for a class of n subgroups.  S1 runs where
     mu(H, G) != 0 and reads |L(H)| off the downward pass, keyed by the
     annihilators of the Frattini images; ``_frattini_image``, which gives
     the direct count, feeds nothing in S1.  S2 runs over the elementary
@@ -658,12 +746,10 @@ def verify_inversion_forms(g: ConcreteGroup, lattice: Lattice) -> list[tuple]:
     ``lattice.upward``, the pass that ``verify_hall`` reads.  Returns the
     two checks ``(name, direct count, sum)``.
     """
-    mu_top, below, _ = _image_mobius(g, lattice.bases, upward=False)
-    s1 = sum(n * n * v for v, n in zip(mu_top, below))
+    s1 = sum(n * size * size * value for _, _, n, value, size, _ in _lattice_mobius(lattice, upward=False))
     hall = _hall_by_order(g.p)
-    _, above, elementary = lattice.upward
-    s2 = sum(n * n * hall[g.order // (basis[0] * basis[3] * basis[5])]
-             for basis, n, elem in zip(lattice.bases, above, elementary) if n and elem)
+    s2 = sum(n * size * size * hall[order]
+             for _, order, n, _, size, elementary in lattice.upward if size and elementary)
     direct = count_factorizations(g, lattice)
     return [("inversion_sum_subgroup_counts", direct, s1),
             ("inversion_sum_quotient_counts", direct, s2)]

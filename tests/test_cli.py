@@ -552,10 +552,25 @@ def test_f2_and_table_build_no_mask(capsys, monkeypatch, argv, fmt):
 
 @pytest.mark.parametrize("argv", [argv for argv in MASK_FREE_COMMANDS if argv[0] == "verify"], ids=" ".join)
 def test_verify_builds_no_mask(capsys, monkeypatch, argv):
-    # verify keeps the HNF bases and reads its checks off their images
+    # verify reads its checks off the classes the walk tallies
     expected = run_cli(capsys, *argv)
     assert expected[0] == 0, expected
     _refuse_masks(monkeypatch)
+    assert run_cli(capsys, *argv) == expected
+
+
+@pytest.mark.parametrize("argv", [argv for argv in MASK_FREE_COMMANDS if argv[0] == "verify"], ids=" ".join)
+def test_verify_keeps_no_bases(capsys, monkeypatch, argv):
+    # verify lists no HNF basis: Lattice.bases, a second walk, is read only
+    # by the tests, the tracer and the exact fallback, which no whole
+    # lattice reaches
+    expected = run_cli(capsys, *argv)
+    assert expected[0] == 0, expected
+
+    def refuse(self):
+        raise AssertionError("HNF bases listed")
+
+    monkeypatch.setattr(pgfactor.oracle.Lattice, "bases", property(refuse))
     assert run_cli(capsys, *argv) == expected
 
 
@@ -569,23 +584,60 @@ def test_verify_walks_the_lattice_once(capsys, monkeypatch):
     assert len(calls) == 1
 
 
+def _trivial_twice(walk):
+    """``walk`` with its last context, d_i = m_i, the trivial subgroup alone, yielded again."""
+    def twice(g):
+        contexts = list(walk(g))
+        yield from contexts
+        yield contexts[-1]
+
+    return twice
+
+
 def test_table_catches_a_walk_that_repeats_a_proper_subgroup(capsys, monkeypatch):
     # the mask-free tier has no repeated-subgroup check: a repeated proper
     # subgroup adds its pairs with G, and the routes then disagree
-    walk = pgfactor.oracle._hnf_subgroups
-
-    def trivial_twice(g):
-        bases = list(walk(g))
-        yield from bases
-        yield bases[-1]  # the last divisor triple is d_i = m_i, the trivial subgroup
-
-    monkeypatch.setattr(pgfactor.oracle, "_hnf_subgroups", trivial_twice)
+    monkeypatch.setattr(pgfactor.oracle, "_hnf_subgroups", _trivial_twice(pgfactor.oracle._hnf_subgroups))
     code, out, err = run_cli(capsys, "table", "--max-lambda", "1", "--primes", "2", "--format", "csv")
     assert code == 1
     assert "methods disagree" in err
     rows = [line.split(",") for line in out.splitlines()[1:]]
     assert len(rows) == 3
     assert all(int(oracle) == int(theorem3) + 2 for *_, theorem3, _, oracle in rows)
+
+
+def test_verify_catches_a_walk_that_repeats_a_proper_subgroup(capsys, monkeypatch):
+    # verify has no repeated-subgroup check either: the walked count then
+    # exceeds eq3's by one, and the count row fails
+    monkeypatch.setattr(pgfactor.oracle, "_hnf_subgroups", _trivial_twice(pgfactor.oracle._hnf_subgroups))
+    code, out, err = run_cli(capsys, "verify", "--type", "2,1,0", "--p", "3")
+    assert code == 1, err
+    report = json.loads(out)
+    assert report["overall"] is False
+    assert report["checks"][0] == {"name": "count", "status": "fail", "expected": "11", "actual": "10"}
+
+
+def test_verify_falls_back_and_fails_on_a_walk_without_omega1(capsys, monkeypatch):
+    # at (2,1,0) and p = 3, Omega_1(G) has d = (3, 1, 1), no other entries
+    # and a context of its own; without it the upward pass leaves a nonzero
+    # mu(1, H) at the subgroups above it, none of them keyed, so verify must
+    # take the exact pass over the walked bases and report the failure
+    walk = pgfactor.oracle._hnf_subgroups
+    omega1 = (3, 0, range(0, 1), 1, 0, 1)
+    g = pgfactor.build_group(pgfactor.GroupType((2, 1, 0)), 3)
+    assert omega1 in list(walk(g))
+    monkeypatch.setattr(pgfactor.oracle, "_hnf_subgroups", lambda g: (c for c in walk(g) if c != omega1))
+    exact = pgfactor.oracle._exact_mobius
+    fallbacks = []
+    monkeypatch.setattr(pgfactor.oracle, "_exact_mobius",
+                        lambda g, bases, upward: fallbacks.append(upward) or exact(g, bases, upward))
+    code, out, err = run_cli(capsys, "verify", "--type", "2,1,0", "--p", "3")
+    assert code == 1, err
+    report = json.loads(out)
+    assert report["overall"] is False
+    assert True in fallbacks
+    failed = {row["name"] for row in report["checks"] if row["status"] == "fail"}
+    assert {"count", "hall_mismatches"} <= failed
 
 
 def test_table_csv(capsys):

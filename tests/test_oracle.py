@@ -4,6 +4,8 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
+from collections import Counter
 from itertools import accumulate, product
 from pathlib import Path
 
@@ -260,91 +262,96 @@ def _fresh_lattice(exps, p):
     return g, all_subgroups(g)
 
 
+def _plant(monkeypatch, upward, change):
+    """Patch ``oracle._class_mobius`` so that ``change`` edits the rows of each pass in one direction.
+
+    ``change(rows)`` returns the index of a row and the new (mu, size) there.
+    """
+    real = oracle._class_mobius
+
+    def planted(g, classes, direction):
+        rows = real(g, classes, direction)
+        if direction == upward:
+            i, mu, size = change(rows)
+            key, order, n, _, _, keyed = rows[i]
+            rows[i] = key, order, n, mu, size, keyed
+        return rows
+
+    monkeypatch.setattr(oracle, "_class_mobius", planted)
+
+
+def _row(rows, order, keyed):
+    """The index of the first row of the given order and keyed flag."""
+    return next(i for i, row in enumerate(rows) if row[1] == order and row[5] == keyed)
+
+
 def test_verify_hall_compares_subgroups_outside_omega1(monkeypatch):
-    # verify_hall expects a nonzero value only at the subgroups the upward
-    # pass marks elementary; a nonzero value planted at one outside Omega_1(G)
-    # must still count as a mismatch
+    # verify_hall expects a nonzero value only at the classes the upward
+    # pass marks elementary; a nonzero value planted at the class of the
+    # three cyclic subgroups of order 9, outside Omega_1(G), must count as
+    # a mismatch of its three subgroups
     g, lat = _fresh_lattice((2, 1, 0), 3)
-    omega1 = g.omega[1]
-    outside = next(i for i, H in enumerate(lat.subgroups) if H & omega1 != H)
-    real = oracle._image_mobius
-
-    def planted(g, bases, upward):
-        mu, sizes, keyed = real(g, bases, upward)
-        mu[outside] = 1
-        return mu, sizes, keyed
-
-    monkeypatch.setattr(oracle, "_image_mobius", planted)
+    _plant(monkeypatch, True, lambda rows: (_row(rows, 9, False), 1, 0))
     checks = verify_hall(g, lat)
-    assert [name for name, _, _ in _failures(checks)] == [f"hall[id={outside}]", "hall_mismatches"]
-    assert checks[-1] == ("hall_mismatches", 0, 1)
+    assert [name for name, _, _ in _failures(checks)] == ["hall[order=9,key=((1, 0),)]", "hall_mismatches"]
+    assert checks[-1] == ("hall_mismatches", 0, 3)
 
 
 def test_verify_hall_compares_subgroups_inside_omega1(monkeypatch):
-    # verify_hall reads the expected value of an elementary abelian subgroup
+    # verify_hall reads the expected value of an elementary abelian class
     # from its order; a wrong value planted at one must count as a mismatch
     g, lat = _fresh_lattice((2, 1, 0), 3)
-    omega1 = g.omega[1]
-    inside = next(i for i, H in enumerate(lat.subgroups) if H.bit_count() == 3 and H & omega1 == H)
-    real = oracle._image_mobius
 
-    def planted(g, bases, upward):
-        mu, sizes, keyed = real(g, bases, upward)
-        mu[inside] += 1
-        return mu, sizes, keyed
+    def change(rows):
+        i = _row(rows, 3, True)
+        return i, rows[i][3] + 1, rows[i][4]
 
-    monkeypatch.setattr(oracle, "_image_mobius", planted)
+    _plant(monkeypatch, True, change)
     checks = verify_hall(g, lat)
-    assert [name for name, _, _ in _failures(checks)] == [f"hall[id={inside}]", "hall_mismatches"]
+    assert [name for name, _, _ in _failures(checks)] == ["hall[order=3,key=((1, 0),)]", "hall_mismatches"]
     assert checks[-1] == ("hall_mismatches", 0, 1)
 
 
 def test_inversion_forms_read_subgroup_counts_from_the_recursion(monkeypatch):
-    # S1 takes |L(H)| from the downward pass's counts; one count planted off
-    # by one at a nonzero mu(H, G) must fail S1 and leave S2 passing
+    # S1 takes |L(H)| from the downward pass's counts; one class's count
+    # planted off by one at a nonzero mu(H, G) must fail S1 and leave S2 passing
     g, lat = _fresh_lattice((2, 1, 0), 3)
-    real = oracle._image_mobius
 
-    def planted(g, bases, upward):
-        mu, sizes, keyed = real(g, bases, upward)
-        if not upward:
-            sizes[next(i for i, v in enumerate(mu) if v)] += 1
-        return mu, sizes, keyed
+    def change(rows):
+        i = next(i for i, row in enumerate(rows) if row[3])
+        return i, rows[i][3], rows[i][4] + 1
 
-    monkeypatch.setattr(oracle, "_image_mobius", planted)
+    _plant(monkeypatch, False, change)
     failed = [name for name, _, _ in _failures(verify_inversion_forms(g, lat))]
     assert failed == ["inversion_sum_subgroup_counts"]
 
 
 def test_inversion_forms_read_interval_sizes_from_the_upward_pass(monkeypatch):
-    # S2 takes |[H, G]| from the upward pass's counts; one count planted off
-    # by one at a nonzero mu(1, H), H elementary, must fail S2 and leave S1 passing
+    # S2 takes |[H, G]| from the upward pass's counts; one class's count
+    # planted off by one at a nonzero mu(1, H), H elementary, must fail S2
+    # and leave S1 passing
     g, lat = _fresh_lattice((2, 1, 0), 3)
-    real = oracle._image_mobius
-    h = next(i for i, H in enumerate(lat.subgroups) if H.bit_count() == 3 and H & g.omega[1] == H)
 
-    def planted(g, bases, upward):
-        mu, sizes, keyed = real(g, bases, upward)
-        if upward:
-            assert mu[h] and keyed[h]
-            sizes[h] += 1
-        return mu, sizes, keyed
+    def change(rows):
+        i = _row(rows, 3, True)
+        assert rows[i][3]
+        return i, rows[i][3], rows[i][4] + 1
 
-    monkeypatch.setattr(oracle, "_image_mobius", planted)
+    _plant(monkeypatch, True, change)
     failed = [name for name, _, _ in _failures(verify_inversion_forms(g, lat))]
     assert failed == ["inversion_sum_quotient_counts"]
 
 
 def test_hall_and_inversion_forms_share_one_upward_pass(monkeypatch):
     g, lat = _fresh_lattice((2, 2, 1), 2)
-    real = oracle._image_mobius
+    real = oracle._class_mobius
     calls = []
 
-    def counting(g, bases, upward):
+    def counting(g, classes, upward):
         calls.append(upward)
-        return real(g, bases, upward)
+        return real(g, classes, upward)
 
-    monkeypatch.setattr(oracle, "_image_mobius", counting)
+    monkeypatch.setattr(oracle, "_class_mobius", counting)
     assert _failures(verify_hall(g, lat)) == []
     assert _failures(verify_inversion_forms(g, lat)) == []
     assert sorted(calls) == [False, True]
@@ -507,20 +514,29 @@ def test_count_factorizations_by_sumsets(exps, p, lattice_cache):
     assert direct == count_factorizations(g, lat)
 
 
-WHOLE_GROUP_HNF = (1, 0, 0, 1, 0, 1)
+def _walked_bases(g, walk=None):
+    """The HNF entries (d1, x12, x13, d2, x23, d3) of every subgroup the walk yields, in walk order."""
+    return [(d1, x12, x13, d2, x23, d3)
+            for d1, x12, xs, d2, x23, d3 in (walk or oracle._hnf_subgroups)(g) for x13 in xs]
+
+
+# the context of G, d_i = 1 and no off-diagonal entries, with its one x13
+WHOLE_GROUP_CONTEXT = (1, 0, range(0, 1), 1, 0, 1)
 
 
 def _whole_group_twice(hnf_subgroups):
     def walk(g):
         yield from hnf_subgroups(g)
-        yield WHOLE_GROUP_HNF
+        yield WHOLE_GROUP_CONTEXT
 
     return walk
 
 
 def test_all_subgroups_rejects_a_repeated_whole_group(monkeypatch):
+    # no repeated-subgroup check: the Frattini tally catches a second copy
+    # of G, as the only subgroup that maps onto G/pG
     monkeypatch.setattr(oracle, "_hnf_subgroups", _whole_group_twice(oracle._hnf_subgroups))
-    with pytest.raises(RuntimeError, match="repeated subgroup"):
+    with pytest.raises(RuntimeError, match="2 subgroups map onto G/pG"):
         all_subgroups(build_group(GroupType((2, 1, 0)), 2))
 
 
@@ -533,7 +549,7 @@ def test_all_subgroups_rejects_a_repeated_whole_group_under_optimize():
         "walk = oracle._hnf_subgroups\n"
         "def twice(g):\n"
         "    yield from walk(g)\n"
-        f"    yield {WHOLE_GROUP_HNF}\n"
+        f"    yield {WHOLE_GROUP_CONTEXT}\n"
         "oracle._hnf_subgroups = twice\n"
         "oracle.all_subgroups(oracle.build_group(oracle.GroupType((2, 1, 0)), 2))\n"
     )
@@ -541,20 +557,18 @@ def test_all_subgroups_rejects_a_repeated_whole_group_under_optimize():
         [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
     )
     assert proc.returncode != 0
-    assert "RuntimeError: repeated subgroup" in proc.stderr
+    assert "RuntimeError: 2 subgroups map onto G/pG" in proc.stderr
 
 
 def test_all_subgroups_rejects_a_walk_without_the_whole_group(monkeypatch):
     walk = oracle._hnf_subgroups
     monkeypatch.setattr(oracle, "_hnf_subgroups",
-                        lambda g: (e for e in walk(g) if e != WHOLE_GROUP_HNF))
+                        lambda g: (c for c in walk(g) if c != WHOLE_GROUP_CONTEXT))
     with pytest.raises(RuntimeError, match="0 subgroups map onto G/pG"):
         all_subgroups(build_group(GroupType((2, 1, 0)), 2))
 
 
 def test_mask_free_tier_rejects_a_repeated_whole_group(monkeypatch):
-    # no repeated-subgroup check without masks: the Frattini tally catches a
-    # second copy of G, as the only subgroup that maps onto G/pG
     monkeypatch.setattr(oracle, "_hnf_subgroups", _whole_group_twice(oracle._hnf_subgroups))
     with pytest.raises(RuntimeError, match="2 subgroups map onto G/pG"):
         oracle_factorizations(build_group(GroupType((2, 1, 0)), 2))
@@ -563,7 +577,7 @@ def test_mask_free_tier_rejects_a_repeated_whole_group(monkeypatch):
 def test_mask_free_tier_rejects_a_walk_without_the_whole_group(monkeypatch):
     walk = oracle._hnf_subgroups
     monkeypatch.setattr(oracle, "_hnf_subgroups",
-                        lambda g: (e for e in walk(g) if e != WHOLE_GROUP_HNF))
+                        lambda g: (c for c in walk(g) if c != WHOLE_GROUP_CONTEXT))
     with pytest.raises(RuntimeError, match="0 subgroups map onto G/pG"):
         oracle_factorizations(build_group(GroupType((2, 1, 0)), 2))
 
@@ -589,7 +603,7 @@ def test_solved_walk_and_mask_free_tier_match_the_references_on_every_accepted_c
     failing = []
     for exps, p in oracle_cells(oracle.DEFAULT_MAX_ORDER):
         g = build_group(GroupType(exps), p)
-        walk = list(oracle._hnf_subgroups(g))
+        walk = _walked_bases(g)
         if (len(set(walk)) != len(walk) or set(walk) != set(_reference_hnf_subgroups(g))
                 or oracle_factorizations(g) != all_subgroups(g).factorizations):
             failing.append((exps, p))
@@ -614,7 +628,7 @@ def _mutant_walk(old, new):
 ])
 def test_walk_rechecks_its_x13_coset(monkeypatch, coset):
     g = build_group(GroupType((2, 2, 2)), 2)
-    assert sorted(_mutant_walk(X13_COSET, X13_COSET)(g)) == sorted(oracle._hnf_subgroups(g))
+    assert list(_mutant_walk(X13_COSET, X13_COSET)(g)) == list(oracle._hnf_subgroups(g))
     mutant = _mutant_walk(X13_COSET, coset)
     with pytest.raises(RuntimeError, match="breaks the HNF conditions"):
         list(mutant(g))
@@ -716,25 +730,21 @@ def test_image_mobius_falls_back_on_a_walk_with_a_planted_gap(monkeypatch, exps,
     real = oracle._exact_mobius
     fallbacks = []
     monkeypatch.setattr(oracle, "_exact_mobius",
-                        lambda bases, upward: fallbacks.append(upward) or real(bases, upward))
+                        lambda g, bases, upward: fallbacks.append(upward) or real(g, bases, upward))
     mu, sizes, keyed = oracle._image_mobius(g, bases, upward)
     assert fallbacks == [upward]
     assert (mu, sizes, keyed) == _dense_passes(g, masks, upward)
     assert any(v and not k for v, k in zip(mu, keyed))
 
 
-def _per_subgroup(images):
-    """Each subgroup's key, from what ``oracle._socle_images`` or ``_frattini_duals`` returns."""
-    labels, classes, keys = images
-    return [keys[classes[label][0]] for label in labels]
-
-
 def test_images_match_masks_on_every_accepted_cell(monkeypatch):
-    # the keys against membership masks on every cell under the default cap:
-    # p^dim S(H) = |H & Omega_1(G)| and p^dim f(H) = |H| / |H & pG|, and the
-    # relation the passes read off the keys is mask subset, for elementary K
-    # (K <= H exactly when S(K) <= S(H)) and for K containing pG (X <= K
-    # exactly when f(K)^perp <= f(X)^perp); on whole lattices no pass falls back
+    # the class keys against membership masks on every cell under the
+    # default cap: p^dim S(H) = |H & Omega_1(G)| and p^dim f(H) = |H| / |H &
+    # pG|, and the relation the passes read off the keys is mask subset, for
+    # elementary K (K <= H exactly when S(K) <= S(H)) and for K containing
+    # pG (X <= K exactly when f(K)^perp <= f(X)^perp); the walk's tallies
+    # hold each subgroup's own class, each class's rows say whether its
+    # subgroups are keyed, and on whole lattices no pass falls back
     def refuse(*args):
         raise AssertionError("a pass fell back on a whole lattice")
 
@@ -745,19 +755,22 @@ def test_images_match_masks_on_every_accepted_cell(monkeypatch):
         lat = all_subgroups(g)
         r, masks = g.gtype.rank, lat.subgroups
         omega1, floor = g.omega[min(1, exps[0])], g.multiples[min(1, exps[0])]
-        socle = _per_subgroup(oracle._socle_images(g, lat.bases))
-        duals = _per_subgroup(oracle._frattini_duals(g, lat.bases))
+        socle = oracle._subgroup_classes(g, lat.bases, upward=True)
+        duals = oracle._subgroup_classes(g, lat.bases, upward=False)
+        rows = [{row[:2]: row[5] for row in oracle._lattice_mobius(lat, upward)} for upward in (False, True)]
         included = functools.cache(lambda small, big: len(_echelon(big + small, p)) == len(big))
         elementary = [H & omega1 == H for H in masks]
         above_floor = [H & floor == floor for H in masks]
-        if (lat.upward[2] != elementary
-                or oracle._image_mobius(g, lat.bases, upward=False)[2] != above_floor
-                or [p ** len(s) for s in socle] != [(H & omega1).bit_count() for H in masks]
-                or [p ** (r - len(d)) for d in duals]
+        if (Counter(socle) != oracle._key_classes(g, lat.socle, True)
+                or Counter(duals) != oracle._key_classes(g, lat.frattini, False)
+                or [rows[True][c] for c in socle] != elementary
+                or [rows[False][c] for c in duals] != above_floor
+                or [p ** len(key) for key, _ in socle] != [(H & omega1).bit_count() for H in masks]
+                or [p ** (r - len(key)) for key, _ in duals]
                 != [H.bit_count() // (H & floor).bit_count() for H in masks]
-                or any(included(socle[k], socle[h]) != (H & K == K)
+                or any(included(socle[k][0], socle[h][0]) != (H & K == K)
                        for k, K in enumerate(masks) if elementary[k] for h, H in enumerate(masks))
-                or any(included(duals[k], duals[x]) != (K & X == X)
+                or any(included(duals[k][0], duals[x][0]) != (K & X == X)
                        for k, K in enumerate(masks) if above_floor[k] for x, X in enumerate(masks))):
             failing.append((exps, p))
     assert failing == []
@@ -911,7 +924,7 @@ MASK_GROUPS = [
 @pytest.mark.parametrize("exps,p", MASK_GROUPS)
 def test_span_mask_matches_reference_on_every_basis(exps, p):
     g = build_group(GroupType(exps), p)
-    for basis in oracle._hnf_subgroups(g):
+    for basis in _walked_bases(g):
         assert oracle._span_mask(g.moduli, basis) == _reference_span_mask(g.moduli, basis), basis
 
 
@@ -920,7 +933,7 @@ def test_span_mask_matches_reference_on_every_basis(exps, p):
 def test_all_subgroups_masks_and_ids_match_reference_masks(exps, p):
     # ids follow (order, HNF entries), and the lazy masks follow the ids
     g = build_group(GroupType(exps), p)
-    bases = sorted(oracle._hnf_subgroups(g), key=lambda b: (_order(g, b), b))
+    bases = sorted(_walked_bases(g), key=lambda b: (_order(g, b), b))
     lat = all_subgroups(g)
     assert lat.bases == bases
     assert lat.subgroups == [_reference_span_mask(g.moduli, basis) for basis in bases]
@@ -943,6 +956,23 @@ def test_walk_builds_no_layer_lists(exps, p):
     assert "omega" in vars(g)
 
 
+def test_verify_holds_classes_not_subgroups():
+    # the walk, hall and eq2 at (5,5,5) and p = 2, order 2^15 with the most
+    # subgroups (22308), hold the walk's classes, a few hundred, and no
+    # per-subgroup list: the bases alone took several MB
+    g = build_group(GroupType((5, 5, 5)), 2, max_order=2**15)
+    tracemalloc.start()
+    try:
+        lat = all_subgroups(g)
+        checks = verify_hall(g, lat) + verify_inversion_forms(g, lat)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(lat) == 22308
+    assert _failures(checks) == []
+    assert peak < 2**20
+
+
 def _reference_frattini_image(residues, r, p):
     """The image in G/pG by general elimination: ``_echelon`` of the HNF rows mod p, r columns."""
     d1, x12, x13, d2, x23, d3 = residues
@@ -953,7 +983,7 @@ def _reference_frattini_image(residues, r, p):
 @pytest.mark.parametrize("exps,p", MASK_GROUPS)
 def test_frattini_image_matches_echelon_reference(exps, p):
     g = build_group(GroupType(exps), p)
-    keys = {tuple(x % p for x in basis) for basis in oracle._hnf_subgroups(g)}
+    keys = {tuple(x % p for x in basis) for basis in _walked_bases(g)}
     for key in keys:
         for r in range(4):
             expected = _reference_frattini_image(key, r, p)
@@ -963,7 +993,7 @@ def test_frattini_image_matches_echelon_reference(exps, p):
 @functools.cache
 def _bases_over_cap(exps, p):
     g = build_group(GroupType(exps), p, max_order=p ** sum(exps))
-    return g.moduli, list(oracle._hnf_subgroups(g))
+    return g.moduli, _walked_bases(g)
 
 
 @settings(deadline=None, max_examples=60)
@@ -977,12 +1007,15 @@ def test_span_mask_matches_reference_over_the_cap(case, data):
 @pytest.mark.parametrize("exps,p", PAIR_COUNT_GROUPS)
 def test_socle_intervals_match_interval_size(exps, p, lattice_cache):
     # the upward pass counts |[H, G]| at every elementary abelian H, the
-    # subgroups whose mu(1, H) Hall's theorem makes nonzero
+    # subgroups whose mu(1, H) Hall's theorem makes nonzero; each subgroup
+    # reads the row of its class
     g, lat = lattice_cache(exps, p)
-    _, sizes, keyed = lat.upward
+    rows = {row[:2]: row for row in lat.upward}
+    per_id = [rows[c] for c in oracle._subgroup_classes(g, lat.bases, upward=True)]
     omega1 = g.omega[min(1, exps[0])]
     elementary = [i for i, H in enumerate(lat.subgroups) if H & omega1 == H]
-    assert [i for i, k in enumerate(keyed) if k] == elementary
-    assert [i for i, n in enumerate(sizes) if n] == elementary
+    assert [i for i, row in enumerate(per_id) if row[5]] == elementary
+    assert [i for i, row in enumerate(per_id) if row[4]] == elementary
     for i in elementary:
-        assert sizes[i] == interval_size(lat, i) == lat.above[i].bit_count()
+        assert per_id[i][4] == interval_size(lat, i) == lat.above[i].bit_count()
+    assert sum(row[2] for row in lat.upward) == len(lat)
