@@ -81,13 +81,15 @@ MAX_EXPONENT = 1000
 
 # Largest oracle element cap that --max-order accepts.  No oracle command
 # holds a subgroup mask: f2 --method oracle and table tally HNF residues mod
-# p (f2 at (5,5,5)@2 peaks at about 16 MB), and verify keeps one HNF basis
-# per subgroup and reads hall and eq2 off each basis's socle and Frattini
-# images, so its memory grows with the subgroup count and its time with
-# that count plus p^3, the points of every plane at rank 3.  At this cap
-# verify at (5,5,5)@2, order 2^15 with the most subgroups (22308), peaks at
-# about 23 MB, and at (1,1,1)@31, order 29791 with the most elementary
-# abelian subgroups (all 1988), takes about 0.3 s whole process.  The
+# p (f2 at (5,5,5)@2 peaks at about 16 MB), and verify tallies the walk
+# into classes by residues mod p and order and reads hall and eq2 off each
+# class's socle and Frattini keys, so its memory grows with the number of
+# classes, at most the subgroup count, and its time with that count plus
+# p^3, the points of every plane at rank 3.  At this cap verify at
+# (5,5,5)@2, order 2^15 with the most subgroups (22308, in 185 classes of
+# each kind), peaks at about 16.5 MB, and at (1,1,1)@31, order 29791 with
+# the most elementary abelian subgroups (all 1988, each a class of its
+# own), takes about 0.17 s and 18 MB whole process.  The
 # README gives both cells' time and peak memory; CI runs both, (1,1,1)@31
 # with eq2 alone and f2 --method oracle at both, under a 60 s timeout,
 # prints their wall time and peak RSS, and fails verify at (5,5,5)@2 above

@@ -15,11 +15,15 @@ exactly once, by explicit enumeration rather than a formula, so the oracle
 stays independent of the closed form.  The walk solves the HNF congruences
 for the off-diagonal entries and rechecks each basis it yields.
 
-There are two tiers, and neither builds a subgroup as a set of elements.
-``oracle_factorizations``, which ``f2 --method oracle`` and ``table`` call,
-tallies the bases' entries mod p.  ``all_subgroups``, which only ``verify``
-calls, also keeps the bases, sorted by (order, HNF entries), and rejects a
-repeated one; a subgroup's id is its position there.
+The walk yields each choice of the entries other than x13 (a context) with
+the coset of x13 values that complete it, and neither tier lists the bases
+or builds a subgroup as a set of elements.  ``oracle_factorizations``, which
+``f2 --method oracle`` and ``table`` call, tallies the subgroups by their
+HNF residues mod p.  ``all_subgroups``, which only ``verify`` calls, tallies
+them into classes by (HNF residues, order) and (socle residues, order), and
+every check runs once per class: 271 classes of each kind hold the 509734
+subgroups at (7,7,7) and p = 2.  A repeated G raises in the count of pairs,
+and a repeated proper subgroup shows in the count that verify checks.
 
 No check takes a pass over all pairs of subgroups.  By Burnside's basis
 theorem pG is the Frattini subgroup (B. Huppert, "Endliche Gruppen I",
@@ -31,9 +35,9 @@ values vanish outside the elementary abelian sections (P. Hall, "The
 Eulerian functions of a group", 1936): mu(1, H) != 0 only for H inside
 Omega_1(G), and, read in the dual lattice, mu(H, G) != 0 only for H above
 pG.  Both sublattices are subspace lattices of F_p^r, so the two Mobius
-passes key each subgroup by a subspace read off its HNF basis (its socle
-image upward, the annihilator of its Frattini image downward) and sum over
-the subspaces of a key; at rank 3 a plane's proper nonzero subspaces are its
+passes key each class by a subspace read off its residues (the socle image
+upward, the annihilator of the Frattini image downward) and sum over the
+subspaces of a key; at rank 3 a plane's proper nonzero subspaces are its
 p + 1 points.  A nonzero value off those sublattices, which only a broken
 walk gives, sends the pass to exact containment tests on the HNF bases.
 
@@ -110,17 +114,17 @@ class Lattice:
     """All subgroups of a ConcreteGroup, tallied into classes by the HNF walk, with F2 precomputed.
 
     ``len()`` is the number of subgroups the walk yielded.  ``frattini``
-    maps each (HNF residues mod p, order) class to its number of subgroups,
-    and ``socle`` each (socle residues mod p, order) class; the two Mobius
-    passes read them, and ``factorizations``, the number of ordered pairs
-    (H, K) with H + K = G, comes from the first.  ``upward`` is built on
-    first use.  So are ``bases``, a second walk that lists each subgroup's
-    HNF entries (d1, x12, x13, d2, x23, d3) sorted by (order, entries), and
-    from it the membership masks ``subgroups`` and the bitmasks over ids
-    ``below[i]`` / ``above[i]``.  A subgroup's id is its position in
-    ``bases``, so ids are stable across runs; id 0 is the trivial subgroup
-    and the last id is the group.  Only the tests, the benchmark's tracer
-    and the ``_exact_mobius`` fallback read ``bases``.
+    and ``socle`` are ``_tally``'s two tallies, by (HNF residues mod p,
+    order) and by (socle residues mod p, order); the two Mobius passes read
+    them, and ``factorizations``, the number of ordered pairs (H, K) with
+    H + K = G, comes from the first.  ``upward`` is built on first use.  So
+    are ``bases``, a second walk that lists each subgroup's HNF entries
+    (d1, x12, x13, d2, x23, d3) sorted by (order, entries), and from it the
+    membership masks ``subgroups`` and the bitmasks over ids ``below[i]`` /
+    ``above[i]``.  A subgroup's id is its position in ``bases``, so ids are
+    stable across runs; id 0 is the trivial subgroup and the last id is the
+    group.  Only the tests, the benchmark's tracer and the ``_exact_mobius``
+    fallback read ``bases``.
     """
 
     group: ConcreteGroup
@@ -130,8 +134,8 @@ class Lattice:
     factorizations: int
 
     @cached_property
-    def upward(self) -> list[tuple]:
-        """The rows of the upward pass: mu(1, H) and |[H, G]| by class.
+    def upward(self) -> tuple[list, ...]:
+        """The columns of the upward pass: mu(1, H) and |[H, G]| by class, from ``_class_mobius``.
 
         Both verify checks read it, so they run the upward pass once between them.
         """
@@ -236,26 +240,25 @@ def _hnf_subgroups(g: ConcreteGroup):
                 if c % g13:
                     continue
                 xs = range(c // g13 % s, d3, s)
-                if (not (0 <= x12 < d2 and 0 <= x23 < d3) or k2 * x23 % d3 or k1 * x12 % d2
-                        or [x13 for x13 in xs if not 0 <= x13 < d3 or (k1 * x13 - c) % d3]):
-                    raise RuntimeError(
-                        f"HNF walk yielded ({d1}, {x12}, x13 in {xs}, {d2}, {x23}, {d3}), "
-                        f"which breaks the HNF conditions")
+                for x13 in xs:
+                    if (not (0 <= x12 < d2 and 0 <= x13 < d3 and 0 <= x23 < d3)
+                            or k2 * x23 % d3 or k1 * x12 % d2 or (k1 * x13 - c) % d3):
+                        raise RuntimeError(
+                            f"HNF walk yielded ({d1}, {x12}, {x13}, {d2}, {x23}, {d3}), "
+                            f"which breaks the HNF conditions")
                 yield d1, x12, xs, d2, x23, d3
 
 
 def _tally(g: ConcreteGroup, contexts) -> tuple[int, dict, dict]:
     """The subgroups of the contexts (d1, x12, xs, d2, x23, d3), counted and tallied by class.
 
-    Returns the count and two tallies, by (HNF residues mod p, order) and
-    by (socle residues mod p, order), that map each class to its number of
-    subgroups.  The HNF residues are the entries mod p; the socle residues
-    are those of the matrix C of ``_socle_key``, nine entries, three
-    columns in turn.  Only C's entry (k1 x12 / d2) x23 - k1 x13) / d3 and
-    x13 itself change along a context's coset x13 = x0 + i s, each by a
-    fixed step per i (k1 s / d3 is an integer), so both residues depend on
-    i mod p alone.  So each context is read at its first p values of x13,
-    each standing for the run xs[i::p], and everything else once.
+    Each of the two tallies maps a class, its residues mod p and then its
+    order, to its number of subgroups: by the HNF entries, and by the
+    entries of ``_key``'s matrix C on and above the diagonal, column by
+    column.  Along a coset x13 = x0 + i s only x13 and C's entry
+    ((k1 x12 / d2) x23 - k1 x13) / d3 change, each by a fixed step (k1 s /
+    d3 is an integer), so the residues depend on i mod p alone: a context
+    is read at its first p values of x13, the i-th standing for xs[i::p].
     """
     p = g.p
     m1, m2, m3 = g.moduli
@@ -265,15 +268,15 @@ def _tally(g: ConcreteGroup, contexts) -> tuple[int, dict, dict]:
         q = k1 * x12 // d2
         c = q * x23
         order = k1 * k2 * k3
-        r1, r2, r4, r5, r6 = d1 % p, x12 % p, d2 % p, x23 % p, d3 % p
-        c1, c4, c5, c8, c9 = k1 % p, -q % p, k2 % p, -k2 * x23 // d3 % p, k3 % p
+        rd1, rx12, rd2, rx23, rd3 = d1 % p, x12 % p, d2 % p, x23 % p, d3 % p
+        c11, c12, c22, c23, c33 = k1 % p, -q % p, k2 % p, -k2 * x23 // d3 % p, k3 % p
         n = len(xs)
         count += n
         for i in range(min(p, n)):
             x13, w = xs[i], (n - i - 1) // p + 1  # w = len(xs[i::p])
-            key = r1, r2, x13 % p, r4, r5, r6, order
+            key = rd1, rx12, x13 % p, rd2, rx23, rd3, order
             frattini[key] = frattini.get(key, 0) + w
-            key = c1, c4, c5, (c - k1 * x13) // d3 % p, c8, c9, order
+            key = c11, c12, c22, (c - k1 * x13) // d3 % p, c23, c33, order
             socle[key] = socle.get(key, 0) + w
     return count, frattini, socle
 
@@ -355,19 +358,16 @@ def _spanning_pairs(images: dict, r: int, p: int) -> int:
     return pairs
 
 
-def _factorizations(frattini: dict, g: ConcreteGroup) -> int:
-    """Number of ordered pairs (H, K) with H + K = G, from the walk's tally by HNF residues.
+def _factorizations(residues: dict, g: ConcreteGroup) -> int:
+    """Number of ordered pairs (H, K) with H + K = G, from the subgroups tallied by HNF residues mod p.
 
-    Each class of the tally is reduced to the subgroups' image in G/pG, and
+    Each residue set is reduced once to the subgroups' image in G/pG, and
     ``_spanning_pairs`` counts the pairs of images that span.
     """
     p, r = g.p, g.gtype.rank
-    tally, images = {}, {}
-    for key, n in frattini.items():
-        residues = key[:6]
-        tally[residues] = tally.get(residues, 0) + n
-    for residues, n in tally.items():
-        image = _frattini_image(residues, r, p)
+    images = {}
+    for key, n in residues.items():
+        image = _frattini_image(key, r, p)
         images[image] = images.get(image, 0) + n
     return _spanning_pairs(images, r, p)
 
@@ -375,26 +375,39 @@ def _factorizations(frattini: dict, g: ConcreteGroup) -> int:
 def oracle_factorizations(g: ConcreteGroup) -> int:
     """Number of ordered pairs (H, K) with H + K = G, tallied straight from the HNF walk.
 
-    The same count as ``all_subgroups(g).factorizations``, from the same
-    tally.  There is no repeated-subgroup check, and none is needed for a
-    walk that yields distinct HNF tuples in range: each subgroup has
-    exactly one HNF basis, so two distinct tuples span two distinct
-    subgroups.  The walk rechecks the ranges and the HNF conditions at
-    every tuple, and ``_spanning_pairs`` raises unless exactly one
-    subgroup, G, maps onto G/pG.
+    The same count as ``all_subgroups(g).factorizations``, with the
+    subgroups tallied by their HNF residues alone, each context read at its
+    first p values of x13 as in ``_tally``.  There is no repeated-subgroup
+    check, and none is needed for a walk that yields distinct HNF tuples in
+    range: each subgroup has exactly one HNF basis, so two distinct tuples
+    span two distinct subgroups.  The walk rechecks the ranges and the HNF
+    conditions at every tuple, and ``_spanning_pairs`` raises unless
+    exactly one subgroup, G, maps onto G/pG.
     """
-    return _factorizations(_tally(g, _hnf_subgroups(g))[1], g)
+    p = g.p
+    residues = {}
+    for d1, x12, xs, d2, x23, d3 in _hnf_subgroups(g):
+        rd1, rx12, rd2, rx23, rd3 = d1 % p, x12 % p, d2 % p, x23 % p, d3 % p
+        n = len(xs)
+        for i in range(min(p, n)):
+            key = rd1, rx12, xs[i] % p, rd2, rx23, rd3
+            residues[key] = residues.get(key, 0) + (n - i - 1) // p + 1
+    return _factorizations(residues, g)
 
 
 def all_subgroups(g: ConcreteGroup) -> Lattice:
     """Walk every subgroup by its Hermite normal form basis, tallied into classes.
 
-    The factorizations come from the tally by HNF residues, as in
-    ``oracle_factorizations``; a repeated G raises there, and a repeated
-    proper subgroup shows in the count, which verify checks against eq3.
+    The factorizations come from the tally by HNF residues, merged over the
+    orders, as in ``oracle_factorizations``; a repeated G raises there, and
+    a repeated proper subgroup shows in the count, which verify checks
+    against eq3.
     """
     count, frattini, socle = _tally(g, _hnf_subgroups(g))
-    return Lattice(g, count, frattini, socle, _factorizations(frattini, g))
+    residues = {}
+    for key, n in frattini.items():
+        residues[key[:6]] = residues.get(key[:6], 0) + n
+    return Lattice(g, count, frattini, socle, _factorizations(residues, g))
 
 
 def subgroup_type(g: ConcreteGroup, H: int) -> GroupType:
@@ -515,9 +528,9 @@ def _key(residues, upward: bool, g: ConcreteGroup) -> tuple[tuple[int, ...], ...
     integer matrix C = diag(m) R^-1.  C is upper triangular with diagonal
     k_i = m_i / d_i, and its other entries are the quotients of the walk's
     three congruences: -k1 x12 / d2, -(k1 x13 - (k1 x12 / d2) x23) / d3 and
-    -k2 x23 / d3.  So S(H) is the annihilator of C's columns, the nine
-    residues three at a time, cut to the first r rows (for e_j = 0 column
-    j is zero there).
+    -k2 x23 / d3.  So S(H) is the annihilator of C's columns, read off the
+    six residues on and above the diagonal, cut to the first r rows (for
+    e_j = 0 column j is zero there).
 
     Downward it is f(H)^perp, f(H) = (H + pG)/pG the row space of the HNF
     rows mod p cut to the first r columns, read by the general elimination
@@ -555,11 +568,10 @@ def _subgroup_classes(g: ConcreteGroup, bases, upward: bool) -> list[tuple]:
 
 
 def _keyed_orders(g: ConcreteGroup, upward: bool) -> list[int]:
-    """The order of a keyed subgroup whose key has dimension n, for n = 0..r.
+    """By dimension n of the key, the order that shows a subgroup lies in the sublattice its key maps onto subspaces.
 
-    A subgroup is keyed when its order shows it lies in the sublattice its
-    key maps onto subspaces: elementary abelian upward (|H| = p^dim S(H)),
-    containing pG downward (|H| = |pG| p^dim f(H) = |pG| p^(r - dim f(H)^perp)).
+    Elementary abelian upward (|H| = p^dim S(H)), containing pG downward
+    (|H| = |pG| p^dim f(H) = |pG| p^(r - dim f(H)^perp)); such a subgroup is keyed.
     """
     p, r = g.p, g.gtype.rank
     floor = 1 if upward else g.order // p**r
@@ -580,8 +592,8 @@ def _subspaces(key, r: int, p: int, table) -> list:
     return [u for u in candidates if u in table]
 
 
-def _exact_mobius(g: ConcreteGroup, bases, upward: bool) -> list[tuple]:
-    """The rows of ``_class_mobius``, one per listed subgroup, testing containment by ``_contains``.
+def _exact_mobius(g: ConcreteGroup, bases, upward: bool) -> tuple[list, ...]:
+    """The columns of ``_class_mobius``, one class per listed subgroup, testing containment by ``_contains``.
 
     ``bases`` lists HNF entries in (order, entries) order, from the walk's
     start to its end.  Each subgroup is tested against every nonzero value
@@ -601,71 +613,66 @@ def _exact_mobius(g: ConcreteGroup, bases, upward: bool) -> list[tuple]:
     for i in nonzero:
         sizes[i] = sum(between(i, x) for x in range(n))
     orders = _keyed_orders(g, upward)
-    return [(key, order, 1, value, size, order == orders[len(key)])
-            for (key, order), value, size in zip(_subgroup_classes(g, bases, upward), mu, sizes)]
+    classes = _subgroup_classes(g, bases, upward)
+    return classes, [1] * n, mu, sizes, [order == orders[len(key)] for key, order in classes]
 
 
-def _class_mobius(g: ConcreteGroup, classes: dict, upward: bool) -> list[tuple] | None:
+def _class_mobius(g: ConcreteGroup, classes: dict, upward: bool) -> tuple[list, ...] | None:
     """Mobius values mu(A, H) (upward) or mu(H, B) (downward) by (key, order) class, or None.
 
     ``classes`` maps each (key, order) class of the listed subgroups to
-    their number (``_key_classes``).  The walk starts at its first class of
-    least order upward, of greatest order downward.  mu(x, x) = 1 at the
-    start and, for x < y, the sum of mu(x, z) over x <= z <= y vanishes.
+    their number.  The walk starts at its first class of least order
+    upward, of greatest order downward; mu(x, x) = 1 there and, for x < y,
+    the sum of mu(x, z) over x <= z <= y vanishes.  A keyed K lies between
+    the start and H exactly when key(K) <= key(H), so its value is minus the
+    sum at the proper subspaces of its key, taken in order of dimension.
+    Any other H lies above the keyed K with key(K) <= key(H) (those below
+    Omega_1(H) upward, above H + pG downward) and no others, so while every
+    nonzero value is keyed it takes minus the sum at the subspaces of its
+    key.  On a whole lattice those sums vanish (Hall); where one does not,
+    or the start is not keyed, which only a broken walk gives, the pass
+    returns None and its caller falls back to ``_exact_mobius``.
 
-    A keyed K (``_keyed_orders``) lies between the start and H exactly
-    when key(K) <= key(H).  So a keyed subgroup's value is minus the sum of
-    the values at the proper subspaces of its key, taken in order of
-    dimension from the start's key, which has the least.  Any other H lies
-    above the keyed K with key(K) <= key(H) (those below Omega_1(H) upward,
-    above H + pG downward) and no others, so while every nonzero value is
-    keyed it takes minus the sum at the subspaces of its key.  On a whole
-    lattice those sums vanish (Hall).  Where one does not, or the start is
-    not keyed, which only a broken walk gives, the pass returns None and
-    its caller falls back to ``_exact_mobius``.  So the values depend only
-    on (key, order), and the pass works on those classes.
-
-    Returns one row (key, order, n, mu, size, keyed) per class.  size
-    counts, where mu != 0, the listed subgroups on the far side, itself
-    included: over the whole lattice |[H, G]| upward and |L(H)| downward;
-    it is 0 elsewhere.  For a keyed K those are the X with key(K) <=
+    Returns five lists aligned with ``classes``: the classes, their counts
+    n, mu, size and keyed.  size counts, where mu != 0, the listed
+    subgroups on the far side, itself included: |[H, G]| upward and |L(H)|
+    downward over the whole lattice, for a keyed K the X with key(K) <=
     key(X), so a tally of the keys is spread to the subspaces of each key.
     """
     p, r = g.p, g.gtype.rank
     orders = _keyed_orders(g, upward)
+    listed, counts = list(classes), list(classes.values())
     ids = {}  # key -> key id, its position in keys
-    rows = []  # per class: key id, order, n, keyed
-    for (key, order), n in classes.items():
-        rows.append((ids.setdefault(key, len(ids)), order, n, order == orders[len(key)]))
+    kid = [ids.setdefault(key, len(ids)) for key, _ in listed]
+    keyed = [order == orders[len(key)] for key, order in listed]
     keys = list(ids)
     tally = [0] * len(keys)  # by key id: number of subgroups
     keyed_keys, other_keys = set(), set()
-    for k, _, n, keyed in rows:
+    for k, n, e in zip(kid, counts, keyed):
         tally[k] += n
-        (keyed_keys if keyed else other_keys).add(k)
-    below = [[ids[u] for u in _subspaces(key, r, p, ids)] for key in keys]  # key ids of the subspaces
+        (keyed_keys if e else other_keys).add(k)
 
-    first, _, _, start_keyed = (min if upward else max)(rows, key=lambda row: row[1])
+    start = (min if upward else max)(range(len(listed)), key=lambda c: listed[c][1])
+    if not keyed[start]:
+        return None
+    first = kid[start]
     at = [0] * len(keys)  # by key id: the value at the keyed class with that key
     at[first] = 1
-    for k in sorted(keyed_keys, key=lambda k: len(keys[k])):
-        if k != first:
-            at[k] = -sum(map(at.__getitem__, below[k]))
-    if not start_keyed or any(sum(map(at.__getitem__, below[k])) for k in other_keys):
-        return None
     reach = [0] * len(keys)
-    for k, n in enumerate(tally):
-        for u in below[k]:
-            reach[u] += n
-    out = []
-    for k, order, n, keyed in rows:
-        value = at[k] if keyed else 0
-        out.append((keys[k], order, n, value, reach[k] if value else 0, keyed))
-    return out
+    for k in sorted(range(len(keys)), key=[*map(len, keys)].__getitem__):  # proper subspaces first
+        below = [ids[u] for u in _subspaces(keys[k], r, p, ids)]  # key ids of the subspaces
+        if k in keyed_keys and k != first:
+            at[k] = -sum(map(at.__getitem__, below))
+        if k in other_keys and sum(map(at.__getitem__, below)):
+            return None
+        for u in below:
+            reach[u] += tally[k]
+    mu = [at[k] if e else 0 for k, e in zip(kid, keyed)]
+    return listed, counts, mu, [reach[k] if v else 0 for k, v in zip(kid, mu)], keyed
 
 
-def _lattice_mobius(lattice: Lattice, upward: bool) -> list[tuple]:
-    """The rows of a Mobius pass over the whole lattice, by the classes of its tally.
+def _lattice_mobius(lattice: Lattice, upward: bool) -> tuple[list, ...]:
+    """The columns of a Mobius pass over the whole lattice, by the classes of its tally.
 
     A pass that does not vanish, which only a broken walk gives, is taken
     again by ``_exact_mobius`` on the walked bases.
@@ -675,23 +682,22 @@ def _lattice_mobius(lattice: Lattice, upward: bool) -> list[tuple]:
     return _class_mobius(g, classes, upward) or _exact_mobius(g, lattice.bases, upward)
 
 
-def _image_mobius(g: ConcreteGroup, bases, upward: bool) -> tuple[list[int], list[int], list[bool]]:
-    """The mu, size and keyed of ``_class_mobius``'s rows for each listed subgroup.
+def _image_mobius(g: ConcreteGroup, bases, upward: bool) -> tuple[list, ...]:
+    """The mu, size and keyed columns of ``_class_mobius`` for each listed subgroup.
 
     ``bases`` lists HNF entries in (order, entries) order, from the walk's
     start A to its end B, and the values come out aligned with it: mu(A, H)
     upward, mu(H, B) downward.  The list is tallied by class with the
-    start's class first, each subgroup takes its class's row, and a pass
+    start's class first, each subgroup takes its class's values, and a pass
     that does not vanish falls back to ``_exact_mobius`` on the list.
     """
     per = _subgroup_classes(g, bases, upward)
-    rows = _class_mobius(g, Counter(per if upward else per[::-1]), upward)
-    if rows is None:
-        rows = _exact_mobius(g, bases, upward)
-    else:
-        at = {row[:2]: row for row in rows}
-        rows = [at[c] for c in per]
-    return tuple([row[k] for row in rows] for k in (3, 4, 5))
+    columns = _class_mobius(g, Counter(per if upward else per[::-1]), upward)
+    if columns is None:
+        return _exact_mobius(g, bases, upward)[2:]
+    classes, _, *values = columns
+    at = dict(zip(classes, zip(*values)))
+    return tuple(map(list, zip(*map(at.__getitem__, per))))
 
 
 def mobius_interval(lattice: Lattice, i: int, j: int) -> int:
@@ -723,8 +729,9 @@ def verify_hall(g: ConcreteGroup, lattice: Lattice) -> list[tuple]:
     checks = []
     hall = _hall_by_order(g.p)
     mismatches = 0
-    for key, order, n, value, _, elementary in lattice.upward:
-        expected = hall[order] if elementary else 0
+    classes, counts, mu, _, elementary = lattice.upward
+    for (key, order), n, value, e in zip(classes, counts, mu, elementary):
+        expected = hall[order] if e else 0
         if expected != value:
             checks.append((f"hall[order={order},key={key}]", expected, value))
             mismatches += n
@@ -746,10 +753,12 @@ def verify_inversion_forms(g: ConcreteGroup, lattice: Lattice) -> list[tuple]:
     ``lattice.upward``, the pass that ``verify_hall`` reads.  Returns the
     two checks ``(name, direct count, sum)``.
     """
-    s1 = sum(n * size * size * value for _, _, n, value, size, _ in _lattice_mobius(lattice, upward=False))
+    _, counts, mu, sizes, _ = _lattice_mobius(lattice, upward=False)
+    s1 = sum(n * size * size * value for n, value, size in zip(counts, mu, sizes))
     hall = _hall_by_order(g.p)
+    classes, counts, _, sizes, elementary = lattice.upward
     s2 = sum(n * size * size * hall[order]
-             for _, order, n, _, size, elementary in lattice.upward if size and elementary)
+             for (_, order), n, size, e in zip(classes, counts, sizes, elementary) if size and e)
     direct = count_factorizations(g, lattice)
     return [("inversion_sum_subgroup_counts", direct, s1),
             ("inversion_sum_quotient_counts", direct, s2)]

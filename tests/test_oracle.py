@@ -263,26 +263,26 @@ def _fresh_lattice(exps, p):
 
 
 def _plant(monkeypatch, upward, change):
-    """Patch ``oracle._class_mobius`` so that ``change`` edits the rows of each pass in one direction.
+    """Patch ``oracle._class_mobius`` so that ``change`` edits one class of each pass in one direction.
 
-    ``change(rows)`` returns the index of a row and the new (mu, size) there.
+    ``change(columns)`` returns the index of a class and its new mu and size.
     """
     real = oracle._class_mobius
 
     def planted(g, classes, direction):
-        rows = real(g, classes, direction)
+        columns = real(g, classes, direction)
         if direction == upward:
-            i, mu, size = change(rows)
-            key, order, n, _, _, keyed = rows[i]
-            rows[i] = key, order, n, mu, size, keyed
-        return rows
+            i, mu, size = change(columns)
+            columns[2][i], columns[3][i] = mu, size
+        return columns
 
     monkeypatch.setattr(oracle, "_class_mobius", planted)
 
 
-def _row(rows, order, keyed):
-    """The index of the first row of the given order and keyed flag."""
-    return next(i for i, row in enumerate(rows) if row[1] == order and row[5] == keyed)
+def _class(columns, order, keyed):
+    """The index of the first class of the given order and keyed flag."""
+    classes, _, _, _, flags = columns
+    return next(i for i, ((_, o), k) in enumerate(zip(classes, flags)) if o == order and k == keyed)
 
 
 def test_verify_hall_compares_subgroups_outside_omega1(monkeypatch):
@@ -291,7 +291,7 @@ def test_verify_hall_compares_subgroups_outside_omega1(monkeypatch):
     # three cyclic subgroups of order 9, outside Omega_1(G), must count as
     # a mismatch of its three subgroups
     g, lat = _fresh_lattice((2, 1, 0), 3)
-    _plant(monkeypatch, True, lambda rows: (_row(rows, 9, False), 1, 0))
+    _plant(monkeypatch, True, lambda columns: (_class(columns, 9, False), 1, 0))
     checks = verify_hall(g, lat)
     assert [name for name, _, _ in _failures(checks)] == ["hall[order=9,key=((1, 0),)]", "hall_mismatches"]
     assert checks[-1] == ("hall_mismatches", 0, 3)
@@ -302,9 +302,9 @@ def test_verify_hall_compares_subgroups_inside_omega1(monkeypatch):
     # from its order; a wrong value planted at one must count as a mismatch
     g, lat = _fresh_lattice((2, 1, 0), 3)
 
-    def change(rows):
-        i = _row(rows, 3, True)
-        return i, rows[i][3] + 1, rows[i][4]
+    def change(columns):
+        i = _class(columns, 3, True)
+        return i, columns[2][i] + 1, columns[3][i]
 
     _plant(monkeypatch, True, change)
     checks = verify_hall(g, lat)
@@ -317,9 +317,9 @@ def test_inversion_forms_read_subgroup_counts_from_the_recursion(monkeypatch):
     # planted off by one at a nonzero mu(H, G) must fail S1 and leave S2 passing
     g, lat = _fresh_lattice((2, 1, 0), 3)
 
-    def change(rows):
-        i = next(i for i, row in enumerate(rows) if row[3])
-        return i, rows[i][3], rows[i][4] + 1
+    def change(columns):
+        i = next(i for i, value in enumerate(columns[2]) if value)
+        return i, columns[2][i], columns[3][i] + 1
 
     _plant(monkeypatch, False, change)
     failed = [name for name, _, _ in _failures(verify_inversion_forms(g, lat))]
@@ -332,10 +332,10 @@ def test_inversion_forms_read_interval_sizes_from_the_upward_pass(monkeypatch):
     # and leave S1 passing
     g, lat = _fresh_lattice((2, 1, 0), 3)
 
-    def change(rows):
-        i = _row(rows, 3, True)
-        assert rows[i][3]
-        return i, rows[i][3], rows[i][4] + 1
+    def change(columns):
+        i = _class(columns, 3, True)
+        assert columns[2][i]
+        return i, columns[2][i], columns[3][i] + 1
 
     _plant(monkeypatch, True, change)
     failed = [name for name, _, _ in _failures(verify_inversion_forms(g, lat))]
@@ -757,14 +757,15 @@ def test_images_match_masks_on_every_accepted_cell(monkeypatch):
         omega1, floor = g.omega[min(1, exps[0])], g.multiples[min(1, exps[0])]
         socle = oracle._subgroup_classes(g, lat.bases, upward=True)
         duals = oracle._subgroup_classes(g, lat.bases, upward=False)
-        rows = [{row[:2]: row[5] for row in oracle._lattice_mobius(lat, upward)} for upward in (False, True)]
+        keyed_up = dict(zip(lat.upward[0], lat.upward[4]))
+        keyed_down = dict(zip(*oracle._lattice_mobius(lat, upward=False)[::4]))
         included = functools.cache(lambda small, big: len(_echelon(big + small, p)) == len(big))
         elementary = [H & omega1 == H for H in masks]
         above_floor = [H & floor == floor for H in masks]
         if (Counter(socle) != oracle._key_classes(g, lat.socle, True)
                 or Counter(duals) != oracle._key_classes(g, lat.frattini, False)
-                or [rows[True][c] for c in socle] != elementary
-                or [rows[False][c] for c in duals] != above_floor
+                or [keyed_up[c] for c in socle] != elementary
+                or [keyed_down[c] for c in duals] != above_floor
                 or [p ** len(key) for key, _ in socle] != [(H & omega1).bit_count() for H in masks]
                 or [p ** (r - len(key)) for key, _ in duals]
                 != [H.bit_count() // (H & floor).bit_count() for H in masks]
@@ -1010,12 +1011,13 @@ def test_socle_intervals_match_interval_size(exps, p, lattice_cache):
     # subgroups whose mu(1, H) Hall's theorem makes nonzero; each subgroup
     # reads the row of its class
     g, lat = lattice_cache(exps, p)
-    rows = {row[:2]: row for row in lat.upward}
-    per_id = [rows[c] for c in oracle._subgroup_classes(g, lat.bases, upward=True)]
+    classes, counts, _, sizes, keyed = lat.upward
+    at = dict(zip(classes, zip(sizes, keyed)))
+    size, keyed = zip(*(at[c] for c in oracle._subgroup_classes(g, lat.bases, upward=True)))
     omega1 = g.omega[min(1, exps[0])]
     elementary = [i for i, H in enumerate(lat.subgroups) if H & omega1 == H]
-    assert [i for i, row in enumerate(per_id) if row[5]] == elementary
-    assert [i for i, row in enumerate(per_id) if row[4]] == elementary
+    assert [i for i, k in enumerate(keyed) if k] == elementary
+    assert [i for i, n in enumerate(size) if n] == elementary
     for i in elementary:
-        assert per_id[i][4] == interval_size(lat, i) == lat.above[i].bit_count()
-    assert sum(row[2] for row in lat.upward) == len(lat)
+        assert size[i] == interval_size(lat, i) == lat.above[i].bit_count()
+    assert sum(counts) == len(lat)
