@@ -39,7 +39,8 @@ passes key each class by a subspace read off its residues (the socle image
 upward, the annihilator of the Frattini image downward) and sum over the
 subspaces of a key; at rank 3 a plane's proper nonzero subspaces are its
 p + 1 points.  A nonzero value off those sublattices, which only a broken
-walk gives, sends the pass to exact containment tests on the HNF bases.
+walk gives, sends the pass to exact containment tests on the HNF bases,
+walked again.
 
 Membership bitmasks (element (y1, y2, y3) is bit (y1 m2 + y2) m3 + y3) are
 built only on demand, each from an HNF basis by one plain builder,

@@ -742,9 +742,11 @@ def test_images_match_masks_on_every_accepted_cell(monkeypatch):
     # default cap: p^dim S(H) = |H & Omega_1(G)| and p^dim f(H) = |H| / |H &
     # pG|, and the relation the passes read off the keys is mask subset, for
     # elementary K (K <= H exactly when S(K) <= S(H)) and for K containing
-    # pG (X <= K exactly when f(K)^perp <= f(X)^perp); the walk's tallies
-    # hold each subgroup's own class, each class's rows say whether its
-    # subgroups are keyed, and on whole lattices no pass falls back
+    # pG (X <= K exactly when f(K)^perp <= f(X)^perp); the walk's tallies,
+    # read a coset's first p values of x13 at a time, hold the classes of
+    # the listed bases, each pass marks a class keyed exactly when its
+    # subgroups are elementary (upward) or contain pG (downward), and on
+    # whole lattices no pass falls back
     def refuse(*args):
         raise AssertionError("a pass fell back on a whole lattice")
 
@@ -757,8 +759,8 @@ def test_images_match_masks_on_every_accepted_cell(monkeypatch):
         omega1, floor = g.omega[min(1, exps[0])], g.multiples[min(1, exps[0])]
         socle = oracle._subgroup_classes(g, lat.bases, upward=True)
         duals = oracle._subgroup_classes(g, lat.bases, upward=False)
-        keyed_up = dict(zip(lat.upward[0], lat.upward[4]))
-        keyed_down = dict(zip(*oracle._lattice_mobius(lat, upward=False)[::4]))
+        down = oracle._lattice_mobius(lat, upward=False)
+        keyed_up, keyed_down = dict(zip(lat.upward[0], lat.upward[4])), dict(zip(down[0], down[4]))
         included = functools.cache(lambda small, big: len(_echelon(big + small, p)) == len(big))
         elementary = [H & omega1 == H for H in masks]
         above_floor = [H & floor == floor for H in masks]
