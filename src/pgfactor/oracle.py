@@ -520,7 +520,7 @@ def _annihilator(vectors, r: int, p: int) -> tuple[tuple[int, ...], ...]:
     return tuple(null)
 
 
-def _key(residues, upward: bool, g: ConcreteGroup) -> tuple[tuple[int, ...], ...]:
+def _key(residues, upward: bool, r: int, p: int) -> tuple[tuple[int, ...], ...]:
     """The subspace of F_p^r that a Mobius pass keys a residue class by, from ``_tally``'s residues.
 
     Upward it is the socle image S(H) = Omega_1(H).  v in F_p^r lies in
@@ -546,17 +546,19 @@ def _key(residues, upward: bool, g: ConcreteGroup) -> tuple[tuple[int, ...], ...
     else:
         d1, x12, x13, d2, x23, d3 = residues
         vectors = (d1, x12, x13), (0, d2, x23), (0, 0, d3)
-    return _annihilator(vectors, g.gtype.rank, g.p)
+    return _annihilator(vectors, r, p)
 
 
 def _key_classes(g: ConcreteGroup, tally: dict, upward: bool) -> dict:
     """A tally by (residues, order) merged into (key, order) classes, each residue set keyed once."""
+    r, p = g.gtype.rank, g.p
     keys, classes = {}, {}
-    for key, n in tally.items():
-        residues, order = key[:-1], key[-1]
-        if residues not in keys:
-            keys[residues] = _key(residues, upward, g)
-        c = keys[residues], order
+    for entry, n in tally.items():
+        residues = entry[:-1]
+        key = keys.get(residues)
+        if key is None:
+            key = keys[residues] = _key(residues, upward, r, p)
+        c = key, entry[-1]
         classes[c] = classes.get(c, 0) + n
     return classes
 
