@@ -571,10 +571,11 @@ def _subgroup_classes(g: ConcreteGroup, bases, upward: bool) -> list[tuple]:
 
 
 def _keyed_orders(g: ConcreteGroup, upward: bool) -> list[int]:
-    """By dimension n of the key, the order that shows a subgroup lies in the sublattice its key maps onto subspaces.
+    """The order of a keyed subgroup whose key has dimension n, for n = 0..r.
 
-    Elementary abelian upward (|H| = p^dim S(H)), containing pG downward
-    (|H| = |pG| p^dim f(H) = |pG| p^(r - dim f(H)^perp)); such a subgroup is keyed.
+    A subgroup is keyed when its order shows it lies in the sublattice its
+    key maps onto subspaces: elementary abelian upward (|H| = p^dim S(H)),
+    containing pG downward (|H| = |pG| p^dim f(H) = |pG| p^(r - dim f(H)^perp)).
     """
     p, r = g.p, g.gtype.rank
     floor = 1 if upward else g.order // p**r
