@@ -26,7 +26,6 @@ namespace each time.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from functools import cache
 from math import comb
@@ -68,12 +67,12 @@ _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 MAX_TABLE_ROWS = 3000
 
 # Largest type exponent that count, f2 and verify accept.  With p symbolic,
-# whole process (9 runs): f2 takes 0.08-0.09 s at (1000,1000,1000) and
-# 0.09-0.10 s at (1000,999,998) by theorem3 or by mobius, and count
-# 0.07-0.08 s at (1000,1000,1000), most of it interpreter start-up.
+# whole process (9 runs, no bytecode cached): f2 takes 0.07-0.09 s at
+# (1000,1000,1000) and 0.08-0.10 s at (1000,999,998) by theorem3 or by
+# mobius, and count 0.06-0.08 s at (1000,1000,1000), most of it start-up.
 # In-process (best of 7): the route at (1000,1000,1000) 11 ms by theorem3
 # and 18 ms by mobius, at (1000,999,998) 22 ms and 30 ms, count under
-# 0.5 ms, str() 1.3 ms.  At the largest accepted --p f2 takes 0.22-0.25 s
+# 0.5 ms, str() 1.3 ms.  At the largest accepted --p f2 takes 0.22-0.32 s
 # each: the route 19-37 ms by theorem3 and by mobius, str() of the
 # 98087-digit value about 140 ms (Python 3.11, shared 2-CPU host).
 # A higher bound needs a benchmark instance at it before it is raised.
@@ -81,15 +80,15 @@ MAX_EXPONENT = 1000
 
 # Largest oracle element cap that --max-order accepts.  No oracle command
 # holds a subgroup mask: f2 --method oracle and table tally HNF residues mod
-# p (f2 at (5,5,5)@2 peaks at about 16 MB), and verify tallies the walk
+# p (f2 at (5,5,5)@2 peaks at about 15.5 MB), and verify tallies the walk
 # into classes by residues mod p and order and reads hall and eq2 off each
 # class's socle and Frattini keys, so its memory grows with the number of
 # classes, at most the subgroup count, and its time with that count plus
 # p^3, the points of every plane at rank 3.  At this cap verify at
 # (5,5,5)@2, order 2^15 with the most subgroups (22308, in 185 classes of
-# each kind), peaks at about 16.5 MB, and at (1,1,1)@31, order 29791 with
+# each kind), peaks at about 15.5 MB, and at (1,1,1)@31, order 29791 with
 # the most elementary abelian subgroups (all 1988, each a class of its
-# own), takes about 0.17 s and 18 MB whole process.  The
+# own), takes about 0.12 s and 17 MB whole process.  The
 # README gives both cells' time and peak memory; CI runs both, (1,1,1)@31
 # with eq2 alone and f2 --method oracle at both, under a 60 s timeout,
 # prints their wall time and peak RSS, and fails verify at (5,5,5)@2 above
@@ -132,6 +131,9 @@ def _is_prime(n: int) -> bool:
 
 
 def _canonical_json(obj) -> str:
+    # the one JSON writer imports json itself, so text output never loads it
+    import json
+
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 

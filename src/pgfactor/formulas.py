@@ -41,8 +41,7 @@ it is cross-validated against the brute-force oracle rather than assumed).
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from functools import reduce
 from itertools import combinations
 
@@ -55,12 +54,8 @@ METHOD_CLOSED_FORM = "theorem3"
 METHOD_EQUAL_EXPONENTS = "corollary4"
 
 
-@dataclass(frozen=True)
-class FormulaResult:
-    """Outcome of one closed-form evaluation: an exact int or a polynomial."""
-
-    value: "int | IntPolynomial"
-    method: str
+FormulaResult = namedtuple("FormulaResult", "value method")
+FormulaResult.__doc__ = "Outcome of one closed-form evaluation: an exact int or a polynomial, and its method."
 
 
 def _numerator_runs(e1: int, e2: int, e3: int):

@@ -54,7 +54,6 @@ configurable order cap keeps accidental huge inputs out.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 from math import gcd
@@ -110,7 +109,6 @@ def build_group(t: GroupType, p: int, max_order: int = DEFAULT_MAX_ORDER) -> Con
     return ConcreteGroup(t, p, max_order)
 
 
-@dataclass
 class Lattice:
     """All subgroups of a ConcreteGroup, tallied into classes by the HNF walk, with F2 precomputed.
 
@@ -128,11 +126,12 @@ class Lattice:
     fallback read ``bases``.
     """
 
-    group: ConcreteGroup
-    count: int
-    frattini: dict
-    socle: dict
-    factorizations: int
+    def __init__(self, group: ConcreteGroup, count: int, frattini: dict, socle: dict, factorizations: int):
+        self.group = group
+        self.count = count
+        self.frattini = frattini
+        self.socle = socle
+        self.factorizations = factorizations
 
     @cached_property
     def upward(self) -> tuple[list, ...]:

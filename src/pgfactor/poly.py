@@ -18,9 +18,9 @@ constructor checks for integer coefficients; arithmetic results are built by
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from itertools import accumulate
 from operator import add, index
-from typing import Iterable
 
 
 class InexactDivision(ArithmeticError):

@@ -280,6 +280,19 @@ def test_method_tags():
     assert factorization_count_equal_exponents(1).method == "corollary4"
 
 
+def test_formula_result_is_an_immutable_value_record():
+    result = subgroup_count(GroupType((1, 1, 1)), 2)
+    assert repr(result) == "FormulaResult(value=16, method='eq3')"
+    assert (result.value, result.method) == (16, "eq3")
+    for field in ("value", "method"):
+        with pytest.raises(AttributeError):
+            setattr(result, field, 0)
+    again = subgroup_count(GroupType((1, 1, 1)), 2)
+    assert again == result and hash(again) == hash(result)
+    symbolic, again = (factorization_count(GroupType((2, 1, 0))) for _ in range(2))
+    assert symbolic == again and hash(symbolic) == hash(again)
+
+
 def test_unsorted_middle_arguments():
     # when e1 = e2 the decremented triples are unsorted multisets and must be
     # re-sorted before counting; equality of the two routes covers this

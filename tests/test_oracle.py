@@ -357,6 +357,22 @@ def test_hall_and_inversion_forms_share_one_upward_pass(monkeypatch):
     assert sorted(calls) == [False, True]
 
 
+def test_upward_pass_runs_once_per_lattice(monkeypatch):
+    real = oracle._lattice_mobius
+    calls = []
+
+    def counting(lattice, upward):
+        calls.append((lattice, upward))
+        return real(lattice, upward)
+
+    monkeypatch.setattr(oracle, "_lattice_mobius", counting)
+    _, first = _fresh_lattice((2, 1, 0), 3)
+    _, second = _fresh_lattice((2, 1, 0), 3)
+    assert first.upward is first.upward
+    assert second.upward == first.upward
+    assert calls == [(first, True), (second, True)]
+
+
 def test_hall_values_spotchecks(lattice_cache):
     g, lat = lattice_cache((1, 1, 0), 2)
     assert mobius_interval(lat, 0, len(lat) - 1) == 2  # (-1)^2 * 2^1

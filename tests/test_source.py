@@ -122,12 +122,31 @@ def test_only_cli_builds_the_verify_row():
     assert found == []
 
 
-def test_mobius_imports_nothing_from_dataclasses():
-    # a canonical basis is its tuple of rows, with no record around it
-    imported = [
-        node.lineno
-        for node in ast.walk(_parse(PACKAGE / "mobius.py"))
-        if (isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "dataclasses")
-        or (isinstance(node, ast.Import) and any(a.name.split(".")[0] == "dataclasses" for a in node.names))
+def _import_time_imports(tree):
+    """(line, top-level module) for each import that runs when the module is loaded, not inside a function."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.Import):
+            yield from ((node.lineno, alias.name.split(".")[0]) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.lineno, node.module.split(".")[0]
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def test_no_module_loads_dataclasses_typing_json_or_inspect():
+    # every command starts a fresh process: dataclasses alone pulls in
+    # inspect, dis, tokenize and ast, and json is read only by the JSON
+    # writer, which imports it itself; records are named tuples or plain
+    # classes, and a canonical basis is its tuple of rows
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules, PACKAGE
+    found = [
+        f"{path.name}:{line} {module}"
+        for path in modules
+        for line, module in _import_time_imports(_parse(path))
+        if module in ("dataclasses", "typing", "json", "inspect")
     ]
-    assert imported == []
+    assert found == []
