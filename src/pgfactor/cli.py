@@ -60,6 +60,12 @@ ALL_CHECKS = ("count", "f2", "hall", "eq2", "census")
 # 2017); larger --p values are rejected rather than guessed at.
 PRIME_BOUND = 3_317_044_064_679_887_385_961_981
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# The least strong pseudoprime to the first j witnesses, j = 1..13 (OEIS
+# A014233; G. Jaeschke, Math. Comp. 61, 1993; Sorenson and Webster, 2017):
+# below the j-th bound the first j witnesses decide primality.
+_WITNESS_BOUNDS = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+                   341550071728321, 341550071728321, 3825123056546413051, 3825123056546413051,
+                   3825123056546413051, 318665857834031151167461, PRIME_BOUND)
 
 # Largest table grid in rows (types x primes).  Outside the oracle a row takes
 # about 2 ms even at the largest accepted prime (2924 rows at max-lambda 24 ran
@@ -70,10 +76,12 @@ MAX_TABLE_ROWS = 3000
 # whole process (9 runs, no bytecode cached): f2 takes 0.07-0.09 s at
 # (1000,1000,1000) and 0.08-0.10 s at (1000,999,998) by theorem3 or by
 # mobius, and count 0.06-0.08 s at (1000,1000,1000), most of it start-up.
-# In-process (best of 7): the route at (1000,1000,1000) 11 ms by theorem3
-# and 18 ms by mobius, at (1000,999,998) 22 ms and 30 ms, count under
-# 0.5 ms, str() 1.3 ms.  At the largest accepted --p f2 takes 0.22-0.32 s
-# each: the route 19-37 ms by theorem3 and by mobius, str() of the
+# In-process (best of 7, two runs): the route at (1000,1000,1000) 13 ms by
+# theorem3 and 19-20 ms by mobius, at (1000,999,998) 22-23 ms and 31 ms,
+# count 0.3 ms, str() 1.3 ms.  At the largest accepted --p f2 takes
+# 0.22-0.32 s each: the route 20-22 ms by theorem3 and by mobius at
+# (1000,1000,1000), 28-33 ms at (1000,1000,999) and (1000,999,999),
+# 37-42 ms at (1000,999,998) and 5 ms at (1000,1000,0), str() of the
 # 98087-digit value about 140 ms (Python 3.11, shared 2-CPU host).
 # A higher bound needs a benchmark instance at it before it is raised.
 MAX_EXPONENT = 1000
@@ -109,7 +117,11 @@ ROUTES = {
 
 
 def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin; exact for n < PRIME_BOUND."""
+    """Deterministic Miller-Rabin; exact for n < PRIME_BOUND.
+
+    Trial division by every witness, then strong tests to the witnesses in
+    order, stopping once n is below the bound the tests so far cover.
+    """
     if n < 2:
         return False
     for a in _WITNESSES:
@@ -117,16 +129,17 @@ def _is_prime(n: int) -> bool:
             return n == a
     s = p_valuation(n - 1, 2)
     d = (n - 1) >> s
-    for a in _WITNESSES:
+    for a, bound in zip(_WITNESSES, _WITNESS_BOUNDS):
         x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
+        if x != 1 and x != n - 1:
+            for _ in range(s - 1):
+                x = x * x % n
+                if x == n - 1:
+                    break
+            else:
+                return False
+        if n < bound:
+            return True
     return True
 
 

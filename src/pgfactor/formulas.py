@@ -15,12 +15,13 @@ or with p left symbolic (an IntPolynomial):
   the subgroup lattice.  Only elementary abelian subgroups contribute: the
   socle subspaces fall into eight cells, one per set S of exponent positions
   that the quotient lowers by one, so the sum collapses to Hall-weighted
-  squared subgroup counts, one sum for both modes.  Cells that lower to the
-  same type merge in each dimension's census (``_cell_census``, read once),
-  so each distinct quotient type is squared once.  With p symbolic the sum
-  builds no polynomial: Theorem 3 is a polynomial identity in p, so F2's
-  coefficients are the balanced base-X digits of the numeric sum at
-  p = X = 2^(8w) (Kronecker substitution), which ``from_packed`` reads off.
+  squared subgroup counts, one sum for both modes.  One pass over the cells
+  adds each cell's Hall-weighted term to its quotient type, so cells that
+  lower to the same type merge and each distinct type is squared once.
+  With p symbolic the sum builds no polynomial: Theorem 3 is a polynomial
+  identity in p, so F2's coefficients are the balanced base-X digits of the
+  numeric sum at p = X = 2^(8w) (Kronecker substitution), which
+  ``from_packed`` reads off.
   Cell by cell, F2 is a sum of terms +-p^j c^2, and each coefficient of c^2
   is at most sum_i c_i^2 in size (Cauchy-Schwarz).  That is at most c(1)^2,
   because subgroup counts have nonnegative coefficients (sums of p-powers
@@ -198,28 +199,39 @@ def _cell_census(t: GroupType, k: int, pv) -> Counter:
     return census
 
 
+# The eight socle cells as (drop vector 1_S, ((-1)^k, C(k,2) + inv(S))), k = |S|:
+# Hall's value times the cell's p^inv(S) subspaces is (-1)^k p^(C(k,2) + inv(S)).
+_CELL_TERMS = tuple((drops, ((-1) ** k, k * (k - 1) // 2 + inv))
+                    for k, cells in enumerate(_CELLS) for drops, inv in cells)
+
+
 def factorization_count(t: GroupType, p: "int | None" = None) -> FormulaResult:
     """Ordered-pair factorization count: the Hall-weighted sum over the socle cells.
 
-    One numeric sum for both modes over each dimension k's census
-    (``_cell_census``, read once): each distinct quotient type is squared
-    once, its subgroup count c weighted by Hall's value times its number n
-    of subspaces.  With ``p`` None the census is read with p symbolic, and
-    the sum is taken at p = X = 2^(8w), with each n evaluated at X, and
-    ``from_packed`` reads F2's coefficients off its digits.  w is the least
-    with 2^(8w-1) > sum over the types of n(1) c(1)^2 (``_count_at_one``),
-    n(1) the type's number of cells: the bound of the module docstring, so
-    the balanced digits are F2's coefficients.
+    One pass over the cells files each cell's term ((-1)^k, C(k,2) + inv(S))
+    under its quotient type, a plain sorted tuple; a cell that would lower a
+    zero exponent holds no subspace (the rank <= 2 convention).  Each
+    distinct type's subgroup count c is squared once and weighted by the sum
+    of its cells' terms (-1)^k x^(C(k,2) + inv(S)), one sum for both modes.
+    At a prime x = p.  With ``p`` None, x = X = 2^(8w) and ``from_packed``
+    reads F2's coefficients off the sum's digits.  w is the least with
+    2^(8w-1) > sum over the types of n(1) c(1)^2 (``_count_at_one``), n(1)
+    the type's number of cells: the bound of the module docstring, so the
+    balanced digits are F2's coefficients.
     """
-    censuses = [_cell_census(t, k, p if p is not None else P) for k in range(t.rank + 1)]
+    e1, e2, e3 = t
+    terms = {}
+    for (d1, d2, d3), term in _CELL_TERMS:
+        lowered = (e1 - d1, e2 - d2, e3 - d3)
+        if min(lowered) >= 0:
+            terms.setdefault(tuple(sorted(lowered, reverse=True)), []).append(term)
     x = p
     if p is None:
-        bound = sum(n.evaluate(1) * _count_at_one(q) ** 2 for census in censuses for q, n in census.items())
+        bound = sum(len(cells) * _count_at_one(q) ** 2 for q, cells in terms.items())
         width = bound.bit_length() // 8 + 1
         x = 1 << 8 * width
-        censuses = [{q: n.evaluate(x) for q, n in census.items()} for census in censuses]
-    value = sum(_hall_value(k, x) * n * _subgroup_count_value(q, x) ** 2
-                for k, census in enumerate(censuses) for q, n in census.items())
+    value = sum(sum(sign * x**j for sign, j in cells) * _subgroup_count_value(q, x) ** 2
+                for q, cells in terms.items())
     return FormulaResult(value if p is not None else from_packed(value, width), METHOD_CLOSED_FORM)
 
 

@@ -17,13 +17,17 @@ pivot layout plus a choice of which free entries are nonzero.  Its size is
 (p-1)^(number of nonzero free entries), and the basis with each nonzero free
 entry set to 1 represents it.  The orbit table (``socle_orbits``), 16
 representatives at rank 3 and 5 at rank 2, stores once per process the
-exponent positions each one's quotient lowers, alike at every prime; a call
-only lowers its type by them, so p may be an int or the symbolic P.
+exponent positions each one's quotient lowers, alike at every prime.
+``_orbit_groups`` groups it by those drops, once per rank, counting the
+orbits with 0, 1 and 2 nonzero free entries; a call lowers its type once
+per group, 8 times at rank 3 and 4 at rank 2, and weights each quotient
+type by the Hall value times sum_j n_j (p-1)^j, so p may be an int or the
+symbolic P.
 
 The per-dimension tallies of quotient types (the census) are, at every rank,
 a checkable invariant: they match the socle cells of the closed form, p^inv(S)
-subspaces lowering the exponents in S, read from the one cell census that
-``theorem3`` sums over (``formulas._cell_census``, via ``reference_census``).
+subspaces lowering the exponents in S, read from the cells that ``theorem3``
+sums over (``formulas._cell_census``, via ``reference_census``).
 ``verify_census`` holds verify's census checks, those tallies and the
 quotient by the whole socle, as ``(name, expected, actual)`` triples.
 The Smith normal form (``smith_normal_form``) types no quotient here; it is
@@ -116,6 +120,29 @@ def socle_orbits(r: int, k: int) -> tuple[tuple[tuple, int, tuple[int, int, int]
     if r > 3:
         raise ValueError(f"torus orbits are zero patterns only up to rank 3, got r={r}")
     return tuple((rows, sum(fill), _drops(rows, 2)) for rows, fill in _rref_bases(r, k, (0, 1)))
+
+
+@cache
+def _orbit_groups(r: int) -> tuple[tuple[tuple[int, int, int], int, tuple[int, int, int]], ...]:
+    """The rank-r orbit table grouped by drop vector, once per process.
+
+    A tuple of ``(drops, k, (n0, n1, n2))``: n_j orbits of k-dimensional
+    subspaces have j nonzero free entries and lower the exponents at
+    ``drops``, so the group holds sum_j n_j (p-1)^j subspaces (``_size``).
+    Every subset of the r positions is one group: 8 at rank 3, 4 at rank 2.
+    """
+    groups = {}
+    for k in range(r + 1):
+        for _, nonzero, drops in socle_orbits(r, k):
+            _, counts = groups.setdefault(drops, (k, [0, 0, 0]))
+            counts[nonzero] += 1
+    return tuple((drops, k, tuple(counts)) for drops, (k, counts) in groups.items())
+
+
+def _size(counts, u):
+    """n0 + n1 u + n2 u^2, the subspaces of an orbit group at u = p - 1 (an int or P - 1)."""
+    n0, n1, n2 = counts
+    return n0 + (n1 + n2 * u) * u
 
 
 def _det(matrix) -> int:
@@ -228,11 +255,15 @@ def _census_entries(counter: Counter) -> tuple[tuple[GroupType, int], ...]:
 def _orbit_tally(t: GroupType, k: int, pv) -> Counter:
     """Quotient type -> number of k-dimensional socle subspaces giving it; ``pv`` is p or P.
 
-    Each torus orbit lowers t by its stored drops and counts (pv-1)**nonzero.
+    Each orbit group of dimension k lowers t by its drops and counts its
+    subspaces.  A k outside 0..rank raises ValueError.
     """
+    if not 0 <= k <= t.rank:
+        raise ValueError(f"need 0 <= k <= rank, got k={k}, rank={t.rank}")
     tally = Counter()
-    for _, nonzero, drops in socle_orbits(t.rank, k):
-        tally[_lowered(t, drops)] += (pv - 1) ** nonzero
+    for drops, dim, counts in _orbit_groups(t.rank):
+        if dim == k:
+            tally[_lowered(t, drops)] += _size(counts, pv - 1)
     return tally
 
 
@@ -240,8 +271,8 @@ def quotient_type_census(t: GroupType, k: int, p: int) -> tuple[tuple[GroupType,
     """Count quotient types over every k-dimensional socle subspace, 0 <= k <= rank.
 
     ``(type, count)`` pairs, types descending.  The counts sum to
-    gaussian_binomial(t.rank, k, p) at any p, from at most 7 orbit
-    representatives.  A k outside 0..rank raises ValueError.
+    gaussian_binomial(t.rank, k, p) at any p, from at most 3 orbit groups.
+    A k outside 0..rank raises ValueError.
     """
     return _census_entries(_orbit_tally(t, k, p))
 
@@ -279,11 +310,17 @@ def factorization_count_mobius(t: GroupType, p: "int | None" = None):
     """Factorization count as the Mobius-weighted sum over socle subspaces.
 
     Sums |L(G/E^)|^2 * mu(E) over all subspaces E of F_p^rank, where mu(E)
-    depends only on dim E: each quotient type of the dimension's orbit tally
-    is weighted by its number of subspaces times the Hall value.  This
-    recomputes the closed form structurally and must agree with it exactly.
-    With ``p`` None the count is an IntPolynomial, as in ``formulas``.
+    depends only on dim E.  Each orbit group lowers t once, to a plain
+    sorted tuple, and adds the Hall value times its number of subspaces to
+    that quotient type's weight; each distinct type's count is squared once.
+    This recomputes the closed form structurally and must agree with it
+    exactly.  With ``p`` None the count is an IntPolynomial, as in ``formulas``.
     """
     pv = p if p is not None else P
-    return sum(_hall_value(k, pv) * size * _subgroup_count_value(qt, p) ** 2
-               for k in range(t.rank + 1) for qt, size in _orbit_tally(t, k, pv).items())
+    u = pv - 1
+    e1, e2, e3 = t
+    weights = {}
+    for (d1, d2, d3), k, counts in _orbit_groups(t.rank):
+        q = tuple(sorted((e1 - d1, e2 - d2, e3 - d3), reverse=True))
+        weights[q] = weights.get(q, 0) + _hall_value(k, pv) * _size(counts, u)
+    return sum(w * _subgroup_count_value(q, p) ** 2 for q, w in weights.items())

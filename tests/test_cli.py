@@ -137,6 +137,39 @@ def test_pseudoprimes_rejected(capsys, n):
     assert "prime" in err
 
 
+def test_is_prime_agrees_with_a_sieve_below_10_5():
+    limit = 10**5
+    prime = bytearray([0, 0]) + bytearray([1]) * (limit - 2)
+    for i in range(2, int(limit**0.5) + 1):
+        if prime[i]:
+            prime[i * i::i] = bytes(len(range(i * i, limit, i)))
+    assert [n for n in range(limit) if cli._is_prime(n)] == [n for n in range(limit) if prime[n]]
+
+
+def strong_probable_prime(n, a):
+    """The strong (Miller-Rabin) test of odd n > 2 to base a, written from its definition."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    return x == 1 or any(pow(x, 2**i, n) == n - 1 for i in range(s))
+
+
+def test_witness_bounds_are_strong_pseudoprimes_to_the_bases_before_them(capsys):
+    # the j-th bound passes the strong test to the first j witnesses but is
+    # composite (some base below 100 shows it), and --p rejects it: by
+    # _is_prime below PRIME_BOUND, and PRIME_BOUND itself as out of range
+    bounds = cli._WITNESS_BOUNDS
+    assert len(bounds) == len(cli._WITNESSES) and bounds[-1] == PRIME_BOUND
+    assert list(bounds) == sorted(bounds)
+    for j, n in enumerate(bounds, 1):
+        assert all(strong_probable_prime(n, a) for a in cli._WITNESSES[:j]), (j, n)
+        assert not all(strong_probable_prime(n, a) for a in range(2, 100)), n
+        assert n == PRIME_BOUND or not cli._is_prime(n), n
+        code, out, _ = run_cli(capsys, "count", "--type", "1,0,0", "--p", str(n))
+        assert (code, out) == (2, ""), n
+
+
 def test_p_beyond_primality_bound_rejected(capsys):
     code, _, err = run_cli(capsys, "count", "--type", "1,0,0", "--p", str(PRIME_BOUND))
     assert code == 2

@@ -353,18 +353,30 @@ def test_theorem3_squares_once_per_distinct_quotient_type(monkeypatch, t, types)
     assert len(calls) == types
 
 
-@pytest.mark.parametrize("t", [(0, 0, 0), (4, 0, 0), (3, 1, 0), (3, 2, 1)])
-def test_theorem3_reads_each_dimensions_census_once(monkeypatch, t):
-    # one sum for both modes: each k = 0..rank has its census read once, also
-    # with p symbolic, whose weights are evaluated at X rather than read again
-    calls = []
-    census = formulas._cell_census
-    monkeypatch.setattr(formulas, "_cell_census", lambda t, k, pv: calls.append(k) or census(t, k, pv))
+POLYNOMIAL_ARITHMETIC = ("__add__", "__radd__", "__neg__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                         "__pow__", "evaluate", "exact_div")
+
+
+@pytest.mark.parametrize("t", [(0, 0, 0), (4, 0, 0), (3, 1, 0), (3, 2, 1), (2, 2, 2)])
+def test_theorem3_reads_no_census_and_no_polynomial_before_from_packed(monkeypatch, t):
+    # one pass over the cells for both modes reads no census, and with p
+    # symbolic every weight is an int at X, so F2 is the first polynomial
     t = GroupType(t)
-    for p in (7, None):
-        calls.clear()
-        factorization_count(t, p)
-        assert sorted(calls) == list(range(t.rank + 1)), (t, p)
+    expected = theorem3_by_polynomials(t)
+    events = []
+    census = formulas._cell_census
+    monkeypatch.setattr(formulas, "_cell_census", lambda t, k, pv: events.append("_cell_census") or census(t, k, pv))
+    for name in POLYNOMIAL_ARITHMETIC:
+        method = getattr(IntPolynomial, name)
+        monkeypatch.setattr(IntPolynomial, name,
+                            lambda self, *args, name=name, method=method: events.append(name) or method(self, *args))
+    monkeypatch.setattr(formulas, "from_packed",
+                        lambda value, width: events.append("from_packed") or from_packed(value, width))
+    factorization_count(t, 7)
+    assert events == [], t
+    assert factorization_count(t).value == expected
+    assert events[0] == "from_packed", (t, events)
+    assert "_cell_census" not in events, t
 
 
 @pytest.mark.parametrize("t", [(1, 1, 1), (3, 2, 1), (60, 59, 58), (200, 200, 0)])

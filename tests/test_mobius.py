@@ -1,6 +1,6 @@
 import random
 from collections import Counter
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +11,7 @@ from pgfactor.grouptype import GroupType, p_valuation
 from pgfactor.mobius import (
     InvalidSubspace,
     _det,
+    _orbit_groups,
     _orbit_tally,
     _rref_bases,
     enumerate_subspaces,
@@ -26,6 +27,7 @@ from pgfactor.mobius import (
 from pgfactor.formulas import _cell_census, factorization_count
 from pgfactor.oracle import build_group, quotient_type_mod
 from pgfactor.poly import P
+from test_formulas import theorem3_by_polynomials
 from test_oracle import SMALL_GROUPS
 
 
@@ -442,6 +444,65 @@ def test_socle_orbit_sizes_sum_to_gaussian_binomial():
             for p in (2, 3, 101, 10**9 + 7):
                 sizes = sum((p - 1) ** nonzero for _, nonzero, _ in socle_orbits(r, k))
                 assert sizes == gaussian_binomial(r, k, p)
+                grouped = sum(sum(n * (p - 1) ** j for j, n in enumerate(counts))
+                              for _, dim, counts in _orbit_groups(r) if dim == k)
+                assert grouped == gaussian_binomial(r, k, p), (r, k, p)
+
+
+def test_orbit_groups_are_built_once_per_rank():
+    # one group per subset of the r positions that a quotient can lower
+    for r in range(4):
+        table = _orbit_groups(r)
+        assert _orbit_groups(r) is table
+        assert sorted(drops for drops, _, _ in table) == sorted(
+            tuple(int(i in s) for i in range(3)) for k in range(r + 1) for s in combinations(range(r), k))
+
+
+def test_orbit_groups_expand_to_the_orbit_table():
+    for r in range(4):
+        for k in range(r + 1):
+            expanded = Counter()
+            for drops, dim, counts in _orbit_groups(r):
+                if dim == k:
+                    for nonzero, n in enumerate(counts):
+                        expanded[drops, nonzero] += n
+            assert expanded == Counter((drops, nonzero) for _, nonzero, drops in socle_orbits(r, k)), (r, k)
+
+
+@pytest.mark.parametrize("t, types", [((5, 5, 5), 4), ((5, 5, 2), 6), ((5, 2, 2), 6), ((5, 3, 1), 8),
+                                      ((5, 3, 0), 4), ((4, 4, 0), 3), ((5, 0, 0), 2)])
+def test_mobius_sum_evaluates_each_distinct_quotient_type_once(monkeypatch, t, types):
+    # one lowering per orbit group, at most 8 at rank 3 and 4 at rank 2, and
+    # groups that lower to the same type share one count
+    calls = []
+    count = mobius._subgroup_count_value
+    monkeypatch.setattr(mobius, "_subgroup_count_value", lambda q, p: calls.append(q) or count(q, p))
+    t = GroupType(t)
+    assert factorization_count_mobius(t, 61) == factorization_count(t, 61).value
+    assert len(calls) == len(set(calls)) == types
+
+
+PSTAR = 3317044064679887385961813
+
+
+@st.composite
+def small_ranked_types(draw):
+    """Types of rank 0 to 3 with exponents up to 12; at rank 2 or 3 two neighbours
+    are set equal 2 times in 3, so about a third of all examples have equal exponents."""
+    rank = draw(st.integers(0, 3))
+    exps = sorted(draw(st.lists(st.integers(1, 12), min_size=rank, max_size=rank)), reverse=True)
+    if rank >= 2 and draw(st.integers(0, 2)):
+        i = draw(st.integers(0, rank - 2))
+        exps[i + 1] = exps[i]
+    return GroupType(exps + [0] * (3 - rank))
+
+
+@settings(deadline=None, max_examples=60)
+@given(small_ranked_types(), st.sampled_from([2, 3, 61, 3001, PSTAR]))
+def test_numeric_routes_match_theorem3_by_polynomials(t, p):
+    expected = theorem3_by_polynomials(t).evaluate(p)
+    assert factorization_count(t, p).value == expected
+    assert factorization_count_mobius(t, p) == expected
 
 
 def test_stored_drops_are_the_pivots_at_every_prime():
