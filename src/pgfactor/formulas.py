@@ -42,7 +42,7 @@ it is cross-validated against the brute-force oracle rather than assumed).
 
 from __future__ import annotations
 
-from collections import Counter, namedtuple
+from collections import namedtuple
 from functools import reduce
 from itertools import combinations
 
@@ -183,20 +183,6 @@ _CELLS = tuple(
           for s in combinations(range(3), k))
     for k in range(4)
 )
-
-
-def _cell_census(t: GroupType, k: int, pv) -> Counter:
-    """Quotient type -> number of k-dimensional socle subspaces giving it; ``pv`` is p or P.
-
-    Each cell S of ``_CELLS[k]`` adds pv**inv(S) to t lowered at S.  A cell
-    that would lower a zero exponent holds no subspace (the rank <= 2 convention).
-    """
-    census = Counter()
-    for drops, inv in _CELLS[k]:
-        lowered = [e - d for e, d in zip(t, drops)]
-        if min(lowered) >= 0:
-            census[normalize(lowered)] += pv**inv
-    return census
 
 
 # The eight socle cells as (drop vector 1_S, ((-1)^k, C(k,2) + inv(S))), k = |S|:

@@ -15,19 +15,19 @@ preserve quotient types.  At rank <= 3 a canonical basis has at most two free
 entries, and the torus scales them independently, so an orbit is exactly a
 pivot layout plus a choice of which free entries are nonzero.  Its size is
 (p-1)^(number of nonzero free entries), and the basis with each nonzero free
-entry set to 1 represents it.  The orbit table (``socle_orbits``), 16
-representatives at rank 3 and 5 at rank 2, stores once per process the
-exponent positions each one's quotient lowers, alike at every prime.
-``_orbit_groups`` groups it by those drops, once per rank, counting the
-orbits with 0, 1 and 2 nonzero free entries; a call lowers its type once
-per group, 8 times at rank 3 and 4 at rank 2, and weights each quotient
-type by the Hall value times sum_j n_j (p-1)^j, so p may be an int or the
-symbolic P.
+entry set to 1 represents it.  The orbit table (``_orbit_groups``) reads the
+16 representatives at rank 3 and 5 at rank 2 once per process and groups
+them by the exponent positions their quotients lower, alike at every prime,
+counting the orbits with 0, 1 and 2 nonzero free entries; a call lowers its
+type once per group, 8 times at rank 3 and 4 at rank 2, and weights each
+quotient type by the Hall value times sum_j n_j (p-1)^j, so p may be an int
+or the symbolic P.
 
 The per-dimension tallies of quotient types (the census) are, at every rank,
-a checkable invariant: they match the socle cells of the closed form, p^inv(S)
-subspaces lowering the exponents in S, read from the cells that ``theorem3``
-sums over (``formulas._cell_census``, via ``reference_census``).
+a checkable invariant: the orbit census (``quotient_type_census``) must match
+the socle cells of the closed form, p^inv(S) subspaces lowering the
+exponents in S, tallied from the cells that ``theorem3`` sums over
+(``formulas._CELLS``, by ``reference_census``).
 ``verify_census`` holds verify's census checks, those tallies and the
 quotient by the whole socle, as ``(name, expected, actual)`` triples.
 The Smith normal form (``smith_normal_form``) types no quotient here; it is
@@ -42,7 +42,7 @@ from functools import cache
 from itertools import combinations, product
 from math import gcd
 
-from .formulas import _cell_census, _hall_value, _subgroup_count_value
+from .formulas import _CELLS, _hall_value, _subgroup_count_value
 from .grouptype import GroupType, normalize
 from .poly import P
 
@@ -105,37 +105,27 @@ def enumerate_subspaces(r: int, k: int, p: int) -> list[tuple[tuple[int, ...], .
 
 
 @cache
-def socle_orbits(r: int, k: int) -> tuple[tuple[tuple, int, tuple[int, int, int]], ...]:
-    """One representative per torus orbit of k-dimensional subspaces of F_p^r.
-
-    A tuple of ``(rows, nonzero, drops)``: the canonical basis with every
-    nonzero free entry set to 1, the number of those entries, so the orbit
-    holds (p-1)**nonzero subspaces, and the exponent positions its quotient
-    lowers (``_drops``).  Only at r <= 3, where a basis has at most two free
-    entries, is the zero pattern the whole orbit; there every minor of a
-    representative is 0 or +-1, so each set of its columns has the same rank,
-    and its echelon form the same pivots, mod every prime.  So the table, its
-    drops read at p = 2, depends on neither group nor p: built once per (r, k).
-    """
-    if r > 3:
-        raise ValueError(f"torus orbits are zero patterns only up to rank 3, got r={r}")
-    return tuple((rows, sum(fill), _drops(rows, 2)) for rows, fill in _rref_bases(r, k, (0, 1)))
-
-
-@cache
 def _orbit_groups(r: int) -> tuple[tuple[tuple[int, int, int], int, tuple[int, int, int]], ...]:
-    """The rank-r orbit table grouped by drop vector, once per process.
+    """The rank-r torus orbits grouped by drop vector, once per process.
 
     A tuple of ``(drops, k, (n0, n1, n2))``: n_j orbits of k-dimensional
     subspaces have j nonzero free entries and lower the exponents at
-    ``drops``, so the group holds sum_j n_j (p-1)^j subspaces (``_size``).
-    Every subset of the r positions is one group: 8 at rank 3, 4 at rank 2.
+    ``drops`` (``_drops``), so the group holds sum_j n_j (p-1)^j subspaces
+    (``_size``).  Every subset of the r positions is one group: 8 at rank 3,
+    4 at rank 2.  Only at r <= 3, where a basis has at most two free
+    entries, is the zero pattern the whole orbit; there every minor of a
+    representative, the basis with each nonzero free entry set to 1, is 0
+    or +-1, so each set of its columns has the same rank, and its echelon
+    form the same pivots, mod every prime.  So the drops, read at p = 2,
+    depend on neither group nor p.
     """
+    if r > 3:
+        raise ValueError(f"torus orbits are zero patterns only up to rank 3, got r={r}")
     groups = {}
     for k in range(r + 1):
-        for _, nonzero, drops in socle_orbits(r, k):
-            _, counts = groups.setdefault(drops, (k, [0, 0, 0]))
-            counts[nonzero] += 1
+        for rows, fill in _rref_bases(r, k, (0, 1)):
+            _, counts = groups.setdefault(_drops(rows, 2), (k, [0, 0, 0]))
+            counts[sum(fill)] += 1
     return tuple((drops, k, tuple(counts)) for drops, (k, counts) in groups.items())
 
 
@@ -252,42 +242,40 @@ def _census_entries(counter: Counter) -> tuple[tuple[GroupType, int], ...]:
     return tuple(sorted(counter.items(), reverse=True))
 
 
-def _orbit_tally(t: GroupType, k: int, pv) -> Counter:
-    """Quotient type -> number of k-dimensional socle subspaces giving it; ``pv`` is p or P.
-
-    Each orbit group of dimension k lowers t by its drops and counts its
-    subspaces.  A k outside 0..rank raises ValueError.
-    """
-    if not 0 <= k <= t.rank:
-        raise ValueError(f"need 0 <= k <= rank, got k={k}, rank={t.rank}")
-    tally = Counter()
-    for drops, dim, counts in _orbit_groups(t.rank):
-        if dim == k:
-            tally[_lowered(t, drops)] += _size(counts, pv - 1)
-    return tally
-
-
 def quotient_type_census(t: GroupType, k: int, p: int) -> tuple[tuple[GroupType, int], ...]:
     """Count quotient types over every k-dimensional socle subspace, 0 <= k <= rank.
 
-    ``(type, count)`` pairs, types descending.  The counts sum to
-    gaussian_binomial(t.rank, k, p) at any p, from at most 3 orbit groups.
-    A k outside 0..rank raises ValueError.
+    ``(type, count)`` pairs, types descending: each of the at most 3 orbit
+    groups of dimension k lowers t by its drops and counts its subspaces, so
+    the counts sum to gaussian_binomial(t.rank, k, p); ``p`` may be P.  A k
+    outside 0..rank raises ValueError.
     """
-    return _census_entries(_orbit_tally(t, k, p))
+    if not 0 <= k <= t.rank:
+        raise ValueError(f"need 0 <= k <= rank, got k={k}, rank={t.rank}")
+    census = Counter()
+    for drops, dim, counts in _orbit_groups(t.rank):
+        if dim == k:
+            census[_lowered(t, drops)] += _size(counts, p - 1)
+    return _census_entries(census)
 
 
 def reference_census(t: GroupType, k: int, p: int) -> tuple[tuple[GroupType, int], ...]:
     """Expected census from the socle cells of the closed form.
 
-    Each cell S with |S| = k gives p^inv(S) quotients of type t minus 1 at the
-    positions in S: by order-p subgroups, p^2 drop the smallest exponent, p
-    the middle one, 1 the largest.  Coinciding exponents merge types.  A k
-    outside 0..rank raises ValueError, as in ``quotient_type_census``.
+    Each cell S of ``formulas._CELLS[k]`` gives p^inv(S) quotients of type t
+    minus 1 at the positions in S: by order-p subgroups, p^2 drop the
+    smallest exponent, p the middle one, 1 the largest.  A cell that would
+    lower a zero exponent holds none (the rank <= 2 convention); coinciding
+    exponents merge types; ``p`` may be P.  A k outside 0..rank raises
+    ValueError, as in ``quotient_type_census``.
     """
     if not 0 <= k <= t.rank:
         raise ValueError(f"need 0 <= k <= rank, got k={k}, rank={t.rank}")
-    return _census_entries(_cell_census(t, k, p))
+    census = Counter()
+    for drops, inv in _CELLS[k]:
+        if all(e >= d for e, d in zip(t, drops)):
+            census[_lowered(t, drops)] += p**inv
+    return _census_entries(census)
 
 
 def verify_census(t: GroupType, p: int) -> list[tuple]:

@@ -53,7 +53,6 @@ configurable order cap keeps accidental huge inputs out.
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import cached_property
 from itertools import product
 from math import gcd
@@ -122,7 +121,8 @@ class Lattice:
     membership masks ``subgroups`` and the bitmasks over ids ``below[i]`` /
     ``above[i]``.  A subgroup's id is its position in ``bases``, so ids are
     stable across runs; id 0 is the trivial subgroup and the last id is the
-    group.  Only the tests, the benchmark's tracer and the ``_exact_mobius``
+    group.  Only the tests, the benchmark's tracer, the references
+    ``interval_size`` and ``mobius_interval`` and the ``_exact_mobius``
     fallback read ``bases``.
     """
 
@@ -460,10 +460,12 @@ def _contains(h, k) -> bool:
 def interval_size(lattice: Lattice, i: int) -> int:
     """Number of subgroups K with H <= K <= G, H the subgroup with id i; ids follow the order.
 
-    A reference for the tests and the benchmark's tracer: nothing in the
-    library calls it, as ``verify_inversion_forms`` reads the counts off
-    ``Lattice.upward``.
+    An id outside range(len(lattice)) raises IndexError.  A reference for
+    the tests and the benchmark's tracer: nothing in the library calls it,
+    as ``verify_inversion_forms`` reads the counts off ``Lattice.upward``.
     """
+    if not 0 <= i < len(lattice):
+        raise IndexError(f"subgroup id {i} outside 0..{len(lattice) - 1}")
     h = lattice.bases[i]
     return sum(_contains(k, h) for k in lattice.bases[i:])
 
@@ -685,35 +687,20 @@ def _lattice_mobius(lattice: Lattice, upward: bool) -> tuple[list, ...]:
     return _class_mobius(g, classes, upward) or _exact_mobius(g, lattice.bases, upward)
 
 
-def _image_mobius(g: ConcreteGroup, bases, upward: bool) -> tuple[list, ...]:
-    """The mu, size and keyed columns of ``_class_mobius`` for each listed subgroup.
-
-    ``bases`` lists HNF entries in (order, entries) order, from the walk's
-    start A to its end B, and the values come out aligned with it: mu(A, H)
-    upward, mu(H, B) downward.  The list is tallied by class with the
-    start's class first, each subgroup takes its class's values, and a pass
-    that does not vanish falls back to ``_exact_mobius`` on the list.
-    """
-    per = _subgroup_classes(g, bases, upward)
-    columns = _class_mobius(g, Counter(per if upward else per[::-1]), upward)
-    if columns is None:
-        return _exact_mobius(g, bases, upward)[2:]
-    classes, _, *values = columns
-    at = dict(zip(classes, zip(*values)))
-    return tuple(map(list, zip(*map(at.__getitem__, per))))
-
-
 def mobius_interval(lattice: Lattice, i: int, j: int) -> int:
     """Lattice Mobius value mu(H, K), H and K the subgroups with ids i and j.
 
-    Upward over the ids i..j whose subgroups lie in [H, K], tested on the
-    HNF bases.
+    An id outside range(len(lattice)) raises IndexError.  The exact pass
+    (``_exact_mobius``) runs upward over the ids i..j whose subgroups lie
+    in [H, K], tested on the HNF bases.
     """
+    if not (0 <= i < len(lattice) and 0 <= j < len(lattice)):
+        raise IndexError(f"subgroup ids {i}, {j} outside 0..{len(lattice) - 1}")
     h, k = lattice.bases[i], lattice.bases[j]
     if not _contains(k, h):
         raise NotComparable(f"subgroup {i} is not contained in subgroup {j}")
     interval = [b for b in lattice.bases[i:j + 1] if _contains(b, h) and _contains(k, b)]
-    return _image_mobius(lattice.group, interval, upward=True)[0][-1]
+    return _exact_mobius(lattice.group, interval, upward=True)[2][-1]
 
 
 def verify_hall(g: ConcreteGroup, lattice: Lattice) -> list[tuple]:

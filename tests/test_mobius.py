@@ -12,7 +12,6 @@ from pgfactor.mobius import (
     InvalidSubspace,
     _det,
     _orbit_groups,
-    _orbit_tally,
     _rref_bases,
     enumerate_subspaces,
     factorization_count_mobius,
@@ -22,9 +21,8 @@ from pgfactor.mobius import (
     quotient_type_census,
     reference_census,
     smith_normal_form,
-    socle_orbits,
 )
-from pgfactor.formulas import _cell_census, factorization_count
+from pgfactor.formulas import factorization_count
 from pgfactor.oracle import build_group, quotient_type_mod
 from pgfactor.poly import P
 from test_formulas import theorem3_by_polynomials
@@ -341,7 +339,7 @@ def test_cell_census_matches_orbit_tally_with_p_symbolic():
     cases = 0
     for t in CENSUS_TYPES:
         for k in range(t.rank + 1):
-            assert _cell_census(t, k, P) == _orbit_tally(t, k, P), (t, k)
+            assert reference_census(t, k, P) == quotient_type_census(t, k, P), (t, k)
             cases += 1
     assert cases == 605
 
@@ -350,7 +348,7 @@ def test_cell_census_counts_every_subspace():
     for p in (2, 3, 7):
         for t in CENSUS_TYPES:
             for k in range(t.rank + 1):
-                assert sum(_cell_census(t, k, p).values()) == gaussian_binomial(t.rank, k, p), (t, k, p)
+                assert sum(n for _, n in reference_census(t, k, p)) == gaussian_binomial(t.rank, k, p), (t, k, p)
 
 
 @pytest.mark.parametrize("exps", [(0, 0, 0), (2, 0, 0), (2, 1, 0), (1, 1, 1)], ids=lambda e: f"rank{sum(map(bool, e))}")
@@ -420,29 +418,44 @@ RANK3_TYPES = [
 ]
 
 
+def _orbit_representatives(r, k, p):
+    """(rows, nonzero, drops) for each torus orbit of k-dimensional subspaces of F_p^r.
+
+    The canonical basis with every nonzero free entry set to 1, the number of
+    those entries, and the exponent positions its quotient lowers at p, read
+    off ``quotient_type``: exponents one apart stay in order when lowered,
+    so t - quotient is the drops.
+    """
+    t = GroupType(5 - i if i < r else 0 for i in range(3))
+    for rows, fill in _rref_bases(r, k, (0, 1)):
+        yield rows, sum(fill), tuple(e - q for e, q in zip(t, quotient_type(t, rows, p)))
+
+
+def _expanded_orbit_groups(r, k):
+    """(drops, nonzero) -> number of orbits, read back from ``_orbit_groups(r)`` at dimension k."""
+    expanded = Counter()
+    for drops, dim, counts in _orbit_groups(r):
+        if dim == k:
+            for nonzero, n in enumerate(counts):
+                expanded[drops, nonzero] += n
+    return expanded
+
+
 def test_socle_orbit_counts():
     # one orbit per zero pattern: 16 at rank 3, 5 at rank 2
-    assert sum(len(list(socle_orbits(3, k))) for k in range(4)) == 16
-    assert sum(len(list(socle_orbits(2, k))) for k in range(3)) == 5
+    assert sum(len(list(_rref_bases(3, k, (0, 1)))) for k in range(4)) == 16
+    assert sum(len(list(_rref_bases(2, k, (0, 1)))) for k in range(3)) == 5
+    for r, orbits in ((3, 16), (2, 5)):
+        assert sum(sum(counts) for _, _, counts in _orbit_groups(r)) == orbits
     with pytest.raises(ValueError):
-        list(socle_orbits(4, 2))
-
-
-def test_socle_orbits_are_built_once():
-    for r in range(4):
-        for k in range(r + 1):
-            table = socle_orbits(r, k)
-            assert socle_orbits(r, k) is table
-            assert [(s, nonzero) for s, nonzero, _ in table] == [
-                (s, sum(fill)) for s, fill in _rref_bases(r, k, (0, 1))
-            ]
+        _orbit_groups(4)
 
 
 def test_socle_orbit_sizes_sum_to_gaussian_binomial():
     for r in range(4):
         for k in range(r + 1):
             for p in (2, 3, 101, 10**9 + 7):
-                sizes = sum((p - 1) ** nonzero for _, nonzero, _ in socle_orbits(r, k))
+                sizes = sum((p - 1) ** sum(fill) for _, fill in _rref_bases(r, k, (0, 1)))
                 assert sizes == gaussian_binomial(r, k, p)
                 grouped = sum(sum(n * (p - 1) ** j for j, n in enumerate(counts))
                               for _, dim, counts in _orbit_groups(r) if dim == k)
@@ -461,12 +474,8 @@ def test_orbit_groups_are_built_once_per_rank():
 def test_orbit_groups_expand_to_the_orbit_table():
     for r in range(4):
         for k in range(r + 1):
-            expanded = Counter()
-            for drops, dim, counts in _orbit_groups(r):
-                if dim == k:
-                    for nonzero, n in enumerate(counts):
-                        expanded[drops, nonzero] += n
-            assert expanded == Counter((drops, nonzero) for _, nonzero, drops in socle_orbits(r, k)), (r, k)
+            orbits = Counter((drops, nonzero) for _, nonzero, drops in _orbit_representatives(r, k, 2))
+            assert _expanded_orbit_groups(r, k) == orbits, (r, k)
 
 
 @pytest.mark.parametrize("t, types", [((5, 5, 5), 4), ((5, 5, 2), 6), ((5, 2, 2), 6), ((5, 3, 1), 8),
@@ -506,15 +515,13 @@ def test_numeric_routes_match_theorem3_by_polynomials(t, p):
 
 
 def test_stored_drops_are_the_pivots_at_every_prime():
-    # quotient_type reads the pivots at its own p; the table read them once at p = 2.
-    # Exponents one apart stay in order when lowered, so t - quotient is the drops.
+    # quotient_type reads the pivots at its own p; the table read them once
+    # at p = 2 (test_orbit_groups_expand_to_the_orbit_table)
     for r in range(4):
-        t = GroupType(5 - i if i < r else 0 for i in range(3))
         for k in range(r + 1):
-            for s, _, drops in socle_orbits(r, k):
-                for p in (2, 3, 5, 1000003, 3317044064679887385961813):
-                    expected = tuple(e - q for e, q in zip(t, quotient_type(t, s, p)))
-                    assert drops == expected, (r, s, p)
+            at_two = list(_orbit_representatives(r, k, 2))
+            for p in (3, 5, 1000003, PSTAR):
+                assert list(_orbit_representatives(r, k, p)) == at_two, (r, k, p)
 
 
 def test_orbit_representative_has_every_members_quotient_type():

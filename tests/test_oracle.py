@@ -695,7 +695,7 @@ def test_frattini_count_matches_pair_count(exps, p, lattice_cache):
 
 
 def _dense_passes(g, masks, upward):
-    """Reference for ``oracle._image_mobius`` over the listed subgroups, from their masks.
+    """Reference for the Mobius passes over the listed subgroups, from their masks.
 
     The Mobius values from the walk's first subgroup upward, or to its last
     downward, by the dense recursion; the count on the far side of each
@@ -716,12 +716,28 @@ def _dense_passes(g, masks, upward):
     return mu, [far[i].bit_count() if v else 0 for i, v in enumerate(mu)], keyed
 
 
+def _class_passes(g, bases, upward):
+    """The mu, size and keyed columns of ``oracle._class_mobius`` for each listed subgroup, or None.
+
+    The list is tallied by ``_subgroup_classes`` with the walk's start class
+    first, as the walk tallies it, and each subgroup takes its class's values.
+    """
+    per = oracle._subgroup_classes(g, bases, upward)
+    columns = oracle._class_mobius(g, Counter(per if upward else per[::-1]), upward)
+    if columns is None:
+        return None
+    classes, _, *values = columns
+    at = dict(zip(classes, zip(*values)))
+    return tuple(map(list, zip(*map(at.__getitem__, per))))
+
+
 @settings(deadline=None, max_examples=60)
 @given(st.sampled_from(SMALL_GROUPS), st.data())
 def test_image_mobius_matches_dense_on_any_sublist(lattice_cache, case, data):
     # on the whole lattice Hall's vanishing keeps every nonzero value on the
     # keyed subgroups; on a sublist, as a broken walk would give, values can
-    # fall off them, and both passes must then fall back and stay exact
+    # fall off them, and the class pass must then return None; where it
+    # answers, and in the exact pass always, the values are the dense ones
     g, lat = lattice_cache(*case)
     n = len(lat)
     kept = data.draw(st.one_of(st.just(list(range(n))),
@@ -729,26 +745,26 @@ def test_image_mobius_matches_dense_on_any_sublist(lattice_cache, case, data):
     bases = [lat.bases[i] for i in kept]
     masks = [lat.subgroups[i] for i in kept]
     for upward in (True, False):
-        assert oracle._image_mobius(g, bases, upward) == _dense_passes(g, masks, upward), upward
+        dense = _dense_passes(g, masks, upward)
+        assert oracle._exact_mobius(g, bases, upward)[2:] == dense, upward
+        answered = _class_passes(g, bases, upward)
+        assert answered == dense if len(kept) == n else answered in (None, dense), upward
 
 
 @pytest.mark.parametrize("exps,p", [((2, 1, 0), 3), ((2, 2, 1), 2), ((3, 1, 1), 2)])
 @pytest.mark.parametrize("upward", [True, False])
-def test_image_mobius_falls_back_on_a_walk_with_a_planted_gap(monkeypatch, exps, p, upward):
+def test_image_mobius_falls_back_on_a_walk_with_a_planted_gap(exps, p, upward):
     # a walk without Omega_1(G) leaves a nonzero mu(1, H) at each H above
     # it, and a walk without pG a nonzero mu(H, G) at each H below it, none
-    # of them keyed; the pass must then test containment in full and agree
-    # with the dense recursion over the same list
+    # of them keyed; the class pass must then return None, and the exact
+    # pass, which tests containment in full, agree with the dense recursion
+    # over the same list
     g, lat = _fresh_lattice(exps, p)
     gap = lat.subgroups.index(g.omega[1] if upward else g.multiples[1])
     bases = lat.bases[:gap] + lat.bases[gap + 1:]
     masks = lat.subgroups[:gap] + lat.subgroups[gap + 1:]
-    real = oracle._exact_mobius
-    fallbacks = []
-    monkeypatch.setattr(oracle, "_exact_mobius",
-                        lambda g, bases, upward: fallbacks.append(upward) or real(g, bases, upward))
-    mu, sizes, keyed = oracle._image_mobius(g, bases, upward)
-    assert fallbacks == [upward]
+    assert _class_passes(g, bases, upward) is None
+    mu, sizes, keyed = oracle._exact_mobius(g, bases, upward)[2:]
     assert (mu, sizes, keyed) == _dense_passes(g, masks, upward)
     assert any(v and not k for v, k in zip(mu, keyed))
 
@@ -833,6 +849,25 @@ def test_mobius_interval_and_interval_size_match_dense(lattice_cache, case, data
             mobius_interval(lat, h, j)
         with pytest.raises(NotComparable):
             mobius_interval(lat, j, h)
+    # an id is a position in Lattice.bases: -1 and len(lat) name no subgroup
+    for bad in (-1, len(lat)):
+        with pytest.raises(IndexError):
+            interval_size(lat, bad)
+        with pytest.raises(IndexError):
+            mobius_interval(lat, h, bad)
+        with pytest.raises(IndexError):
+            mobius_interval(lat, bad, k)
+
+
+@pytest.mark.parametrize("exps,p", [((1, 1, 0), 2), ((2, 1, 0), 3), ((1, 1, 1), 2), ((2, 2, 1), 2),
+                                    ((1, 0, 0), 7)])
+def test_mobius_interval_runs_no_class_pass(monkeypatch, lattice_cache, exps, p):
+    def refuse(*args):
+        raise AssertionError("mobius_interval ran the class pass")
+
+    _, lat = lattice_cache(exps, p)
+    monkeypatch.setattr(oracle, "_class_mobius", refuse)
+    assert mobius_interval(lat, 0, len(lat) - 1) == hall_mobius(GroupType(exps), p)
 
 
 @pytest.mark.parametrize("exps,p", [((3, 2, 1), 2), ((2, 2, 1), 3), ((1, 1, 1), 5), ((2, 0, 0), 3),

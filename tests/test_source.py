@@ -150,3 +150,55 @@ def test_no_module_loads_dataclasses_typing_json_or_inspect():
         if module in ("dataclasses", "typing", "json", "inspect")
     ]
     assert found == []
+
+
+def _spelled(node):
+    """The names that each Name, Attribute and import alias under ``node`` spells."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.alias):
+            yield sub.name.rsplit(".", 1)[-1]
+
+
+def _unreferenced(sources):
+    """(module, name) for each module-level function or class that nothing else spells.
+
+    ``sources`` maps module names to their source text.  A definition is
+    referenced where a Name, an Attribute or an import alias spells its name
+    outside the definition itself and outside ``__init__``, which only
+    re-exports.
+    """
+    defined, spelled_at = [], {}
+    for module, text in sources.items():
+        for node in ast.parse(text).body:
+            owner = getattr(node, "name", None)  # set on def, async def and class statements
+            if owner is not None:
+                defined.append((module, owner))
+            if module != "__init__":
+                for name in _spelled(node):
+                    spelled_at.setdefault(name, set()).add((module, owner))
+    return [(module, name) for module, name in defined if not spelled_at.get(name, set()) - {(module, name)}]
+
+
+def test_unreferenced_finds_what_only_itself_or_the_package_names():
+    sources = {
+        "__init__": "from .a import kept_by_init\nfrom . import b\nb.dead()\n",
+        "a": ("from .b import used_by_import\nfrom . import b\n\n"
+              "def recursive(n):\n    return recursive(n - 1) if n else b.by_attribute()\n\n"
+              "def kept_by_init():\n    return used_by_import()\n\n"
+              "class Called:\n    def method(self):\n        return Called()\n"),
+        "b": "def used_by_import():\n    pass\n\ndef by_attribute():\n    pass\n\ndef dead():\n    pass\n",
+    }
+    assert _unreferenced(sources) == [("a", "recursive"), ("a", "kept_by_init"), ("a", "Called"), ("b", "dead")]
+
+
+def test_every_function_and_class_in_src_is_referenced_exported_or_traced():
+    # a helper that lost its last caller is deleted, not kept beside the path that runs
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    traced = {(module, name) for module, names in _tracer_table("FUNCTIONS").items() for name in names}
+    found = [f"{module}.{name}" for module, name in _unreferenced(sources)
+             if name not in pgfactor.__all__ and (module, name) not in traced]
+    assert found == []
