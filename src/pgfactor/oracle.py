@@ -40,7 +40,12 @@ upward, the annihilator of the Frattini image downward) and sum over the
 subspaces of a key; at rank 3 a plane's proper nonzero subspaces are its
 p + 1 points.  A nonzero value off those sublattices, which only a broken
 walk gives, sends the pass to exact containment tests on the HNF bases,
-walked again.
+walked again.  The subspaces of F_p^r, their incidence (the p^3 term: the
+p + 1 points of each of the p^2 + p + 1 planes) and the map from each
+residue pattern to its key or image depend on (r, p) alone, not on the
+group: ``_subspace_table`` builds them once per (r, p) per process, not
+once per pass or per call, and the direct count and both passes read them
+by int id.
 
 Membership bitmasks (element (y1, y2, y3) is bit (y1 m2 + y2) m3 + y3) are
 built only on demand, each from an HNF basis by one plain builder,
@@ -53,8 +58,8 @@ configurable order cap keeps accidental huge inputs out.
 
 from __future__ import annotations
 
-from functools import cached_property
-from itertools import product
+from functools import cache, cached_property
+from itertools import combinations, product
 from math import gcd
 
 from .grouptype import GroupType, type_from_layers
@@ -315,61 +320,129 @@ def _frattini_image(residues, r: int, p: int) -> tuple[tuple[int, ...], ...]:
     return tuple(row[:r] for row in rows if any(row[:r]))
 
 
-def _plane_points(plane, p: int):
-    """Yield the p + 1 points of a plane in F_p^3, each as a one-row reduced basis.
+def _plane_points(plane, p: int) -> list[int]:
+    """The ids of the p + 1 points of a plane in F_p^3, in ``_SubspaceTable``'s order at r = 3.
 
-    ``plane`` is a reduced basis (early, late): the points are late and
-    early + s late for s < p.  Each leads with 1 already, as late is 0
-    before its pivot and early is 0 at it.
+    There the point spanned by (1, x, y) has id 1 + x p + y, by (0, 1, y)
+    id 1 + p^2 + y, and by (0, 0, 1) id 1 + p^2 + p.  ``plane`` is a
+    reduced basis (early, late): the points are late and early + s late for
+    s < p.  Each leads with 1 already, as late is 0 before its pivot and
+    early is 0 at it: late is (0, 1, b3) or (0, 0, 1), and early is (1, a2,
+    a3), or (0, 1, 0) when late is (0, 0, 1).
     """
-    (a1, a2, a3), late = plane
-    b1, b2, b3 = late
-    yield late,
-    for s in range(p):
-        yield ((a1 + s * b1) % p, (a2 + s * b2) % p, (a3 + s * b3) % p),
+    (a1, a2, a3), (_, b2, b3) = plane
+    if b2:  # early is (1, 0, a3)
+        return [1 + p * p + b3, *[1 + s * p + (a3 + s * b3) % p for s in range(p)]]
+    first = 1 + a2 * p if a1 else 1 + p * p  # early + s late is (1, a2, s) or (0, 1, s)
+    return [1 + p * p + p, *range(first, first + p)]
 
 
-def _spanning_pairs(images: dict, r: int, p: int) -> int:
+class _Reduced(dict):
+    """Residue pattern -> subspace id, each pattern reduced by ``read(residues, *args)`` when first looked up."""
+
+    __slots__ = ("ids", "read", "args")
+
+    def __init__(self, ids: dict, read, *args):
+        super().__init__()
+        self.ids, self.read, self.args = ids, read, args
+
+    def __missing__(self, residues) -> int:
+        self[residues] = i = self.ids[self.read(residues, *self.args)]
+        return i
+
+
+class _SubspaceTable:
+    """Every subspace of F_p^r, r <= 3, with the maps from residue patterns to it.
+
+    ``bases`` lists each subspace as its reduced row-echelon basis, in order
+    of dimension, and ``ids`` maps a basis to its id, its position there:
+    id 0 is the zero space and the last id the whole space; ``start[n]`` is
+    the first id of dimension n, and ``start[r + 1]`` the number of ids.
+    ``below[i]`` lists the ids of the subspaces of subspace i.  At r <= 3
+    they are every id for the whole space and, for any other subspace, 0
+    first and i last with, for a plane at r = 3, its p + 1 points between.
+    ``socle``, ``dual`` and ``image`` map each residue pattern met so far to
+    the id of its socle key and its dual key (``_key`` upward and downward)
+    and of its Frattini image (``_frattini_image``).  Nothing here depends
+    on a group, so ``_subspace_table`` builds one per (r, p) per process.
+    """
+
+    __slots__ = ("bases", "start", "ids", "below", "socle", "dual", "image")
+
+    def __init__(self, r: int, p: int):
+        self.bases = []
+        self.start = []
+        for n in range(r + 1):
+            self.start.append(len(self.bases))
+            for pivots in combinations(range(r), n):
+                choices = []  # for each pivot, the rows with 1 there and any residues at later free columns
+                for c in pivots:
+                    free = [j for j in range(c + 1, r) if j not in pivots]
+                    rows = []
+                    for values in product(range(p), repeat=len(free)):
+                        row = [0] * r
+                        row[c] = 1
+                        for j, v in zip(free, values):
+                            row[j] = v
+                        rows.append(tuple(row))
+                    choices.append(rows)
+                self.bases.extend(product(*choices))
+        self.start.append(len(self.bases))
+        self.ids = ids = {basis: i for i, basis in enumerate(self.bases)}
+        whole = list(range(len(self.bases)))
+        self.below = [whole if len(basis) == r
+                      else [0, *_plane_points(basis, p), i] if len(basis) == 2
+                      else [0, i] if i else [0]
+                      for i, basis in enumerate(self.bases)]
+        self.socle = _Reduced(ids, _key, True, r, p)
+        self.dual = _Reduced(ids, _key, False, r, p)
+        self.image = _Reduced(ids, _frattini_image, r, p)
+
+
+@cache
+def _subspace_table(r: int, p: int) -> _SubspaceTable:
+    """The subspaces of F_p^r and their incidence, built once per (r, p) per process."""
+    return _SubspaceTable(r, p)
+
+
+def _spanning_pairs(images: list, r: int, p: int) -> int:
     """Sum of n_V n_W over ordered pairs of images with V + W = F_p^r.
 
-    ``images`` maps each image in G/pG (its basis from ``_frattini_image``)
-    to the number n_V of subgroups with that image.  Since pG is the
+    ``images[i]`` is the number n_V of subgroups whose image in G/pG is the
+    subspace V with id i in ``_subspace_table(r, p)``.  Since pG is the
     Frattini subgroup, only G itself maps onto F_p^r.  At r <= 3 a spanning
     pair either holds the whole space, or is two distinct hyperplanes, or
     (r = 3) is a plane and a point off it.
     """
-    by_dim = [{} for _ in range(r + 1)]
-    for image, n in images.items():
-        by_dim[len(image)][image] = n
-    full = sum(by_dim[r].values())
-    if full != 1:
-        raise RuntimeError(f"{full} subgroups map onto G/pG; only G should")
-    pairs = 2 * sum(images.values()) - 1
+    table = _subspace_table(r, p)
+    start = table.start
+    if images[-1] != 1:
+        raise RuntimeError(f"{images[-1]} subgroups map onto G/pG; only G should")
+    pairs = 2 * sum(images) - 1
     if r:
-        hyperplanes = by_dim[r - 1].values()
+        hyperplanes = images[start[r - 1]:start[r]]
         pairs += sum(hyperplanes) ** 2 - sum(n * n for n in hyperplanes)
     if r == 3:
-        lines = by_dim[1]
-        all_lines = sum(lines.values())
-        zeros = [0] * (p + 1)
-        for plane, n in by_dim[2].items():
-            on = sum(map(lines.get, _plane_points(plane, p), zeros))
-            pairs += 2 * n * (all_lines - on)
+        all_lines = sum(images[start[1]:start[2]])
+        for plane in range(start[2], start[3]):
+            if n := images[plane]:
+                on = sum(map(images.__getitem__, table.below[plane][1:-1]))
+                pairs += 2 * n * (all_lines - on)
     return pairs
 
 
 def _factorizations(residues: dict, g: ConcreteGroup) -> int:
     """Number of ordered pairs (H, K) with H + K = G, from the subgroups tallied by HNF residues mod p.
 
-    Each residue set is reduced once to the subgroups' image in G/pG, and
-    ``_spanning_pairs`` counts the pairs of images that span.
+    Each residue set is reduced to the subgroups' image in G/pG once per
+    process, by the table's ``image`` map, and ``_spanning_pairs`` counts
+    the pairs of images that span.
     """
-    p, r = g.p, g.gtype.rank
-    images = {}
+    table = _subspace_table(g.gtype.rank, g.p)
+    images = [0] * len(table.bases)
     for key, n in residues.items():
-        image = _frattini_image(key, r, p)
-        images[image] = images.get(image, 0) + n
-    return _spanning_pairs(images, r, p)
+        images[table.image[key]] += n
+    return _spanning_pairs(images, g.gtype.rank, g.p)
 
 
 def oracle_factorizations(g: ConcreteGroup) -> int:
@@ -470,8 +543,9 @@ def interval_size(lattice: Lattice, i: int) -> int:
     return sum(_contains(k, h) for k in lattice.bases[i:])
 
 
+@cache
 def _hall_by_order(p: int) -> dict[int, int]:
-    """Hall's mu(1, H) for H elementary abelian, keyed by |H| = p^n, n = 0..3."""
+    """Hall's mu(1, H) for H elementary abelian, keyed by |H| = p^n, n = 0..3, once per prime."""
     return {p ** n: hall_mobius(GroupType((1,) * n + (0,) * (3 - n)), p) for n in range(4)}
 
 
@@ -551,15 +625,12 @@ def _key(residues, upward: bool, r: int, p: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _key_classes(g: ConcreteGroup, tally: dict, upward: bool) -> dict:
-    """A tally by (residues, order) merged into (key, order) classes, each residue set keyed once."""
-    r, p = g.gtype.rank, g.p
-    keys, classes = {}, {}
+    """A tally by (residues, order) merged into (key, order) classes, each key the table's own basis."""
+    table = _subspace_table(g.gtype.rank, g.p)
+    ids, bases = table.socle if upward else table.dual, table.bases
+    classes = {}
     for entry, n in tally.items():
-        residues = entry[:-1]
-        key = keys.get(residues)
-        if key is None:
-            key = keys[residues] = _key(residues, upward, r, p)
-        c = key, entry[-1]
+        c = bases[ids[entry[:-1]]], entry[-1]
         classes[c] = classes.get(c, 0) + n
     return classes
 
@@ -581,20 +652,6 @@ def _keyed_orders(g: ConcreteGroup, upward: bool) -> list[int]:
     p, r = g.p, g.gtype.rank
     floor = 1 if upward else g.order // p**r
     return [floor * p ** (n if upward else r - n) for n in range(r + 1)]
-
-
-def _subspaces(key, r: int, p: int, table) -> list:
-    """The keys of ``table`` that are subspaces of ``key``, key itself included.
-
-    Every subspace of F_p^r lies in the whole space; otherwise, at r <= 3,
-    a key's subspaces are 0, itself and, for a plane, its p + 1 points.
-    """
-    if len(key) == r:
-        return list(table)
-    candidates = [(), key] if key else [()]
-    if len(key) == 2:
-        candidates += _plane_points(key, p)
-    return [u for u in candidates if u in table]
 
 
 def _exact_mobius(g: ConcreteGroup, bases, upward: bool) -> tuple[list, ...]:
@@ -630,7 +687,10 @@ def _class_mobius(g: ConcreteGroup, classes: dict, upward: bool) -> tuple[list, 
     upward, of greatest order downward; mu(x, x) = 1 there and, for x < y,
     the sum of mu(x, z) over x <= z <= y vanishes.  A keyed K lies between
     the start and H exactly when key(K) <= key(H), so its value is minus the
-    sum at the proper subspaces of its key, taken in order of dimension.
+    sum at the proper subspaces of its key, taken in order of dimension:
+    the pass runs over the ids of ``_subspace_table(r, p)``, whose lists of
+    subspaces (the p^3 term at rank 3) are built once per (r, p) per
+    process, not once per pass, and a key no class has reads 0.
     Any other H lies above the keyed K with key(K) <= key(H) (those below
     Omega_1(H) upward, above H + pG downward) and no others, so while every
     nonzero value is keyed it takes minus the sum at the subspaces of its
@@ -644,34 +704,35 @@ def _class_mobius(g: ConcreteGroup, classes: dict, upward: bool) -> tuple[list, 
     downward over the whole lattice, for a keyed K the X with key(K) <=
     key(X), so a tally of the keys is spread to the subspaces of each key.
     """
-    p, r = g.p, g.gtype.rank
+    table = _subspace_table(g.gtype.rank, g.p)
     orders = _keyed_orders(g, upward)
     listed, counts = list(classes), list(classes.values())
-    ids = {}  # key -> key id, its position in keys
-    kid = [ids.setdefault(key, len(ids)) for key, _ in listed]
+    kid = [table.ids[key] for key, _ in listed]
     keyed = [order == orders[len(key)] for key, order in listed]
-    keys = list(ids)
-    tally = [0] * len(keys)  # by key id: number of subgroups
-    keyed_keys, other_keys = set(), set()
-    for k, n, e in zip(kid, counts, keyed):
-        tally[k] += n
-        (keyed_keys if e else other_keys).add(k)
+    n = len(table.bases)
+    tally = [0] * n  # by id: number of subgroups
+    kinds = [0] * n  # by id: 1 if a keyed class has that key, plus 2 if another does
+    for k, c, e in zip(kid, counts, keyed):
+        tally[k] += c
+        kinds[k] |= 1 if e else 2
 
     start = (min if upward else max)(range(len(listed)), key=lambda c: listed[c][1])
     if not keyed[start]:
         return None
     first = kid[start]
-    at = [0] * len(keys)  # by key id: the value at the keyed class with that key
+    at = [0] * n  # by id: the value at the keyed class with that key
     at[first] = 1
-    reach = [0] * len(keys)
-    for k in sorted(range(len(keys)), key=[*map(len, keys)].__getitem__):  # proper subspaces first
-        below = [ids[u] for u in _subspaces(keys[k], r, p, ids)]  # key ids of the subspaces
-        if k in keyed_keys and k != first:
+    reach = [0] * n
+    for k, below in enumerate(table.below):  # ids follow the dimension: proper subspaces first
+        if not (kind := kinds[k]):
+            continue
+        if kind & 1 and k != first:
             at[k] = -sum(map(at.__getitem__, below))
-        if k in other_keys and sum(map(at.__getitem__, below)):
+        if kind & 2 and sum(map(at.__getitem__, below)):
             return None
+        t = tally[k]
         for u in below:
-            reach[u] += tally[k]
+            reach[u] += t
     mu = [at[k] if e else 0 for k, e in zip(kid, keyed)]
     return listed, counts, mu, [reach[k] if v else 0 for k, v in zip(kid, mu)], keyed
 

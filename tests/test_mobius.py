@@ -333,7 +333,7 @@ CENSUS_TYPES = [GroupType((e1, e2, e3))
                 for e1 in range(9) for e2 in range(e1 + 1) for e3 in range(e2 + 1)]
 
 
-def test_cell_census_matches_orbit_tally_with_p_symbolic():
+def test_census_matches_reference_with_p_symbolic():
     # the closed form's cells against the torus orbits, as polynomials in p,
     # at every rank and every dimension (verify checks one prime at rank 3)
     cases = 0
@@ -344,7 +344,7 @@ def test_cell_census_matches_orbit_tally_with_p_symbolic():
     assert cases == 605
 
 
-def test_cell_census_counts_every_subspace():
+def test_reference_census_counts_every_subspace():
     for p in (2, 3, 7):
         for t in CENSUS_TYPES:
             for k in range(t.rank + 1):
@@ -441,7 +441,7 @@ def _expanded_orbit_groups(r, k):
     return expanded
 
 
-def test_socle_orbit_counts():
+def test_orbit_groups_hold_one_orbit_per_zero_pattern():
     # one orbit per zero pattern: 16 at rank 3, 5 at rank 2
     assert sum(len(list(_rref_bases(3, k, (0, 1)))) for k in range(4)) == 16
     assert sum(len(list(_rref_bases(2, k, (0, 1)))) for k in range(3)) == 5
@@ -451,7 +451,7 @@ def test_socle_orbit_counts():
         _orbit_groups(4)
 
 
-def test_socle_orbit_sizes_sum_to_gaussian_binomial():
+def test_orbit_group_sizes_sum_to_gaussian_binomial():
     for r in range(4):
         for k in range(r + 1):
             for p in (2, 3, 101, 10**9 + 7):

@@ -17,7 +17,7 @@ import pgfactor
 from pgfactor import oracle
 from pgfactor.formulas import factorization_count, subgroup_count
 from pgfactor.grouptype import GroupType, p_valuation, type_from_layers
-from pgfactor.mobius import _echelon, enumerate_subspaces, hall_mobius
+from pgfactor.mobius import _echelon, enumerate_subspaces, gaussian_binomial, hall_mobius
 from pgfactor.oracle import (
     GroupTooLarge,
     NotComparable,
@@ -32,7 +32,7 @@ from pgfactor.oracle import (
     verify_hall,
     verify_inversion_forms,
 )
-from test_cli import oracle_cells
+from test_cli import _run_captured, oracle_cells
 
 
 def _iter_bits(mask: int):
@@ -657,13 +657,20 @@ def test_walk_rechecks_its_x13_coset(monkeypatch, coset):
 @pytest.mark.parametrize("r", [0, 1, 2, 3])
 def test_spanning_pairs_rejects_a_corrupted_full_class(r):
     p = 3
-    full = oracle._frattini_image((1, 0, 0, 1, 0, 1), r, p)
-    zero = oracle._frattini_image((0, 0, 0, 0, 0, 0), r, p)
-    assert oracle._spanning_pairs({full: 1}, r, p) == 1
+    table = oracle._subspace_table(r, p)
+    full = table.ids[oracle._frattini_image((1, 0, 0, 1, 0, 1), r, p)]
+    zero = table.ids[oracle._frattini_image((0, 0, 0, 0, 0, 0), r, p)]
+
+    def images(n_full, n_zero):
+        counts = [0] * len(table.bases)
+        counts[zero] += n_zero
+        counts[full] += n_full
+        return counts
+
+    assert oracle._spanning_pairs(images(1, 0), r, p) == 1
     for n in (0, 2):
-        images = {full: n, zero: 1} if r else {full: n}
         with pytest.raises(RuntimeError, match=f"{n} subgroups map onto G/pG"):
-            oracle._spanning_pairs(images, r, p)
+            oracle._spanning_pairs(images(n, 1 if r else 0), r, p)
 
 
 SMALL_GROUPS = [
@@ -733,7 +740,7 @@ def _class_passes(g, bases, upward):
 
 @settings(deadline=None, max_examples=60)
 @given(st.sampled_from(SMALL_GROUPS), st.data())
-def test_image_mobius_matches_dense_on_any_sublist(lattice_cache, case, data):
+def test_class_mobius_matches_dense_on_any_sublist(lattice_cache, case, data):
     # on the whole lattice Hall's vanishing keeps every nonzero value on the
     # keyed subgroups; on a sublist, as a broken walk would give, values can
     # fall off them, and the class pass must then return None; where it
@@ -826,10 +833,92 @@ def test_annihilator_matches_brute_force(p, r, data):
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_plane_points_are_the_lines_in_the_plane(p):
+    # each point comes as its id in the table of F_p^3
+    bases = oracle._subspace_table(3, p).bases
     lines = enumerate_subspaces(3, 1, p)
     for plane in enumerate_subspaces(3, 2, p):
         inside = [line for line in lines if len(_echelon(plane + line, p)) == 2]
-        assert sorted(oracle._plane_points(plane, p)) == inside
+        assert sorted(bases[i] for i in oracle._plane_points(plane, p)) == inside
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_subspace_table_lists_each_subspace_once_with_its_subspaces(p):
+    # every reduced basis once, ids in order of dimension, and each id's
+    # subspaces against a rank test: 0 first and itself last below the
+    # whole space, as _spanning_pairs reads a plane's points between them
+    for r in range(4):
+        table = oracle._subspace_table(r, p)
+        bases = table.bases
+        dims = [len(basis) for basis in bases]
+        assert len(set(bases)) == len(bases)
+        assert dims == sorted(dims)
+        assert [dims.count(n) for n in range(r + 1)] == [gaussian_binomial(r, n, p) for n in range(r + 1)]
+        assert table.start == [dims.index(n) for n in range(r + 1)] + [len(bases)]
+        assert table.ids == {basis: i for i, basis in enumerate(bases)}
+        for i, basis in enumerate(bases):
+            assert list(basis) == [tuple(row) for _, row in sorted(_echelon(basis, p))]
+            inside = [j for j, small in enumerate(bases) if len(_echelon(basis + small, p)) == len(basis)]
+            assert sorted(table.below[i]) == inside, (r, basis)
+            if 0 < len(basis) < r:
+                assert (table.below[i][0], table.below[i][-1]) == (0, i)
+
+
+CACHE_ORDER_CELLS = [
+    ((0, 0, 0), 2), ((1, 1, 1), 2), ((3, 2, 1), 2), ((2, 2, 2), 2), ((4, 1, 0), 2), ((3, 3, 2), 2),
+    ((1, 0, 0), 3), ((1, 1, 1), 3), ((2, 1, 1), 3), ((2, 2, 0), 3), ((3, 1, 0), 3),
+    ((1, 1, 0), 5), ((2, 1, 0), 5), ((1, 1, 1), 5), ((2, 1, 1), 5),
+    ((1, 0, 0), 7), ((1, 1, 0), 7), ((2, 1, 0), 7), ((1, 1, 1), 7), ((0, 0, 0), 7),
+]
+
+
+def _clear_oracle_caches():
+    oracle._subspace_table.cache_clear()
+    oracle._hall_by_order.cache_clear()
+
+
+def _cell_outputs(cells, clear_each):
+    """(exit code, verify's stdout, the oracle's F2) for each cell, with the caches cleared first or per cell."""
+    _clear_oracle_caches()
+    outputs = {}
+    for exps, p in cells:
+        if clear_each:
+            _clear_oracle_caches()
+        code, out, _ = _run_captured(["verify", "--type", ",".join(map(str, exps)), "--p", str(p)])
+        outputs[exps, p] = code, out, oracle_factorizations(build_group(GroupType(exps), p))
+    return outputs
+
+
+def test_verify_and_oracle_count_do_not_depend_on_what_the_process_ran_before():
+    # the subspace tables and their residue maps outlive each call: the
+    # same cells give the same bytes from fresh caches, run forward and in reverse
+    fresh = _cell_outputs(CACHE_ORDER_CELLS, clear_each=True)
+    assert all(code == 0 and '"overall":true' in out for code, out, _ in fresh.values())
+    assert _cell_outputs(CACHE_ORDER_CELLS, clear_each=False) == fresh
+    assert _cell_outputs(CACHE_ORDER_CELLS[::-1], clear_each=False) == fresh
+
+
+def test_second_verify_reduces_no_residue_pattern(monkeypatch, request):
+    # each residue pattern is reduced once per process: a second verify of
+    # the same cell, and f2 by the oracle after it, read every key and
+    # image off the table's maps; the table is built after the patch, so
+    # its readers are the counting ones
+    calls = []
+
+    def counting(name):
+        real = getattr(oracle, name)
+        return lambda *args: calls.append(name) or real(*args)
+
+    for name in ("_annihilator", "_frattini_image"):
+        monkeypatch.setattr(oracle, name, counting(name))
+    request.addfinalizer(_clear_oracle_caches)
+    _clear_oracle_caches()
+    argv = ["verify", "--type", "3,2,1", "--p", "3"]
+    first = _run_captured(argv)
+    assert first[0] == 0 and sorted(set(calls)) == ["_annihilator", "_frattini_image"]
+    calls.clear()
+    assert _run_captured(argv) == first
+    assert _run_captured(["f2", "--type", "3,2,1", "--p", "3", "--method", "oracle"])[0] == 0
+    assert calls == []
 
 
 @settings(deadline=None, max_examples=60)
