@@ -87,26 +87,25 @@ MAX_TABLE_ROWS = 3000
 MAX_EXPONENT = 1000
 
 # Largest oracle element cap that --max-order accepts.  No oracle command
-# holds a subgroup mask: f2 --method oracle and table tally HNF residues mod
-# p (f2 at (5,5,5)@2 peaks at about 15.5 MB), and verify tallies the walk
-# into classes by residues mod p and order and reads hall and eq2 off each
-# class's socle and Frattini keys, so its memory grows with the number of
-# classes, at most the subgroup count, and its time with that count plus
-# p^3, the points of every plane at rank 3.  Those points sit in a table of
-# the subspaces of F_p^r built once per (r, p) per process, with a map from
-# each residue pattern met to its subspace: at r = 3 it holds 2p^2 + 2p + 4
-# ids and about (p^2 + p + 1)(p + 5) incidences, 1988 and 37737 at p = 31,
-# the largest rank-3 prime under this cap.  At this cap verify at
+# holds a subgroup mask: f2 --method oracle and table count the walk's
+# subgroups by the subspace id of their image in G/pG (f2 at (5,5,5)@2
+# peaks at about 15.5 MB), and verify tallies them into classes by subspace
+# id and order and reads hall and eq2 off each class, so its memory grows
+# with the number of classes, at most the subgroup count.  The walk checks
+# each coset of x13 values once and reads it at p values at most, so the
+# time grows with the cosets, not the subgroups, plus p^3, the points of
+# every plane at rank 3, which sit in a table of the subspaces of F_p^r
+# built once per (r, p) per process, and once per r <= 1: at r = 3 it holds
+# 2p^2 + 2p + 4 ids and about (p^2 + p + 1)(p + 5) incidences, 1988 and
+# 37737 at p = 31, the largest rank-3 prime under this cap.  Verify at
 # (5,5,5)@2, order 2^15 with the most subgroups (22308, in 185 classes of
-# each kind), peaks at about 15.6 MB, and at (1,1,1)@31, order 29791 with
-# the most elementary abelian subgroups (all 1988, each a class of its
-# own), takes 0.16-0.18 s and 18.3 MB whole process (40 ms of it the call,
-# table included).  Verify on all 7387 cells in one process meets every
-# prime up to the cap and peaks at about 67 MB.  The README gives these
-# cells' time and peak memory; CI runs both cells, (1,1,1)@31 with eq2
-# alone and f2 --method oracle at both, under a 60 s timeout, prints their
-# wall time and peak RSS, and fails verify at (5,5,5)@2 above 40 MB and
-# the all-cells run above 100 MB.
+# each kind), peaks at about 15.6 MB, and at (1,1,1)@31, with the most
+# elementary abelian subgroups (all 1988), takes 0.16-0.18 s and 18.3 MB
+# whole process.  Verify on all 7387 cells in one process keeps 55 tables
+# and peaks at about 50 MB.  The README gives these figures; CI runs both
+# cells, (1,1,1)@31 with eq2 alone and f2 --method oracle at both, under a
+# 60 s timeout, prints their wall time and peak RSS, and fails verify at
+# (5,5,5)@2 above 40 MB and the all-cells run above 85 MB.
 MAX_ORACLE_ORDER = 32768
 
 

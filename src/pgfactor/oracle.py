@@ -13,17 +13,19 @@ of a finite abelian group", 2010; H. Cohen, "A Course in Computational
 Algebraic Number Theory", 2.4).  Walking those bases lists every subgroup
 exactly once, by explicit enumeration rather than a formula, so the oracle
 stays independent of the closed form.  The walk solves the HNF congruences
-for the off-diagonal entries and rechecks each basis it yields.
+for the off-diagonal entries and checks each coset it yields once.
 
 The walk yields each choice of the entries other than x13 (a context) with
 the coset of x13 values that complete it, and neither tier lists the bases
-or builds a subgroup as a set of elements.  ``oracle_factorizations``, which
-``f2 --method oracle`` and ``table`` call, tallies the subgroups by their
-HNF residues mod p.  ``all_subgroups``, which only ``verify`` calls, tallies
-them into classes by (HNF residues, order) and (socle residues, order), and
-every check runs once per class: 271 classes of each kind hold the 509734
-subgroups at (7,7,7) and p = 2.  A repeated G raises in the count of pairs,
-and a repeated proper subgroup shows in the count that verify checks.
+or builds a subgroup as a set of elements.  Each coset is read at its
+first p values of x13, filed straight under subspace ids of F_p^r.
+``oracle_factorizations``, which ``f2 --method oracle`` and ``table`` call,
+counts the subgroups by image id; ``all_subgroups``, which only ``verify``
+calls, also tallies them into classes by (socle key id, order) and (dual
+key id, order), and every check runs once per class: 271 classes of each
+kind hold the 509734 subgroups at (7,7,7) and p = 2.  A repeated G raises
+in the count of pairs, and a repeated proper subgroup shows in the count
+that verify checks.
 
 No check takes a pass over all pairs of subgroups.  By Burnside's basis
 theorem pG is the Frattini subgroup (B. Huppert, "Endliche Gruppen I",
@@ -43,9 +45,9 @@ walk gives, sends the pass to exact containment tests on the HNF bases,
 walked again.  The subspaces of F_p^r, their incidence (the p^3 term: the
 p + 1 points of each of the p^2 + p + 1 planes) and the map from each
 residue pattern to its key or image depend on (r, p) alone, not on the
-group: ``_subspace_table`` builds them once per (r, p) per process, not
-once per pass or per call, and the direct count and both passes read them
-by int id.
+group, and at r <= 1 not on p either: ``_subspace_table`` builds them once
+per (r, p) per process, and once per r <= 1, not once per pass or per
+call, and the direct count and both passes read them by int id.
 
 Membership bitmasks (element (y1, y2, y3) is bit (y1 m2 + y2) m3 + y3) are
 built only on demand, each from an HNF basis by one plain builder,
@@ -114,13 +116,14 @@ def build_group(t: GroupType, p: int, max_order: int = DEFAULT_MAX_ORDER) -> Con
 
 
 class Lattice:
-    """All subgroups of a ConcreteGroup, tallied into classes by the HNF walk, with F2 precomputed.
+    """All subgroups of a ConcreteGroup, tallied into classes by subspace id, with F2 precomputed.
 
-    ``len()`` is the number of subgroups the walk yielded.  ``frattini``
-    and ``socle`` are ``_tally``'s two tallies, by (HNF residues mod p,
-    order) and by (socle residues mod p, order); the two Mobius passes read
-    them, and ``factorizations``, the number of ordered pairs (H, K) with
-    H + K = G, comes from the first.  ``upward`` is built on first use.  So
+    ``len()`` is the number of subgroups the walk yielded.  ``socle`` and
+    ``dual`` are ``_tally``'s two class tallies, by (socle key id, order)
+    and by (dual key id, order), ids in ``_subspace_table(r, p)``; the
+    upward and downward Mobius passes read them.  ``factorizations``, the
+    number of ordered pairs (H, K) with H + K = G, comes from ``_tally``'s
+    counts by image id.  ``upward`` is built on first use.  So
     are ``bases``, a second walk that lists each subgroup's HNF entries
     (d1, x12, x13, d2, x23, d3) sorted by (order, entries), and from it the
     membership masks ``subgroups`` and the bitmasks over ids ``below[i]`` /
@@ -131,11 +134,11 @@ class Lattice:
     fallback read ``bases``.
     """
 
-    def __init__(self, group: ConcreteGroup, count: int, frattini: dict, socle: dict, factorizations: int):
+    def __init__(self, group: ConcreteGroup, count: int, socle: dict, dual: dict, factorizations: int):
         self.group = group
         self.count = count
-        self.frattini = frattini
         self.socle = socle
+        self.dual = dual
         self.factorizations = factorizations
 
     @cached_property
@@ -228,9 +231,10 @@ def _hnf_subgroups(g: ConcreteGroup):
     multiples of s = d3 / g13.  As k1 and d3 are powers of p, g13 is the
     smaller of them: either s = 1 and every x13 solves it, or g13 = k1 and
     x13 = c / k1 (mod s); so the coset starts at (c / g13) mod s either way.
-    Every basis of a context is checked against the entry ranges and the
-    three conditions before the context is yielded, and a failure raises,
-    so the walk checks its own invariant at every subgroup.
+    Each context is checked once, and a failure raises: the coset is
+    nonempty, its first x13 passes the ranges and the three conditions, its
+    last lies in range, and k1 times its step vanishes modulo d3, so every
+    x13 of the coset passes too.
     """
     m1, m2, m3 = g.moduli
     divisors = [[g.p**j for j in range(e + 1)] for e in g.gtype]
@@ -245,29 +249,32 @@ def _hnf_subgroups(g: ConcreteGroup):
                 if c % g13:
                     continue
                 xs = range(c // g13 % s, d3, s)
-                for x13 in xs:
-                    if (not (0 <= x12 < d2 and 0 <= x13 < d3 and 0 <= x23 < d3)
-                            or k2 * x23 % d3 or k1 * x12 % d2 or (k1 * x13 - c) % d3):
-                        raise RuntimeError(
-                            f"HNF walk yielded ({d1}, {x12}, {x13}, {d2}, {x23}, {d3}), "
-                            f"which breaks the HNF conditions")
+                if (not xs or not (0 <= x12 < d2 and 0 <= x23 < d3 and 0 <= xs[0] < d3 and 0 <= xs[-1] < d3)
+                        or k2 * x23 % d3 or k1 * x12 % d2 or (k1 * xs[0] - c) % d3 or k1 * xs.step % d3):
+                    raise RuntimeError(
+                        f"HNF walk yielded ({d1}, {x12}, {xs}, {d2}, {x23}, {d3}), "
+                        f"which breaks the HNF conditions")
                 yield d1, x12, xs, d2, x23, d3
 
 
-def _tally(g: ConcreteGroup, contexts) -> tuple[int, dict, dict]:
-    """The subgroups of the contexts (d1, x12, xs, d2, x23, d3), counted and tallied by class.
+def _tally(g: ConcreteGroup, contexts) -> tuple[int, dict, dict, list]:
+    """The subgroups of the contexts (d1, x12, xs, d2, x23, d3), counted and tallied by subspace id.
 
-    Each of the two tallies maps a class, its residues mod p and then its
-    order, to its number of subgroups: by the HNF entries, and by the
-    entries of ``_key``'s matrix C on and above the diagonal, column by
-    column.  Along a coset x13 = x0 + i s only x13 and C's entry
-    ((k1 x12 / d2) x23 - k1 x13) / d3 change, each by a fixed step (k1 s /
-    d3 is an integer), so the residues depend on i mod p alone: a context
-    is read at its first p values of x13, the i-th standing for xs[i::p].
+    Ids are those of ``_subspace_table(r, p)``.  ``socle`` and ``dual`` map
+    a class, its key's id and its order, to its number of subgroups: the
+    socle key by ``_key``'s matrix C on and above the diagonal, column by
+    column, and the dual key by the HNF residues, which also give
+    ``images``, the counts by image id.  Along a coset x13 = x0 + i s only
+    x13 and C's entry ((k1 x12 / d2) x23 - k1 x13) / d3 change, each by a
+    fixed step (k1 s / d3 is an integer), so the residues depend on i mod p
+    alone: a context is read at its first p values of x13, the i-th
+    standing for xs[i::p].
     """
     p = g.p
     m1, m2, m3 = g.moduli
-    count, frattini, socle = 0, {}, {}
+    table = _subspace_table(g.gtype.rank, p)
+    socle_id, dual_id, image_id = table.socle, table.dual, table.image
+    count, socle, dual, images = 0, {}, {}, [0] * len(table.bases)
     for d1, x12, xs, d2, x23, d3 in contexts:
         k1, k2, k3 = m1 // d1, m2 // d2, m3 // d3
         q = k1 * x12 // d2
@@ -279,11 +286,13 @@ def _tally(g: ConcreteGroup, contexts) -> tuple[int, dict, dict]:
         count += n
         for i in range(min(p, n)):
             x13, w = xs[i], (n - i - 1) // p + 1  # w = len(xs[i::p])
-            key = rd1, rx12, x13 % p, rd2, rx23, rd3, order
-            frattini[key] = frattini.get(key, 0) + w
-            key = c11, c12, c22, (c - k1 * x13) // d3 % p, c23, c33, order
+            residues = rd1, rx12, x13 % p, rd2, rx23, rd3
+            images[image_id[residues]] += w
+            key = dual_id[residues], order
+            dual[key] = dual.get(key, 0) + w
+            key = socle_id[c11, c12, c22, (c - k1 * x13) // d3 % p, c23, c33], order
             socle[key] = socle.get(key, 0) + w
-    return count, frattini, socle
+    return count, socle, dual, images
 
 
 def _frattini_image(residues, r: int, p: int) -> tuple[tuple[int, ...], ...]:
@@ -399,10 +408,16 @@ class _SubspaceTable:
         self.image = _Reduced(ids, _frattini_image, r, p)
 
 
-@cache
+_tables = cache(_SubspaceTable)
+
+
 def _subspace_table(r: int, p: int) -> _SubspaceTable:
-    """The subspaces of F_p^r and their incidence, built once per (r, p) per process."""
-    return _SubspaceTable(r, p)
+    """The subspaces of F_p^r and their incidence, built once per (r, p) per process by ``_tables``.
+
+    At r <= 1 one table, built at p = 2, serves every prime: every residue
+    pattern a walk meets there has entries 0 or 1, as m2 = m3 = 1.
+    """
+    return _tables(r, p if r > 1 else 2)
 
 
 def _spanning_pairs(images: list, r: int, p: int) -> int:
@@ -431,56 +446,39 @@ def _spanning_pairs(images: list, r: int, p: int) -> int:
     return pairs
 
 
-def _factorizations(residues: dict, g: ConcreteGroup) -> int:
-    """Number of ordered pairs (H, K) with H + K = G, from the subgroups tallied by HNF residues mod p.
-
-    Each residue set is reduced to the subgroups' image in G/pG once per
-    process, by the table's ``image`` map, and ``_spanning_pairs`` counts
-    the pairs of images that span.
-    """
-    table = _subspace_table(g.gtype.rank, g.p)
-    images = [0] * len(table.bases)
-    for key, n in residues.items():
-        images[table.image[key]] += n
-    return _spanning_pairs(images, g.gtype.rank, g.p)
-
-
 def oracle_factorizations(g: ConcreteGroup) -> int:
     """Number of ordered pairs (H, K) with H + K = G, tallied straight from the HNF walk.
 
-    The same count as ``all_subgroups(g).factorizations``, with the
-    subgroups tallied by their HNF residues alone, each context read at its
-    first p values of x13 as in ``_tally``.  There is no repeated-subgroup
-    check, and none is needed for a walk that yields distinct HNF tuples in
-    range: each subgroup has exactly one HNF basis, so two distinct tuples
-    span two distinct subgroups.  The walk rechecks the ranges and the HNF
-    conditions at every tuple, and ``_spanning_pairs`` raises unless
-    exactly one subgroup, G, maps onto G/pG.
+    The same count as ``all_subgroups(g).factorizations``, from the counts
+    by image id that ``_tally`` also fills, with no classes.  There is no
+    repeated-subgroup check, and none is needed for a walk that yields
+    distinct HNF tuples in range: each subgroup has exactly one HNF basis,
+    so two distinct tuples span two distinct subgroups.  The walk checks
+    each coset once against the ranges and the HNF conditions, and
+    ``_spanning_pairs`` raises unless exactly one subgroup, G, maps onto
+    G/pG.
     """
-    p = g.p
-    residues = {}
+    p, r = g.p, g.gtype.rank
+    table = _subspace_table(r, p)
+    image_id = table.image
+    images = [0] * len(table.bases)
     for d1, x12, xs, d2, x23, d3 in _hnf_subgroups(g):
         rd1, rx12, rd2, rx23, rd3 = d1 % p, x12 % p, d2 % p, x23 % p, d3 % p
         n = len(xs)
         for i in range(min(p, n)):
-            key = rd1, rx12, xs[i] % p, rd2, rx23, rd3
-            residues[key] = residues.get(key, 0) + (n - i - 1) // p + 1
-    return _factorizations(residues, g)
+            images[image_id[rd1, rx12, xs[i] % p, rd2, rx23, rd3]] += (n - i - 1) // p + 1
+    return _spanning_pairs(images, r, p)
 
 
 def all_subgroups(g: ConcreteGroup) -> Lattice:
-    """Walk every subgroup by its Hermite normal form basis, tallied into classes.
+    """Walk every subgroup by its Hermite normal form basis, tallied into classes by subspace id.
 
-    The factorizations come from the tally by HNF residues, merged over the
-    orders, as in ``oracle_factorizations``; a repeated G raises there, and
-    a repeated proper subgroup shows in the count, which verify checks
-    against eq3.
+    The factorizations come from ``_tally``'s counts by image id, as in
+    ``oracle_factorizations``; a repeated G raises there, and a repeated
+    proper subgroup shows in the count, which verify checks against eq3.
     """
-    count, frattini, socle = _tally(g, _hnf_subgroups(g))
-    residues = {}
-    for key, n in frattini.items():
-        residues[key[:6]] = residues.get(key[:6], 0) + n
-    return Lattice(g, count, frattini, socle, _factorizations(residues, g))
+    count, socle, dual, images = _tally(g, _hnf_subgroups(g))
+    return Lattice(g, count, socle, dual, _spanning_pairs(images, g.gtype.rank, g.p))
 
 
 def subgroup_type(g: ConcreteGroup, H: int) -> GroupType:
@@ -624,34 +622,23 @@ def _key(residues, upward: bool, r: int, p: int) -> tuple[tuple[int, ...], ...]:
     return _annihilator(vectors, r, p)
 
 
-def _key_classes(g: ConcreteGroup, tally: dict, upward: bool) -> dict:
-    """A tally by (residues, order) merged into (key, order) classes, each key the table's own basis."""
-    table = _subspace_table(g.gtype.rank, g.p)
-    ids, bases = table.socle if upward else table.dual, table.bases
-    classes = {}
-    for entry, n in tally.items():
-        c = bases[ids[entry[:-1]]], entry[-1]
-        classes[c] = classes.get(c, 0) + n
-    return classes
-
-
 def _subgroup_classes(g: ConcreteGroup, bases, upward: bool) -> list[tuple]:
-    """Each listed subgroup's (key, order), tallied as the walk tallies a context with one x13."""
-    tallies = (_tally(g, [(d1, x12, range(x13, x13 + 1), d2, x23, d3)])[2 if upward else 1]
-               for d1, x12, x13, d2, x23, d3 in bases)
-    return [next(iter(_key_classes(g, tally, upward))) for tally in tallies]
+    """Each listed subgroup's (id, order), tallied as the walk tallies a context with one x13."""
+    return [next(iter(_tally(g, [(d1, x12, range(x13, x13 + 1), d2, x23, d3)])[1 if upward else 2]))
+            for d1, x12, x13, d2, x23, d3 in bases]
 
 
-def _keyed_orders(g: ConcreteGroup, upward: bool) -> list[int]:
-    """The order of a keyed subgroup whose key has dimension n, for n = 0..r.
+def _keyed(g: ConcreteGroup, classes, upward: bool) -> list[bool]:
+    """Whether each (id, order) class is keyed, its key's dimension read from the table.
 
     A subgroup is keyed when its order shows it lies in the sublattice its
     key maps onto subspaces: elementary abelian upward (|H| = p^dim S(H)),
     containing pG downward (|H| = |pG| p^dim f(H) = |pG| p^(r - dim f(H)^perp)).
     """
     p, r = g.p, g.gtype.rank
+    bases = _subspace_table(r, p).bases
     floor = 1 if upward else g.order // p**r
-    return [floor * p ** (n if upward else r - n) for n in range(r + 1)]
+    return [order == floor * p ** (len(bases[k]) if upward else r - len(bases[k])) for k, order in classes]
 
 
 def _exact_mobius(g: ConcreteGroup, bases, upward: bool) -> tuple[list, ...]:
@@ -674,23 +661,23 @@ def _exact_mobius(g: ConcreteGroup, bases, upward: bool) -> tuple[list, ...]:
             nonzero.append(i)
     for i in nonzero:
         sizes[i] = sum(between(i, x) for x in range(n))
-    orders = _keyed_orders(g, upward)
     classes = _subgroup_classes(g, bases, upward)
-    return classes, [1] * n, mu, sizes, [order == orders[len(key)] for key, order in classes]
+    return classes, [1] * n, mu, sizes, _keyed(g, classes, upward)
 
 
 def _class_mobius(g: ConcreteGroup, classes: dict, upward: bool) -> tuple[list, ...] | None:
-    """Mobius values mu(A, H) (upward) or mu(H, B) (downward) by (key, order) class, or None.
+    """Mobius values mu(A, H) (upward) or mu(H, B) (downward) by (id, order) class, or None.
 
-    ``classes`` maps each (key, order) class of the listed subgroups to
-    their number.  The walk starts at its first class of least order
-    upward, of greatest order downward; mu(x, x) = 1 there and, for x < y,
-    the sum of mu(x, z) over x <= z <= y vanishes.  A keyed K lies between
-    the start and H exactly when key(K) <= key(H), so its value is minus the
-    sum at the proper subspaces of its key, taken in order of dimension:
-    the pass runs over the ids of ``_subspace_table(r, p)``, whose lists of
-    subspaces (the p^3 term at rank 3) are built once per (r, p) per
-    process, not once per pass, and a key no class has reads 0.
+    ``classes`` maps each (id, order) class of the listed subgroups, its
+    key's id and its order, to their number.  The walk starts at its first
+    class of least order upward, of greatest order downward; mu(x, x) = 1
+    there and, for x < y, the sum of mu(x, z) over x <= z <= y vanishes.
+    A keyed K lies between the start and H exactly when key(K) <= key(H),
+    so its value is minus the sum at the proper subspaces of its key, taken
+    in order of dimension: the pass runs over the ids of
+    ``_subspace_table(r, p)``, whose lists of subspaces (the p^3 term at
+    rank 3) are built once per (r, p) per process, not once per pass, and a
+    key no class has reads 0.
     Any other H lies above the keyed K with key(K) <= key(H) (those below
     Omega_1(H) upward, above H + pG downward) and no others, so while every
     nonzero value is keyed it takes minus the sum at the subspaces of its
@@ -705,10 +692,9 @@ def _class_mobius(g: ConcreteGroup, classes: dict, upward: bool) -> tuple[list, 
     key(X), so a tally of the keys is spread to the subspaces of each key.
     """
     table = _subspace_table(g.gtype.rank, g.p)
-    orders = _keyed_orders(g, upward)
     listed, counts = list(classes), list(classes.values())
-    kid = [table.ids[key] for key, _ in listed]
-    keyed = [order == orders[len(key)] for key, order in listed]
+    kid = [k for k, _ in listed]
+    keyed = _keyed(g, listed, upward)
     n = len(table.bases)
     tally = [0] * n  # by id: number of subgroups
     kinds = [0] * n  # by id: 1 if a keyed class has that key, plus 2 if another does
@@ -744,8 +730,8 @@ def _lattice_mobius(lattice: Lattice, upward: bool) -> tuple[list, ...]:
     again by ``_exact_mobius`` on the walked bases.
     """
     g = lattice.group
-    classes = _key_classes(g, lattice.socle if upward else lattice.frattini, upward)
-    return _class_mobius(g, classes, upward) or _exact_mobius(g, lattice.bases, upward)
+    return (_class_mobius(g, lattice.socle if upward else lattice.dual, upward)
+            or _exact_mobius(g, lattice.bases, upward))
 
 
 def mobius_interval(lattice: Lattice, i: int, j: int) -> int:
@@ -773,18 +759,20 @@ def verify_hall(g: ConcreteGroup, lattice: Lattice) -> list[tuple]:
     than by typing H.  The values come by class from ``lattice.upward``,
     which also says which classes are elementary, so every subgroup is
     compared through its class.  Each class that mismatches is a check of
-    its own, ``(f"hall[order={order},key={key}]", expected, actual)``,
-    before the ``("hall_mismatches", 0, count)`` check, which counts the
-    subgroups in those classes.
+    its own, ``(f"hall[order={order},key={key}]", expected, actual)``, the
+    key printed as the reduced basis its id has in the table, before the
+    ``("hall_mismatches", 0, count)`` check, which counts the subgroups in
+    those classes.
     """
     checks = []
     hall = _hall_by_order(g.p)
+    bases = _subspace_table(g.gtype.rank, g.p).bases
     mismatches = 0
     classes, counts, mu, _, elementary = lattice.upward
-    for (key, order), n, value, e in zip(classes, counts, mu, elementary):
+    for (k, order), n, value, e in zip(classes, counts, mu, elementary):
         expected = hall[order] if e else 0
         if expected != value:
-            checks.append((f"hall[order={order},key={key}]", expected, value))
+            checks.append((f"hall[order={order},key={bases[k]}]", expected, value))
             mismatches += n
     checks.append(("hall_mismatches", 0, mismatches))
     return checks

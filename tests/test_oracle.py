@@ -17,7 +17,7 @@ import pgfactor
 from pgfactor import oracle
 from pgfactor.formulas import factorization_count, subgroup_count
 from pgfactor.grouptype import GroupType, p_valuation, type_from_layers
-from pgfactor.mobius import _echelon, enumerate_subspaces, gaussian_binomial, hall_mobius
+from pgfactor.mobius import _echelon, enumerate_subspaces, factorization_count_mobius, gaussian_binomial, hall_mobius
 from pgfactor.oracle import (
     GroupTooLarge,
     NotComparable,
@@ -641,6 +641,7 @@ def _mutant_walk(old, new):
 @pytest.mark.parametrize("coset", [
     "range(c // g13 % s + 1, d3, s)",  # one unit off: breaks k1 x13 = c (mod d3)
     "range(c // g13 % s + s, d3 + s, s)",  # one step on: its last x13 is d3 too many
+    "range(c // g13 % s, d3, 1)",  # step 1: only every s-th x13 solves k1 x13 = c (mod d3)
 ])
 def test_walk_rechecks_its_x13_coset(monkeypatch, coset):
     g = build_group(GroupType((2, 2, 2)), 2)
@@ -760,7 +761,7 @@ def test_class_mobius_matches_dense_on_any_sublist(lattice_cache, case, data):
 
 @pytest.mark.parametrize("exps,p", [((2, 1, 0), 3), ((2, 2, 1), 2), ((3, 1, 1), 2)])
 @pytest.mark.parametrize("upward", [True, False])
-def test_image_mobius_falls_back_on_a_walk_with_a_planted_gap(exps, p, upward):
+def test_class_mobius_falls_back_on_a_walk_with_a_planted_gap(exps, p, upward):
     # a walk without Omega_1(G) leaves a nonzero mu(1, H) at each H above
     # it, and a walk without pG a nonzero mu(H, G) at each H below it, none
     # of them keyed; the class pass must then return None, and the exact
@@ -777,7 +778,8 @@ def test_image_mobius_falls_back_on_a_walk_with_a_planted_gap(exps, p, upward):
 
 
 def test_images_match_masks_on_every_accepted_cell(monkeypatch):
-    # the class keys against membership masks on every cell under the
+    # the class keys, (id, order) with the key's basis at that id in the
+    # subspace table, against membership masks on every cell under the
     # default cap: p^dim S(H) = |H & Omega_1(G)| and p^dim f(H) = |H| / |H &
     # pG|, and the relation the passes read off the keys is mask subset, for
     # elementary K (K <= H exactly when S(K) <= S(H)) and for K containing
@@ -795,6 +797,7 @@ def test_images_match_masks_on_every_accepted_cell(monkeypatch):
         g = build_group(GroupType(exps), p)
         lat = all_subgroups(g)
         r, masks = g.gtype.rank, lat.subgroups
+        key = oracle._subspace_table(r, p).bases
         omega1, floor = g.omega[min(1, exps[0])], g.multiples[min(1, exps[0])]
         socle = oracle._subgroup_classes(g, lat.bases, upward=True)
         duals = oracle._subgroup_classes(g, lat.bases, upward=False)
@@ -803,16 +806,16 @@ def test_images_match_masks_on_every_accepted_cell(monkeypatch):
         included = functools.cache(lambda small, big: len(_echelon(big + small, p)) == len(big))
         elementary = [H & omega1 == H for H in masks]
         above_floor = [H & floor == floor for H in masks]
-        if (Counter(socle) != oracle._key_classes(g, lat.socle, True)
-                or Counter(duals) != oracle._key_classes(g, lat.frattini, False)
+        if (Counter(socle) != lat.socle
+                or Counter(duals) != lat.dual
                 or [keyed_up[c] for c in socle] != elementary
                 or [keyed_down[c] for c in duals] != above_floor
-                or [p ** len(key) for key, _ in socle] != [(H & omega1).bit_count() for H in masks]
-                or [p ** (r - len(key)) for key, _ in duals]
+                or [p ** len(key[i]) for i, _ in socle] != [(H & omega1).bit_count() for H in masks]
+                or [p ** (r - len(key[i])) for i, _ in duals]
                 != [H.bit_count() // (H & floor).bit_count() for H in masks]
-                or any(included(socle[k][0], socle[h][0]) != (H & K == K)
+                or any(included(key[socle[k][0]], key[socle[h][0]]) != (H & K == K)
                        for k, K in enumerate(masks) if elementary[k] for h, H in enumerate(masks))
-                or any(included(duals[k][0], duals[x][0]) != (K & X == X)
+                or any(included(key[duals[k][0]], key[duals[x][0]]) != (K & X == X)
                        for k, K in enumerate(masks) if above_floor[k] for x, X in enumerate(masks))):
             failing.append((exps, p))
     assert failing == []
@@ -863,6 +866,28 @@ def test_subspace_table_lists_each_subspace_once_with_its_subspaces(p):
                 assert (table.below[i][0], table.below[i][-1]) == (0, i)
 
 
+def test_one_table_serves_every_prime_at_rank_at_most_one():
+    # at r <= 1 the subspaces are the same at every prime and every residue
+    # pattern a walk meets has entries 0 or 1, so one table serves them all
+    assert oracle._subspace_table(1, 3) is oracle._subspace_table(1, 5)
+    assert oracle._subspace_table(0, 2) is oracle._subspace_table(0, 32749)
+    assert oracle._subspace_table(2, 3) is not oracle._subspace_table(2, 5)
+
+
+@pytest.mark.parametrize("exps,p", [((8, 8, 8), 2), ((4, 4, 4), 5), ((3, 3, 3), 7)])
+def test_oracle_passes_every_check_past_the_cap(exps, p):
+    # 2344743, 2890693 and 604432 subgroups: the walk checks each coset of
+    # x13 once and the tallies read it at p values of x13, so these take a
+    # fraction of a second; the count, hall and eq2 pass, and the oracle's
+    # F2 is the closed form's and the Mobius sum's
+    t = GroupType(exps)
+    g = build_group(t, p, max_order=10**60)
+    lat = all_subgroups(g)
+    assert len(lat) == subgroup_count(t, p).value
+    assert _failures(verify_hall(g, lat) + verify_inversion_forms(g, lat)) == []
+    assert oracle_factorizations(g) == factorization_count(t, p).value == factorization_count_mobius(t, p)
+
+
 CACHE_ORDER_CELLS = [
     ((0, 0, 0), 2), ((1, 1, 1), 2), ((3, 2, 1), 2), ((2, 2, 2), 2), ((4, 1, 0), 2), ((3, 3, 2), 2),
     ((1, 0, 0), 3), ((1, 1, 1), 3), ((2, 1, 1), 3), ((2, 2, 0), 3), ((3, 1, 0), 3),
@@ -872,7 +897,7 @@ CACHE_ORDER_CELLS = [
 
 
 def _clear_oracle_caches():
-    oracle._subspace_table.cache_clear()
+    oracle._tables.cache_clear()
     oracle._hall_by_order.cache_clear()
 
 
