@@ -16,11 +16,17 @@ Every rejected input is reported by argparse: a rule on one option is that
 option's converter, ``required`` setting or group, and a rule that joins two
 inputs calls the subcommand parser's ``error``.  So exit 2 always means a
 rejected input, with a ``usage:`` line and ``pgfactor <command>: error: ...``
-on stderr and nothing on stdout.
+on stderr and nothing on stdout.  Words left over after a command's options,
+and a first word that names no command, are reported by the top-level
+parser instead, as ``pgfactor: error: ...``.
 
 The argument parser depends on no input, so ``build_parser`` builds it once
-per process and every ``main`` call reuses it; ``parse_args`` returns a fresh
-namespace each time.
+per process, with its map from command name to subcommand parser, and every
+``main`` call reuses it.  ``parse_args`` hands the words after an exact
+command name straight to that command's parser, which is what the top-level
+parser would do after reading them all once more; the top-level parser reads
+argv itself only when its first word names no command.  Each call parses
+into a fresh namespace.
 """
 
 from __future__ import annotations
@@ -354,6 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact subgroup and factorization counts for abelian p-groups of rank <= 3.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.subcommands = sub.choices  # name -> subcommand parser, filled by add_parser
 
     # options shared between subcommands, each declared once
     shared = {
@@ -395,6 +402,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """What ``build_parser().parse_args(argv)`` returns or raises, parsed once.
+
+    When argv[0] names a command, its parser reads the rest, and words it
+    leaves over are reported by the top-level parser, as a full parse
+    reports them; the namespace then has no ``command``, which nothing
+    reads.  Any other argv (empty, a top-level option first, an unknown
+    command) goes through the full parse, the one parser that answers it.
+    """
+    parser = build_parser()
+    command = parser.subcommands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
+
+
 def main(argv=None) -> int:
     # Exact values can run past Python's int-to-str digit limit (4300 by
     # default since 3.10.7; earlier versions have no limit and no getter).
@@ -402,7 +428,7 @@ def main(argv=None) -> int:
     # against huge option values, and give the caller's value back after.
     previous = getattr(sys, "get_int_max_str_digits", lambda: None)()
     try:
-        args = build_parser().parse_args(argv)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
         if previous is not None:
             sys.set_int_max_str_digits(0)
         return args.func(args)

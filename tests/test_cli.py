@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cli_corpus
 import pgfactor
 from pgfactor import cli
 from pgfactor.cli import MAX_EXPONENT, MAX_ORACLE_ORDER, MAX_TABLE_ROWS, PRIME_BOUND, _grid_types, main
@@ -50,6 +51,61 @@ def test_reused_parser_keeps_no_option_between_calls(capsys, monkeypatch):
     fresh = [run_cli(capsys, *argv) for argv in calls]
     assert cached == fresh
     assert [code for code, _, _ in cached] == [2, 0, 0]
+
+
+# argv the corpus cannot hold beside its own rejected inputs: no word at
+# all, top-level help (also abbreviated), each command's help, and more
+# words for the top-level parser to report
+HELP_AND_REJECTED_ARGV = [
+    [], ["-h"], ["--help"], ["--he"], ["-h", "f2"], ["f2", "-h"], ["count", "--help"],
+    ["verify", "--help"], ["table", "-h"], ["f2", "--type", "3,2,1", "--help"],
+    ["F2"], ["f"], ["-x", "f2"], ["f2", "--type", "3,2,1", "--p", "2", "x", "y"],
+    ["f2", "--type", "3,2,1", "--p", "2", "--x=1"], ["f2", "--type", "3,2,1", "--p", "2", "f2"],
+    ["verify", "--type", "3,2,1", "--p", "2", "extra"], ["count", "extra"],
+]
+
+
+def _parse_outcome(capsys, parse, argv):
+    """The namespace ``parse`` returns for argv, less ``command``, or the code and text of its exit."""
+    try:
+        args = parse(list(argv))
+    except SystemExit as exc:
+        captured = capsys.readouterr()
+        return exc.code, captured.out, captured.err
+    return {key: value for key, value in vars(args).items() if key != "command"}
+
+
+def test_dispatched_parse_matches_the_full_parse(capsys):
+    # the top-level parser would hand the same words to the command's parser
+    # and report what it leaves over; a dispatch that dropped that report
+    # would accept `f2 --type 3,2,1 --p 2 extra`
+    argvs = [shlex.split(command) for command in cli_corpus.commands()] + HELP_AND_REJECTED_ARGV
+    differ = [argv for argv in argvs
+              if _parse_outcome(capsys, cli.parse_args, argv) != _parse_outcome(capsys, cli.build_parser().parse_args, argv)]
+    assert differ == []
+    assert _parse_outcome(capsys, cli.parse_args, ["f2", "--type", "3,2,1", "--p", "2", "extra"]) == (
+        2, "", cli.build_parser().format_usage() + "pgfactor: error: unrecognized arguments: extra\n")
+
+
+def test_top_level_parser_reads_no_argv_that_starts_with_a_command(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the top-level parser read argv")
+
+    monkeypatch.setattr(cli.build_parser(), "parse_known_args", refuse)
+    assert run_cli(capsys, "f2", "--type", "3,2,1", "--p", "2") == (0, "1635\n", "")
+    code, out, err = run_cli(capsys, "f2", "--type", "3,2,1", "--p", "2", "extra")
+    assert (code, out) == (2, "") and err.endswith("pgfactor: error: unrecognized arguments: extra\n")
+    with pytest.raises(AssertionError, match="top-level parser"):
+        main(["bogus"])
+
+
+def test_main_without_argv_reads_sys_argv(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["pgfactor", "f2", "--type", "3,2,1", "--p", "2"])
+    assert main() == 0
+    assert capsys.readouterr().out == "1635\n"
+    monkeypatch.setattr(sys, "argv", ["pgfactor", "f2", "--type", "3,2,1", "--p", "2", "extra"])
+    assert main() == 2
+    assert capsys.readouterr().err.endswith("pgfactor: error: unrecognized arguments: extra\n")
 
 
 @pytest.mark.parametrize("command", ["count", "f2", "verify", "table"])

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import pgfactor
 from pgfactor import oracle
+from pgfactor.cli import MAX_ORACLE_ORDER
 from pgfactor.formulas import factorization_count, subgroup_count
 from pgfactor.grouptype import GroupType, p_valuation, type_from_layers
 from pgfactor.mobius import _echelon, enumerate_subspaces, factorization_count_mobius, gaussian_binomial, hall_mobius
@@ -623,6 +624,17 @@ def test_solved_walk_and_mask_free_tier_match_the_references_on_every_accepted_c
         if (len(set(walk)) != len(walk) or set(walk) != set(_reference_hnf_subgroups(g))
                 or oracle_factorizations(g) != all_subgroups(g).factorizations):
             failing.append((exps, p))
+    assert failing == []
+
+
+def test_each_x13_coset_holds_one_value_or_a_multiple_of_p_on_every_accepted_cell():
+    # a coset has gcd(k1, d3) values, a power of p: with more than one, its
+    # step s is 1 (x13 takes every residue mod p equally often) or a multiple
+    # of p (x13 mod p is constant), so one read per context could stand for it
+    failing = []
+    for exps, p in oracle_cells(MAX_ORACLE_ORDER):
+        g = build_group(GroupType(exps), p, MAX_ORACLE_ORDER)
+        failing += [(exps, p, context) for context in oracle._hnf_subgroups(g) if len(context[2]) != 1 and len(context[2]) % p]
     assert failing == []
 
 
